@@ -1,5 +1,10 @@
 //! Criterion microbenchmarks of the substrates: AES, MAC, Morphable
-//! encode/decode, cache arrays, the DRAM scheduler and the NoC model.
+//! encode/decode, the functional secure memory, cache arrays, the DRAM
+//! scheduler and the NoC model.
+//!
+//! Crypto entries come in pairs: the dispatched kernel (AES-NI and
+//! PCLMULQDQ where the CPU has them) and the portable path other hosts
+//! run.
 //!
 //! These quantify the *simulator's* own performance (events/second),
 //! complementing the figure benches that quantify the *simulated* system.
@@ -8,10 +13,12 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use emcc::cache::{CacheConfig, SetAssocCache};
 use emcc::counters::format::{decode_morphable, encode_morphable};
-use emcc::counters::MorphFormat;
-use emcc::crypto::{Aes128, BlockCipherKeys, DataBlock};
+use emcc::counters::{CounterDesign, MorphFormat};
+use emcc::crypto::mac::{gf64_mul, gf64_mul_portable};
+use emcc::crypto::{Aes128, BlockCipherKeys, DataBlock, MacKeys};
 use emcc::dram::{Dram, DramConfig, DramRequest, RequestClass};
 use emcc::noc::{Mesh, NocLatency};
+use emcc::secmem::FunctionalSecureMemory;
 use emcc::sim::{EventQueue, LineAddr, Rng64, Time};
 
 fn bench_aes(c: &mut Criterion) {
@@ -41,8 +48,13 @@ fn bench_aes(c: &mut Criterion) {
             "batched AES and reference disagree"
         );
     }
-    c.bench_function("crypto/aes128_pipeline8_batched", |b| {
+    c.bench_function("crypto/aes128_pipeline8_dispatched", |b| {
         b.iter(|| aes.encrypt_batch(black_box(&pipeline)))
+    });
+    let portable = aes.encrypt_batch_portable(&pipeline);
+    assert_eq!(batched, portable, "dispatched and portable AES disagree");
+    c.bench_function("crypto/aes128_pipeline8_portable", |b| {
+        b.iter(|| aes.encrypt_batch_portable(black_box(&pipeline)))
     });
     c.bench_function("crypto/aes128_pipeline8_scalar", |b| {
         b.iter(|| {
@@ -63,6 +75,61 @@ fn bench_aes(c: &mut Criterion) {
     let cipher = keys.encrypt_block(0x40, 9, &plain);
     c.bench_function("crypto/mac_64B_block", |b| {
         b.iter(|| keys.mac_block(black_box(0x40), black_box(9), &cipher))
+    });
+}
+
+fn bench_gf(c: &mut Criterion) {
+    let (x, y) = (0x0123_4567_89ab_cdefu64, 0xfedc_ba98_7654_3211u64);
+    assert_eq!(
+        gf64_mul(x, y),
+        gf64_mul_portable(x, y),
+        "dispatched and bit-serial GF multiply disagree"
+    );
+    c.bench_function("crypto/gf64_mul_dispatched", |b| {
+        b.iter(|| gf64_mul(black_box(x), black_box(y)))
+    });
+    c.bench_function("crypto/gf64_mul_portable", |b| {
+        b.iter(|| gf64_mul_portable(black_box(x), black_box(y)))
+    });
+
+    let keys = MacKeys::from_seed(3);
+    let words: [u64; 8] = std::array::from_fn(|i| x.rotate_left(8 * i as u32) ^ y);
+    assert_eq!(
+        keys.dot_product(&words),
+        keys.dot_product_portable(&words),
+        "dispatched and bit-serial dot product disagree"
+    );
+    c.bench_function("crypto/mac_dot_product_dispatched", |b| {
+        b.iter(|| keys.dot_product(black_box(&words)))
+    });
+    c.bench_function("crypto/mac_dot_product_portable", |b| {
+        b.iter(|| keys.dot_product_portable(black_box(&words)))
+    });
+}
+
+fn bench_functional_memory(c: &mut Criterion) {
+    // The secure-memory service's space: 16K lines, Morphable counters,
+    // every line written once.
+    const LINES: u64 = 1 << 14;
+    let value = |l: u64| DataBlock::from_words([l.wrapping_mul(0x9E37_79B9_7F4A_7C15); 8]);
+    let mut mem = FunctionalSecureMemory::with_design(5, LINES, CounterDesign::Morphable);
+    for l in 0..LINES {
+        mem.write(LineAddr::new(l), value(l))
+            .expect("fresh memory accepts every write");
+    }
+    for l in 0..LINES {
+        assert_eq!(
+            mem.read_checked(LineAddr::new(l)),
+            Ok(value(l)),
+            "checked read returns the written value"
+        );
+    }
+    c.bench_function("secmem/read_checked_16k_morphable", |b| {
+        let mut l = 0u64;
+        b.iter(|| {
+            l = (l + 97) % LINES;
+            mem.read_checked(black_box(LineAddr::new(l)))
+        })
     });
 }
 
@@ -142,7 +209,9 @@ fn bench_noc(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_aes,
+    bench_gf,
     bench_morphable,
+    bench_functional_memory,
     bench_cache,
     bench_dram,
     bench_event_queue,

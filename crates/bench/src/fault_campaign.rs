@@ -244,47 +244,48 @@ pub fn functional_oracle() -> Vec<OracleCheck> {
     vec![
         oracle("bit-flip detected, write repairs", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             m.tamper_flip_bit(line, 5);
             expect_detected(&m, line, "bit-flip")?;
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             expect_clean(&m, line, "after repair")
         }),
         oracle("MAC corruption detected", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             m.tamper_mac_flip_bit(line, 17);
             expect_detected(&m, line, "mac-corrupt")
         }),
         oracle("stuck line detected on every read", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             m.tamper_flip_bit(line, 9);
             expect_detected(&m, line, "stuck (1st read)")?;
             // A stuck cell re-asserts after the repairing write.
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             m.tamper_flip_bit(line, 9);
             expect_detected(&m, line, "stuck (after write)")
         }),
         oracle("replayed stale line detected", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             let stale = m.raw(line).expect("line just written");
-            m.write(line, DataBlock::from_words([0xBEEF; 8]));
+            m.write(line, DataBlock::from_words([0xBEEF; 8]))
+                .map_err(|e| e.to_string())?;
             m.tamper_replay(line, stale);
             expect_detected(&m, line, "replay")
         }),
         oracle("transient read error clears on restore", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             m.tamper_flip_bit(line, 22);
             expect_detected(&m, line, "transient")?;
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             expect_clean(&m, line, "after restore")
         }),
         oracle("tree-node tamper fails the path walk", || {
             let mut m = FunctionalSecureMemory::new(CAMPAIGN_SEED, 64);
-            m.write(line, block);
+            m.write(line, block).map_err(|e| e.to_string())?;
             if m.verify_path(line).is_err() {
                 return Err("clean path failed verification".into());
             }

@@ -893,7 +893,9 @@ impl SecureSystem {
         if let Some(shadow) = self.shadow.as_mut() {
             // Differential oracle: mirror the write-back so both trees see
             // exactly one counter increment per write-back.
-            shadow.write(line, DataBlock::from_words([line.get(); 8]));
+            shadow
+                .write(line, DataBlock::from_words([line.get(); 8]))
+                .expect("nothing tampers with the shadow memory");
         }
         let r = self.tree.increment_data(line);
         self.mc.meta.mark_dirty(block);

@@ -173,6 +173,31 @@ impl CounterBlock {
         }
     }
 
+    /// Whether [`Self::increment`] of `slot` would rebase the block,
+    /// decided from the current state without cloning or mutating it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is outside the design's coverage.
+    pub fn would_overflow(&self, slot: usize) -> bool {
+        match self.design {
+            CounterDesign::Monolithic => {
+                assert!(slot < self.full.len(), "slot {slot} outside the block");
+                false
+            }
+            CounterDesign::Sc64 => self.minors[slot] == 127,
+            CounterDesign::Morphable => {
+                // The minors as they would be after the increment. Narrow
+                // accumulators keep both scans in vector registers.
+                let old = self.minors[slot];
+                let nonzero = self.minors.iter().map(|&m| u16::from(m > 0)).sum::<u16>()
+                    + u16::from(old == 0);
+                let max = self.minors.iter().fold(old + 1, |a, &m| a.max(m));
+                MorphFormat::fitting_counts(usize::from(nonzero), max).is_none()
+            }
+        }
+    }
+
     /// Rebase: bump the major counter and clear minors. All covered blocks
     /// must be re-encrypted with their new (strictly larger) counters.
     fn rebase(&mut self) {

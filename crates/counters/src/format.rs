@@ -71,9 +71,15 @@ impl MorphFormat {
     pub fn fitting(minors: &[u16]) -> Option<MorphFormat> {
         let nz = minors.iter().filter(|&&m| m > 0).count();
         let mx = minors.iter().copied().max().unwrap_or(0);
+        Self::fitting_counts(nz, mx)
+    }
+
+    /// [`Self::fitting`] from summary counts: the first format holding
+    /// `nonzero` non-zero minors whose largest is `max`.
+    pub(crate) fn fitting_counts(nonzero: usize, max: u16) -> Option<MorphFormat> {
         MorphFormat::all()
             .into_iter()
-            .find(|f| mx <= f.max_minor() && nz <= f.nonzero_capacity())
+            .find(|f| max <= f.max_minor() && nonzero <= f.nonzero_capacity())
     }
 
     /// 2-bit on-disk tag.

@@ -264,13 +264,9 @@ impl IntegrityTree {
     pub fn would_overflow_data(&self, line: LineAddr) -> bool {
         let cb = self.geometry.counter_block_of(line);
         let slot = self.geometry.slot_of(line);
-        match self.blocks.get(&(0, cb)) {
-            None => false,
-            Some(b) => {
-                let mut probe = b.clone();
-                probe.increment(slot).overflow.is_some()
-            }
-        }
+        self.blocks
+            .get(&(0, cb))
+            .is_some_and(|b| b.would_overflow(slot))
     }
 
     /// Counter value protecting metadata node `(level, index)`.
@@ -309,10 +305,13 @@ impl IntegrityTree {
         r
     }
 
-    /// The materialized level-0 (data counter) block at `index`, if any
-    /// write ever touched it. Absent blocks are all-zero.
-    pub fn level0_block(&self, index: u64) -> Option<&CounterBlock> {
-        self.blocks.get(&(0, index))
+    /// The materialized counter block of tree node `(level, index)`, if
+    /// any increment ever touched it; absent blocks are all-zero. Slot `s`
+    /// holds the counter of the node's `s`-th child: data line
+    /// `index × arity + s` at level 0, node `(level − 1, index × arity + s)`
+    /// above. Level [`TreeGeometry::num_levels`] holds the on-chip root.
+    pub fn node_block(&self, level: u32, index: u64) -> Option<&CounterBlock> {
+        self.blocks.get(&(level, index))
     }
 
     /// Snapshot of every materialized level-0 block, ascending by index —

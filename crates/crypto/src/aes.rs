@@ -1,19 +1,25 @@
 //! FIPS-197 AES-128 block cipher.
 //!
-//! A u32 T-table implementation: each round's SubBytes + ShiftRows +
-//! MixColumns collapses into four table lookups and three XORs per
-//! column, with tables built at compile time from the S-box. AES is on
-//! the simulator's hottest path (every modeled memory line is encrypted
-//! and MACed twice per round trip), so the ~4–5× over the byte-wise
-//! version is wall-clock visible in full figure runs.
+//! Real AES runs only in the functional secure memory
+//! (`emcc_secmem::FunctionalSecureMemory`) and what is built on it: the
+//! secure-memory service, the fuzz battery's functional and
+//! crash-recovery oracles, the simulator's optional shadow check and the
+//! fault campaign's functional oracle. The timing simulator never
+//! encrypts: it charges AES *latency* through the memory controller's
+//! AES-unit pool, parameterised by [`crate::latency::CryptoLatencies`].
 //!
-//! It is used functionally (correctness of the secure-memory data path),
-//! not for side-channel resistance — table lookups are fine here; the
-//! *timing* of hardware AES units is modeled separately by
-//! [`crate::latency::CryptoLatencies`] and the memory controller's
-//! AES-unit pool. The pre-T-table byte-wise round survives as
-//! [`Aes128::encrypt_reference`] so tests and benches can cross-check
-//! the two paths.
+//! [`Aes128::encrypt_batch`] picks its path at run time. On x86-64 CPUs
+//! with AES-NI it runs `aesenc`/`aesenclast` over a key schedule laid out
+//! once, in [`Aes128::new`], as 11 round keys in byte order. Elsewhere it
+//! runs [`Aes128::encrypt_batch_portable`], a u32 T-table implementation:
+//! each round's SubBytes + ShiftRows + MixColumns collapses into four
+//! table lookups and three XORs per column, with the table built at
+//! compile time from the S-box. Both produce identical ciphertext, and the
+//! byte-wise FIPS-197 rounds survive as [`Aes128::encrypt_reference`], the
+//! oracle tests and benches compare both paths against.
+//!
+//! The cipher is used functionally (correctness of the secure-memory data
+//! path), not for side-channel resistance: table lookups are fine here.
 
 /// AES-128 with an expanded key schedule.
 ///
@@ -30,8 +36,11 @@
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes128 {
-    /// Round keys as big-endian column words (4 per round).
+    /// Round keys as big-endian column words (4 per round), for the
+    /// T-table path.
     round_keys: [u32; 44],
+    /// The same 11 round keys in byte order, for AES-NI and the reference.
+    round_key_bytes: [[u8; 16]; 11],
 }
 
 const SBOX: [u8; 256] = [
@@ -113,7 +122,16 @@ impl Aes128 {
         for (rk, word) in round_keys.iter_mut().zip(&w) {
             *rk = u32::from_be_bytes(*word);
         }
-        Aes128 { round_keys }
+        let mut round_key_bytes = [[0u8; 16]; 11];
+        for (bytes, words) in round_key_bytes.iter_mut().zip(w.chunks_exact(4)) {
+            for (dst, word) in bytes.chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(word);
+            }
+        }
+        Aes128 {
+            round_keys,
+            round_key_bytes,
+        }
     }
 
     /// Encrypts one 16-byte block.
@@ -123,17 +141,34 @@ impl Aes128 {
 
     /// Encrypts `N` independent blocks in one interleaved pass.
     ///
-    /// All blocks advance through the rounds in lock-step: each round
-    /// does the T-table lookups for every block before any block moves
-    /// on. The lookups of different blocks are data-independent, so the
-    /// core overlaps them (memory-level parallelism against L1) instead
-    /// of serializing a full dependent round chain per block — the
-    /// software analogue of the modeled 8-deep pipelined AES unit, and
-    /// how a 64 B line's four OTP blocks are produced in one pass.
+    /// All blocks advance through the rounds in lock-step, so the rounds
+    /// of different blocks overlap instead of serializing a full dependent
+    /// round chain per block — the software analogue of the modeled 8-deep
+    /// pipelined AES unit, and how a 64 B line's four OTP blocks are
+    /// produced in one pass. Runs on AES-NI when the CPU has it, else
+    /// [`Self::encrypt_batch_portable`]; the ciphertext is the same.
     ///
     /// `N` is the pipeline width, 1..=[`MAX_BATCH`]; width 1 is exactly
     /// [`Aes128::encrypt`].
     pub fn encrypt_batch<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [[u8; 16]; N] {
+        const {
+            assert!(N >= 1 && N <= MAX_BATCH, "batch width must be 1..=8");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(out) = crate::hw::aes128_encrypt(&self.round_key_bytes, blocks) {
+            return out;
+        }
+        self.encrypt_batch_portable(blocks)
+    }
+
+    /// The T-table path of [`Self::encrypt_batch`]: the only path on
+    /// hosts without AES-NI, public so tests and benches can compare it
+    /// with the dispatched one.
+    ///
+    /// Each round does the table lookups for every block before any block
+    /// moves on. The lookups of different blocks are data-independent, so
+    /// the core overlaps them (memory-level parallelism against L1).
+    pub fn encrypt_batch_portable<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [[u8; 16]; N] {
         const {
             assert!(N >= 1 && N <= MAX_BATCH, "batch width must be 1..=8");
         }
@@ -198,21 +233,13 @@ impl Aes128 {
         out
     }
 
-    /// Encrypts one block with the pre-T-table byte-wise rounds.
+    /// Encrypts one block with the byte-wise FIPS-197 rounds.
     ///
     /// Kept as the validation oracle: property tests and the
-    /// `components` bench assert it produces the same ciphertext as
-    /// [`Aes128::encrypt`].
+    /// `components` bench assert that both [`Aes128::encrypt_batch`]
+    /// paths produce the same ciphertext.
     pub fn encrypt_reference(&self, block: [u8; 16]) -> [u8; 16] {
-        let rk: Vec<[u8; 16]> = (0..11)
-            .map(|r| {
-                let mut k = [0u8; 16];
-                for c in 0..4 {
-                    k[c * 4..c * 4 + 4].copy_from_slice(&self.round_keys[r * 4 + c].to_be_bytes());
-                }
-                k
-            })
-            .collect();
+        let rk = &self.round_key_bytes;
         let mut s = block;
         add_round_key(&mut s, &rk[0]);
         for round_key in &rk[1..10] {
@@ -358,8 +385,8 @@ mod tests {
 
     #[test]
     fn ttable_matches_reference_implementation() {
-        // Pseudo-random keys and blocks: the T-table fast path and the
-        // byte-wise FIPS-197 rounds must agree everywhere.
+        // Pseudo-random keys and blocks: the dispatched path, the T-table
+        // path and the byte-wise FIPS-197 rounds must agree everywhere.
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             x ^= x << 13;
@@ -375,7 +402,9 @@ mod tests {
             block[..8].copy_from_slice(&next().to_le_bytes());
             block[8..].copy_from_slice(&next().to_le_bytes());
             let aes = Aes128::new(key);
-            assert_eq!(aes.encrypt(block), aes.encrypt_reference(block));
+            let want = aes.encrypt_reference(block);
+            assert_eq!(aes.encrypt(block), want);
+            assert_eq!(aes.encrypt_batch_portable(&[block])[0], want);
         }
     }
 

@@ -26,6 +26,8 @@
 //! ```
 
 pub mod aes;
+#[cfg(target_arch = "x86_64")]
+mod hw;
 pub mod latency;
 pub mod mac;
 pub mod otp;

@@ -12,6 +12,13 @@
 //! parallel); AES dominates the latency — which is exactly why caching
 //! counters (the AES input) ahead of data arrival speeds verification up.
 //!
+//! The host computes it the same way when it can: on x86-64 CPUs with
+//! PCLMULQDQ, [`gf64_mul`] and [`MacKeys::dot_product`] take carry-less
+//! products in hardware, and the dot product XORs its eight 128-bit
+//! products before one reduction (reduction is linear). Elsewhere they
+//! run the bit-serial [`gf64_mul_portable`], which is also the reference
+//! tests compare the hardware path against.
+//!
 //! EMCC's twist (§IV-D): the MC computes the dot product over the
 //! **ciphertext** and embeds `MAC ⊕ dot-product` in the data response so
 //! that L2 can verify by comparing against its locally computed AES result.
@@ -24,6 +31,9 @@ const GF64_POLY: u64 = 0x1B;
 
 /// Carry-less multiplication in GF(2⁶⁴).
 ///
+/// Uses the CPU's carry-less multiplier when it has one (PCLMULQDQ), else
+/// [`gf64_mul_portable`]; both give the same product.
+///
 /// # Examples
 ///
 /// ```
@@ -34,6 +44,17 @@ const GF64_POLY: u64 = 0x1B;
 /// assert_eq!(gf64_mul(x, 0), 0);          // 0 annihilates
 /// ```
 pub fn gf64_mul(a: u64, b: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((hi, lo)) = crate::hw::clmul_sum(&[a], &[b]) {
+        return reduce128(hi, lo);
+    }
+    gf64_mul_portable(a, b)
+}
+
+/// Bit-serial carry-less multiplication in GF(2⁶⁴): the only path on
+/// hosts without a carry-less multiplier, and the reference for
+/// [`gf64_mul`].
+pub fn gf64_mul_portable(a: u64, b: u64) -> u64 {
     // Schoolbook carry-less multiply into 128 bits, then reduce.
     let mut hi = 0u64;
     let mut lo = 0u64;
@@ -131,11 +152,22 @@ impl MacKeys {
     /// The data-only half: `truncate56(Σ wordᵢ ⊗ keyᵢ)` over the block.
     ///
     /// Under EMCC this is computed at the MC over the *ciphertext* and
-    /// shipped to L2 XOR-ed with the stored MAC (§IV-D).
+    /// shipped to L2 XOR-ed with the stored MAC (§IV-D). With PCLMULQDQ
+    /// the eight products are XOR-ed unreduced and reduced once.
     pub fn dot_product(&self, words: &[u64; 8]) -> Mac56 {
+        #[cfg(target_arch = "x86_64")]
+        if let Some((hi, lo)) = crate::hw::clmul_sum(words, &self.word_keys) {
+            return Mac56::from_u64(reduce128(hi, lo));
+        }
+        self.dot_product_portable(words)
+    }
+
+    /// [`Self::dot_product`] with bit-serial multiplies: the only path on
+    /// hosts without a carry-less multiplier, and its reference.
+    pub fn dot_product_portable(&self, words: &[u64; 8]) -> Mac56 {
         let mut acc = 0u64;
         for (w, k) in words.iter().zip(self.word_keys.iter()) {
-            acc ^= gf64_mul(*w, *k);
+            acc ^= gf64_mul_portable(*w, *k);
         }
         Mac56::from_u64(acc)
     }

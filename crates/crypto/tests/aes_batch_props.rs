@@ -1,9 +1,13 @@
-//! Property tests for the interleaved batch AES path.
+//! Property tests for the interleaved batch AES paths.
 //!
-//! The batched T-table pass must agree with the byte-wise FIPS-197
-//! reference rounds (`encrypt_reference`) for every pipeline width
-//! 1..=8, any key and any blocks — the oracle that licenses routing all
-//! hot-path OTP/MAC cipher work through `encrypt_batch`.
+//! `encrypt_batch` dispatches at run time: AES-NI on x86-64 CPUs that
+//! have it, the T-table pass (`encrypt_batch_portable`) elsewhere. On a
+//! host with AES-NI the dispatched call *is* the hardware path, so the
+//! tests call the portable path directly: both must agree with the
+//! byte-wise FIPS-197 reference rounds (`encrypt_reference`) for every
+//! pipeline width 1..=8, any key and any blocks — the oracle that
+//! licenses routing all hot-path OTP/MAC cipher work through
+//! `encrypt_batch`.
 
 use emcc_crypto::Aes128;
 use proptest::prelude::*;
@@ -29,8 +33,9 @@ fn blocks_from_seed(seed: u64) -> [[u8; 16]; 8] {
 }
 
 proptest! {
-    /// Batched ≡ reference for every width: each lane of an N-wide batch
-    /// must be exactly the byte-wise single-block encryption of its input.
+    /// Dispatched ≡ T-table ≡ reference for every width: each lane of an
+    /// N-wide batch must be exactly the byte-wise single-block encryption
+    /// of its input, on both paths.
     #[test]
     fn batch_matches_reference_at_every_width(
         key_hi in any::<u64>(),
@@ -42,9 +47,12 @@ proptest! {
         macro_rules! check_width {
             ($($n:literal),+) => {$({
                 let input: &[[u8; 16]; $n] = blocks[..$n].try_into().unwrap();
-                let out = aes.encrypt_batch(input);
-                for (block, ct) in input.iter().zip(&out) {
-                    prop_assert_eq!(*ct, aes.encrypt_reference(*block));
+                let dispatched = aes.encrypt_batch(input);
+                let portable = aes.encrypt_batch_portable(input);
+                for ((block, ct), pt) in input.iter().zip(&dispatched).zip(&portable) {
+                    let want = aes.encrypt_reference(*block);
+                    prop_assert_eq!(*ct, want);
+                    prop_assert_eq!(*pt, want);
                 }
             })+};
         }

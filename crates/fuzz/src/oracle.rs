@@ -149,7 +149,9 @@ fn functional_oracle(case: &FuzzCase, design: CounterDesign, failures: &mut Vec<
             let nth = writes.entry(op.line).or_insert(0);
             let value = write_value(op.line, *nth);
             *nth += 1;
-            fsm.write(line, value);
+            if let Err(e) = fsm.write(line, value) {
+                failures.push(format!("{tag}: op {i} write refused: {e}"));
+            }
             naive.insert(op.line, value);
         } else {
             let expect = naive.get(&op.line).copied().unwrap_or_default();
@@ -182,8 +184,7 @@ fn functional_oracle(case: &FuzzCase, design: CounterDesign, failures: &mut Vec<
             ));
         }
         let repaired = write_value(line, 0xBEEF);
-        fsm.write(addr, repaired);
-        if fsm.read_checked(addr) != Ok(repaired) {
+        if fsm.write(addr, repaired).is_err() || fsm.read_checked(addr) != Ok(repaired) {
             failures.push(format!("{tag}: rewrite failed to repair line {line}"));
         }
     }

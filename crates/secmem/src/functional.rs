@@ -90,7 +90,7 @@ pub struct StoredLine {
 /// let mut mem = FunctionalSecureMemory::new(7, 1 << 16);
 /// let line = LineAddr::new(3);
 /// let block = DataBlock::from_words([42; 8]);
-/// mem.write(line, block);
+/// mem.write(line, block).unwrap();
 /// assert_eq!(mem.read(line).unwrap(), block);
 ///
 /// // Physical tampering is detected.
@@ -145,19 +145,21 @@ impl FunctionalSecureMemory {
     ///
     /// Split-counter rebases transparently re-encrypt every stored line the
     /// counter block covers.
-    pub fn write(&mut self, line: LineAddr, plain: DataBlock) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReadError::MacMismatch`] naming a covered line that fails
+    /// verification when this write would rebase: re-encrypting it would
+    /// launder the tampering. The write is refused before any state
+    /// changes.
+    pub fn write(&mut self, line: LineAddr, plain: DataBlock) -> Result<(), ReadError> {
         // If this increment will rebase, decrypt the covered region with
         // the *old* counters first.
         let saved: Vec<(LineAddr, DataBlock)> = if self.tree.would_overflow_data(line) {
             self.covered_lines(line)
                 .filter(|l| *l != line && self.store.contains_key(l))
-                .map(|l| {
-                    let plain = self
-                        .read(l)
-                        .expect("pre-rebase re-read of intact line succeeds");
-                    (l, plain)
-                })
-                .collect()
+                .map(|l| self.read(l).map(|plain| (l, plain)))
+                .collect::<Result<_, _>>()?
         } else {
             Vec::new()
         };
@@ -176,11 +178,14 @@ impl FunctionalSecureMemory {
         // hardware re-MACs them as it goes: any prior node tampering on the
         // path is overwritten (mirrors data tampering being repaired by a
         // rewrite of the line).
-        for addr in self.tree.geometry().verification_path(line) {
-            let key = self.tree.geometry().node_of_addr(addr);
-            self.node_masks.remove(&key);
-            self.node_macs.remove(&key);
+        if !(self.node_masks.is_empty() && self.node_macs.is_empty()) {
+            for addr in self.tree.geometry().verification_path(line) {
+                let key = self.tree.geometry().node_of_addr(addr);
+                self.node_masks.remove(&key);
+                self.node_macs.remove(&key);
+            }
         }
+        Ok(())
     }
 
     /// Reads and verifies a block.
@@ -238,13 +243,21 @@ impl FunctionalSecureMemory {
     /// the (single) mutated counter block and every stored line whose
     /// ciphertext changed — one line normally, the whole covered region on
     /// a rebase.
-    pub fn write_logged(&mut self, line: LineAddr, plain: DataBlock) -> WriteLog {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write`]: nothing is written or logged.
+    pub fn write_logged(
+        &mut self,
+        line: LineAddr,
+        plain: DataBlock,
+    ) -> Result<WriteLog, ReadError> {
         let rebased = self.tree.would_overflow_data(line);
-        self.write(line, plain);
+        self.write(line, plain)?;
         let cb_index = self.tree.geometry().counter_block_of(line);
         let block = self
             .tree
-            .level0_block(cb_index)
+            .node_block(0, cb_index)
             .expect("write materializes its counter block")
             .clone();
         let touched: Vec<(LineAddr, StoredLine)> = if rebased {
@@ -254,11 +267,11 @@ impl FunctionalSecureMemory {
         } else {
             vec![(line, self.store[&line])]
         };
-        WriteLog {
+        Ok(WriteLog {
             counter_block: cb_index,
             block,
             touched,
-        }
+        })
     }
 
     /// Installs a raw ciphertext+MAC image, or clears the line with `None`
@@ -276,7 +289,7 @@ impl FunctionalSecureMemory {
 
     /// The materialized counter block covering `line`, if any.
     pub fn counter_block_state(&self, index: u64) -> Option<&CounterBlock> {
-        self.tree.level0_block(index)
+        self.tree.node_block(0, index)
     }
 
     /// Installs (or clears) a level-0 counter block during recovery or
@@ -343,11 +356,16 @@ impl FunctionalSecureMemory {
             mask[bit / 64] ^= 1 << (bit % 64);
         } else {
             assert!(bit < 568, "node line is 512 image bits + 56 MAC bits");
-            let current = self
-                .node_macs
-                .get(&key)
-                .copied()
-                .unwrap_or_else(|| self.intact_node_mac(level, index));
+            let current = self.node_macs.get(&key).copied().unwrap_or_else(|| {
+                let addr = self.tree.geometry().node_addr(level, index);
+                let image =
+                    self.intact_node_image(level, index, self.tree.node_block(level, index));
+                self.keys.mac_block(
+                    addr.base().get(),
+                    self.tree.node_counter(level, index),
+                    &DataBlock::from_words(image),
+                )
+            });
             self.node_macs
                 .insert(key, Mac56::from_u64(current.as_u64() ^ (1 << (bit - 512))));
         }
@@ -357,27 +375,49 @@ impl FunctionalSecureMemory {
     /// verifying each node's stored MAC against its observed contents —
     /// the functional analogue of the MC's tree walk.
     ///
+    /// Each node's counter block is looked up once: it yields the node's
+    /// intact image, and, as the parent of the node below, that node's
+    /// counter. The observed image is the intact one XOR the node's tamper
+    /// mask. Both MACs are computed for every node: the recomputed MAC
+    /// over the observed image, and the stored MAC over the intact image
+    /// unless an override replaced it.
+    ///
     /// # Errors
     ///
     /// Returns [`ReadError::TreeMismatch`] naming the first corrupt node,
     /// from the leaves upward.
     pub fn verify_path(&self, line: LineAddr) -> Result<(), ReadError> {
-        for addr in self.tree.geometry().verification_path(line) {
-            let (level, index) = self.tree.geometry().node_of_addr(addr);
-            let observed = self.observed_node_image(level, index);
-            let stored_mac = self
-                .node_macs
-                .get(&(level, index))
-                .copied()
-                .unwrap_or_else(|| self.intact_node_mac(level, index));
-            let recomputed = self.keys.mac_block(
-                addr.base().get(),
-                self.tree.node_counter(level, index),
-                &DataBlock::from_words(observed),
-            );
+        let g = self.tree.geometry();
+        let arity = g.design().coverage();
+        let mut index = g.counter_block_of(line);
+        let mut block = self.tree.node_block(0, index);
+        for level in 0..g.num_levels() {
+            // The parent's block holds this node's counter; above the top
+            // level it is the on-chip root.
+            let parent = self.tree.node_block(level + 1, index / arity);
+            let counter = parent.map_or(0, |b| b.counter((index % arity) as usize));
+            let addr = g.node_addr(level, index).base().get();
+            let intact = self.intact_node_image(level, index, block);
+            let mut observed = intact;
+            if let Some(mask) = self.node_masks.get(&(level, index)) {
+                for (w, m) in observed.iter_mut().zip(mask) {
+                    *w ^= m;
+                }
+            }
+            let recomputed = self
+                .keys
+                .mac_block(addr, counter, &DataBlock::from_words(observed));
+            let stored_mac = match self.node_macs.get(&(level, index)) {
+                Some(mac) => *mac,
+                None => self
+                    .keys
+                    .mac_block(addr, counter, &DataBlock::from_words(intact)),
+            };
             if recomputed != stored_mac {
                 return Err(ReadError::TreeMismatch { level, index });
             }
+            index /= arity;
+            block = parent;
         }
         Ok(())
     }
@@ -402,10 +442,11 @@ impl FunctionalSecureMemory {
         lines
     }
 
-    /// The node's intact 512-bit image: a deterministic packing of the
-    /// counters it stores (data counters at level 0, child node counters
-    /// above). Any single counter change flips image bits.
-    fn intact_node_image(&self, level: u32, index: u64) -> [u64; 8] {
+    /// The intact 512-bit image of node `(level, index)`, whose counter
+    /// block is `block`: a deterministic packing of the counters it stores
+    /// (data counters at level 0, child node counters above). Any single
+    /// counter change flips image bits.
+    fn intact_node_image(&self, level: u32, index: u64, block: Option<&CounterBlock>) -> [u64; 8] {
         fn mix(c: u64, slot: u64) -> u64 {
             let mut z = c ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -414,40 +455,19 @@ impl FunctionalSecureMemory {
         }
         let g = self.tree.geometry();
         let arity = g.design().coverage();
+        // Above level 0, slots past the last node of the level below
+        // protect nothing and stay out of the image.
+        let slots = if level == 0 {
+            arity
+        } else {
+            (g.blocks_at_level(level - 1) - index * arity).min(arity)
+        };
         let mut img = [0u64; 8];
-        for slot in 0..arity {
-            let c = if level == 0 {
-                self.tree.data_counter(LineAddr::new(index * arity + slot))
-            } else {
-                let child = index * arity + slot;
-                if child >= g.blocks_at_level(level - 1) {
-                    continue;
-                }
-                self.tree.node_counter(level - 1, child)
-            };
+        for slot in 0..slots {
+            let c = block.map_or(0, |b| b.counter(slot as usize));
             img[(slot % 8) as usize] ^= mix(c, slot);
         }
         img
-    }
-
-    fn observed_node_image(&self, level: u32, index: u64) -> [u64; 8] {
-        let mut img = self.intact_node_image(level, index);
-        if let Some(mask) = self.node_masks.get(&(level, index)) {
-            for (w, m) in img.iter_mut().zip(mask) {
-                *w ^= m;
-            }
-        }
-        img
-    }
-
-    /// The MAC hardware would have stored for the node's intact contents.
-    fn intact_node_mac(&self, level: u32, index: u64) -> Mac56 {
-        let addr = self.tree.geometry().node_addr(level, index);
-        self.keys.mac_block(
-            addr.base().get(),
-            self.tree.node_counter(level, index),
-            &DataBlock::from_words(self.intact_node_image(level, index)),
-        )
     }
 
     fn covered_lines(&self, line: LineAddr) -> impl Iterator<Item = LineAddr> {
@@ -475,7 +495,7 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
-        m.write(LineAddr::new(5), block(9));
+        m.write(LineAddr::new(5), block(9)).unwrap();
         assert_eq!(m.read(LineAddr::new(5)).unwrap(), block(9));
     }
 
@@ -489,9 +509,9 @@ mod tests {
     fn overwrite_uses_fresh_counter() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
         let l = LineAddr::new(2);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         let c1 = m.raw(l).unwrap();
-        m.write(l, block(1)); // same plaintext again
+        m.write(l, block(1)).unwrap(); // same plaintext again
         let c2 = m.raw(l).unwrap();
         // Counter-mode with a fresh counter: identical plaintext encrypts
         // to a different ciphertext (no pad reuse — the §II vulnerability).
@@ -503,7 +523,7 @@ mod tests {
     fn ciphertext_hides_plaintext() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
         let l = LineAddr::new(3);
-        m.write(l, block(0xDEAD_BEEF));
+        m.write(l, block(0xDEAD_BEEF)).unwrap();
         let raw = m.raw(l).unwrap();
         assert!(raw.cipher.words().iter().all(|&w| w != 0xDEAD_BEEF));
     }
@@ -512,7 +532,7 @@ mod tests {
     fn bit_flip_detected() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
         let l = LineAddr::new(4);
-        m.write(l, block(7));
+        m.write(l, block(7)).unwrap();
         m.tamper_flip_bit(l, 100);
         assert_eq!(m.read(l), Err(ReadError::MacMismatch { line: l }));
     }
@@ -521,7 +541,7 @@ mod tests {
     fn mac_forgery_detected() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
         let l = LineAddr::new(4);
-        m.write(l, block(7));
+        m.write(l, block(7)).unwrap();
         m.tamper_mac(l, Mac56::from_u64(0x1234));
         assert!(m.read(l).is_err());
     }
@@ -530,9 +550,9 @@ mod tests {
     fn replay_attack_detected() {
         let mut m = FunctionalSecureMemory::new(1, 1 << 16);
         let l = LineAddr::new(8);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         let old = m.raw(l).unwrap(); // attacker snapshots bus traffic
-        m.write(l, block(2)); // victim updates the value
+        m.write(l, block(2)).unwrap(); // victim updates the value
         m.tamper_replay(l, old); // attacker restores the old ciphertext+MAC
         assert!(
             m.read(l).is_err(),
@@ -544,7 +564,7 @@ mod tests {
     fn split_read_matches_monolithic_read() {
         let mut m = FunctionalSecureMemory::new(3, 1 << 16);
         for i in 0..50u64 {
-            m.write(LineAddr::new(i), block(i * 31 + 1));
+            m.write(LineAddr::new(i), block(i * 31 + 1)).unwrap();
         }
         for i in 0..50u64 {
             let l = LineAddr::new(i);
@@ -556,7 +576,7 @@ mod tests {
     fn split_read_detects_tamper() {
         let mut m = FunctionalSecureMemory::new(3, 1 << 16);
         let l = LineAddr::new(11);
-        m.write(l, block(5));
+        m.write(l, block(5)).unwrap();
         m.tamper_flip_bit(l, 0);
         assert!(m.read_split(l).is_err());
     }
@@ -566,11 +586,11 @@ mod tests {
         // Force a rebase with SC-64 (overflows after 128 writes to one
         // line) and check neighbors survive re-encryption.
         let mut m = FunctionalSecureMemory::with_design(9, 1 << 16, CounterDesign::Sc64);
-        m.write(LineAddr::new(0), block(100));
-        m.write(LineAddr::new(1), block(101));
-        m.write(LineAddr::new(63), block(163));
+        m.write(LineAddr::new(0), block(100)).unwrap();
+        m.write(LineAddr::new(1), block(101)).unwrap();
+        m.write(LineAddr::new(63), block(163)).unwrap();
         for _ in 0..130 {
-            m.write(LineAddr::new(5), block(5));
+            m.write(LineAddr::new(5), block(5)).unwrap();
         }
         assert!(m.tree().overflows_by_level()[0] >= 1, "rebase must occur");
         assert!(m.reencrypted_lines() > 0);
@@ -581,15 +601,44 @@ mod tests {
     }
 
     #[test]
+    fn rebase_over_tampered_neighbour_is_refused_before_any_change() {
+        let mut m = FunctionalSecureMemory::with_design(9, 1 << 16, CounterDesign::Sc64);
+        let tampered = LineAddr::new(1);
+        let hot = LineAddr::new(5);
+        m.write(tampered, block(101)).unwrap();
+        m.tamper_flip_bit(tampered, 3);
+        let snapshot = |m: &FunctionalSecureMemory| {
+            (
+                m.raw(hot),
+                m.raw(tampered),
+                m.counter_block_state(0).cloned(),
+                m.reencrypted_lines(),
+            )
+        };
+        // SC-64 rebases on the 128th write to one line.
+        for i in 0..127u64 {
+            m.write(hot, block(i)).unwrap();
+        }
+        let before = snapshot(&m);
+        assert_eq!(
+            m.write(hot, block(127)),
+            Err(ReadError::MacMismatch { line: tampered })
+        );
+        assert_eq!(snapshot(&m), before, "a refused write changes nothing");
+        assert_eq!(m.read(hot).unwrap(), block(126));
+        assert!(m.read(tampered).is_err(), "the tampering stays detected");
+    }
+
+    #[test]
     fn rebase_with_morphable_counters() {
         let mut m = FunctionalSecureMemory::new(9, 1 << 16);
         for i in 0..128u64 {
-            m.write(LineAddr::new(i), block(i));
+            m.write(LineAddr::new(i), block(i)).unwrap();
         }
         // Uniform writes overflow Morphable around value 8 per line.
         for _round in 0..10 {
             for i in 0..128u64 {
-                m.write(LineAddr::new(i), block(i + 1000));
+                m.write(LineAddr::new(i), block(i + 1000)).unwrap();
             }
         }
         assert!(m.tree().overflows_by_level()[0] >= 1);
@@ -602,7 +651,7 @@ mod tests {
     fn mac_bit_flip_detected() {
         let mut m = FunctionalSecureMemory::new(2, 1 << 16);
         let l = LineAddr::new(6);
-        m.write(l, block(3));
+        m.write(l, block(3)).unwrap();
         m.tamper_mac_flip_bit(l, 55);
         assert!(m.read(l).is_err());
         assert!(m.read_split(l).is_err());
@@ -612,7 +661,7 @@ mod tests {
     fn clean_path_verifies_at_every_level() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         for i in 0..40u64 {
-            m.write(LineAddr::new(i * 7), block(i));
+            m.write(LineAddr::new(i * 7), block(i)).unwrap();
         }
         for i in 0..40u64 {
             let l = LineAddr::new(i * 7);
@@ -626,7 +675,7 @@ mod tests {
         // 1 << 16 lines under Morphable: L0 = 512 blocks, L1 = 4, + root.
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         let l = LineAddr::new(200);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         let levels = m.tree().geometry().num_levels();
         assert!(levels >= 2, "need a multi-level tree for this test");
         for level in 0..levels {
@@ -658,7 +707,7 @@ mod tests {
     fn tree_tamper_off_path_not_reported() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         let l = LineAddr::new(0);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         // Corrupt a counter block far from line 0's path.
         m.tamper_tree_flip_bit(0, 300, 5);
         assert_eq!(m.verify_path(l), Ok(()));
@@ -668,11 +717,11 @@ mod tests {
     fn write_repairs_tree_tamper_on_its_path() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         let l = LineAddr::new(9);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         let cb = m.tree().geometry().counter_block_of(l);
         m.tamper_tree_flip_bit(0, cb, 3);
         assert!(m.verify_path(l).is_err());
-        m.write(l, block(2));
+        m.write(l, block(2)).unwrap();
         assert_eq!(m.verify_path(l), Ok(()));
         assert_eq!(m.read_checked(l).unwrap(), block(2));
     }
@@ -681,7 +730,7 @@ mod tests {
     fn written_lines_sorted_and_complete() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         for l in [9u64, 2, 40, 7] {
-            m.write(LineAddr::new(l), block(l));
+            m.write(LineAddr::new(l), block(l)).unwrap();
         }
         assert_eq!(
             m.written_lines(),
@@ -698,7 +747,7 @@ mod tests {
     fn write_logged_plain_write_touches_one_line() {
         let mut m = FunctionalSecureMemory::new(5, 1 << 16);
         let l = LineAddr::new(17);
-        let log = m.write_logged(l, block(4));
+        let log = m.write_logged(l, block(4)).unwrap();
         assert_eq!(log.counter_block, m.tree().geometry().counter_block_of(l));
         assert_eq!(log.touched.len(), 1);
         assert_eq!(log.touched[0], (l, m.raw(l).unwrap()));
@@ -708,11 +757,11 @@ mod tests {
     #[test]
     fn write_logged_rebase_captures_covered_region() {
         let mut m = FunctionalSecureMemory::with_design(9, 1 << 16, CounterDesign::Sc64);
-        m.write(LineAddr::new(0), block(100));
-        m.write(LineAddr::new(7), block(107));
+        m.write(LineAddr::new(0), block(100)).unwrap();
+        m.write(LineAddr::new(7), block(107)).unwrap();
         let mut last = None;
         for _ in 0..130 {
-            last = Some(m.write_logged(LineAddr::new(5), block(5)));
+            last = Some(m.write_logged(LineAddr::new(5), block(5)).unwrap());
         }
         // At least one of those 130 writes rebased; the rebase log must
         // carry all three stored lines of the covered region.
@@ -724,7 +773,7 @@ mod tests {
         let mut dst = FunctionalSecureMemory::with_design(9, 1 << 16, CounterDesign::Sc64);
         let writes: Vec<(u64, u64)> = (0..140).map(|i| (i % 9, i)).collect();
         for (l, v) in writes {
-            let log = src.write_logged(LineAddr::new(l), block(v));
+            let log = src.write_logged(LineAddr::new(l), block(v)).unwrap();
             dst.restore_counter_block(log.counter_block, Some(log.block.clone()));
             for (line, stored) in &log.touched {
                 dst.restore_line(*line, Some(*stored));
@@ -739,7 +788,7 @@ mod tests {
     fn restore_line_none_clears() {
         let mut m = FunctionalSecureMemory::new(5, 1 << 16);
         let l = LineAddr::new(3);
-        m.write(l, block(1));
+        m.write(l, block(1)).unwrap();
         m.restore_line(l, None);
         assert_eq!(m.read(l).unwrap(), DataBlock::default());
         assert!(m.raw(l).is_none());
@@ -753,7 +802,7 @@ mod tests {
         for _ in 0..5_000 {
             let l = rng.below(512);
             let v = rng.next_u64();
-            m.write(LineAddr::new(l), block(v));
+            m.write(LineAddr::new(l), block(v)).unwrap();
             shadow.insert(l, v);
         }
         for (l, v) in shadow {

@@ -32,7 +32,7 @@
 //!
 //! let mut mem = FunctionalSecureMemory::new(42, 1 << 20);
 //! let line = LineAddr::new(7);
-//! mem.write(line, DataBlock::from_words([1, 2, 3, 4, 5, 6, 7, 8]));
+//! mem.write(line, DataBlock::from_words([1, 2, 3, 4, 5, 6, 7, 8])).unwrap();
 //! assert_eq!(mem.read(line).unwrap().words()[0], 1);
 //! ```
 

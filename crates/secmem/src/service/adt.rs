@@ -104,6 +104,10 @@ pub trait MemoryAdt {
     ///
     /// [`ServiceError`]. On `Backend`/`Timeout` failures a *prefix* of the
     /// batch is durable; the error carries the committed count.
+    /// `Corruption` refuses a write whose counter-block rebase would
+    /// re-encrypt a line that fails verification, naming that line: the
+    /// writes before it stay durable, and it changes neither memory nor
+    /// journal.
     fn batch_write(&self, writes: &[(LineAddr, DataBlock)]) -> Result<WriteAck, ServiceError>;
 
     /// Compare-and-set: applies `writes` only if the line at `guard.0`

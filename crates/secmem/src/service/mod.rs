@@ -388,7 +388,12 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             vec![(line, core.mem.raw(line))]
         };
 
-        let log = core.mem.write_logged(line, value);
+        // A refused write (a rebase over a corrupt neighbour) has changed
+        // nothing yet, so there is nothing to roll back.
+        let log = core
+            .mem
+            .write_logged(line, value)
+            .map_err(ServiceError::Corruption)?;
         let seq = core.next_seq;
         let rec = JournalRecord {
             seq,
@@ -773,6 +778,48 @@ mod tests {
         assert!(s.batch_read(&[good]).is_ok()); // streak broken
         assert!(s.batch_read(&[bad]).is_err());
         assert!(!s.is_degraded(), "interleaved successes keep service up");
+    }
+
+    #[test]
+    fn rebase_over_tampered_line_reports_corruption_untouched() {
+        let s = SecureMemoryService::with_design(
+            InMemoryBackend::new(),
+            7,
+            1 << 12,
+            CounterDesign::Sc64,
+            ServiceConfig::default(),
+        );
+        let tampered = LineAddr::new(1);
+        let hot = LineAddr::new(5);
+        s.batch_write(&[(tampered, block(1))]).unwrap();
+        s.with_memory_mut(|m| m.tamper_flip_bit(tampered, 3));
+        // SC-64 rebases on the 128th write to one line.
+        for i in 0..127u64 {
+            s.batch_write(&[(hot, block(i))]).unwrap();
+        }
+        let image = |s: &SecureMemoryService<InMemoryBackend>| {
+            s.with_memory(|m| {
+                (
+                    m.raw(hot),
+                    m.raw(tampered),
+                    m.counter_block_state(0).cloned(),
+                )
+            })
+        };
+        let before = image(&s);
+        assert_eq!(
+            s.batch_write(&[(hot, block(127))]),
+            Err(ServiceError::Corruption(
+                crate::functional::ReadError::MacMismatch { line: tampered }
+            ))
+        );
+        assert_eq!(image(&s), before, "memory untouched");
+        assert_eq!(s.stats().writes, 128);
+        assert_eq!(s.stats().rollbacks, 0);
+        assert_eq!(s.batch_read(&[hot]).unwrap(), vec![Some(block(126))]);
+        let backend = s.into_backend();
+        let scan = journal::scan_journal(&backend.journal_bytes().unwrap()).unwrap();
+        assert_eq!(scan.records.len(), 128, "journal untouched");
     }
 
     #[test]

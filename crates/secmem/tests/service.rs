@@ -123,12 +123,12 @@ fn oracle() -> (FunctionalSecureMemory, HashMap<LineAddr, DataBlock>) {
             match op {
                 Op::Write(writes) => {
                     for (l, v) in writes {
-                        mem.write(l, v);
+                        mem.write(l, v).unwrap();
                         finals.insert(l, v);
                     }
                 }
                 Op::GuardedWrite(l, v) => {
-                    mem.write(l, v);
+                    mem.write(l, v).unwrap();
                     finals.insert(l, v);
                 }
                 Op::Read(_) => {}

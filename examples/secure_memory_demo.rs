@@ -25,7 +25,8 @@ fn main() {
     ]);
 
     println!("== confidentiality ==");
-    mem.write(line, secret);
+    mem.write(line, secret)
+        .expect("no rebase crosses a tampered line");
     let raw = mem.raw(line).expect("line was written");
     println!("plaintext word 0:  {:#018x}", secret.words()[0]);
     println!(
@@ -35,7 +36,8 @@ fn main() {
     println!("MAC co-located:    {}", raw.mac);
 
     println!("\n== freshness (counter-mode) ==");
-    mem.write(line, secret); // same plaintext again
+    mem.write(line, secret)
+        .expect("no rebase crosses a tampered line"); // same plaintext again
     let raw2 = mem.raw(line).expect("line still exists");
     println!(
         "same plaintext re-written -> new ciphertext: {:#018x}",
@@ -52,7 +54,8 @@ fn main() {
     }
 
     println!("\n== integrity: replay attack ==");
-    mem.write(line, DataBlock::from_words([99; 8])); // victim stores v2
+    mem.write(line, DataBlock::from_words([99; 8]))
+        .expect("no rebase crosses a tampered line"); // victim stores v2
     mem.tamper_replay(line, snapshot); // attacker restores old (valid!) v1
     match mem.read(line) {
         Err(e) => println!("read after replay: DETECTED ({e})"),
@@ -61,7 +64,8 @@ fn main() {
 
     println!("\n== EMCC split verification ==");
     let line2 = LineAddr::new(0x80);
-    mem.write(line2, secret);
+    mem.write(line2, secret)
+        .expect("no rebase crosses a tampered line");
     let via_mc = mem.read(line2).expect("normal read verifies");
     let via_l2 = mem.read_split(line2).expect("split read verifies");
     assert_eq!(via_mc, via_l2);

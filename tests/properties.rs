@@ -143,7 +143,7 @@ proptest! {
         let mut mem = FunctionalSecureMemory::with_design(5, 1 << 14, CounterDesign::Sc64);
         let mut shadow = std::collections::HashMap::new();
         for (line, value) in ops {
-            mem.write(LineAddr::new(line), DataBlock::from_words([value; 8]));
+            mem.write(LineAddr::new(line), DataBlock::from_words([value; 8])).unwrap();
             shadow.insert(line, value);
             // Random earlier line must still verify and match.
             if let Some((&l, &v)) = shadow.iter().next() {
@@ -164,7 +164,7 @@ proptest! {
     ) {
         let mut m = FunctionalSecureMemory::new(3, 1 << 10);
         let la = LineAddr::new(line);
-        m.write(la, DataBlock::from_words([value; 8]));
+        m.write(la, DataBlock::from_words([value; 8])).unwrap();
         m.tamper_flip_bit(la, bit);
         prop_assert!(m.read(la).is_err());
         prop_assert!(m.read_split(la).is_err());
@@ -179,7 +179,7 @@ proptest! {
     ) {
         let mut m = FunctionalSecureMemory::new(5, 1 << 10);
         let la = LineAddr::new(line);
-        m.write(la, DataBlock::from_words([value; 8]));
+        m.write(la, DataBlock::from_words([value; 8])).unwrap();
         m.tamper_mac_flip_bit(la, bit);
         prop_assert!(m.read(la).is_err());
         prop_assert!(m.read_split(la).is_err());
@@ -198,7 +198,7 @@ proptest! {
         let design = CounterDesign::all()[design_idx];
         let mut m = FunctionalSecureMemory::with_design(9, 1 << 14, design);
         let la = LineAddr::new(line);
-        m.write(la, DataBlock::from_words([0xF00D; 8]));
+        m.write(la, DataBlock::from_words([0xF00D; 8])).unwrap();
         let g = m.tree().geometry();
         let path = g.verification_path(la);
         let (level, index) = g.node_of_addr(path[path_step % path.len()]);
@@ -218,10 +218,10 @@ proptest! {
     ) {
         let mut m = FunctionalSecureMemory::new(13, 1 << 10);
         let la = LineAddr::new(line);
-        m.write(la, DataBlock::from_words([value; 8]));
+        m.write(la, DataBlock::from_words([value; 8])).unwrap();
         let stale = m.raw(la).expect("line just written");
         for i in 0..rewrites {
-            m.write(la, DataBlock::from_words([value ^ (i as u64 + 1); 8]));
+            m.write(la, DataBlock::from_words([value ^ (i as u64 + 1); 8])).unwrap();
         }
         m.tamper_replay(la, stale);
         prop_assert!(m.read(la).is_err());
