@@ -13,18 +13,17 @@
 //! when any cell or oracle scenario fails, 2 on bad usage.
 
 use emcc::prelude::*;
+use emcc_bench::cli::Argv;
 use emcc_bench::fault_campaign::run_campaign;
 use emcc_bench::{jobs_from_env, scale_from_env};
 
 fn main() {
     let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
+    let mut argv = Argv::from_env("usage: fault_campaign [--smoke]");
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
             "--smoke" => smoke = true,
-            other => {
-                eprintln!("fault_campaign: unknown argument {other:?} (only --smoke)");
-                std::process::exit(2);
-            }
+            _ => argv.unknown(&flag),
         }
     }
     let scale = if smoke {

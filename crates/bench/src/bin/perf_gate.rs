@@ -19,7 +19,8 @@
 //!   regression headroom);
 //! - otherwise → exit 0.
 //!
-//! `EMCC_BLESS=1` rewrites the baseline from the current measurement.
+//! `EMCC_BLESS=1` rewrites the baseline from the current measurement
+//! (an empty value or `0` does not).
 //! Worker count is pinned to the baseline's `jobs` value (override with
 //! `EMCC_JOBS`, but the comparison is then apples-to-oranges and the
 //! gate says so). Exit 2 is reserved for configuration errors — missing
@@ -32,7 +33,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
-use emcc_bench::{experiments, jobs_from_env, ExpParams, Harness};
+use emcc_bench::cli::{exit_error, write_or_exit};
+use emcc_bench::json::Json;
+use emcc_bench::{bless_requested, experiments, jobs_from_env, ExpParams, Harness};
 
 /// Symmetric tolerance band, fraction of the baseline.
 const DEFAULT_TOLERANCE_PCT: f64 = 20.0;
@@ -90,7 +93,7 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let blessing = std::env::var_os("EMCC_BLESS").is_some();
+    let blessing = bless_requested();
     let path = baseline_path();
 
     // Worker count: explicit EMCC_JOBS wins, else the baseline's pinned
@@ -99,30 +102,23 @@ fn main() {
     let baseline = if blessing {
         None
     } else {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "error: cannot read perf baseline {}: {e}\n\
-                     bless one with: EMCC_BLESS=1 cargo run --release -p emcc-bench --bin perf_gate",
-                    path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-        let Some(sps) = json_number(&text, "sims_per_sec") else {
-            eprintln!(
-                "error: {} has no numeric \"sims_per_sec\" — re-bless with EMCC_BLESS=1",
-                path.display()
-            );
-            std::process::exit(2);
-        };
+        let shown = path.display();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            exit_error(&format!(
+                "cannot read perf baseline {shown}: {e}\n\
+                 bless one with: EMCC_BLESS=1 cargo run --release -p emcc-bench --bin perf_gate"
+            ))
+        });
+        let rebless = "re-bless with EMCC_BLESS=1";
+        let sps = json_number(&text, "sims_per_sec").unwrap_or_else(|| {
+            exit_error(&format!(
+                "{shown} has no numeric \"sims_per_sec\" — {rebless}"
+            ))
+        });
         if sps <= 0.0 || !sps.is_finite() {
-            eprintln!(
-                "error: {} has non-positive \"sims_per_sec\" ({sps}) — re-bless with EMCC_BLESS=1",
-                path.display()
-            );
-            std::process::exit(2);
+            exit_error(&format!(
+                "{shown} has non-positive \"sims_per_sec\" ({sps}) — {rebless}"
+            ));
         }
         let tol = json_number(&text, "tolerance_pct").unwrap_or(DEFAULT_TOLERANCE_PCT);
         let jobs = json_number(&text, "jobs").map(|j| j as usize);
@@ -150,14 +146,14 @@ fn main() {
     let best = sps1.max(sps2);
 
     if blessing {
-        let json = format!(
-            "{{\n  \"scale\": \"Test\",\n  \"jobs\": {jobs},\n  \"unique_runs\": {unique},\n  \
-             \"sims_per_sec\": {best:.3},\n  \"tolerance_pct\": {DEFAULT_TOLERANCE_PCT}\n}}\n"
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
+        let json = Json::obj([
+            ("scale", Json::str("Test")),
+            ("jobs", Json::num(jobs)),
+            ("unique_runs", Json::num(unique)),
+            ("sims_per_sec", Json::fixed(best, 3)),
+            ("tolerance_pct", Json::num(DEFAULT_TOLERANCE_PCT)),
+        ]);
+        write_or_exit(&path, json.render());
         eprintln!(
             "perf_gate: blessed {} at {best:.2} sims/sec (jobs={jobs})",
             path.display()
@@ -205,16 +201,17 @@ fn main() {
 
 /// Archives both passes and the verdict for CI artifact upload.
 fn write_telemetry(sps1: f64, sps2: f64, best: f64, base: Option<f64>, verdict: &str) {
-    let base_field = match base {
-        Some(b) => format!("{b:.3}"),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"pass1_sims_per_sec\": {sps1:.3},\n  \"pass2_sims_per_sec\": {sps2:.3},\n  \
-         \"best_sims_per_sec\": {best:.3},\n  \"baseline_sims_per_sec\": {base_field},\n  \
-         \"verdict\": \"{verdict}\"\n}}\n"
-    );
-    if let Err(e) = std::fs::write("BENCH_perf_gate.json", json) {
+    let json = Json::obj([
+        ("pass1_sims_per_sec", Json::fixed(sps1, 3)),
+        ("pass2_sims_per_sec", Json::fixed(sps2, 3)),
+        ("best_sims_per_sec", Json::fixed(best, 3)),
+        (
+            "baseline_sims_per_sec",
+            base.map_or(Json::num("null"), |b| Json::fixed(b, 3)),
+        ),
+        ("verdict", Json::str(verdict)),
+    ]);
+    if let Err(e) = std::fs::write("BENCH_perf_gate.json", json.render()) {
         eprintln!("perf_gate: telemetry BENCH_perf_gate.json: {e}");
     }
 }

@@ -26,40 +26,29 @@
 //! Wall-clock per section and the cache hit/miss counters are written to
 //! `BENCH_run_all.json`.
 
-use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
+use emcc_bench::cli::{write_or_exit, Argv};
+use emcc_bench::experiments::FigureData;
+use emcc_bench::json::Json;
 use emcc_bench::{experiments, ExhaustedRun, ExpParams, FailedRun, Harness};
 
 fn main() {
     let mut smoke = false;
-    let mut trace: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut trace: Option<PathBuf> = None;
+    let mut argv = Argv::from_env("usage: run_all [--smoke] [--trace FILE]");
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
             "--smoke" => smoke = true,
-            "--trace" => match it.next() {
-                Some(path) => trace = Some(path),
-                None => {
-                    eprintln!(
-                        "error: --trace needs a path\nusage: run_all [--smoke] [--trace FILE]"
-                    );
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other}\nusage: run_all [--smoke] [--trace FILE]");
-                std::process::exit(2);
-            }
+            "--trace" => trace = Some(argv.path(&flag)),
+            _ => argv.unknown(&flag),
         }
     }
     if let Some(path) = &trace {
-        if let Err(e) = export_trace(path) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote critical-path trace to {path}");
+        export_trace(path);
+        eprintln!("wrote critical-path trace to {}", path.display());
     }
     let h = if smoke {
         Harness::new(ExpParams::for_scale(WorkloadScale::Test))
@@ -120,10 +109,7 @@ fn main() {
             &failures,
             &h.recovery_exhausted(),
         );
-        match std::fs::write("BENCH_run_all.json", &json) {
-            Ok(()) => eprintln!("[{total_secs:>7.1}s] wrote BENCH_run_all.json"),
-            Err(e) => eprintln!("[{total_secs:>7.1}s] BENCH_run_all.json: {e}"),
-        }
+        write_telemetry("BENCH_run_all.json", &json, total_secs);
         eprintln!(
             "[{total_secs:>7.1}s] aborting render: {} of {requested} runs failed",
             failures.len()
@@ -221,10 +207,7 @@ fn main() {
     let race = experiments::race::figure(&h);
     print!("{}", race.render());
     let race_secs = t0.elapsed().as_secs_f64();
-    match std::fs::write("BENCH_race.json", race_json(&race)) {
-        Ok(()) => eprintln!("[{race_secs:>7.1}s] wrote BENCH_race.json"),
-        Err(e) => eprintln!("[{race_secs:>7.1}s] BENCH_race.json: {e}"),
-    }
+    write_telemetry("BENCH_race.json", &race_json(&race), race_secs);
 
     if let Some(last) = timings.last_mut() {
         last.1 = section_start.elapsed().as_secs_f64();
@@ -255,10 +238,7 @@ fn main() {
         &[],
         &exhausted,
     );
-    match std::fs::write("BENCH_run_all.json", &json) {
-        Ok(()) => eprintln!("[{total_secs:>7.1}s] wrote BENCH_run_all.json"),
-        Err(e) => eprintln!("[{total_secs:>7.1}s] BENCH_run_all.json: {e}"),
-    }
+    write_telemetry("BENCH_run_all.json", &json, total_secs);
     eprintln!("[{total_secs:>7.1}s] done ({misses} simulations, {hits} cache hits)");
 }
 
@@ -266,21 +246,29 @@ fn main() {
 /// representative EMCC run: canneal at Test scale on the Table I
 /// configuration. The traced run executes inline — never on the worker
 /// pool — so the file is byte-identical for any `EMCC_JOBS`.
-fn export_trace(path: &str) -> std::io::Result<()> {
+fn export_trace(path: &Path) {
     use emcc::prelude::*;
     let cfg = SystemConfig::table_i(SecurityScheme::Emcc);
     let sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);
     let (_, rec) = SecureSystem::new(cfg).run_traced(sources, 0, 2_000, 8_192);
-    std::fs::write(path, rec.chrome_json())
+    write_or_exit(path, rec.chrome_json());
 }
 
-/// Hand-rolled JSON (no serde in the tree): timing + cache telemetry +
-/// the failed-run trail (empty on a clean pass) + runs that completed
-/// with an exhausted integrity-retry budget (kept distinct from
-/// `failed_runs`: their reports are valid and rendered).
+/// Best-effort telemetry drop: a failed write is reported, never fatal.
+fn write_telemetry(path: &str, json: &Json, secs: f64) {
+    match std::fs::write(path, json.render()) {
+        Ok(()) => eprintln!("[{secs:>7.1}s] wrote {path}"),
+        Err(e) => eprintln!("[{secs:>7.1}s] {path}: {e}"),
+    }
+}
+
+/// Timing + cache telemetry + the failed-run trail (empty on a clean
+/// pass) + runs that completed with an exhausted integrity-retry budget
+/// (kept distinct from `failed_runs`: their reports are valid and
+/// rendered).
 #[allow(clippy::too_many_arguments)]
 fn bench_json(
-    scale: emcc::prelude::WorkloadScale,
+    scale: WorkloadScale,
     jobs: usize,
     requested: usize,
     sim_secs: f64,
@@ -290,16 +278,7 @@ fn bench_json(
     timings: &[(&str, f64)],
     failures: &[FailedRun],
     exhausted: &[ExhaustedRun],
-) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"requested_runs\": {requested},");
-    let _ = writeln!(s, "  \"unique_runs\": {misses},");
-    let _ = writeln!(s, "  \"cache_hits\": {hits},");
-    let _ = writeln!(s, "  \"cache_misses\": {misses},");
-    let _ = writeln!(s, "  \"simulate_seconds\": {sim_secs:.3},");
-    let _ = writeln!(s, "  \"total_seconds\": {total_secs:.3},");
+) -> Json {
     // The perf trajectory: unique simulations per second of simulate
     // phase — the number `perf_gate` compares against its committed
     // baseline. Phase durations repeat in integer nanoseconds so
@@ -309,99 +288,162 @@ fn bench_json(
     } else {
         0.0
     };
-    let _ = writeln!(s, "  \"sims_per_sec\": {sims_per_sec:.3},");
-    let _ = writeln!(s, "  \"simulate_ns\": {},", (sim_secs * 1e9) as u64);
-    let _ = writeln!(
-        s,
-        "  \"render_ns\": {},",
-        ((total_secs - sim_secs).max(0.0) * 1e9) as u64
-    );
-    let _ = writeln!(s, "  \"total_ns\": {},", (total_secs * 1e9) as u64);
-    s.push_str("  \"failed_runs\": [");
-    for (i, f) in failures.iter().enumerate() {
-        let comma = if i + 1 == failures.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "\n    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"error\": \"{}\"}}{comma}",
-            json_escape(&f.bench),
-            json_escape(&f.scheme),
-            json_escape(&f.error)
-        );
-    }
-    if failures.is_empty() {
-        s.push_str("],\n");
-    } else {
-        s.push_str("\n  ],\n");
-    }
-    let _ = writeln!(s, "  \"recovery_exhausted_count\": {},", exhausted.len());
-    s.push_str("  \"recovery_exhausted_runs\": [");
-    for (i, e) in exhausted.iter().enumerate() {
-        let comma = if i + 1 == exhausted.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "\n    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"unrecovered\": {}}}{comma}",
-            json_escape(&e.bench),
-            json_escape(&e.scheme),
-            e.unrecovered
-        );
-    }
-    if exhausted.is_empty() {
-        s.push_str("],\n");
-    } else {
-        s.push_str("\n  ],\n");
-    }
-    s.push_str("  \"render_seconds\": {\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 == timings.len() { "" } else { "," };
-        let _ = writeln!(s, "    \"{name}\": {secs:.3}{comma}");
-    }
-    s.push_str("  }\n}\n");
-    s
+    let ns = |secs: f64| Json::num((secs * 1e9) as u64);
+    let run = |b: &str, s: &str, last| {
+        Json::obj([("bench", Json::str(b)), ("scheme", Json::str(s)), last])
+    };
+    let failed = failures
+        .iter()
+        .map(|f| run(&f.bench, &f.scheme, ("error", Json::str(&f.error))));
+    let unrecovered = |e: &ExhaustedRun| ("unrecovered", Json::num(e.unrecovered));
+    let exhausted_runs = exhausted
+        .iter()
+        .map(|e| run(&e.bench, &e.scheme, unrecovered(e)));
+    let sections = timings
+        .iter()
+        .map(|&(name, secs)| (name, Json::fixed(secs, 3)));
+    Json::obj([
+        ("scale", Json::str(format!("{scale:?}"))),
+        ("jobs", Json::num(jobs)),
+        ("requested_runs", Json::num(requested)),
+        ("unique_runs", Json::num(misses)),
+        ("cache_hits", Json::num(hits)),
+        ("cache_misses", Json::num(misses)),
+        ("simulate_seconds", Json::fixed(sim_secs, 3)),
+        ("total_seconds", Json::fixed(total_secs, 3)),
+        ("sims_per_sec", Json::fixed(sims_per_sec, 3)),
+        ("simulate_ns", ns(sim_secs)),
+        ("render_ns", ns((total_secs - sim_secs).max(0.0))),
+        ("total_ns", ns(total_secs)),
+        ("failed_runs", Json::Arr(failed.collect())),
+        ("recovery_exhausted_count", Json::num(exhausted.len())),
+        (
+            "recovery_exhausted_runs",
+            Json::Arr(exhausted_runs.collect()),
+        ),
+        ("render_seconds", Json::obj(sections)),
+    ])
 }
 
 /// The race figure as machine-readable telemetry (`BENCH_race.json`):
 /// one row per benchmark (plus the mean), one normalized value per
 /// scheme, in `all()` order. CI uploads this as an artifact so the
 /// placement race is plottable without reparsing stdout.
-fn race_json(fig: &emcc_bench::experiments::FigureData) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"title\": \"{}\",", json_escape(&fig.title));
-    s.push_str("  \"schemes\": [");
-    for (i, c) in fig.cols.iter().enumerate() {
-        let comma = if i + 1 == fig.cols.len() { "" } else { ", " };
-        let _ = write!(s, "\"{}\"{comma}", json_escape(c));
-    }
-    s.push_str("],\n  \"rows\": [\n");
-    for (i, (name, values)) in fig.rows.iter().zip(&fig.values).enumerate() {
-        let comma = if i + 1 == fig.rows.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "    {{\"benchmark\": \"{}\", \"normalized\": [",
-            json_escape(name)
-        );
-        for (j, v) in values.iter().enumerate() {
-            let vcomma = if j + 1 == values.len() { "" } else { ", " };
-            let _ = write!(s, "{v:.6}{vcomma}");
-        }
-        let _ = writeln!(s, "]}}{comma}");
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn race_json(fig: &FigureData) -> Json {
+    let row = |(name, values): (&String, &Vec<f64>)| {
+        let normalized = values.iter().map(|&v| Json::fixed(v, 6)).collect();
+        Json::obj([
+            ("benchmark", Json::str(name)),
+            ("normalized", Json::Arr(normalized)),
+        ])
+    };
+    let schemes = fig.cols.iter().map(Json::str).collect();
+    let rows = fig.rows.iter().zip(&fig.values).map(row).collect();
+    Json::obj([
+        ("title", Json::str(&fig.title)),
+        ("schemes", Json::Arr(schemes)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_json_text_is_pinned() {
+        // A failed run and a recovery-exhausted run: the crash-isolation
+        // trail, whose layout trajectory tooling and CI greps rely on.
+        let failures = [FailedRun {
+            bench: "canneal".into(),
+            scheme: "EMCC".into(),
+            error: "EMCC_FORCE_PANIC: simulated \"crash\"\nline2".into(),
+        }];
+        let exhausted = [ExhaustedRun {
+            bench: "mcf".into(),
+            scheme: "CtrInLlc".into(),
+            unrecovered: 3,
+        }];
+        let json = bench_json(
+            WorkloadScale::Test,
+            2,
+            480,
+            1.2345,
+            2.5,
+            203,
+            277,
+            &[],
+            &failures,
+            &exhausted,
+        );
+        assert_eq!(
+            json.render(),
+            r#"{
+  "scale": "Test",
+  "jobs": 2,
+  "requested_runs": 480,
+  "unique_runs": 277,
+  "cache_hits": 203,
+  "cache_misses": 277,
+  "simulate_seconds": 1.234,
+  "total_seconds": 2.500,
+  "sims_per_sec": 224.382,
+  "simulate_ns": 1234500000,
+  "render_ns": 1265500000,
+  "total_ns": 2500000000,
+  "failed_runs": [
+    {"bench": "canneal", "scheme": "EMCC", "error": "EMCC_FORCE_PANIC: simulated \"crash\"\nline2"}
+  ],
+  "recovery_exhausted_count": 1,
+  "recovery_exhausted_runs": [
+    {"bench": "mcf", "scheme": "CtrInLlc", "unrecovered": 3}
+  ],
+  "render_seconds": {
+  }
+}
+"#
+        );
+        let clean = bench_json(
+            WorkloadScale::Test,
+            1,
+            480,
+            8.0,
+            9.75,
+            203,
+            277,
+            &[("Fig 3", 0.0125), ("ablations", 1.5)],
+            &[],
+            &[],
+        );
+        let text = clean.render();
+        assert!(text.contains(
+            "  \"failed_runs\": [],\n  \"recovery_exhausted_count\": 0,\n  \
+             \"recovery_exhausted_runs\": [],\n  \"render_seconds\": {\n    \
+             \"Fig 3\": 0.013,\n    \"ablations\": 1.500\n  }\n}\n"
+        ));
     }
-    out
+
+    #[test]
+    fn race_json_text_is_pinned() {
+        let fig = FigureData {
+            title: "Placement race".into(),
+            cols: vec!["NonSecure".into(), "EMCC".into()],
+            rows: vec!["canneal".into(), "mean".into()],
+            values: vec![vec![1.0, 1.25], vec![1.0, 1.0 / 3.0]],
+            percent: false,
+            note: String::new(),
+        };
+        assert_eq!(
+            race_json(&fig).render(),
+            r#"{
+  "title": "Placement race",
+  "schemes": ["NonSecure", "EMCC"],
+  "rows": [
+    {"benchmark": "canneal", "normalized": [1.000000, 1.250000]},
+    {"benchmark": "mean", "normalized": [1.000000, 0.333333]}
+  ]
+}
+"#
+        );
+    }
 }

@@ -13,9 +13,9 @@
 //! per thread count lands in `BENCH_service.json` (`--out` overrides).
 //!
 //! `--smoke` shrinks the op count and thread list for CI. Exit 2 is
-//! reserved for usage errors; a read-back mismatch panics (exit 101).
+//! reserved for usage errors and an unwritable `--out`; a read-back
+//! mismatch panics (exit 101).
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -23,7 +23,10 @@ use emcc::counters::CounterDesign;
 use emcc::crypto::DataBlock;
 use emcc::secmem::service::InMemoryBackend;
 use emcc::secmem::{MemoryAdt, SecureMemoryService, SecurityScheme, ServiceConfig, ServiceError};
+use emcc::sim::rng::{mix64, GAMMA};
 use emcc::sim::LineAddr;
+use emcc_bench::cli::{write_or_exit, Argv};
+use emcc_bench::json::Json;
 
 /// Benchmark seed: scripts are reproducible bit-for-bit.
 const SEED: u64 = 0x5E4B;
@@ -37,52 +40,36 @@ struct Args {
     out: PathBuf,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: service_bench [--smoke] [--threads LIST] [--ops N] [--out FILE]");
-    std::process::exit(2)
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         threads: vec![1, 2, 4, 8],
         ops: 20_000,
         out: PathBuf::from("BENCH_service.json"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs {what}");
-                usage()
-            })
-        };
+    let mut argv =
+        Argv::from_env("usage: service_bench [--smoke] [--threads LIST] [--ops N] [--out FILE]");
+    while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
             "--smoke" => {
                 args.threads = vec![1, 4];
                 args.ops = 2_000;
             }
             "--threads" => {
-                args.threads = value("a comma-separated list")
+                let list = argv.value(&flag);
+                args.threads = list
                     .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
+                    .map(|s| s.trim().parse().unwrap_or(0))
                     .collect();
-                if args.threads.is_empty() || args.threads.contains(&0) {
-                    usage()
+                if args.threads.contains(&0) {
+                    argv.fail(&format!("--threads needs positive counts, got `{list}`"));
                 }
             }
-            "--ops" => args.ops = value("a count").parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = PathBuf::from(value("a path")),
-            _ => usage(),
+            "--ops" => args.ops = argv.count(&flag),
+            "--out" => args.out = argv.path(&flag),
+            _ => argv.unknown(&flag),
         }
     }
     args
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn block(v: u64) -> DataBlock {
@@ -129,7 +116,7 @@ fn run_thread(svc: &SecureMemoryService<InMemoryBackend>, thread: u64, n: u64, o
     let mut last: std::collections::HashMap<LineAddr, DataBlock> = Default::default();
     let mut absorbed = 0;
     for i in 0..ops {
-        let r = mix(SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i));
+        let r = mix64((SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i)).wrapping_add(GAMMA));
         let line = owned_line(thread, n, r >> 16);
         let val = block(r);
         match r % 10 {
@@ -197,31 +184,24 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree).
-fn bench_json(ops: u64, cells: &[Cell]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"backend\": \"in-memory\",");
-    let _ = writeln!(s, "  \"scheme\": \"{}\",", SecurityScheme::Emcc);
-    let _ = writeln!(s, "  \"data_lines\": {LINES},");
-    let _ = writeln!(s, "  \"ops_per_thread\": {ops},");
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"threads\": {}, \"total_ops\": {}, \"seconds\": {:.3}, \
-             \"ops_per_sec\": {:.0}, \"overloaded_absorbed\": {}, \
-             \"service_retries\": {}}}{comma}",
-            c.threads,
-            c.total_ops,
-            c.seconds,
-            c.ops_per_sec,
-            c.overloaded_absorbed,
-            c.service_retries
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn bench_json(ops: u64, cells: &[Cell]) -> Json {
+    let results = cells.iter().map(|c| {
+        Json::obj([
+            ("threads", Json::num(c.threads)),
+            ("total_ops", Json::num(c.total_ops)),
+            ("seconds", Json::fixed(c.seconds, 3)),
+            ("ops_per_sec", Json::fixed(c.ops_per_sec, 0)),
+            ("overloaded_absorbed", Json::num(c.overloaded_absorbed)),
+            ("service_retries", Json::num(c.service_retries)),
+        ])
+    });
+    Json::obj([
+        ("backend", Json::str("in-memory")),
+        ("scheme", Json::str(SecurityScheme::Emcc.to_string())),
+        ("data_lines", Json::num(LINES)),
+        ("ops_per_thread", Json::num(ops)),
+        ("results", Json::Arr(results.collect())),
+    ])
 }
 
 fn main() {
@@ -235,8 +215,6 @@ fn main() {
         );
         cells.push(cell);
     }
-    let json = bench_json(args.ops, &cells);
-    std::fs::write(&args.out, json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out.display()));
+    write_or_exit(&args.out, bench_json(args.ops, &cells).render());
     println!("wrote {}", args.out.display());
 }

@@ -10,12 +10,12 @@
 //! Each case runs over both backends — `InMemoryBackend` and
 //! `FileBackend` — under the same schedule; the two must reach the same
 //! verdict (the backends differ only in medium, never in semantics).
-//! Failing cases shrink to minimal reproducers with the same
-//! delta-debugging driver as the simulator fuzzer, and reproducers
-//! serialize to replayable text files.
+//! [`CrashCampaign`] runs the cases through the campaign runner the
+//! simulator fuzzer uses too ([`crate::campaign`]): failing cases shrink
+//! to minimal reproducers, which replay from their text files.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use emcc::counters::CounterDesign;
 use emcc::crypto::DataBlock;
@@ -23,13 +23,12 @@ use emcc::secmem::service::{
     CrashInjector, CrashSchedule, FileBackend, InMemoryBackend, Region, StorageBackend,
 };
 use emcc::secmem::{recover, MemoryAdt, SecureMemoryService, ServiceConfig, ServiceError};
+use emcc::sim::rng::{mix64, GAMMA};
 use emcc::sim::{LineAddr, Rng64};
 use proptest::shrink::{shrink_int, shrink_option, shrink_vec, Shrink};
 
-use crate::pool::run_indexed_catching;
-
-/// Fixed campaign seed (mixed with the case index).
-pub const CRASH_SEED: u64 = 0xC4A5;
+use crate::campaign::Campaign;
+use crate::record::{self, variant, Fields, Record};
 
 /// Counter designs swept by the campaign, indexed by `CrashCase::design`.
 pub const DESIGNS: [CounterDesign; 3] = [
@@ -457,267 +456,154 @@ pub fn run_case(case: &CrashCase, file_dir: &Path) -> CaseRun {
     inmem
 }
 
-/// A completed campaign.
-#[derive(Debug, Clone)]
-pub struct CrashReport {
-    /// One verdict line per case, in index order (byte-identical for any
-    /// worker count).
-    pub verdicts: Vec<String>,
-    /// `(index, case, why)` for every failed case.
-    pub failures: Vec<(usize, CrashCase, String)>,
-    /// Cases whose schedule fired.
-    pub crashed_cases: u64,
-    /// Cases whose corruption plan changed a persisted byte.
-    pub corrupted_cases: u64,
+/// The crash-recovery campaign (see [`crate::campaign`]). File-backend
+/// runs use one directory per case seed under `scratch`, so parallel
+/// cases never share one.
+pub struct CrashCampaign {
+    /// Scratch root for the `FileBackend` runs.
+    pub scratch: PathBuf,
 }
 
-impl CrashReport {
-    /// Whether every case upheld the invariant.
-    pub fn all_pass(&self) -> bool {
-        self.failures.is_empty()
+impl Campaign for CrashCampaign {
+    type Case = CrashCase;
+    type Outcome = CaseRun;
+
+    const NAME: &'static str = "crash_campaign";
+    const CASES: [usize; 2] = [1000, 64];
+    const SEED: u64 = 0xC4A5;
+    const OUT: &'static str = "target/crash_verdicts.txt";
+    const REPRO_FLAG: &'static str = "--repro-dir";
+    const SHRINK_BUDGET: usize = 2_000;
+
+    fn repro_dir() -> PathBuf {
+        PathBuf::from("target/crash_repro")
     }
-}
 
-/// splitmix64 per-case seed derivation (same scheme as the fuzzer).
-pub fn mix(seed: u64, i: u64) -> u64 {
-    let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Runs `cases` schedules per backend on `jobs` workers. Panicking cases
-/// are contained by the pool and reported as failures.
-pub fn run_campaign(cases: usize, seed: u64, jobs: usize, scratch: &Path) -> CrashReport {
-    let runs = run_indexed_catching(cases, jobs, |i| {
-        let case = CrashCase::generate(mix(seed, i as u64));
-        let dir = scratch.join(format!("case_{i}"));
-        (case.clone(), run_case(&case, &dir))
-    });
-    let mut verdicts = Vec::with_capacity(cases);
-    let mut failures = Vec::new();
-    let mut crashed_cases = 0;
-    let mut corrupted_cases = 0;
-    for (i, run) in runs.into_iter().enumerate() {
-        match run {
-            Ok((case, r)) => {
-                crashed_cases += u64::from(r.crashed);
-                corrupted_cases += u64::from(r.corrupted);
-                let verdict = match &r.failure {
-                    None => "ok".to_string(),
-                    Some(why) => format!("FAIL: {why}"),
-                };
-                verdicts.push(format!(
-                    "case {i:>5} seed {:#018x} design {:<10} ops {:>3} crash {:>3}/{:<3} corrupt {} acked {:>3} {}",
-                    case.seed,
-                    format!("{:?}", DESIGNS[case.design]),
-                    case.ops.len(),
-                    case.schedule.crash_on_op,
-                    case.schedule.torn_keep,
-                    match case.corrupt {
-                        None => "-".to_string(),
-                        Some(c) =>
-                            format!("{}@{}", if c.checkpoint { "ckpt" } else { "wal" }, c.offset),
-                    },
-                    r.acked.len(),
-                    verdict,
-                ));
-                if let Some(why) = r.failure {
-                    failures.push((i, case, why));
-                }
-            }
-            Err(panic_msg) => {
-                let case = CrashCase::generate(mix(seed, i as u64));
-                verdicts.push(format!("case {i:>5} PANIC: {panic_msg}"));
-                failures.push((i, case, format!("panicked: {panic_msg}")));
-            }
-        }
+    fn case_seed(seed: u64, index: u64) -> u64 {
+        mix64(seed.wrapping_add(index.wrapping_mul(GAMMA)))
     }
-    CrashReport {
-        verdicts,
-        failures,
-        crashed_cases,
-        corrupted_cases,
-    }
-}
 
-/// Serializes a case as a replayable reproducer file.
-pub fn to_text(case: &CrashCase) -> String {
-    let mut s = String::new();
-    s.push_str("// emcc crash-campaign reproducer — replay via `crash_campaign --replay <file>`\n");
-    s.push_str("CrashCase(\n");
-    s.push_str(&format!("    seed: {},\n", case.seed));
-    s.push_str(&format!("    design: {},\n", case.design));
-    s.push_str(&format!("    data_lines: {},\n", case.data_lines));
-    s.push_str(&format!(
-        "    crash_on_op: {},\n",
-        case.schedule.crash_on_op
-    ));
-    s.push_str(&format!("    torn_keep: {},\n", case.schedule.torn_keep));
-    s.push_str(&format!(
-        "    corrupt: {},\n",
-        match case.corrupt {
+    fn generate(case_seed: u64) -> CrashCase {
+        CrashCase::generate(case_seed)
+    }
+
+    fn run(&self, case: &CrashCase) -> CaseRun {
+        run_case(case, &self.scratch.join(format!("{:016x}", case.seed)))
+    }
+
+    fn failures(run: &CaseRun) -> Vec<String> {
+        run.failure.iter().cloned().collect()
+    }
+
+    fn verdict(i: usize, case: &CrashCase, run: Result<&CaseRun, &str>) -> String {
+        let r = match run {
+            Ok(r) => r,
+            Err(msg) => return format!("case {i:>5} PANIC: {msg}"),
+        };
+        let corrupt = match case.corrupt {
+            None => "-".to_string(),
+            Some(c) => format!("{}@{}", if c.checkpoint { "ckpt" } else { "wal" }, c.offset),
+        };
+        let verdict = match &r.failure {
+            None => "ok".to_string(),
+            Some(why) => format!("FAIL: {why}"),
+        };
+        format!(
+            "case {i:>5} seed {:#018x} design {:<10} ops {:>3} crash {:>3}/{:<3} corrupt {corrupt} \
+             acked {:>3} {verdict}",
+            case.seed,
+            format!("{:?}", DESIGNS[case.design]),
+            case.ops.len(),
+            case.schedule.crash_on_op,
+            case.schedule.torn_keep,
+            r.acked.len(),
+        )
+    }
+
+    fn encode(case: &CrashCase) -> String {
+        let corrupt = match case.corrupt {
             None => "None".to_string(),
-            Some(c) => format!(
-                "Corrupt(checkpoint: {}, offset: {}, xor: {})",
-                c.checkpoint, c.offset, c.xor
-            ),
-        }
-    ));
-    s.push_str("    ops: [\n");
-    for op in &case.ops {
-        s.push_str(&match *op {
-            CrashOp::Write { line, val } => {
-                format!("        (op: write, line: {line}, val: {val}),\n")
+            Some(CorruptPlan {
+                checkpoint,
+                offset,
+                xor,
+            }) => {
+                format!("Corrupt(checkpoint: {checkpoint}, offset: {offset}, xor: {xor})")
             }
-            CrashOp::Guarded { line, val } => {
-                format!("        (op: guarded, line: {line}, val: {val}),\n")
-            }
-            CrashOp::Read { line } => format!("        (op: read, line: {line}),\n"),
-            CrashOp::Checkpoint => "        (op: checkpoint),\n".to_string(),
+        };
+        let ops = case.ops.iter().map(|op| match *op {
+            CrashOp::Write { line, val } => format!("(op: write, line: {line}, val: {val})"),
+            CrashOp::Guarded { line, val } => format!("(op: guarded, line: {line}, val: {val})"),
+            CrashOp::Read { line } => format!("(op: read, line: {line})"),
+            CrashOp::Checkpoint => "(op: checkpoint)".to_string(),
         });
+        let fields = [
+            ("seed", case.seed.to_string()),
+            ("design", case.design.to_string()),
+            ("data_lines", case.data_lines.to_string()),
+            ("crash_on_op", case.schedule.crash_on_op.to_string()),
+            ("torn_keep", case.schedule.torn_keep.to_string()),
+            ("corrupt", corrupt),
+        ];
+        let header = "emcc crash-campaign reproducer — replay via `crash_campaign --replay <file>`";
+        record::write(&[header], "CrashCase", &fields, ("ops", ops.collect()))
     }
-    s.push_str("    ],\n)\n");
-    s
-}
 
-/// Parses a reproducer file back into a validated case.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line for syntax errors,
-/// missing keys, or a case failing [`CrashCase::validate`].
-pub fn from_text(text: &str) -> Result<CrashCase, String> {
-    let mut fields: Vec<(String, String)> = Vec::new();
-    let mut ops: Vec<CrashOp> = Vec::new();
-    let mut in_ops = false;
-    for (num, raw) in text.lines().enumerate() {
-        let line = match raw.find("//") {
-            Some(i) => &raw[..i],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() || line == "CrashCase(" || line == ")" {
-            continue;
-        }
-        if line == "ops: [" {
-            in_ops = true;
-            continue;
-        }
-        if in_ops && (line == "]," || line == "]") {
-            in_ops = false;
-            continue;
-        }
-        let at = |e: String| format!("line {}: {e}", num + 1);
-        if in_ops {
-            ops.push(parse_op(line).map_err(at)?);
-        } else {
-            let body = line.strip_suffix(',').unwrap_or(line);
-            let (k, v) = body
-                .split_once(':')
-                .ok_or_else(|| at(format!("expected `key: value`, got `{line}`")))?;
-            fields.push((k.trim().to_string(), v.trim().to_string()));
-        }
+    fn decode(text: &str) -> Result<CrashCase, String> {
+        let rec = Record::parse(text, "CrashCase")?;
+        let f = &rec.fields;
+        let corrupt = match variant(f.raw("corrupt")?)? {
+            ("None", _) => None,
+            ("Corrupt", a) => Some(CorruptPlan {
+                checkpoint: a.get("checkpoint")?,
+                offset: a.get("offset")?,
+                xor: a.get("xor")?,
+            }),
+            (other, _) => return Err(format!("unknown corrupt plan `{other}`")),
+        };
+        let op = |t: &Fields| -> Result<CrashOp, String> {
+            let (line, val) = (t.get("line"), t.get("val"));
+            Ok(match t.raw("op")? {
+                "write" => CrashOp::Write {
+                    line: line?,
+                    val: val?,
+                },
+                "guarded" => CrashOp::Guarded {
+                    line: line?,
+                    val: val?,
+                },
+                "read" => CrashOp::Read { line: line? },
+                "checkpoint" => CrashOp::Checkpoint,
+                other => return Err(format!("unknown op kind `{other}`")),
+            })
+        };
+        let schedule = CrashSchedule {
+            crash_on_op: f.get("crash_on_op")?,
+            torn_keep: f.get("torn_keep")?,
+        };
+        let ops = rec.list.iter().map(op).collect::<Result<_, _>>()?;
+        let (seed, design, data_lines) = (f.get("seed")?, f.get("design")?, f.get("data_lines")?);
+        let case = CrashCase {
+            seed,
+            design,
+            data_lines,
+            schedule,
+            corrupt,
+            ops,
+        };
+        case.validate()?;
+        Ok(case)
     }
-    let get = |key: &str| -> Result<&str, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field `{key}`"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("field `{key}` is not an integer"))
-    };
-    let case = CrashCase {
-        seed: int("seed")?,
-        design: int("design")? as usize,
-        data_lines: int("data_lines")?,
-        schedule: CrashSchedule {
-            crash_on_op: int("crash_on_op")?,
-            torn_keep: int("torn_keep")?,
-        },
-        corrupt: parse_corrupt(get("corrupt")?)?,
-        ops,
-    };
-    case.validate()?;
-    Ok(case)
-}
 
-fn parse_corrupt(v: &str) -> Result<Option<CorruptPlan>, String> {
-    if v == "None" {
-        return Ok(None);
-    }
-    let body = v
-        .strip_prefix("Corrupt(")
-        .and_then(|s| s.strip_suffix(')'))
-        .ok_or_else(|| format!("unknown corrupt plan `{v}`"))?;
-    let mut plan = CorruptPlan {
-        checkpoint: false,
-        offset: 0,
-        xor: 0,
-    };
-    for part in body.split(',') {
-        let (k, val) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad corrupt field `{part}`"))?;
-        let val = val.trim();
-        match k.trim() {
-            "checkpoint" => {
-                plan.checkpoint = val.parse().map_err(|_| format!("bad checkpoint `{val}`"))?;
-            }
-            "offset" => plan.offset = val.parse().map_err(|_| format!("bad offset `{val}`"))?,
-            "xor" => plan.xor = val.parse().map_err(|_| format!("bad xor `{val}`"))?,
-            other => return Err(format!("unknown corrupt field `{other}`")),
-        }
-    }
-    Ok(Some(plan))
-}
-
-fn parse_op(line: &str) -> Result<CrashOp, String> {
-    let body = line
-        .strip_suffix(',')
-        .unwrap_or(line)
-        .strip_prefix('(')
-        .and_then(|s| s.strip_suffix(')'))
-        .ok_or_else(|| format!("expected `(op: .., ..)`, got `{line}`"))?;
-    let mut kind = None;
-    let mut line_no = None;
-    let mut val = None;
-    for part in body.split(',') {
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad op field `{part}`"))?;
-        let v = v.trim();
-        match k.trim() {
-            "op" => kind = Some(v.to_string()),
-            "line" => line_no = Some(v.parse().map_err(|_| format!("bad line `{v}`"))?),
-            "val" => val = Some(v.parse().map_err(|_| format!("bad val `{v}`"))?),
-            other => return Err(format!("unknown op field `{other}`")),
-        }
-    }
-    let need_line = || line_no.ok_or_else(|| format!("op `{line}` is missing `line`"));
-    let need_val = || val.ok_or_else(|| format!("op `{line}` is missing `val`"));
-    match kind.as_deref() {
-        Some("write") => Ok(CrashOp::Write {
-            line: need_line()?,
-            val: need_val()?,
-        }),
-        Some("guarded") => Ok(CrashOp::Guarded {
-            line: need_line()?,
-            val: need_val()?,
-        }),
-        Some("read") => Ok(CrashOp::Read { line: need_line()? }),
-        Some("checkpoint") => Ok(CrashOp::Checkpoint),
-        other => Err(format!("unknown op kind `{other:?}`")),
+    fn repro_name(case: &CrashCase) -> String {
+        format!("crash_case_{:#018x}.txt", case.seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_cases;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -755,16 +641,24 @@ mod tests {
     #[test]
     fn smoke_cases_uphold_the_invariant() {
         let dir = scratch("smoke");
-        for i in 0..24u64 {
-            let case = CrashCase::generate(mix(CRASH_SEED, i));
+        let (mut crashed, mut corrupted) = (0, 0);
+        for i in 0..CrashCampaign::CASES[1] as u64 {
+            let case = CrashCase::generate(CrashCampaign::case_seed(CrashCampaign::SEED, i));
             let run = run_case(&case, &dir);
             assert!(
                 run.failure.is_none(),
                 "case {i} ({case:?}) failed: {:?}",
                 run.failure
             );
+            crashed += u32::from(run.crashed);
+            corrupted += u32::from(run.corrupted);
         }
         let _ = std::fs::remove_dir_all(&dir);
+        // The schedules must actually fire, or the invariant holds vacuously.
+        assert!(
+            crashed > 0 && corrupted > 0,
+            "{crashed} crashed, {corrupted} corrupted"
+        );
     }
 
     #[test]
@@ -815,19 +709,62 @@ mod tests {
     fn reproducer_roundtrips_every_generated_shape() {
         for seed in [1u64, 2, 3, 5, 8, 13, 21, 34] {
             let case = CrashCase::generate(seed);
-            let back = from_text(&to_text(&case)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let text = CrashCampaign::encode(&case);
+            let back = CrashCampaign::decode(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(case, back, "roundtrip drift for seed {seed}");
         }
     }
 
     #[test]
+    fn reproducer_text_is_byte_stable() {
+        // Re-encoding a parsed reproducer gives back the same bytes, over
+        // every generated shape (hammers, corruption plans, all op kinds).
+        for i in 0..200 {
+            let case = CrashCase::generate(CrashCampaign::case_seed(CrashCampaign::SEED, i));
+            let text = CrashCampaign::encode(&case);
+            let back = CrashCampaign::decode(&text).expect("parse");
+            assert_eq!(CrashCampaign::encode(&back), text, "case {i}");
+        }
+        // And the layout itself is pinned.
+        let case = CrashCase {
+            seed: 9,
+            design: 1,
+            data_lines: 256,
+            schedule: CrashSchedule {
+                crash_on_op: 4,
+                torn_keep: 7,
+            },
+            corrupt: Some(CorruptPlan {
+                checkpoint: true,
+                offset: 12,
+                xor: 64,
+            }),
+            ops: vec![
+                CrashOp::Write { line: 1, val: 2 },
+                CrashOp::Guarded { line: 1, val: 3 },
+                CrashOp::Read { line: 1 },
+                CrashOp::Checkpoint,
+            ],
+        };
+        assert_eq!(
+            CrashCampaign::encode(&case),
+            "// emcc crash-campaign reproducer — replay via `crash_campaign --replay <file>`\n\
+             CrashCase(\n    seed: 9,\n    design: 1,\n    data_lines: 256,\n    \
+             crash_on_op: 4,\n    torn_keep: 7,\n    \
+             corrupt: Corrupt(checkpoint: true, offset: 12, xor: 64),\n    ops: [\n        \
+             (op: write, line: 1, val: 2),\n        (op: guarded, line: 1, val: 3),\n        \
+             (op: read, line: 1),\n        (op: checkpoint),\n    ],\n)\n"
+        );
+    }
+
+    #[test]
     fn reproducer_parser_reports_bad_input() {
-        assert!(from_text("CrashCase(\n  garbage\n)")
+        assert!(CrashCampaign::decode("CrashCase(\n  garbage\n)")
             .unwrap_err()
             .contains("line 2"));
         let mut case = CrashCase::generate(3);
         case.ops = vec![CrashOp::Write { line: 9999, val: 1 }];
-        assert!(from_text(&to_text(&case))
+        assert!(CrashCampaign::decode(&CrashCampaign::encode(&case))
             .unwrap_err()
             .contains("data space"));
     }
@@ -836,10 +773,25 @@ mod tests {
     fn campaign_verdicts_are_worker_count_invariant() {
         let s1 = scratch("j1");
         let s2 = scratch("j4");
-        let a = run_campaign(16, CRASH_SEED, 1, &s1);
-        let b = run_campaign(16, CRASH_SEED, 4, &s2);
-        assert_eq!(a.verdicts, b.verdicts);
-        assert!(a.all_pass(), "{:?}", a.failures.first());
+        let a = run_cases(
+            &CrashCampaign {
+                scratch: s1.clone(),
+            },
+            CrashCampaign::SEED,
+            16,
+            1,
+        );
+        let b = run_cases(
+            &CrashCampaign {
+                scratch: s2.clone(),
+            },
+            CrashCampaign::SEED,
+            16,
+            4,
+        );
+        assert_eq!(a.text, b.text);
+        assert_eq!(a.text.lines().count(), 16);
+        assert_eq!(a.failed, 0, "{:?}", a.first_failure.map(|f| f.2));
         let _ = std::fs::remove_dir_all(&s1);
         let _ = std::fs::remove_dir_all(&s2);
     }

@@ -13,11 +13,16 @@
 //! for runtime. `paper` uses the largest synthetic footprints and op
 //! counts and takes tens of minutes for the full suite.
 
+pub mod campaign;
+pub mod cli;
 pub mod crash_campaign;
 pub mod experiments;
 pub mod fault_campaign;
+pub mod json;
 pub mod pool;
+pub mod record;
 pub mod runner;
 
+pub use cli::bless_requested;
 pub use pool::{jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest};
 pub use runner::{scale_from_env, ExhaustedRun, ExpParams, FailedRun, Harness};

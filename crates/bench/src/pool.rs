@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
+use crate::cli::exit_error;
 use crate::runner::ExpParams;
 
 /// One requested simulation: the unit the pool schedules and the cache
@@ -145,17 +146,10 @@ impl std::fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
-/// Prints a configuration error and exits with status 2 (distinct from
-/// 1, which binaries reserve for failed or failed-verdict runs).
-pub(crate) fn exit_config_error(e: &EnvError) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2)
-}
-
 /// Number of worker threads: `EMCC_JOBS` override, else available
 /// parallelism. Exits with status 2 on a malformed override.
 pub fn jobs_from_env() -> usize {
-    jobs_from_lookup(|k| std::env::var(k).ok()).unwrap_or_else(|e| exit_config_error(&e))
+    jobs_from_lookup(|k| std::env::var(k).ok()).unwrap_or_else(|e| exit_error(&e.to_string()))
 }
 
 /// [`jobs_from_env`] with an injected environment lookup (testable
@@ -243,16 +237,19 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed(jobs, workers, |i| {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            }
-        })
+    run_indexed(jobs, workers, |i| catch(|| f(i)))
+}
+
+/// Runs `f`, containing a panic as its message.
+pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
     })
 }
 

@@ -5,9 +5,8 @@ use std::sync::Mutex;
 use emcc::prelude::*;
 use emcc::system::SystemConfig as Cfg;
 
-use crate::pool::{
-    exit_config_error, jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest,
-};
+use crate::cli::exit_error;
+use crate::pool::{jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest};
 
 /// Per-run parameters derived from the chosen scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,7 +241,7 @@ impl Harness {
 /// Reads `EMCC_SCALE` from the environment (default `small`). Exits with
 /// status 2 on an unrecognized value.
 pub fn scale_from_env() -> WorkloadScale {
-    scale_from_lookup(|k| std::env::var(k).ok()).unwrap_or_else(|e| exit_config_error(&e))
+    scale_from_lookup(|k| std::env::var(k).ok()).unwrap_or_else(|e| exit_error(&e.to_string()))
 }
 
 /// [`scale_from_env`] with an injected environment lookup — tests pass a

@@ -121,3 +121,22 @@ fn perf_gate_unparseable_baseline_exits_2() {
     assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("sims_per_sec"), "stderr: {stderr}");
 }
+
+#[test]
+fn perf_gate_bless_zero_is_not_a_bless() {
+    // EMCC_BLESS=0 must mean "off", as it does for the snapshot tests:
+    // the gate reads the (missing) baseline and fails, writing nothing.
+    let dir = std::env::temp_dir().join(format!("emcc-bless-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("baseline.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_perf_gate"))
+        .env("EMCC_PERF_BASELINE", &path)
+        .env("EMCC_BLESS", "0")
+        .output()
+        .expect("spawn perf_gate");
+    let created = path.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(!created, "EMCC_BLESS=0 must not write a baseline");
+}

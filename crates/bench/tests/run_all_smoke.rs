@@ -40,7 +40,7 @@ fn run_all_smoke_matches_snapshot() {
     let actual = String::from_utf8(output.stdout).expect("stdout is UTF-8");
 
     let path = snapshot_path();
-    let bless = std::env::var("EMCC_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
+    let bless = emcc_bench::bless_requested();
     if bless {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create snapshot dir");
         std::fs::write(&path, &actual).expect("write snapshot");

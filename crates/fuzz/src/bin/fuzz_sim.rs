@@ -7,10 +7,11 @@
 //!          [--trace FILE [--case-seed S]]
 //! ```
 //!
-//! Case `i` of a campaign fuzzes `FuzzCase::generate(mix(seed, i))`; the
-//! verdict file lists one line per case in index order, so it is
-//! byte-identical for any `EMCC_JOBS` (workers only affect scheduling,
-//! never content — the same guarantee `run_all` makes).
+//! Case `i` of a campaign fuzzes `FuzzCase::generate` of the `i`-th case
+//! seed; the verdict file lists one line per case in index order, so it
+//! is byte-identical for any `EMCC_JOBS` (workers only affect
+//! scheduling, never content — the same guarantee `run_all` makes).
+//! Seeds may be decimal or `0x` hex.
 //!
 //! `--emit` materializes the case for one *case seed* (the `seed` column
 //! of a verdict line) as a corpus file, so any campaign case can be
@@ -22,252 +23,123 @@
 //! Perfetto). The traced run is inline, so the file is byte-identical
 //! for any `EMCC_JOBS`.
 //!
-//! On the first oracle failure the offending case is shrunk to a minimal
-//! reproducer, persisted under the corpus directory, and the process
-//! exits 1; `cargo test -p emcc-fuzz` then replays the corpus red until
-//! the bug is fixed. Exit 2 is reserved for configuration errors.
+//! On the first oracle failure (or panic) the offending case is shrunk
+//! to a minimal reproducer, persisted under the corpus directory, and
+//! the process exits 1; `cargo test -p emcc-fuzz` then replays the
+//! corpus red until the bug is fixed. Exit 2 is reserved for usage,
+//! configuration and I/O errors. The campaign runner is shared with
+//! `crash_campaign` (`emcc_bench::campaign`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use emcc_bench::{jobs_from_env, run_indexed_catching};
-use emcc_fuzz::oracle::check_case;
+use emcc::sim::rng::{mix64, GAMMA};
+use emcc_bench::campaign::{self, Campaign, CampaignArgs};
+use emcc_bench::cli::write_or_exit;
+use emcc_fuzz::oracle::{check_case, OracleReport};
 use emcc_fuzz::{corpus, FuzzCase};
-use proptest::shrink::minimize;
 
-/// Shrink budget: candidates tested before accepting the current minimum.
-const SHRINK_BUDGET: usize = 3_000;
+struct FuzzCampaign;
 
-struct Args {
-    cases: usize,
-    seed: u64,
-    out: PathBuf,
-    corpus_dir: PathBuf,
-    replay: Option<PathBuf>,
-    emit: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    case_seed: Option<u64>,
-}
+impl Campaign for FuzzCampaign {
+    type Case = FuzzCase;
+    type Outcome = OracleReport;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fuzz_sim [--cases N] [--seed S] [--smoke] [--out FILE] \
-         [--corpus-dir DIR] [--replay FILE] [--emit FILE --case-seed S] \
-         [--trace FILE [--case-seed S]]"
-    );
-    std::process::exit(2)
-}
+    const NAME: &'static str = "fuzz_sim";
+    const CASES: [usize; 2] = [100, 200];
+    const SEED: u64 = 7;
+    const OUT: &'static str = "target/fuzz_verdicts.txt";
+    const REPRO_FLAG: &'static str = "--corpus-dir";
+    const SHRINK_BUDGET: usize = 3_000;
+    const TELEMETRY: Option<&'static str> = Some("BENCH_fuzz_sim.json");
 
-fn parse_seed(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        cases: 100,
-        seed: 7,
-        out: PathBuf::from("target/fuzz_verdicts.txt"),
-        corpus_dir: default_corpus_dir(),
-        replay: None,
-        emit: None,
-        trace: None,
-        case_seed: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs {what}");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--cases" => {
-                args.cases = value("a count").parse().unwrap_or_else(|_| usage());
-            }
-            "--seed" => {
-                args.seed = value("a seed").parse().unwrap_or_else(|_| usage());
-            }
-            "--smoke" => args.cases = 200,
-            "--out" => args.out = PathBuf::from(value("a path")),
-            "--corpus-dir" => args.corpus_dir = PathBuf::from(value("a path")),
-            "--replay" => args.replay = Some(PathBuf::from(value("a path"))),
-            "--emit" => args.emit = Some(PathBuf::from(value("a path"))),
-            "--trace" => args.trace = Some(PathBuf::from(value("a path"))),
-            "--case-seed" => {
-                args.case_seed = Some(parse_seed(&value("a seed")).unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
+    /// The corpus lives at the repo root (`fuzz/corpus/`), two levels
+    /// above this crate; `EMCC_CORPUS_DIR` overrides for sandboxed CI
+    /// steps.
+    fn repro_dir() -> PathBuf {
+        match std::env::var("EMCC_CORPUS_DIR") {
+            Ok(dir) => PathBuf::from(dir),
+            Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus"),
         }
     }
-    args
-}
 
-/// The corpus lives at the repo root (`fuzz/corpus/`), two levels above
-/// this crate; `EMCC_CORPUS_DIR` overrides for sandboxed CI steps.
-fn default_corpus_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("EMCC_CORPUS_DIR") {
-        return PathBuf::from(dir);
+    fn case_seed(seed: u64, index: u64) -> u64 {
+        mix64(
+            seed.wrapping_add(GAMMA)
+                .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+        )
     }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")
-}
 
-/// splitmix64: decorrelates per-case seeds from the campaign seed.
-fn mix(seed: u64, i: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(i.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    fn generate(case_seed: u64) -> FuzzCase {
+        FuzzCase::generate(case_seed)
+    }
+
+    fn run(&self, case: &FuzzCase) -> OracleReport {
+        check_case(case)
+    }
+
+    fn failures(report: &OracleReport) -> Vec<String> {
+        report.failures.clone()
+    }
+
+    fn verdict(i: usize, case: &FuzzCase, report: Result<&OracleReport, &str>) -> String {
+        match report {
+            Ok(r) => format!(
+                "case {i} seed {:#018x} digest {:016x} {}",
+                case.seed,
+                r.digest,
+                if r.ok() { "ok" } else { "FAIL" }
+            ),
+            Err(msg) => format!("case {i} PANIC {msg}"),
+        }
+    }
+
+    fn encode(case: &FuzzCase) -> String {
+        corpus::to_ron(case)
+    }
+
+    fn decode(text: &str) -> Result<FuzzCase, String> {
+        corpus::from_ron(text)
+    }
+
+    fn repro_name(case: &FuzzCase) -> String {
+        format!("shrunk-{:016x}.ron", case.seed)
+    }
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-
-    if let Some(path) = &args.emit {
-        let Some(case_seed) = args.case_seed else {
-            eprintln!("error: --emit needs --case-seed (the seed column of a verdict line)");
-            return ExitCode::from(2);
-        };
-        let case = FuzzCase::generate(case_seed);
-        if let Err(e) = std::fs::write(path, corpus::to_ron(&case)) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("emitted case {case_seed:#x} to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.trace {
-        return export_trace(path, &args);
-    }
-
-    if let Some(path) = &args.replay {
-        return replay(path);
-    }
-
-    let jobs = jobs_from_env();
-    eprintln!(
-        "fuzz_sim: {} cases, seed {}, {} workers",
-        args.cases, args.seed, jobs
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_indexed_catching(args.cases, jobs, |i| {
-        let case = FuzzCase::generate(mix(args.seed, i as u64));
-        let report = check_case(&case);
-        (case, report)
-    });
-    let campaign = t0.elapsed();
-    eprintln!("fuzz_sim: campaign took {campaign:.1?}");
-    write_perf_telemetry(&args, jobs, campaign);
-
-    let mut verdicts = String::new();
-    let mut first_failure: Option<(usize, FuzzCase, Vec<String>)> = None;
-    let mut failed = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        match result {
-            Ok((case, report)) => {
-                let ok = report.ok();
-                verdicts.push_str(&format!(
-                    "case {i} seed {:#018x} digest {:016x} {}\n",
-                    case.seed,
-                    report.digest,
-                    if ok { "ok" } else { "FAIL" }
-                ));
-                if !ok {
-                    failed += 1;
-                    for f in &report.failures {
-                        eprintln!("case {i}: {f}");
-                    }
-                    if first_failure.is_none() {
-                        first_failure = Some((i, case, report.failures));
-                    }
-                }
+    let mut trace = None;
+    let args =
+        CampaignArgs::from_env::<FuzzCampaign>(" [--trace FILE [--case-seed S]]", |f, argv| {
+            let hit = f == "--trace";
+            if hit {
+                trace = Some(argv.path(f));
             }
-            Err(panic_msg) => {
-                failed += 1;
-                verdicts.push_str(&format!("case {i} PANIC {panic_msg}\n"));
-                eprintln!("case {i}: simulator panicked: {panic_msg}");
-            }
-        }
-    }
-
-    if let Some(parent) = args.out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&args.out, &verdicts) {
-        eprintln!("error: cannot write {}: {e}", args.out.display());
-        return ExitCode::from(2);
-    }
-    eprintln!(
-        "fuzz_sim: {}/{} cases passed, verdicts in {}",
-        args.cases - failed,
-        args.cases,
-        args.out.display()
-    );
-
-    if let Some((index, case, failures)) = first_failure {
-        shrink_and_persist(index, case, failures, &args.corpus_dir);
-        return ExitCode::from(1);
-    }
-    if failed > 0 {
-        // Panicking cases cannot be shrunk through the oracle (the
-        // panic aborts the battery) — still a red campaign.
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Writes the campaign's perf trajectory next to the verdict file
-/// (`BENCH_fuzz_sim.json`): cases per second plus the raw campaign
-/// duration in integer nanoseconds — the same shape `run_all` records in
-/// `BENCH_run_all.json`, so trajectory tooling reads both. Telemetry is
-/// best-effort: an unwritable path must never fail a green campaign.
-fn write_perf_telemetry(args: &Args, jobs: usize, campaign: std::time::Duration) {
-    let secs = campaign.as_secs_f64();
-    let sims_per_sec = if secs > 0.0 {
-        args.cases as f64 / secs
-    } else {
-        0.0
-    };
-    let json = format!(
-        "{{\n  \"cases\": {},\n  \"seed\": {},\n  \"jobs\": {jobs},\n  \
-         \"sims_per_sec\": {sims_per_sec:.3},\n  \"campaign_ns\": {}\n}}\n",
-        args.cases,
-        args.seed,
-        campaign.as_nanos()
-    );
-    let path = args
-        .out
-        .parent()
-        .unwrap_or_else(|| std::path::Path::new("."))
-        .join("BENCH_fuzz_sim.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("fuzz_sim: telemetry {}: {e}", path.display());
+            hit
+        });
+    match trace {
+        Some(path) if args.emit.is_none() => export_trace(
+            &path,
+            args.case_seed
+                .unwrap_or_else(|| FuzzCampaign::case_seed(args.seed, 0)),
+        ),
+        _ => campaign::main(&FuzzCampaign, &args),
     }
 }
 
 /// Runs one case with the critical-path recorder enabled and writes its
 /// Chrome-trace JSON. The run is inline (single-threaded), so the output
 /// is byte-identical regardless of `EMCC_JOBS`.
-fn export_trace(path: &std::path::Path, args: &Args) -> ExitCode {
+fn export_trace(path: &Path, case_seed: u64) -> ExitCode {
     use emcc::counters::CounterDesign;
     use emcc::secmem::SecurityScheme;
     use emcc::system::SecureSystem;
 
-    let case_seed = args.case_seed.unwrap_or_else(|| mix(args.seed, 0));
     let case = FuzzCase::generate(case_seed);
     let cfg = case.system_config(SecurityScheme::Emcc, CounterDesign::Morphable);
     let (report, rec) =
         SecureSystem::new(cfg).run_traced(case.sources(), 0, case.ops_per_core, 65_536);
-    if let Err(e) = std::fs::write(path, rec.chrome_json()) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
+    write_or_exit(path, rec.chrome_json());
     eprintln!(
         "traced case {case_seed:#018x}: {} accesses recorded ({} dropped), \
          {} attribution violations, wrote {}",
@@ -277,69 +149,4 @@ fn export_trace(path: &std::path::Path, args: &Args) -> ExitCode {
         path.display()
     );
     ExitCode::SUCCESS
-}
-
-fn replay(path: &std::path::Path) -> ExitCode {
-    match corpus::load(path) {
-        Ok(case) => {
-            let report = check_case(&case);
-            if report.ok() {
-                eprintln!(
-                    "replay {}: ok (digest {:016x})",
-                    path.display(),
-                    report.digest
-                );
-                ExitCode::SUCCESS
-            } else {
-                for f in &report.failures {
-                    eprintln!("replay {}: {f}", path.display());
-                }
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn shrink_and_persist(
-    index: usize,
-    case: FuzzCase,
-    failures: Vec<String>,
-    corpus_dir: &std::path::Path,
-) {
-    eprintln!(
-        "fuzz_sim: shrinking case {index} ({} trace ops, {} accesses)...",
-        case.trace.len(),
-        case.total_accesses()
-    );
-    let t0 = std::time::Instant::now();
-    let m = minimize(case, SHRINK_BUDGET, |cand| !check_case(cand).ok());
-    eprintln!(
-        "fuzz_sim: shrunk to {} trace ops / {} accesses in {} steps ({} candidates, {:.1?})",
-        m.value.trace.len(),
-        m.value.total_accesses(),
-        m.steps,
-        m.tested,
-        t0.elapsed()
-    );
-    let name = format!("shrunk-{:016x}.ron", m.value.seed);
-    let path = corpus_dir.join(&name);
-    let mut text = corpus::to_ron(&m.value);
-    for f in &failures {
-        text.push_str(&format!("// failed oracle: {f}\n"));
-    }
-    if let Err(e) = std::fs::create_dir_all(corpus_dir) {
-        eprintln!("error: cannot create {}: {e}", corpus_dir.display());
-        return;
-    }
-    match std::fs::write(&path, text) {
-        Ok(()) => eprintln!(
-            "fuzz_sim: reproducer persisted to {} — `cargo test -p emcc-fuzz` replays it",
-            path.display()
-        ),
-        Err(e) => eprintln!("error: cannot write {}: {e}", path.display()),
-    }
 }

@@ -53,12 +53,18 @@ fn corpus_cases_replay_green() {
 
 #[test]
 fn corpus_files_roundtrip_exactly() {
-    // A corpus file must re-serialize to semantically identical text, or
-    // shrunk reproducers would drift when re-persisted.
+    // A pinned corpus file must re-serialize to its own bytes, or
+    // reproducers would drift when re-persisted. (Shrunk reproducers
+    // carry a trailer of `// failed oracle:` comments after the case.)
     let (cases, _) = corpus::load_dir(&corpus_dir());
     for (path, case) in cases {
-        let back = corpus::from_ron(&corpus::to_ron(&case)).expect("re-parse");
-        assert_eq!(case, back, "roundtrip drift in {}", path.display());
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        let trailer = text.strip_prefix(&corpus::to_ron(&case));
+        assert!(
+            trailer.is_some_and(|t| t.lines().all(|l| l.starts_with("// failed oracle: "))),
+            "byte drift in {}",
+            path.display()
+        );
     }
 }
 

@@ -41,7 +41,7 @@ fn render(seed: u64) -> String {
 
 #[test]
 fn golden_reports_match_snapshots() {
-    let bless = std::env::var("EMCC_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
+    let bless = emcc_bench::bless_requested();
     let dir = golden_dir();
     if bless {
         std::fs::create_dir_all(&dir).expect("create golden dir");

@@ -10,6 +10,7 @@ use emcc_counters::CounterDesign;
 use emcc_crypto::DataBlock;
 use emcc_secmem::service::{InMemoryBackend, ServiceError};
 use emcc_secmem::{recover, FunctionalSecureMemory, MemoryAdt, SecureMemoryService, ServiceConfig};
+use emcc_sim::rng::{mix64, GAMMA};
 use emcc_sim::LineAddr;
 
 const SEED: u64 = 7;
@@ -21,11 +22,8 @@ fn block(v: u64) -> DataBlock {
     DataBlock::from_words([v; 8])
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GAMMA))
 }
 
 /// One thread's scripted operation.

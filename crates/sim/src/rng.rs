@@ -21,12 +21,23 @@ pub struct Rng64 {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment (the golden-ratio constant).
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer: a bijective avalanche of `z`.
+///
+/// Campaigns derive per-case seeds with it; each caller picks its own
+/// pre-finalizer offset (e.g. `mix64(seed.wrapping_add(i.wrapping_mul(GAMMA)))`).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GAMMA);
+    mix64(*state)
 }
 
 impl Rng64 {
