@@ -1,6 +1,7 @@
-//! Criterion benches wrapping each figure's experiment at Test scale —
-//! one bench per table/figure, so `cargo bench` exercises the entire
-//! reproduction pipeline end-to-end with timing.
+//! Criterion benches over the figure registry at Test scale — one bench
+//! per entry, each planning, simulating and rendering the way `run_all`
+//! does, so `cargo bench` exercises the entire reproduction pipeline
+//! end-to-end with timing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -10,12 +11,6 @@ use emcc_bench::{ExpParams, Harness};
 
 fn tiny() -> ExpParams {
     ExpParams::for_scale(WorkloadScale::Test)
-}
-
-/// A cold single-worker harness: every figure iteration simulates from
-/// scratch, so the run-cache can't falsify the timings.
-fn fresh() -> Harness {
-    Harness::with_jobs(tiny(), 1)
 }
 
 /// One full simulation (the unit of work behind every figure).
@@ -39,31 +34,17 @@ fn bench_figures(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_secs(1));
     g.measurement_time(std::time::Duration::from_secs(10));
-    g.bench_function("fig03_llc_latency_distribution", |b| {
-        b.iter(experiments::fig03::run)
-    });
-    g.bench_function("timelines_figs_5_8_10_13_14", |b| {
-        b.iter(experiments::timelines::render_all)
-    });
-    g.sample_size(10);
-    g.bench_function("fig02_traffic_overhead", |b| {
-        b.iter(|| experiments::fig02::run(&fresh()))
-    });
-    g.bench_function("fig06_counter_split", |b| {
-        b.iter(|| experiments::fig06_07::run_fig06(&fresh()))
-    });
-    g.bench_function("fig11_12_23_emcc_counters", |b| {
-        b.iter(|| experiments::emcc_ctr::run(&fresh()))
-    });
-    g.bench_function("fig15_bandwidth_breakdown", |b| {
-        b.iter(|| experiments::fig15::run(&fresh()))
-    });
-    g.bench_function("fig16_17_performance", |b| {
-        b.iter(|| experiments::perf::run_suite(&fresh()))
-    });
-    g.bench_function("fig24_regular_suite", |b| {
-        b.iter(|| experiments::fig24::run(&fresh()))
-    });
+    for entry in experiments::REGISTRY {
+        g.bench_function(entry.id, |b| {
+            b.iter(|| {
+                // A cold single-worker harness per iteration, so the
+                // run-cache can't falsify the timings.
+                let h = Harness::with_jobs(tiny(), 1);
+                h.execute(&experiments::plan(tiny(), [entry]));
+                (entry.render)(&h)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -5,13 +5,13 @@
 //! EMCC_BLESS=1 cargo run --release -p emcc-bench --bin perf_gate  # re-bless
 //! ```
 //!
-//! Executes the exact run-matrix `run_all` schedules (every figure's
-//! union, [`experiments::all_requests`]) at **Test** scale, twice, and
-//! takes the **max** sims/sec of the two passes — the first pass absorbs
-//! cold caches and CI noise, the max is the machine's demonstrated
-//! capability. The result is compared against the committed baseline
-//! (`crates/bench/perf_baseline.json`) with a symmetric tolerance band
-//! (default ±20%):
+//! Executes the exact batch `run_all` schedules for its default pass
+//! ([`experiments::plan`] of [`experiments::default_pass`]) at **Test**
+//! scale, twice, and takes the **max** sims/sec of the two passes — the
+//! first pass absorbs cold caches and CI noise, the max is the machine's
+//! demonstrated capability. The result is compared against the
+//! committed baseline (`crates/bench/perf_baseline.json`) with a
+//! symmetric tolerance band (default ±20%):
 //!
 //! - below `baseline × (1 − tol)` → **regression**, exit 1 (fails CI);
 //! - above `baseline × (1 + tol)` → stale-baseline warning, exit 0
@@ -52,8 +52,9 @@ fn baseline_path() -> PathBuf {
 /// One measurement pass: simulate the full `run_all` matrix at Test
 /// scale on `jobs` workers and return (sims/sec, unique runs, seconds).
 fn measure_once(jobs: usize) -> (f64, u64, f64) {
-    let h = Harness::with_jobs(ExpParams::for_scale(WorkloadScale::Test), jobs);
-    let requests = experiments::all_requests();
+    let params = ExpParams::for_scale(WorkloadScale::Test);
+    let h = Harness::with_jobs(params, jobs);
+    let requests = experiments::plan(params, experiments::default_pass());
     let t0 = Instant::now();
     h.execute(&requests);
     let secs = t0.elapsed().as_secs_f64();

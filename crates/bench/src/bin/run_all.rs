@@ -1,9 +1,18 @@
-//! Regenerates every figure in one pass — the data source for
-//! EXPERIMENTS.md.
+//! Renders every figure in one pass — the data source for
+//! EXPERIMENTS.md — or only the figures `--fig` names.
 //!
 //! ```sh
 //! EMCC_SCALE=small EMCC_JOBS=4 cargo run --release -p emcc-bench --bin run_all
+//! EMCC_SCALE=test cargo run --release -p emcc-bench --bin run_all -- --fig ID
 //! ```
+//!
+//! `--fig ID` (repeatable) renders only the named entries of
+//! `experiments::REGISTRY`, in registry order; entries outside the
+//! default pass render only when named. An unknown id exits 2 and lists
+//! the valid ones.
+//!
+//! `--csv DIR` also writes every rendered table to `DIR/ID.csv`
+//! (`DIR/ID-N.csv` when an entry has several tables).
 //!
 //! `--smoke` forces `Test` scale regardless of `EMCC_SCALE` — the fast,
 //! deterministic pass CI diffs against the committed snapshot
@@ -14,36 +23,64 @@
 //! `chrome://tracing` or Perfetto). The traced run is inline, so the
 //! file is byte-identical for any `EMCC_JOBS`.
 //!
-//! Two phases:
+//! Three phases:
 //!
-//! 1. **Schedule** — every figure declares its run-matrix as
-//!    [`RunRequest`](emcc_bench::RunRequest)s; the union is executed on
-//!    the work-stealing pool (`EMCC_JOBS` workers). Requests shared
-//!    between figures (the Table I schemes dominate) simulate once.
-//! 2. **Render** — figures print serially in the original order from the
+//! 1. **Plan** — the selected entries' render functions run on a
+//!    recording harness, which lists every run they ask for.
+//! 2. **Simulate** — the batch executes on the crash-isolated
+//!    work-stealing pool (`EMCC_JOBS` workers). Runs shared between
+//!    figures (the Table I schemes dominate) simulate once; a crashed run
+//!    aborts before rendering, with the `failed_runs` trail written.
+//! 3. **Render** — entries print serially in registry order from the
 //!    run-cache, so stdout is byte-identical no matter the worker count.
 //!
-//! Wall-clock per section and the cache hit/miss counters are written to
-//! `BENCH_run_all.json`.
+//! Wall-clock per entry and the cache hit/miss counters are written to
+//! `BENCH_run_all.json`; an entry with telemetry of its own (the
+//! placement race's `BENCH_race.json`) writes it as it renders.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
-use emcc_bench::cli::{write_or_exit, Argv};
-use emcc_bench::experiments::FigureData;
+use emcc_bench::cli::{exit_error, write_or_exit, Argv};
+use emcc_bench::experiments::{self, Entry, REGISTRY};
 use emcc_bench::json::Json;
-use emcc_bench::{experiments, ExhaustedRun, ExpParams, FailedRun, Harness};
+use emcc_bench::{ExhaustedRun, ExpParams, FailedRun, Harness};
 
 fn main() {
     let mut smoke = false;
     let mut trace: Option<PathBuf> = None;
-    let mut argv = Argv::from_env("usage: run_all [--smoke] [--trace FILE]");
+    let mut csv: Option<PathBuf> = None;
+    let mut figs: Vec<String> = Vec::new();
+    let mut argv =
+        Argv::from_env("usage: run_all [--smoke] [--trace FILE] [--fig ID]... [--csv DIR]");
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
             "--smoke" => smoke = true,
             "--trace" => trace = Some(argv.path(&flag)),
+            "--fig" => figs.push(argv.value(&flag)),
+            "--csv" => csv = Some(argv.path(&flag)),
             _ => argv.unknown(&flag),
+        }
+    }
+    if let Some(bad) = figs.iter().find(|f| REGISTRY.iter().all(|e| e.id != *f)) {
+        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        argv.fail(&format!(
+            "unknown figure `{bad}`; valid ids: {}",
+            ids.join(" ")
+        ));
+    }
+    let entries: Vec<&Entry> = if figs.is_empty() {
+        experiments::default_pass().collect()
+    } else {
+        REGISTRY
+            .iter()
+            .filter(|e| figs.iter().any(|f| f == e.id))
+            .collect()
+    };
+    if let Some(dir) = &csv {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            exit_error(&format!("cannot create {}: {e}", dir.display()));
         }
     }
     if let Some(path) = &trace {
@@ -64,15 +101,16 @@ fn main() {
         h.params().measure_ops
     );
     eprintln!(
-        "[{:>7.1}s] scheduling all figures on {} worker(s)...",
+        "[{:>7.1}s] scheduling {} figure(s) on {} worker(s)...",
         t0.elapsed().as_secs_f64(),
+        entries.len(),
         h.jobs()
     );
 
-    // Phase 1: collect every figure's run-matrix and execute the union.
-    // The same batch backs `perf_gate`, so the sims/sec recorded below is
-    // directly comparable to the gated baseline.
-    let requests = experiments::all_requests();
+    // Plan and simulate. The default pass's batch also backs
+    // `perf_gate`, so the sims/sec recorded below is directly comparable
+    // to the gated baseline.
+    let requests = experiments::plan(*h.params(), entries.iter().copied());
     let requested = requests.len();
     h.execute(&requests);
     let (sched_hits, sched_misses) = h.cache_stats();
@@ -117,100 +155,34 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Phase 2: render serially in the fixed figure order; every run()
-    // below is a cache hit.
+    // Render serially in registry order, a blank line between entries;
+    // every run() below is a cache hit.
     let mut timings: Vec<(&str, f64)> = Vec::new();
-    let mut section_start = Instant::now();
-    let mut section = |name: &'static str, timings: &mut Vec<(&str, f64)>| {
-        if let Some(last) = timings.last_mut() {
-            // Close the previous section (its name was pushed eagerly).
-            last.1 = section_start.elapsed().as_secs_f64();
+    for (i, entry) in entries.iter().enumerate() {
+        eprintln!(
+            "[{:>7.1}s] rendering {}...",
+            t0.elapsed().as_secs_f64(),
+            entry.id
+        );
+        let start = Instant::now();
+        let out = (entry.render)(&h);
+        if i > 0 {
+            println!();
         }
-        eprintln!("[{:>7.1}s] rendering {name}...", t0.elapsed().as_secs_f64());
-        timings.push((name, 0.0));
-        section_start = Instant::now();
-    };
-
-    section("timelines (Figs 5/8/10/13/14)", &mut timings);
-    print!("{}", experiments::timelines::render_all());
-    println!();
-
-    section("Fig 3", &mut timings);
-    print!("{}", experiments::fig03::run().render());
-    println!();
-
-    section("Fig 2", &mut timings);
-    print!("{}", experiments::fig02::run(&h).render());
-    println!();
-
-    section("Figs 6/7", &mut timings);
-    print!("{}", experiments::fig06_07::run_fig06(&h).render());
-    println!();
-    print!("{}", experiments::fig06_07::run_fig07(&h).render());
-    println!();
-
-    section("Figs 11/12/23", &mut timings);
-    let ec = experiments::emcc_ctr::run(&h);
-    print!("{}", ec.fig11.render());
-    println!();
-    print!("{}", ec.fig12.render());
-    println!();
-    print!("{}", ec.fig23.render());
-    println!();
-
-    section("Fig 15", &mut timings);
-    print!("{}", experiments::fig15::run(&h).render());
-    println!();
-
-    section("Figs 16/17", &mut timings);
-    let rows = experiments::perf::run_suite(&h);
-    print!("{}", experiments::perf::fig16(&rows).render());
-    println!(
-        "headline: EMCC speeds up Morphable by {:.1}% on average (paper: 7%)\n",
-        experiments::perf::mean_emcc_speedup(&rows) * 100.0
-    );
-    print!("{}", experiments::perf::fig17(&rows).render());
-    println!();
-
-    section("Fig 18", &mut timings);
-    print!("{}", experiments::fig18::run(&h).render());
-    println!();
-
-    section("Fig 19", &mut timings);
-    print!("{}", experiments::fig19::run(&h).render());
-    println!();
-
-    section("Fig 20", &mut timings);
-    print!("{}", experiments::fig20::run(&h).render());
-    println!();
-
-    section("Figs 21/22", &mut timings);
-    let ch = experiments::fig21_22::run(&h);
-    print!("{}", ch.fig21.render());
-    println!();
-    print!("{}", ch.fig22.render());
-    println!();
-
-    section("Fig 24", &mut timings);
-    print!("{}", experiments::fig24::run(&h).render());
-    println!();
-
-    section("ablations", &mut timings);
-    print!("{}", experiments::ablations::l2_budget(&h).render());
-    println!();
-    print!("{}", experiments::ablations::aes_wait(&h).render());
-    println!();
-    print!("{}", experiments::ablations::xpt(&h).render());
-    println!();
-
-    section("placement race", &mut timings);
-    let race = experiments::race::figure(&h);
-    print!("{}", race.render());
-    let race_secs = t0.elapsed().as_secs_f64();
-    write_telemetry("BENCH_race.json", &race_json(&race), race_secs);
-
-    if let Some(last) = timings.last_mut() {
-        last.1 = section_start.elapsed().as_secs_f64();
+        print!("{}", out.text);
+        if let Some(dir) = &csv {
+            for (k, table) in out.tables.iter().enumerate() {
+                let name = match out.tables.len() {
+                    1 => format!("{}.csv", entry.id),
+                    _ => format!("{}-{}.csv", entry.id, k + 1),
+                };
+                write_or_exit(&dir.join(name), table.to_csv());
+            }
+        }
+        if let Some((path, json)) = &out.telemetry {
+            write_telemetry(path, json, t0.elapsed().as_secs_f64());
+        }
+        timings.push((entry.id, start.elapsed().as_secs_f64()));
     }
 
     let total_secs = t0.elapsed().as_secs_f64();
@@ -325,27 +297,6 @@ fn bench_json(
     ])
 }
 
-/// The race figure as machine-readable telemetry (`BENCH_race.json`):
-/// one row per benchmark (plus the mean), one normalized value per
-/// scheme, in `all()` order. CI uploads this as an artifact so the
-/// placement race is plottable without reparsing stdout.
-fn race_json(fig: &FigureData) -> Json {
-    let row = |(name, values): (&String, &Vec<f64>)| {
-        let normalized = values.iter().map(|&v| Json::fixed(v, 6)).collect();
-        Json::obj([
-            ("benchmark", Json::str(name)),
-            ("normalized", Json::Arr(normalized)),
-        ])
-    };
-    let schemes = fig.cols.iter().map(Json::str).collect();
-    let rows = fig.rows.iter().zip(&fig.values).map(row).collect();
-    Json::obj([
-        ("title", Json::str(&fig.title)),
-        ("schemes", Json::Arr(schemes)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,29 +372,5 @@ mod tests {
              \"recovery_exhausted_runs\": [],\n  \"render_seconds\": {\n    \
              \"Fig 3\": 0.013,\n    \"ablations\": 1.500\n  }\n}\n"
         ));
-    }
-
-    #[test]
-    fn race_json_text_is_pinned() {
-        let fig = FigureData {
-            title: "Placement race".into(),
-            cols: vec!["NonSecure".into(), "EMCC".into()],
-            rows: vec!["canneal".into(), "mean".into()],
-            values: vec![vec![1.0, 1.25], vec![1.0, 1.0 / 3.0]],
-            percent: false,
-            note: String::new(),
-        };
-        assert_eq!(
-            race_json(&fig).render(),
-            r#"{
-  "title": "Placement race",
-  "schemes": ["NonSecure", "EMCC"],
-  "rows": [
-    {"benchmark": "canneal", "normalized": [1.000000, 1.250000]},
-    {"benchmark": "mean", "normalized": [1.000000, 0.333333]}
-  ]
-}
-"#
-        );
     }
 }

@@ -11,7 +11,7 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// Benchmarks used for ablations (a representative subset keeps runtime
 /// manageable; canneal/mcf/BFS bracket the behaviours).
@@ -46,45 +46,6 @@ fn xpt_config(scheme: SecurityScheme, on: bool) -> SystemConfig {
     let mut cfg = SystemConfig::table_i(scheme);
     cfg.xpt_enabled = on;
     cfg
-}
-
-/// Run-matrix for the l2_budget / aes_wait / xpt ablations.
-pub fn requests() -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for bench in suite() {
-        // l2_budget: baseline + swept budgets.
-        reqs.push(RunRequest::scheme(bench, SecurityScheme::CtrInLlc));
-        for kb in BUDGET_KB {
-            reqs.push(RunRequest::new(bench, budget_config(kb)));
-        }
-        // aes_wait: default EMCC + immediate start.
-        reqs.push(RunRequest::scheme(bench, SecurityScheme::Emcc));
-        reqs.push(RunRequest::new(bench, immediate_aes_config()));
-        // xpt: both schemes, both settings.
-        for on in [true, false] {
-            reqs.push(RunRequest::new(
-                bench,
-                xpt_config(SecurityScheme::CtrInLlc, on),
-            ));
-            reqs.push(RunRequest::new(bench, xpt_config(SecurityScheme::Emcc, on)));
-        }
-    }
-    reqs
-}
-
-/// Run-matrix for the §IV-F extensions figure.
-pub fn extensions_requests() -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for bench in suite() {
-        reqs.push(RunRequest::scheme(bench, SecurityScheme::Emcc));
-        let mut inc = SystemConfig::table_i(SecurityScheme::Emcc);
-        inc.inclusive_llc = true;
-        reqs.push(RunRequest::new(bench, inc));
-        let mut dyn_cfg = SystemConfig::table_i(SecurityScheme::Emcc);
-        dyn_cfg.emcc.dynamic_disable = true;
-        reqs.push(RunRequest::new(bench, dyn_cfg));
-    }
-    reqs
 }
 
 /// Sweep of the L2 counter-line budget.

@@ -11,7 +11,7 @@
 use emcc::prelude::*;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// All three figures from one pass (EMCC + baseline runs per benchmark).
 pub struct EmccCtrFigures {
@@ -21,19 +21,6 @@ pub struct EmccCtrFigures {
     pub fig12: FigureData,
     /// Figure 23.
     pub fig23: FigureData,
-}
-
-/// The figures' run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .flat_map(|bench| {
-            [
-                RunRequest::scheme(bench, SecurityScheme::Emcc),
-                RunRequest::scheme(bench, SecurityScheme::CtrInLlc),
-            ]
-        })
-        .collect()
 }
 
 /// Runs the three figures.

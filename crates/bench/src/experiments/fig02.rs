@@ -9,7 +9,7 @@ use emcc::dram::RequestClass;
 use emcc::prelude::*;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// Traffic overhead for one report: (read overhead, write overhead).
 fn overhead(r: &SimReport) -> (f64, f64) {
@@ -35,19 +35,6 @@ fn overhead(r: &SimReport) -> (f64, f64) {
     .map(|&c| r.dram.bucket(c, true).count)
     .sum();
     (meta_read as f64 / data, meta_write as f64 / data)
-}
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .flat_map(|bench| {
-            [
-                RunRequest::scheme(bench, SecurityScheme::McOnly),
-                RunRequest::scheme(bench, SecurityScheme::CtrInLlc),
-            ]
-        })
-        .collect()
 }
 
 /// Runs the figure.

@@ -8,7 +8,7 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 fn config(llc_total: Option<u64>) -> SystemConfig {
     let mut cfg = SystemConfig::table_i(SecurityScheme::CtrInLlc);
@@ -16,13 +16,6 @@ fn config(llc_total: Option<u64>) -> SystemConfig {
         cfg = cfg.with_llc_total(total);
     }
     cfg
-}
-
-fn matrix(llc_total: Option<u64>) -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .map(|bench| RunRequest::new(bench, config(llc_total)))
-        .collect()
 }
 
 fn counter_split(h: &Harness, llc_total: Option<u64>, title: &str, note: &str) -> FigureData {
@@ -44,16 +37,6 @@ fn counter_split(h: &Harness, llc_total: Option<u64>, title: &str, note: &str) -
     }
     fig.push_mean_row();
     fig
-}
-
-/// Figure 6's run-matrix (Table I LLC).
-pub fn fig06_requests() -> Vec<RunRequest> {
-    matrix(None)
-}
-
-/// Figure 7's run-matrix (48 MB LLC).
-pub fn fig07_requests() -> Vec<RunRequest> {
-    matrix(Some(48 * 1024 * 1024))
 }
 
 /// Figure 6: Table I LLC (2 MB/core).

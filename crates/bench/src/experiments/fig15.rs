@@ -8,15 +8,7 @@ use emcc::dram::RequestClass;
 use emcc::prelude::*;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .map(|bench| RunRequest::scheme(bench, SecurityScheme::CtrInLlc))
-        .collect()
-}
+use crate::Harness;
 
 /// Runs the figure.
 pub fn run(h: &Harness) -> FigureData {
@@ -35,8 +27,6 @@ pub fn run(h: &Harness) -> FigureData {
     };
     for bench in Benchmark::irregular_suite() {
         let r = h.run_scheme(bench, SecurityScheme::CtrInLlc);
-        let ch = r.dram.total_requests().max(1); // avoid div-by-zero style
-        let _ = ch;
         let channels = 1;
         let data = r.bandwidth_utilization(RequestClass::Data, channels);
         let ctr = r.bandwidth_utilization(RequestClass::Counter, channels)

@@ -8,27 +8,10 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// The swept AES latencies in nanoseconds.
 pub const AES_POINTS: [u64; 3] = [14, 20, 25];
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for bench in Benchmark::irregular_suite() {
-        for ns in AES_POINTS {
-            let aes = Time::from_ns(ns);
-            for scheme in [SecurityScheme::CtrInLlc, SecurityScheme::Emcc] {
-                reqs.push(RunRequest::new(
-                    bench,
-                    SystemConfig::table_i(scheme).with_aes_latency(aes),
-                ));
-            }
-        }
-    }
-    reqs
-}
 
 /// Runs the figure.
 pub fn run(h: &Harness) -> FigureData {

@@ -9,7 +9,7 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// The swept AES-unit fractions.
 pub const FRACTIONS: [f64; 4] = [0.2, 0.4, 0.5, 0.8];
@@ -19,14 +19,6 @@ fn config(f: f64) -> SystemConfig {
     let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
     cfg.emcc.aes_fraction_to_l2 = f;
     cfg
-}
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .flat_map(|bench| FRACTIONS.map(|f| RunRequest::new(bench, config(f))))
-        .collect()
 }
 
 /// Runs the figure.

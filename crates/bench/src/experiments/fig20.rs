@@ -8,27 +8,10 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// The swept MC counter-cache sizes in KB.
 pub const SIZES_KB: [u64; 3] = [128, 256, 512];
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for bench in Benchmark::irregular_suite() {
-        for kb in SIZES_KB {
-            let bytes = kb * 1024;
-            for scheme in [SecurityScheme::CtrInLlc, SecurityScheme::Emcc] {
-                reqs.push(RunRequest::new(
-                    bench,
-                    SystemConfig::table_i(scheme).with_mc_cache_size(bytes),
-                ));
-            }
-        }
-    }
-    reqs
-}
 
 /// Runs the figure.
 pub fn run(h: &Harness) -> FigureData {

@@ -13,7 +13,7 @@ use emcc::sim::stats::geomean;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// Both figures from one sweep.
 pub struct ChannelFigures {
@@ -21,22 +21,6 @@ pub struct ChannelFigures {
     pub fig21: FigureData,
     /// Figure 22.
     pub fig22: FigureData,
-}
-
-/// The figures' run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for bench in Benchmark::irregular_suite() {
-        for channels in [1usize, 8] {
-            for scheme in [SecurityScheme::CtrInLlc, SecurityScheme::Emcc] {
-                reqs.push(RunRequest::new(
-                    bench,
-                    SystemConfig::table_i(scheme).with_channels(channels),
-                ));
-            }
-        }
-    }
-    reqs
 }
 
 /// Runs the sweep.

@@ -5,15 +5,7 @@
 use emcc::prelude::*;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
-
-/// The figure's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::regular_suite()
-        .into_iter()
-        .map(|bench| RunRequest::scheme(bench, SecurityScheme::Emcc))
-        .collect()
-}
+use crate::Harness;
 
 /// Runs the figure.
 pub fn run(h: &Harness) -> FigureData {

@@ -9,7 +9,7 @@ use emcc::prelude::*;
 use emcc::system::SystemConfig;
 
 use crate::experiments::FigureData;
-use crate::{Harness, RunRequest};
+use crate::Harness;
 
 /// One benchmark's four reports (served from the harness's run-cache).
 pub struct PerfRow {
@@ -30,21 +30,6 @@ fn sc64_config() -> SystemConfig {
     let mut cfg = SystemConfig::table_i(SecurityScheme::CtrInLlc);
     cfg.counter_design = CounterDesign::Sc64;
     cfg
-}
-
-/// The suite's run-matrix, for batch scheduling.
-pub fn requests() -> Vec<RunRequest> {
-    Benchmark::irregular_suite()
-        .into_iter()
-        .flat_map(|bench| {
-            [
-                RunRequest::scheme(bench, SecurityScheme::NonSecure),
-                RunRequest::new(bench, sc64_config()),
-                RunRequest::scheme(bench, SecurityScheme::CtrInLlc),
-                RunRequest::scheme(bench, SecurityScheme::Emcc),
-            ]
-        })
-        .collect()
 }
 
 /// Runs the four schemes over the irregular suite.

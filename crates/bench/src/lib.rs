@@ -1,11 +1,11 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! characterization (§III) and evaluation (§VI).
 //!
-//! Each `experiments::figNN` module runs the simulations behind one figure
-//! and renders the same rows/series the paper reports. Binaries
-//! (`cargo run --release -p emcc-bench --bin fig16`) print one figure;
-//! `--bin run_all` regenerates everything (the data behind
-//! EXPERIMENTS.md).
+//! Each `experiments::figNN` module renders one figure (or a group sharing
+//! simulations) with the same rows/series the paper reports, and
+//! `experiments::REGISTRY` names each figure once. `--bin run_all`
+//! regenerates everything (the data behind EXPERIMENTS.md); `run_all --fig
+//! fig16` renders one figure.
 //!
 //! # Scale
 //!

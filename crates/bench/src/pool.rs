@@ -4,8 +4,8 @@
 //! Simulations stay strictly single-threaded and deterministic (DESIGN.md
 //! §4); parallelism exists only *across* independent `(benchmark, config)`
 //! runs. Because every run is a pure function of its key, reports can be
-//! cached and shared freely between figures — `run_all` resolves ~480
-//! requested runs to ~260 unique simulations at the default scale.
+//! cached and shared freely between figures — `run_all`'s default pass
+//! is 277 unique simulations.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};

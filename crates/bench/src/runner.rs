@@ -1,6 +1,6 @@
 //! Shared simulation-running and table-rendering helpers.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use emcc::prelude::*;
 use emcc::system::SystemConfig as Cfg;
@@ -64,18 +64,21 @@ impl ExpParams {
 /// The experiment-execution harness: one [`ExpParams`], a memoizing
 /// [`RunCache`] and a thread budget.
 ///
-/// Experiments declare their run-matrix as [`RunRequest`]s; the harness
-/// [`execute`](Harness::execute)s a batch on the work-stealing pool and
-/// then serves figure-rendering code from the cache. Every simulation is
-/// a pure function of `(benchmark, config, params)`, so runs shared
-/// between figures execute once. Rendering order — and therefore stdout
-/// — is identical no matter how many workers execute the batch.
+/// A [`recording`](Harness::recording) harness turns a figure's render
+/// code into its run-matrix; the harness [`execute`](Harness::execute)s
+/// that batch on the work-stealing pool and then serves the same render
+/// code from the cache. Every simulation is a pure function of
+/// `(benchmark, config, params)`, so runs shared between figures execute
+/// once. Rendering order — and therefore stdout — is identical no matter
+/// how many workers execute the batch.
 pub struct Harness {
     params: ExpParams,
     jobs: usize,
     cache: RunCache,
     failures: Mutex<Vec<FailedRun>>,
     exhausted: Mutex<Vec<ExhaustedRun>>,
+    /// Recording mode: the requests [`run`](Harness::run) has noted.
+    recorded: Option<Mutex<Vec<RunRequest>>>,
 }
 
 /// A simulation that panicked inside [`Harness::execute`]: the pool
@@ -123,7 +126,25 @@ impl Harness {
             cache: RunCache::new(),
             failures: Mutex::new(Vec::new()),
             exhausted: Mutex::new(Vec::new()),
+            recorded: None,
         }
+    }
+
+    /// A harness in recording mode: [`run`](Harness::run) notes each
+    /// request and returns an empty report instead of simulating.
+    pub fn recording(params: ExpParams) -> Self {
+        Harness {
+            recorded: Some(Mutex::new(Vec::new())),
+            ..Harness::with_jobs(params, 1)
+        }
+    }
+
+    /// The requests a recording harness noted, in call order (empty for
+    /// a harness that simulates).
+    pub fn recorded(self) -> Vec<RunRequest> {
+        self.recorded
+            .map(|r| r.into_inner().expect("recorded list poisoned"))
+            .unwrap_or_default()
     }
 
     /// A harness configured from `EMCC_SCALE` and `EMCC_JOBS`.
@@ -221,9 +242,15 @@ impl Harness {
         }
     }
 
-    /// The report for `bench` under `cfg`, from cache or computed now.
+    /// The report for `bench` under `cfg`, from cache or computed now
+    /// (in recording mode: an empty report, with the request noted).
     pub fn run(&self, bench: Benchmark, cfg: Cfg) -> &'static SimReport {
         let req = RunRequest::new(bench, cfg);
+        if let Some(recorded) = &self.recorded {
+            recorded.lock().expect("recorded list poisoned").push(req);
+            static EMPTY: OnceLock<SimReport> = OnceLock::new();
+            return EMPTY.get_or_init(SimReport::default);
+        }
         if let Some(r) = self.cache.lookup(&req, &self.params) {
             return r;
         }

@@ -39,6 +39,40 @@ fn run_all_contains_panics_and_writes_failure_telemetry() {
 }
 
 #[test]
+fn single_figure_run_contains_panics_like_the_full_pass() {
+    // One figure goes through the same plan → pool → render path as the
+    // full pass: a crashed run leaves the failure trail and exit 1, never
+    // a re-simulation (and a raw panic) on the render thread.
+    let dir = std::env::temp_dir().join(format!("emcc-crash-fig16-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp workdir");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--fig", "fig16"])
+        .current_dir(&dir)
+        .env("EMCC_SCALE", "test")
+        .env("EMCC_JOBS", "2")
+        .env("EMCC_FORCE_PANIC", "canneal")
+        .output()
+        .expect("spawn run_all");
+    let json = std::fs::read_to_string(dir.join("BENCH_run_all.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "failed runs must exit 1; stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = json.expect("telemetry must be written even when runs fail");
+    // Failed-run records carry an `error`; exhausted-run records don't.
+    let failed_canneal = json.lines().any(|l| {
+        l.contains("{\"bench\": \"canneal\"") && l.contains("\"error\": \"EMCC_FORCE_PANIC")
+    });
+    assert!(
+        failed_canneal,
+        "canneal must be listed under failed_runs:\n{json}"
+    );
+}
+
+#[test]
 fn bad_scale_is_a_config_error_not_a_crash() {
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .env("EMCC_SCALE", "huge")

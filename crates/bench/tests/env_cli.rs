@@ -68,6 +68,40 @@ fn run_all_rejects_whitespace_scale_with_exit_2() {
 }
 
 #[test]
+fn run_all_rejects_unknown_figure_with_exit_2() {
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--fig", "nope"])
+        .output()
+        .expect("spawn run_all");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("`nope`"), "stderr: {stderr}");
+    for id in emcc_bench::experiments::REGISTRY.iter().map(|e| e.id) {
+        assert!(stderr.contains(id), "valid id {id} not listed: {stderr}");
+    }
+}
+
+#[test]
+fn run_all_unwritable_csv_dir_exits_2() {
+    // A directory below a regular file can never be created.
+    let file = std::env::temp_dir().join(format!("emcc-csv-file-{}", std::process::id()));
+    std::fs::write(&file, "").expect("write plain file");
+    let dir = file.join("figures");
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--smoke", "--csv"])
+        .arg(&dir)
+        .output()
+        .expect("spawn run_all");
+    let _ = std::fs::remove_file(&file);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&dir.display().to_string()),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn crash_campaign_replay_missing_file_exits_2() {
     let output = Command::new(env!("CARGO_BIN_EXE_crash_campaign"))
         .args(["--replay", "/nonexistent/emcc-no-such-repro.ron"])

@@ -255,7 +255,7 @@ impl SecureSystem {
         // (`enqueue_dram` below needs whole-`self`, so the arrival
         // mutations happen first — nothing in between observes them).
         let (line, dram_issued, confirm, mc_decrypt) = match self.txns.get_mut(&txn_id) {
-            Some(txn) if !txn.done => {
+            Some(txn) => {
                 let confirm = !(via_xpt || txn.at_mc);
                 if confirm {
                     txn.at_mc = true;
@@ -267,7 +267,7 @@ impl SecureSystem {
                 }
                 (txn.line, txn.dram_issued, confirm, txn.mc_decrypt)
             }
-            _ => return,
+            None => return,
         };
         // The speculative XPT copy only starts the DRAM read early; the
         // secure pipeline acts on the confirmed miss (Intel XPT semantics:
@@ -356,7 +356,7 @@ impl SecureSystem {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        if txn.done || !txn.at_mc {
+        if !txn.at_mc {
             return;
         }
         let Some(data_at) = txn.mc_data_at else {
@@ -641,9 +641,6 @@ impl SecureSystem {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        if txn.done {
-            return;
-        }
         let line = txn.line;
         txn.corrupt = None;
         txn.mc_data_at = None;
@@ -725,7 +722,7 @@ impl SecureSystem {
                             // already shipped the ciphertext (fast-DRAM race:
                             // the L2 then finishes locally once the counter
                             // arrives).
-                            if !txn.done && !txn.shipped_unverified {
+                            if !txn.shipped_unverified {
                                 txn.mc_decrypt = true;
                                 txn.ctr_source = Some(CtrSource::Dram);
                             }
@@ -733,11 +730,12 @@ impl SecureSystem {
                     }
                     // Data transactions already at the MC join as waiters so
                     // their OTPs start the moment the counter verifies.
-                    mc_side.extend(waiters.iter().copied().filter(|t| {
-                        self.txns
-                            .get(t)
-                            .is_some_and(|x| x.at_mc && !x.done && x.mc_decrypt)
-                    }));
+                    mc_side.extend(
+                        waiters
+                            .iter()
+                            .copied()
+                            .filter(|t| self.txns.get(t).is_some_and(|x| x.at_mc && x.mc_decrypt)),
+                    );
                 }
                 let exists = self.mc.ctr_txns.contains_key(&block);
                 if self.mc.meta.lookup(block) && !exists {
@@ -825,7 +823,7 @@ impl SecureSystem {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        if txn.done || !txn.mc_decrypt || txn.mc_ctr_ready.is_some() {
+        if !txn.mc_decrypt || txn.mc_ctr_ready.is_some() {
             return;
         }
         let decoded = ready + self.cfg.crypto.counter_decode;

@@ -248,12 +248,6 @@ impl SimReport {
         self.instructions as f64 / self.elapsed.as_ns_f64()
     }
 
-    /// Runtime-based performance: work per unit time, for normalization
-    /// against a baseline run of the same work.
-    pub fn perf(&self) -> f64 {
-        self.ipc()
-    }
-
     /// L2 data miss ratio.
     pub fn l2_miss_rate(&self) -> f64 {
         ratio(self.l2_data_misses, self.l2_accesses)

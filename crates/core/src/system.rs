@@ -192,7 +192,6 @@ pub(crate) struct DataTxn {
     pub corrupt: Option<FaultClass>,
     /// Integrity-failure re-fetches performed for this transaction.
     pub retries: u32,
-    pub done: bool,
     /// Attribution: access start (arrival at L2 for demand misses; the
     /// miss time itself for prefetches).
     pub t_start: Time,
@@ -825,7 +824,6 @@ impl SecureSystem {
                 from_dram: false,
                 corrupt: None,
                 retries: 0,
-                done: false,
                 t_start,
                 spans,
                 t_slice_done: None,
@@ -861,9 +859,6 @@ impl SecureSystem {
         let Some(txn) = self.txns.get(&txn_id) else {
             return;
         };
-        if txn.done {
-            return;
-        }
         let core = txn.core;
         let line = txn.line;
         let cb_idx = self.tree.geometry().counter_block_of(line);
@@ -911,9 +906,6 @@ impl SecureSystem {
         let Some(txn) = self.txns.get(&txn_id) else {
             return;
         };
-        if txn.done {
-            return;
-        }
         let line = txn.line;
         let core = txn.core;
         let t_miss = txn.t_miss;
@@ -1076,9 +1068,6 @@ impl SecureSystem {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        if txn.done {
-            return;
-        }
         // Response NoC legs from the MC ship (LLC-hit responses recorded
         // their leg at the slice).
         if let Some(shipped) = txn.t_shipped.take() {
@@ -1145,7 +1134,7 @@ impl SecureSystem {
             let Some(txn) = self.txns.get_mut(&txn_id) else {
                 continue;
             };
-            if txn.done || (txn.mc_decrypt && !txn.shipped_unverified) {
+            if txn.mc_decrypt && !txn.shipped_unverified {
                 continue;
             }
             txn.l2_ctr_ready = Some(self.now);
@@ -1166,8 +1155,7 @@ impl SecureSystem {
         let Some(txn) = self.txns.get(&txn_id) else {
             return;
         };
-        if txn.done
-            || txn.aes_started
+        if txn.aes_started
             || txn.l2_ctr_ready.is_none()
             || (txn.mc_decrypt && !txn.shipped_unverified)
         {
@@ -1213,9 +1201,6 @@ impl SecureSystem {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        if txn.done {
-            return;
-        }
         let core = txn.core;
         // Local XOR + MAC compare ends now, whether it passed or
         // detected corruption.

@@ -55,4 +55,4 @@ pub use service::{
     recover, MemoryAdt, RecoveryError, RecoveryReport, SecureMemoryService, ServiceConfig,
     ServiceError,
 };
-pub use verify::{RecoveryConfig, RetryPolicy, VerifyOutcome};
+pub use verify::{RecoveryConfig, RetryPolicy};

@@ -47,7 +47,7 @@ pub use journal::{JournalError, JournalRecord, JournalScan, LineImage};
 pub use recovery::{recover, RecoveryError, RecoveryReport};
 
 use crate::functional::{FunctionalSecureMemory, StoredLine};
-use crate::verify::{RecoveryConfig, RetryPolicy};
+use crate::verify::RetryPolicy;
 
 /// Service-level robustness knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,19 +77,6 @@ impl Default for ServiceConfig {
             op_timeout: Time::from_ns(1_000_000), // 1 ms of backoff budget
             degrade_after: 4,
             checkpoint_every: 0,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Lifts the timing model's [`RecoveryConfig`] to the service level:
-    /// same retry policy, and the L2 fallback threshold becomes the
-    /// degraded-mode streak.
-    pub fn from_recovery(rc: RecoveryConfig) -> Self {
-        ServiceConfig {
-            retry: rc.retry,
-            degrade_after: rc.l2_fallback_threshold,
-            ..ServiceConfig::default()
         }
     }
 }

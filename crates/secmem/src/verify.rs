@@ -20,29 +20,10 @@
 //!    surfaced as machine-check events in `SimReport` and the simulation
 //!    continues, mirroring an OS that logs and poisons the page.
 
-use emcc_sim::{LineAddr, Time};
+use emcc_sim::Time;
 
 /// DDR4-3200 clock period: backoff is quantised to this tick.
 pub const DRAM_TCK: Time = Time::from_ps(625);
-
-/// Result of a MAC / tree verification in the timing pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyOutcome {
-    /// The MAC (and, where applicable, the tree path) checked out.
-    Ok,
-    /// Verification failed for this line's fetch.
-    Mismatch {
-        /// The line whose verification failed.
-        line: LineAddr,
-    },
-}
-
-impl VerifyOutcome {
-    /// True for [`VerifyOutcome::Ok`].
-    pub fn is_ok(self) -> bool {
-        matches!(self, VerifyOutcome::Ok)
-    }
-}
 
 /// Bounded-retry policy with exponential backoff in DRAM clock ticks.
 ///
@@ -166,14 +147,5 @@ mod tests {
         assert!(p.should_retry(2));
         assert!(!p.should_retry(3));
         assert!(!p.should_retry(100));
-    }
-
-    #[test]
-    fn outcome_helpers() {
-        assert!(VerifyOutcome::Ok.is_ok());
-        assert!(!VerifyOutcome::Mismatch {
-            line: LineAddr::new(3)
-        }
-        .is_ok());
     }
 }
