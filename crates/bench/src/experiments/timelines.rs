@@ -1,74 +1,59 @@
 //! Figures 5, 8, 10, 13 and 14: the secure-memory-access timelines,
-//! composed analytically from the §III latency constants.
+//! each one simulated load (`emcc::system::timeline`).
 
-use emcc::system::timeline::{Timeline, TimelineParams, TimelineScenario};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
-/// Renders every timeline scenario with its paper cross-reference.
+use emcc::system::timeline::{noc_geometry, CtrAt, SCENARIOS};
+
+/// Renders every scenario's critical path and the headline deltas.
 pub fn render_all() -> String {
-    let p = TimelineParams::default();
-    let scenarios: [(&str, TimelineScenario); 9] = [
-        (
-            "Fig 5 (upper): counter miss, no LLC counter caching",
-            TimelineScenario::CtrMissNoLlcCaching,
-        ),
-        (
-            "Fig 5 (lower): counter miss, counters cached in LLC",
-            TimelineScenario::CtrMissLlcCaching,
-        ),
-        (
-            "Fig 8 (upper): counter hit in MC's private cache",
-            TimelineScenario::CtrHitInMc,
-        ),
-        (
-            "Fig 8 (lower): counter hit in LLC (serial baseline)",
-            TimelineScenario::CtrHitInLlcBaseline,
-        ),
-        (
-            "Fig 10a: EMCC, counter miss in LLC, row-buffer miss",
-            TimelineScenario::EmccCtrMissLlc,
-        ),
-        (
-            "Fig 13a: EMCC, counter hit in LLC",
-            TimelineScenario::EmccCtrHitLlc,
-        ),
-        (
-            "Fig 13b: baseline, counter hit in LLC",
-            TimelineScenario::BaselineCtrHitLlc,
-        ),
-        (
-            "Fig 14a: EMCC + XPT, row-buffer miss",
-            TimelineScenario::EmccXptRowMiss,
-        ),
-        (
-            "Fig 14b: baseline + XPT, row-buffer miss",
-            TimelineScenario::BaselineXptRowMiss,
-        ),
-    ];
     let mut out = String::from("== Figures 5/8/10/13/14: secure-memory-access timelines ==\n");
-    for (label, sc) in scenarios {
-        out.push_str(&format!("\n{label}\n"));
-        out.push_str(&Timeline::compose(sc, &p).render());
+    out.push_str(
+        "One simulated load per scenario (1-core Table I system, prefetcher off),\n\
+         timed from its arrival at the L2; each row is a critical-path segment.\n",
+    );
+    out.push_str(&noc_geometry());
+    out.push('\n');
+    let mut total = HashMap::new();
+    for sc in &SCENARIOS {
+        let ctr = match sc.ctr {
+            CtrAt::McCache => "in the MC cache",
+            CtrAt::Llc => "in the LLC",
+            CtrAt::Nowhere => "only in DRAM",
+        };
+        let row = if sc.row_open { "open" } else { "closed" };
+        let xpt = if sc.xpt { "on" } else { "off" };
+        let _ = writeln!(
+            out,
+            "\n{}: {}, counter {ctr}, row {row}, XPT {xpt}",
+            sc.figure, sc.scheme
+        );
+        let t = sc.simulate();
+        for s in &t.critical {
+            let _ = writeln!(
+                out,
+                "  [{:>6.2} → {:>6.2} ns] {}",
+                (s.start - t.t0).as_ns_f64(),
+                (s.end - t.t0).as_ns_f64(),
+                s.comp.label()
+            );
+        }
+        let ns = (t.t_end - t.t0).as_ns_f64();
+        let _ = writeln!(out, "  total: {ns:.2} ns");
+        total.insert(sc.figure, ns);
     }
-
-    // Headline deltas.
-    let t = |s| Timeline::compose(s, &p).total;
-    out.push_str(&format!(
-        "\nFig 5 delta (LLC caching adds Direct-LLC latency): {:.1} ns (paper: 19 ns)\n",
-        (t(TimelineScenario::CtrMissLlcCaching) - t(TimelineScenario::CtrMissNoLlcCaching))
-            .as_ns_f64()
-    ));
-    out.push_str(&format!(
-        "Fig 8 delta (LLC ctr hit vs MC ctr hit): {:.1} ns (paper: ~8 ns)\n",
-        (t(TimelineScenario::CtrHitInLlcBaseline) - t(TimelineScenario::CtrHitInMc)).as_ns_f64()
-    ));
-    out.push_str(&format!(
-        "Fig 13 delta (EMCC vs baseline, ctr hit in LLC): {:.1} ns\n",
-        (t(TimelineScenario::BaselineCtrHitLlc) - t(TimelineScenario::EmccCtrHitLlc)).as_ns_f64()
-    ));
-    out.push_str(&format!(
-        "Fig 14 delta (EMCC vs baseline, XPT + row miss): {:.1} ns (paper: 22 ns)\n",
-        (t(TimelineScenario::BaselineXptRowMiss) - t(TimelineScenario::EmccXptRowMiss)).as_ns_f64()
-    ));
+    let _ = write!(
+        out,
+        "\nFig 5 delta (LLC counter caching under a counter miss): {:.2} ns (paper: 19 ns)\n\
+         Fig 8 delta (LLC ctr hit vs MC ctr hit): {:.2} ns (paper: ~8 ns)\n\
+         Fig 13 delta (EMCC vs baseline, ctr hit in LLC): {:.2} ns\n\
+         Fig 14 delta (EMCC vs baseline, XPT + row miss): {:.2} ns (paper: 22 ns)\n",
+        total["Fig 5 (lower)"] - total["Fig 5 (upper)"],
+        total["Fig 8 (lower)"] - total["Fig 8 (upper)"],
+        total["Fig 13b"] - total["Fig 13a"],
+        total["Fig 14b"] - total["Fig 14a"],
+    );
     out
 }
 

@@ -1,4 +1,5 @@
-//! Tier-2 snapshot guard for `run_all --smoke`.
+//! Snapshot guards for `run_all --smoke` (tier 2, except the timelines
+//! check).
 //!
 //! The smoke pass runs every figure at `Test` scale, which is fast and
 //! bit-deterministic, so its stdout can be diffed byte-for-byte against
@@ -34,6 +35,25 @@ fn smoke_in(dir: &Path, args: &[&str]) -> String {
         String::from_utf8_lossy(&output.stderr)
     );
     String::from_utf8(output.stdout).expect("stdout is UTF-8")
+}
+
+#[test]
+fn timelines_block_matches_both_committed_outputs() {
+    // Each timeline is one directed load, so the block does not depend on
+    // the scale: it is the one paper-scale section tier 1 can check.
+    let scratch = std::env::temp_dir().join(format!("emcc-timelines-{}", std::process::id()));
+    let stdout = smoke_in(&scratch, &["--fig", "timelines"]);
+    let _ = std::fs::remove_dir_all(&scratch);
+    let (_, block) = stdout.split_once('\n').expect("header line");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for path in [root.join("run_all_output.txt"), snapshot_path()] {
+        let text = std::fs::read_to_string(&path).expect("committed output readable");
+        assert!(
+            text.contains(block),
+            "{} lacks the block `run_all --fig timelines` prints:\n{block}",
+            path.display()
+        );
+    }
 }
 
 #[test]

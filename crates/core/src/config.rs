@@ -238,12 +238,6 @@ impl SystemConfig {
         c * self.mesh.num_cores() / self.cores
     }
 
-    /// Builder-style scheme override.
-    pub fn with_scheme(mut self, scheme: SecurityScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
     /// Builder-style AES-latency override (Fig 18).
     pub fn with_aes_latency(mut self, aes: Time) -> Self {
         self.crypto = self.crypto.with_aes(aes);

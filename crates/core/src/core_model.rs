@@ -205,19 +205,6 @@ impl CoreModel {
         }
         true
     }
-
-    /// Fast completion for loads that hit in L1/L2 without events.
-    pub fn complete_load_immediately(&mut self, token: u64, done_at: Time) {
-        self.complete_load(token, done_at);
-        if self.last_load_token == Some(token) {
-            self.last_load_done_at = Some(done_at);
-        }
-    }
-
-    /// The benchmark name of the underlying trace.
-    pub fn source_name(&self) -> &str {
-        self.source.name()
-    }
 }
 
 #[cfg(test)]

@@ -42,5 +42,5 @@ pub mod xpt;
 pub use config::{EmccConfig, SystemConfig};
 pub use report::SimReport;
 pub use system::SecureSystem;
-pub use timeline::{Timeline, TimelineScenario};
+pub use timeline::TimelineScenario;
 pub use xpt::XptPredictor;

@@ -49,11 +49,6 @@ impl CritPathStats {
         &self.hists[comp.index()]
     }
 
-    /// Mean critical nanoseconds per access for one component.
-    pub fn mean_ns(&self, comp: Component) -> f64 {
-        self.hists[comp.index()].mean()
-    }
-
     /// Exact critical picoseconds charged to one component.
     pub fn sum_ps(&self, comp: Component) -> u64 {
         self.sum_ps[comp.index()]
@@ -251,14 +246,6 @@ impl SimReport {
     /// L2 data miss ratio.
     pub fn l2_miss_rate(&self) -> f64 {
         ratio(self.l2_data_misses, self.l2_accesses)
-    }
-
-    /// LLC data miss ratio (over LLC data lookups).
-    pub fn llc_miss_rate(&self) -> f64 {
-        ratio(
-            self.llc_data_misses,
-            self.llc_data_misses + self.llc_data_hits,
-        )
     }
 
     /// Figs 6/7: fraction of DRAM data reads whose counter hit in the MC

@@ -1,587 +1,306 @@
-//! Analytic secure-memory-access timelines (Figures 5, 8, 10, 13, 14).
+//! Directed secure-memory-access timelines (Figures 5, 8, 10, 13, 14).
 //!
-//! The paper explains EMCC's benefit with latency-composition timelines.
-//! This module reconstructs them from the same constants the simulator
-//! uses, so the claimed savings (e.g. "EMCC responds 16 ns earlier under
-//! counter miss in LLC", "22 ns earlier with XPT under row-buffer miss")
-//! can be regenerated and checked as numbers.
+//! The paper argues for EMCC with latency-composition timelines. Each
+//! [`TimelineScenario`] reproduces one of them as a single simulated
+//! load: a 1-core Table I [`SecureSystem`] with the prefetcher off, whose
+//! counter block and DRAM row for the measured line are placed
+//! beforehand, runs the load through [`SecureSystem::run_traced`]. The
+//! recorded critical path comes from the same mesh, slice map, DDR4
+//! timing and secure pipeline as every figure run, so there is one
+//! latency model, not two.
 
-use emcc_crypto::CryptoLatencies;
-use emcc_sim::trace::{Component, Span};
-use emcc_sim::Time;
+use emcc_cache::BlockKind;
+use emcc_dram::RequestClass;
+use emcc_noc::mesh::Node;
+use emcc_secmem::SecurityScheme;
+use emcc_sim::trace::AccessTrace;
+use emcc_sim::LineAddr;
+use emcc_workloads::{MemOp, Trace};
 
-/// Latency constants of the timeline model (paper §III values).
+use crate::config::SystemConfig;
+use crate::mc::DramTarget;
+use crate::report::SimReport;
+use crate::system::{LlcMeta, SecureSystem};
+
+/// Where the measured line's counter block sits before the load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineParams {
-    /// Direct LLC latency: MC or L2 fetching from an LLC slice (19 ns).
-    pub direct_llc: Time,
-    /// LLC hit latency as seen by L2 (23 ns).
-    pub llc_hit: Time,
-    /// DRAM access under row-buffer hit (16 ns).
-    pub dram_row_hit: Time,
-    /// DRAM access under row-buffer miss (30 ns).
-    pub dram_row_miss: Time,
-    /// MC's private counter-cache lookup (3 ns).
-    pub mc_ctr_cache: Time,
-    /// One-way NoC latency between two nodes (7.5 ns average).
-    pub noc_one_way: Time,
-    /// L2 lookup before the miss reaches the NoC (4 ns).
-    pub l2_lookup: Time,
-    /// Crypto latencies (AES 14 ns, decode 3 ns).
-    pub crypto: CryptoLatencies,
-    /// The serial counter-lookup delay in L2 ('J' in Fig 10a).
-    pub l2_ctr_lookup: Time,
+pub enum CtrAt {
+    /// The MC's metadata cache.
+    McCache,
+    /// Its LLC slice.
+    Llc,
+    /// Nowhere on chip: the counter comes from DRAM.
+    Nowhere,
 }
 
-impl Default for TimelineParams {
-    fn default() -> Self {
-        TimelineParams {
-            direct_llc: Time::from_ns(19),
-            llc_hit: Time::from_ns(23),
-            dram_row_hit: Time::from_ns(16),
-            dram_row_miss: Time::from_ns(30),
-            mc_ctr_cache: Time::from_ns(3),
-            noc_one_way: Time::from_ps(7_500),
-            l2_lookup: Time::from_ns(4),
-            crypto: CryptoLatencies::paper_default(),
-            l2_ctr_lookup: Time::from_ns(2),
-        }
-    }
-}
-
-/// Which of the paper's timeline scenarios to compose.
+/// One of the paper's timelines as a directed access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineScenario {
-    /// Fig 5: counter misses on-chip; baseline = no counters in LLC.
-    CtrMissNoLlcCaching,
-    /// Fig 5 (lower): counter misses on-chip; counters cached in LLC.
-    CtrMissLlcCaching,
-    /// Fig 8 (upper): counter hits in the MC's private cache.
-    CtrHitInMc,
-    /// Fig 8 (lower): counter hits in LLC (serial MC access).
-    CtrHitInLlcBaseline,
-    /// Fig 10a: EMCC, counter miss in LLC, row-buffer miss.
-    EmccCtrMissLlc,
-    /// Fig 13a: EMCC, counter hit in LLC.
-    EmccCtrHitLlc,
-    /// Fig 13b: baseline, counter hit in LLC.
-    BaselineCtrHitLlc,
-    /// Fig 14a: EMCC with XPT, row-buffer miss, counter hit in LLC.
-    EmccXptRowMiss,
-    /// Fig 14b: baseline with XPT, row-buffer miss, counter hit in LLC.
-    BaselineXptRowMiss,
+pub struct TimelineScenario {
+    /// The paper figure, e.g. `"Fig 13a"`.
+    pub figure: &'static str,
+    /// The design point the load runs under.
+    pub scheme: SecurityScheme,
+    /// XPT forwards the L2 miss to the MC alongside the LLC lookup.
+    pub xpt: bool,
+    /// Where the counter block sits.
+    pub ctr: CtrAt,
+    /// The line's DRAM row is open, so its read is a row-buffer hit.
+    pub row_open: bool,
 }
 
-/// A composed timeline: named segments and the total secure-memory access
-/// latency (request at MC → decrypted data back, per the paper's
-/// definition — or data at L1 for the L2-relative figures).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timeline {
-    /// `(label, start, end)` segments for display.
-    pub segments: Vec<(&'static str, Time, Time)>,
-    /// Completion time of the access.
-    pub total: Time,
+const fn scenario(
+    figure: &'static str,
+    scheme: SecurityScheme,
+    xpt: bool,
+    ctr: CtrAt,
+    row_open: bool,
+) -> TimelineScenario {
+    TimelineScenario {
+        figure,
+        scheme,
+        xpt,
+        ctr,
+        row_open,
+    }
 }
 
-impl Timeline {
-    /// Composes a scenario's timeline from parameters.
-    pub fn compose(scenario: TimelineScenario, p: &TimelineParams) -> Timeline {
-        let mut segments = Vec::new();
-        let crypt = p.crypto.aes; // counter-dependent computation
-        let total = match scenario {
-            TimelineScenario::CtrMissNoLlcCaching => {
-                // MC: data DRAM read || counter DRAM read, then crypt.
-                segments.push(("data: DRAM (row miss)", Time::ZERO, p.dram_row_miss));
-                let ctr_done = p.mc_ctr_cache + p.dram_row_miss;
-                segments.push(("ctr: MC$ lookup + DRAM", Time::ZERO, ctr_done));
-                let crypt_end = ctr_done + crypt;
-                segments.push(("crypt", ctr_done, crypt_end));
-                crypt_end.max(p.dram_row_miss) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::CtrMissLlcCaching => {
-                segments.push(("data: DRAM (row miss)", Time::ZERO, p.dram_row_miss));
-                // Counter: MC$ lookup → LLC (miss) → DRAM → crypt, serial.
-                let llc_done = p.mc_ctr_cache + p.direct_llc;
-                segments.push(("ctr: MC$ + LLC (miss)", Time::ZERO, llc_done));
-                let dram_done = llc_done + p.dram_row_miss;
-                segments.push(("ctr: DRAM", llc_done, dram_done));
-                let crypt_end = dram_done + crypt;
-                segments.push(("crypt", dram_done, crypt_end));
-                crypt_end.max(p.dram_row_miss) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::CtrHitInMc => {
-                segments.push(("data: DRAM (row miss)", Time::ZERO, p.dram_row_miss));
-                let crypt_end = p.mc_ctr_cache + crypt;
-                segments.push(("ctr: MC$ hit + crypt", Time::ZERO, crypt_end));
-                crypt_end.max(p.dram_row_miss) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::CtrHitInLlcBaseline => {
-                segments.push(("data: DRAM (row miss)", Time::ZERO, p.dram_row_miss));
-                let ctr_done = p.mc_ctr_cache + p.direct_llc;
-                segments.push(("ctr: MC$ + LLC hit", Time::ZERO, ctr_done));
-                let crypt_end = ctr_done + crypt;
-                segments.push(("crypt", ctr_done, crypt_end));
-                crypt_end.max(p.dram_row_miss) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::EmccCtrMissLlc => {
-                // L2-relative: data req → LLC miss → MC → DRAM → back to L2.
-                let data_at_mc = p.l2_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let data_done = data_at_mc + p.dram_row_miss + p.noc_one_way + p.noc_one_way;
-                segments.push(("data: L2→LLC→MC→DRAM→L2", Time::ZERO, data_done));
-                // Counter, parallel (delayed by J): L2→LLC miss →MC→DRAM,
-                // verified at MC, used at MC for this access.
-                let ctr_at_mc = p.l2_ctr_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let ctr_done = ctr_at_mc + p.dram_row_miss + crypt;
-                segments.push((
-                    "ctr: L2→LLC(miss)→MC→DRAM + crypt",
-                    p.l2_ctr_lookup,
-                    ctr_done,
-                ));
-                data_done.max(ctr_done) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::EmccCtrHitLlc => {
-                let data_at_mc = p.l2_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let data_done = data_at_mc + p.dram_row_hit + p.noc_one_way + p.noc_one_way;
-                segments.push(("data: L2→LLC→MC→DRAM→L2", Time::ZERO, data_done));
-                let ctr_at_l2 = p.l2_ctr_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let aes_done = ctr_at_l2 + p.crypto.counter_decode + crypt;
-                segments.push(("ctr: L2→LLC(hit)→L2 + AES@L2", p.l2_ctr_lookup, aes_done));
-                data_done.max(aes_done) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::BaselineCtrHitLlc => {
-                let data_at_mc = p.l2_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let data_done = data_at_mc + p.dram_row_hit + p.noc_one_way + p.noc_one_way;
-                segments.push(("data: L2→LLC→MC→DRAM→L2", Time::ZERO, data_done));
-                // MC fetches the counter only after the data LLC miss.
-                let ctr_start = data_at_mc + p.mc_ctr_cache;
-                let ctr_done = ctr_start + p.direct_llc + p.crypto.counter_decode + crypt;
-                segments.push(("ctr: MC→LLC(hit)→MC + AES@MC", data_at_mc, ctr_done));
-                // Data must still travel MC→L2 after crypt completes.
-                let ship = ctr_done.max(data_at_mc + p.dram_row_hit);
-                ship + p.noc_one_way + p.noc_one_way + p.crypto.xor_and_compare
-            }
-            TimelineScenario::EmccXptRowMiss => {
-                // XPT starts the DRAM read after one direct L2→MC hop; the
-                // L2's counter request proceeds in parallel and AES runs
-                // at the L2, overlapped with the whole data return path.
-                let data_at_mc = p.l2_lookup + p.noc_one_way;
-                let data_done = data_at_mc + p.dram_row_miss + p.noc_one_way + p.noc_one_way;
-                segments.push(("data: L2→MC(XPT)→DRAM→L2", Time::ZERO, data_done));
-                let ctr_at_l2 = p.l2_ctr_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let aes_done = ctr_at_l2 + p.crypto.counter_decode + crypt;
-                segments.push(("ctr: L2→LLC(hit)→L2 + AES@L2", p.l2_ctr_lookup, aes_done));
-                data_done.max(aes_done) + p.crypto.xor_and_compare
-            }
-            TimelineScenario::BaselineXptRowMiss => {
-                // XPT accelerates only the DRAM read; the MC's secure
-                // pipeline (counter fetch from LLC + AES) starts when the
-                // *confirmed* miss arrives through L2→LLC→MC.
-                let data_at_mc = p.l2_lookup + p.noc_one_way;
-                let data_done_at_mc = data_at_mc + p.dram_row_miss;
-                segments.push(("data: L2→MC(XPT)→DRAM", Time::ZERO, data_done_at_mc));
-                let confirm_at_mc = p.l2_lookup + p.noc_one_way + p.llc_lookup() + p.noc_one_way;
-                let ctr_start = confirm_at_mc + p.mc_ctr_cache;
-                let ctr_done = ctr_start + p.direct_llc + p.crypto.counter_decode + crypt;
-                segments.push(("ctr: MC→LLC(hit)→MC + AES@MC", confirm_at_mc, ctr_done));
-                let ship = ctr_done.max(data_done_at_mc);
-                ship + p.noc_one_way + p.noc_one_way + p.crypto.xor_and_compare
-            }
-        };
-        Timeline { segments, total }
+/// The nine scenarios, in figure order.
+pub const SCENARIOS: [TimelineScenario; 9] = {
+    use CtrAt::*;
+    use SecurityScheme::*;
+    [
+        scenario("Fig 5 (upper)", McOnly, false, Nowhere, false),
+        scenario("Fig 5 (lower)", CtrInLlc, false, Nowhere, false),
+        scenario("Fig 8 (upper)", CtrInLlc, false, McCache, false),
+        scenario("Fig 8 (lower)", CtrInLlc, false, Llc, false),
+        scenario("Fig 10a", Emcc, false, Nowhere, false),
+        scenario("Fig 13a", Emcc, false, Llc, true),
+        scenario("Fig 13b", CtrInLlc, false, Llc, true),
+        scenario("Fig 14a", Emcc, true, Llc, false),
+        scenario("Fig 14b", CtrInLlc, true, Llc, false),
+    ]
+};
+
+/// The measured line: the first whose slice and whose counter block's
+/// slice both sit at the mean L2→slice distance (4 hops), in different
+/// DRAM banks so a counter fetch never waits on the data's row.
+const LINE: LineAddr = LineAddr::new(0x604);
+
+/// Non-memory instructions before the load: 100 ns at 4-wide 3.2 GHz,
+/// so a row-opening read has finished before the load issues.
+const GAP: u32 = 1280;
+
+impl TimelineScenario {
+    /// Table I with one core, the prefetcher off and XPT as given.
+    fn config(&self) -> SystemConfig {
+        let mut cfg = SystemConfig::table_i(self.scheme);
+        cfg.cores = 1;
+        cfg.l2_prefetch_degree = 0;
+        cfg.xpt_enabled = self.xpt;
+        cfg
     }
 
-    /// Expresses a scenario as the component work spans the simulator's
-    /// critical-path recorder would see, using the same arithmetic as
-    /// [`Timeline::compose`].
-    ///
-    /// Feeding these spans through [`emcc_sim::trace::attribute`] over
-    /// `[0, total)` must tile the composed total exactly: the analytic
-    /// timelines and the simulator's attribution sweep share one span
-    /// algebra, so each figure's breakdown doubles as an oracle for the
-    /// recorder (and vice versa).
-    pub fn spans(scenario: TimelineScenario, p: &TimelineParams) -> Vec<Span> {
-        let crypt = p.crypto.aes;
-        let xor = p.crypto.xor_and_compare;
-        let mut spans = Vec::new();
-        match scenario {
-            TimelineScenario::CtrMissNoLlcCaching => {
-                spans.push(Span::new(
-                    Component::DramRowMiss,
-                    Time::ZERO,
-                    p.dram_row_miss,
-                ));
-                let ctr_done = p.mc_ctr_cache + p.dram_row_miss;
-                spans.push(Span::new(Component::CtrFetch, Time::ZERO, ctr_done));
-                spans.push(Span::new(Component::Aes, ctr_done, ctr_done + crypt));
-                let ship = (ctr_done + crypt).max(p.dram_row_miss);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::CtrMissLlcCaching => {
-                spans.push(Span::new(
-                    Component::DramRowMiss,
-                    Time::ZERO,
-                    p.dram_row_miss,
-                ));
-                let ctr_done = p.mc_ctr_cache + p.direct_llc + p.dram_row_miss;
-                spans.push(Span::new(Component::CtrFetch, Time::ZERO, ctr_done));
-                spans.push(Span::new(Component::Aes, ctr_done, ctr_done + crypt));
-                let ship = (ctr_done + crypt).max(p.dram_row_miss);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::CtrHitInMc => {
-                spans.push(Span::new(
-                    Component::DramRowMiss,
-                    Time::ZERO,
-                    p.dram_row_miss,
-                ));
-                spans.push(Span::new(Component::CtrFetch, Time::ZERO, p.mc_ctr_cache));
-                spans.push(Span::new(
-                    Component::Aes,
-                    p.mc_ctr_cache,
-                    p.mc_ctr_cache + crypt,
-                ));
-                let ship = (p.mc_ctr_cache + crypt).max(p.dram_row_miss);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::CtrHitInLlcBaseline => {
-                spans.push(Span::new(
-                    Component::DramRowMiss,
-                    Time::ZERO,
-                    p.dram_row_miss,
-                ));
-                let ctr_done = p.mc_ctr_cache + p.direct_llc;
-                spans.push(Span::new(Component::CtrFetch, Time::ZERO, ctr_done));
-                spans.push(Span::new(Component::Aes, ctr_done, ctr_done + crypt));
-                let ship = (ctr_done + crypt).max(p.dram_row_miss);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::EmccCtrMissLlc => {
-                // Data: L2 → LLC (miss) → MC → DRAM → L2.
-                let noc = p.noc_one_way;
-                spans.push(Span::new(Component::L2Lookup, Time::ZERO, p.l2_lookup));
-                spans.push(Span::new(Component::Noc, p.l2_lookup, p.l2_lookup + noc));
-                let at_slice = p.l2_lookup + noc;
-                let slice_done = at_slice + p.llc_lookup();
-                spans.push(Span::new(Component::LlcLookup, at_slice, slice_done));
-                let data_at_mc = slice_done + noc;
-                spans.push(Span::new(Component::Noc, slice_done, data_at_mc));
-                let dram_done = data_at_mc + p.dram_row_miss;
-                spans.push(Span::new(Component::DramRowMiss, data_at_mc, dram_done));
-                let data_done = dram_done + noc + noc;
-                spans.push(Span::new(Component::Noc, dram_done, data_done));
-                // Counter: parallel fetch (delayed by J) ending in AES at
-                // the MC, where the counter is verified and used.
-                let ctr_fetched = p.l2_ctr_lookup + noc + p.llc_lookup() + noc + p.dram_row_miss;
-                spans.push(Span::new(Component::CtrFetch, p.l2_ctr_lookup, ctr_fetched));
-                let ctr_done = ctr_fetched + crypt;
-                spans.push(Span::new(Component::Aes, ctr_fetched, ctr_done));
-                let ship = data_done.max(ctr_done);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::EmccCtrHitLlc => {
-                let noc = p.noc_one_way;
-                spans.push(Span::new(Component::L2Lookup, Time::ZERO, p.l2_lookup));
-                spans.push(Span::new(Component::Noc, p.l2_lookup, p.l2_lookup + noc));
-                let at_slice = p.l2_lookup + noc;
-                let slice_done = at_slice + p.llc_lookup();
-                spans.push(Span::new(Component::LlcLookup, at_slice, slice_done));
-                let data_at_mc = slice_done + noc;
-                spans.push(Span::new(Component::Noc, slice_done, data_at_mc));
-                let dram_done = data_at_mc + p.dram_row_hit;
-                spans.push(Span::new(Component::DramRowHit, data_at_mc, dram_done));
-                let data_done = dram_done + noc + noc;
-                spans.push(Span::new(Component::Noc, dram_done, data_done));
-                // Counter returns to the L2 (LLC hit), AES runs at the L2.
-                let ctr_at_l2 = p.l2_ctr_lookup + noc + p.llc_lookup() + noc;
-                let decoded = ctr_at_l2 + p.crypto.counter_decode;
-                spans.push(Span::new(Component::CtrFetch, p.l2_ctr_lookup, decoded));
-                let aes_done = decoded + crypt;
-                spans.push(Span::new(Component::Aes, decoded, aes_done));
-                let ship = data_done.max(aes_done);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::BaselineCtrHitLlc => {
-                let noc = p.noc_one_way;
-                spans.push(Span::new(Component::L2Lookup, Time::ZERO, p.l2_lookup));
-                spans.push(Span::new(Component::Noc, p.l2_lookup, p.l2_lookup + noc));
-                let at_slice = p.l2_lookup + noc;
-                let slice_done = at_slice + p.llc_lookup();
-                spans.push(Span::new(Component::LlcLookup, at_slice, slice_done));
-                let data_at_mc = slice_done + noc;
-                spans.push(Span::new(Component::Noc, slice_done, data_at_mc));
-                let dram_done = data_at_mc + p.dram_row_hit;
-                spans.push(Span::new(Component::DramRowHit, data_at_mc, dram_done));
-                // MC starts its counter pipeline only after the confirmed
-                // miss arrives; the data cannot ship to L2 before crypt.
-                let ctr_fetched =
-                    data_at_mc + p.mc_ctr_cache + p.direct_llc + p.crypto.counter_decode;
-                spans.push(Span::new(Component::CtrFetch, data_at_mc, ctr_fetched));
-                let ctr_done = ctr_fetched + crypt;
-                spans.push(Span::new(Component::Aes, ctr_fetched, ctr_done));
-                let ship = ctr_done.max(dram_done);
-                spans.push(Span::new(Component::Noc, ship, ship + noc + noc));
-                spans.push(Span::new(
-                    Component::Verify,
-                    ship + noc + noc,
-                    ship + noc + noc + xor,
-                ));
-            }
-            TimelineScenario::EmccXptRowMiss => {
-                let noc = p.noc_one_way;
-                spans.push(Span::new(Component::L2Lookup, Time::ZERO, p.l2_lookup));
-                let data_at_mc = p.l2_lookup + noc;
-                spans.push(Span::new(Component::Noc, p.l2_lookup, data_at_mc));
-                let dram_done = data_at_mc + p.dram_row_miss;
-                spans.push(Span::new(Component::DramRowMiss, data_at_mc, dram_done));
-                let data_done = dram_done + noc + noc;
-                spans.push(Span::new(Component::Noc, dram_done, data_done));
-                let ctr_at_l2 = p.l2_ctr_lookup + noc + p.llc_lookup() + noc;
-                let decoded = ctr_at_l2 + p.crypto.counter_decode;
-                spans.push(Span::new(Component::CtrFetch, p.l2_ctr_lookup, decoded));
-                let aes_done = decoded + crypt;
-                spans.push(Span::new(Component::Aes, decoded, aes_done));
-                let ship = data_done.max(aes_done);
-                spans.push(Span::new(Component::Verify, ship, ship + xor));
-            }
-            TimelineScenario::BaselineXptRowMiss => {
-                let noc = p.noc_one_way;
-                spans.push(Span::new(Component::L2Lookup, Time::ZERO, p.l2_lookup));
-                let data_at_mc = p.l2_lookup + noc;
-                spans.push(Span::new(Component::Noc, p.l2_lookup, data_at_mc));
-                let dram_done = data_at_mc + p.dram_row_miss;
-                spans.push(Span::new(Component::DramRowMiss, data_at_mc, dram_done));
-                // The confirmed miss travels L2 → LLC → MC in parallel with
-                // the XPT-triggered DRAM read; the MC's serial counter
-                // pipeline starts only when it arrives.
-                let at_slice = p.l2_lookup + noc;
-                let slice_done = at_slice + p.llc_lookup();
-                spans.push(Span::new(Component::LlcLookup, at_slice, slice_done));
-                let confirm_at_mc = slice_done + noc;
-                spans.push(Span::new(Component::Noc, slice_done, confirm_at_mc));
-                let ctr_fetched =
-                    confirm_at_mc + p.mc_ctr_cache + p.direct_llc + p.crypto.counter_decode;
-                spans.push(Span::new(Component::CtrFetch, confirm_at_mc, ctr_fetched));
-                let ctr_done = ctr_fetched + crypt;
-                spans.push(Span::new(Component::Aes, ctr_fetched, ctr_done));
-                let ship = ctr_done.max(dram_done);
-                spans.push(Span::new(Component::Noc, ship, ship + noc + noc));
-                spans.push(Span::new(
-                    Component::Verify,
-                    ship + noc + noc,
-                    ship + noc + noc + xor,
-                ));
-            }
+    /// Runs the measured load and returns its recorded trace.
+    pub fn simulate(&self) -> AccessTrace {
+        self.run().1
+    }
+
+    fn run(&self) -> (SimReport, AccessTrace) {
+        let mut sys = SecureSystem::new(self.config());
+        let block = sys.ctr_block_of(LINE);
+        // Every tree ancestor is verified on chip, so a counter miss
+        // costs one DRAM read.
+        let geo = sys.tree.geometry();
+        let mut node = geo.node_of_addr(block);
+        while let Some((level, idx)) = geo.parent_of(node.0, node.1) {
+            sys.mc
+                .meta
+                .fill(geo.node_addr(level, idx), BlockKind::TreeNode, false);
+            node = (level, idx);
         }
-        spans
-    }
-
-    /// Renders the timeline as indented text rows.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (label, start, end) in &self.segments {
-            out.push_str(&format!(
-                "  [{:>6.1} → {:>6.1} ns] {label}\n",
-                start.as_ns_f64(),
-                end.as_ns_f64()
-            ));
+        match self.ctr {
+            CtrAt::McCache => {
+                sys.mc.meta.fill(block, BlockKind::Counter, false);
+            }
+            CtrAt::Llc => {
+                let slice = sys.slice_of(block);
+                let meta = LlcMeta::verified(BlockKind::Counter);
+                sys.slices[slice].insert(block, false, meta);
+            }
+            CtrAt::Nowhere => {}
         }
-        out.push_str(&format!("  total: {:.1} ns\n", self.total.as_ns_f64()));
-        out
+        if self.row_open {
+            // A read nothing waits on leaves the row open for the load.
+            sys.enqueue_dram(LINE, false, RequestClass::Data, DramTarget::PostedWrite);
+        }
+        let load = Trace::new(self.figure, vec![MemOp::load(LINE, GAP)]).cursor(0);
+        let (report, tracer) = sys.run_traced(vec![Box::new(load)], 0, 1, 1);
+        let trace = tracer.traces().next().expect("the load completed").clone();
+        (report, trace)
     }
 }
 
-impl TimelineParams {
-    /// LLC slice lookup time (tag + data SRAM).
-    fn llc_lookup(&self) -> Time {
-        Time::from_ns(4)
-    }
+/// Names the measured line and its counter block, the LLC slice of each
+/// and the hop count of every NoC leg the scenarios travel.
+pub fn noc_geometry() -> String {
+    let sys = SecureSystem::new(SCENARIOS[0].config());
+    let cfg = &sys.cfg;
+    let (l2, mc) = (Node::Core(cfg.core_position(0)), Node::Mc(0));
+    let legs = |line: LineAddr| {
+        let slice = sys.slice_of(line);
+        let at = Node::Core(cfg.slice_position(slice));
+        format!(
+            "{:#x} in LLC slice {slice} (L2→slice {} hops, slice→MC {} hops)",
+            line.get(),
+            cfg.mesh.hops(l2, at),
+            cfg.mesh.hops(at, mc)
+        )
+    };
+    format!(
+        "Measured line {};\nits counter block {};\nL2→MC (the XPT leg) {} hop(s).",
+        legs(LINE),
+        legs(sys.ctr_block_of(LINE)),
+        cfg.mesh.hops(l2, mc)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcc_sim::trace::attribute;
+    use crate::report::CtrSource;
+    use emcc_dram::AddressMapping;
+    use emcc_sim::trace::{Component, Span};
+    use emcc_sim::Time;
 
-    fn p() -> TimelineParams {
-        TimelineParams::default()
+    fn by_figure(figure: &str) -> TimelineScenario {
+        *SCENARIOS
+            .iter()
+            .find(|s| s.figure == figure)
+            .expect("known figure")
     }
 
-    const ALL_SCENARIOS: [TimelineScenario; 9] = [
-        TimelineScenario::CtrMissNoLlcCaching,
-        TimelineScenario::CtrMissLlcCaching,
-        TimelineScenario::CtrHitInMc,
-        TimelineScenario::CtrHitInLlcBaseline,
-        TimelineScenario::EmccCtrMissLlc,
-        TimelineScenario::EmccCtrHitLlc,
-        TimelineScenario::BaselineCtrHitLlc,
-        TimelineScenario::EmccXptRowMiss,
-        TimelineScenario::BaselineXptRowMiss,
-    ];
-
-    #[test]
-    fn span_algebra_closes_every_scenario() {
-        // The closure: for every figure, the span set fed through the
-        // simulator's attribution sweep explains the composed total with
-        // no gaps (zero `Other` time) and no clamped spans.
-        for sc in ALL_SCENARIOS {
-            let t = Timeline::compose(sc, &p());
-            let att = attribute(Time::ZERO, t.total, &Timeline::spans(sc, &p()));
-            assert_eq!(att.violations, 0, "{sc:?}: span outside [0, total)");
-            assert_eq!(att.total(), t.total, "{sc:?}: segments must tile the total");
-            let per = att.per_component();
-            assert_eq!(
-                per[Component::Other.index()],
-                Time::ZERO,
-                "{sc:?}: unexplained gap in the critical path"
-            );
-            assert_eq!(att.end(), Some(t.total), "{sc:?}");
-        }
+    fn total(figure: &str) -> Time {
+        let t = by_figure(figure).simulate();
+        t.t_end - t.t0
     }
 
-    #[test]
-    fn fig5_serial_breakdown_pins_counter_fetch_critical() {
-        // Fig 5 (upper, no LLC caching) at default params: the serial
-        // counter fetch (3 ns MC$ + 30 ns DRAM) is critical for 33 ns and
-        // fully hides the data's row miss; AES adds 14 ns, verify 1 ns.
-        let t = Timeline::compose(TimelineScenario::CtrMissNoLlcCaching, &p());
-        assert_eq!(t.total, Time::from_ns(48));
-        let att = attribute(
-            Time::ZERO,
-            t.total,
-            &Timeline::spans(TimelineScenario::CtrMissNoLlcCaching, &p()),
-        );
-        let per = att.per_component();
-        assert_eq!(per[Component::CtrFetch.index()], Time::from_ns(33));
-        assert_eq!(per[Component::DramRowMiss.index()], Time::ZERO);
-        assert_eq!(per[Component::Aes.index()], Time::from_ns(14));
-        assert_eq!(per[Component::Verify.index()], Time::from_ns(1));
-        // The hidden data read is exactly the overlap credit.
-        assert_eq!(att.overlap, Time::from_ns(30));
+    fn critical(figure: &str, comp: Component) -> Time {
+        let t = by_figure(figure).simulate();
+        t.critical
+            .iter()
+            .filter(|s| s.comp == comp)
+            .map(Span::duration)
+            .sum()
     }
 
-    #[test]
-    fn fig10_emcc_breakdown_overlaps_counter_miss() {
-        // Fig 10a at default params (total 69 ns): the parallel counter
-        // fetch is critical only until the data's DRAM read overtakes it,
-        // and AES pokes out a mere 2 ns before the return NoC leg covers
-        // the rest — the attribution sweep reproduces that story exactly.
-        let t = Timeline::compose(TimelineScenario::EmccCtrMissLlc, &p());
-        assert_eq!(t.total, Time::from_ns(69));
-        let att = attribute(
-            Time::ZERO,
-            t.total,
-            &Timeline::spans(TimelineScenario::EmccCtrMissLlc, &p()),
-        );
-        let per = att.per_component();
-        assert_eq!(per[Component::L2Lookup.index()], Time::from_ns(2));
-        assert_eq!(per[Component::CtrFetch.index()], Time::from_ns(21));
-        assert_eq!(per[Component::DramRowMiss.index()], Time::from_ns(28));
-        assert_eq!(per[Component::Aes.index()], Time::from_ns(2));
-        assert_eq!(per[Component::Noc.index()], Time::from_ns(15));
-        assert_eq!(per[Component::Verify.index()], Time::from_ns(1));
+    /// The run's own report shows the state the scenario names, and its
+    /// critical path explains the whole access.
+    fn assert_placement_held(sc: &TimelineScenario) {
+        let (r, _) = sc.run();
+        let fig = sc.figure;
+        let mut want = SimReport::default();
+        want.record_ctr_source(match sc.ctr {
+            CtrAt::McCache => CtrSource::Mc,
+            CtrAt::Llc => CtrSource::Llc,
+            CtrAt::Nowhere => CtrSource::Dram,
+        });
+        assert_eq!(r.ctr_source, want.ctr_source, "{fig}: counter source");
+        let ctr_reads = r.dram.count_for(RequestClass::Counter);
+        assert_eq!(ctr_reads, u64::from(sc.ctr == CtrAt::Nowhere), "{fig}");
+        assert_eq!(r.dram.count_for(RequestClass::TreeNode), 0, "{fig}");
+        assert_eq!(r.dram.row_hits, u64::from(sc.row_open), "{fig}: row hit");
+        assert_eq!(r.dram.row_conflicts, 0, "{fig}: row conflict");
+        assert_eq!(r.xpt_forwards, u64::from(sc.xpt), "{fig}: XPT");
+        assert_eq!(r.crit_path.accesses(), 1, "{fig}: one measured load");
+        assert_eq!(r.crit_violations, 0, "{fig}: span outside the access");
+        assert_eq!(r.crit_path.sum_ps(Component::Other), 0, "{fig}: gap");
+    }
+
+    macro_rules! placement_tests {
+        ($($name:ident: $figure:literal,)*) => {$(
+            #[test]
+            fn $name() {
+                assert_placement_held(&by_figure($figure));
+            }
+        )*};
+    }
+
+    placement_tests! {
+        fig05_upper_placement_held: "Fig 5 (upper)",
+        fig05_lower_placement_held: "Fig 5 (lower)",
+        fig08_upper_placement_held: "Fig 8 (upper)",
+        fig08_lower_placement_held: "Fig 8 (lower)",
+        fig10a_placement_held: "Fig 10a",
+        fig13a_placement_held: "Fig 13a",
+        fig13b_placement_held: "Fig 13b",
+        fig14a_placement_held: "Fig 14a",
+        fig14b_placement_held: "Fig 14b",
     }
 
     #[test]
-    fn fig13_attribution_shows_aes_hidden_only_under_emcc() {
-        // Fig 13: with an LLC counter hit, EMCC's eager AES at the L2 is
-        // fully buried under the data return (zero critical AES time);
-        // the baseline pays all 14 ns of AES after the serial fetch.
-        let emcc = attribute(
-            Time::ZERO,
-            Timeline::compose(TimelineScenario::EmccCtrHitLlc, &p()).total,
-            &Timeline::spans(TimelineScenario::EmccCtrHitLlc, &p()),
-        );
-        assert_eq!(emcc.per_component()[Component::Aes.index()], Time::ZERO);
-        let base = attribute(
-            Time::ZERO,
-            Timeline::compose(TimelineScenario::BaselineCtrHitLlc, &p()).total,
-            &Timeline::spans(TimelineScenario::BaselineCtrHitLlc, &p()),
-        );
-        assert_eq!(
-            base.per_component()[Component::Aes.index()],
-            Time::from_ns(14)
-        );
+    fn fig5_llc_counter_caching_slows_a_counter_miss() {
+        assert!(total("Fig 5 (lower)") > total("Fig 5 (upper)"));
     }
 
     #[test]
-    fn fig5_llc_caching_adds_direct_llc_latency() {
-        // §III-B: "caching counters in LLC increases Secure Memory Access
-        // Latency by 19ns Direct LLC Latency" under counter miss.
-        let without = Timeline::compose(TimelineScenario::CtrMissNoLlcCaching, &p()).total;
-        let with = Timeline::compose(TimelineScenario::CtrMissLlcCaching, &p()).total;
-        assert_eq!(with - without, Time::from_ns(19));
+    fn fig8_llc_counter_hit_is_slower_than_an_mc_hit_that_hides_aes() {
+        assert!(total("Fig 8 (lower)") > total("Fig 8 (upper)"));
+        assert_eq!(critical("Fig 8 (upper)", Component::Aes), Time::ZERO);
     }
 
     #[test]
-    fn fig8_llc_hit_still_slower_than_mc_hit() {
-        // Fig 8: even an LLC counter *hit* lengthens the access relative
-        // to an MC counter-cache hit (the "Overhead (8ns)" arrow).
-        let mc_hit = Timeline::compose(TimelineScenario::CtrHitInMc, &p()).total;
-        let llc_hit = Timeline::compose(TimelineScenario::CtrHitInLlcBaseline, &p()).total;
-        let overhead = llc_hit - mc_hit;
-        assert!(
-            overhead >= Time::from_ns(5) && overhead <= Time::from_ns(10),
-            "overhead {overhead} out of Fig 8's ~8 ns ballpark"
-        );
+    fn fig10_emcc_beats_the_baseline_on_a_counter_llc_miss() {
+        // The same access under CtrInLlc is the Fig 5 (lower) run.
+        assert!(total("Fig 10a") < total("Fig 5 (lower)"));
     }
 
     #[test]
-    fn fig8_mc_hit_hides_crypt_entirely() {
-        // With a counter hit in MC, AES (3+14 = 17ns) < DRAM row miss
-        // (30ns): counter work is off the critical path.
-        let t = Timeline::compose(TimelineScenario::CtrHitInMc, &p());
-        assert_eq!(
-            t.total,
-            Time::from_ns(30) + Time::from_ns(1),
-            "crypt must hide behind DRAM"
-        );
+    fn fig13_fig14_emcc_beats_the_baseline() {
+        assert!(total("Fig 13a") < total("Fig 13b"));
+        assert!(total("Fig 14a") < total("Fig 14b"));
     }
 
     #[test]
-    fn fig13_emcc_beats_baseline_on_llc_ctr_hit() {
-        let emcc = Timeline::compose(TimelineScenario::EmccCtrHitLlc, &p()).total;
-        let base = Timeline::compose(TimelineScenario::BaselineCtrHitLlc, &p()).total;
-        assert!(emcc < base, "EMCC {emcc} must beat baseline {base}");
-    }
-
-    #[test]
-    fn fig14_xpt_row_miss_saving_near_22ns() {
-        // Fig 14: "EMCC can respond decrypted and verified data back to L1
-        // 22ns earlier than the baseline" under XPT + row miss.
-        let emcc = Timeline::compose(TimelineScenario::EmccXptRowMiss, &p()).total;
-        let base = Timeline::compose(TimelineScenario::BaselineXptRowMiss, &p()).total;
-        let saving = base - emcc;
-        assert!(
-            saving >= Time::from_ns(15) && saving <= Time::from_ns(28),
-            "saving {saving} not in Fig 14's ~22 ns ballpark"
-        );
-    }
-
-    #[test]
-    fn fig10_emcc_beats_baseline_on_llc_ctr_miss() {
-        // Fig 10: EMCC parallelizes the counter's LLC miss with the data
-        // access; the baseline serializes it after the data's LLC miss.
-        let emcc = Timeline::compose(TimelineScenario::EmccCtrMissLlc, &p()).total;
-        let base_serial = {
-            // Baseline (Fig 10b): data path then serial ctr LLC miss+DRAM.
-            let pp = p();
-            let data_at_mc = pp.l2_lookup + pp.noc_one_way + Time::from_ns(4) + pp.noc_one_way;
-            let ctr_done =
-                data_at_mc + pp.mc_ctr_cache + pp.direct_llc + pp.dram_row_miss + pp.crypto.aes;
-            let data_done = data_at_mc + pp.dram_row_miss;
-            ctr_done.max(data_done) + pp.noc_one_way + pp.noc_one_way + pp.crypto.xor_and_compare
+    fn fig13a_aes_finishes_before_the_data_reaches_the_l2() {
+        let t = by_figure("Fig 13a").simulate();
+        let end = |comp| {
+            let spans = t.spans.iter().filter(|s| s.comp == comp);
+            spans.map(|s| s.end).max().expect("span recorded")
         };
-        assert!(
-            emcc < base_serial,
-            "EMCC {emcc} must beat serial baseline {base_serial}"
-        );
+        assert!(end(Component::Aes) < end(Component::Noc));
+    }
+
+    /// The paper's claim as stated; the simulator does not meet it. The
+    /// L2's AES ends 12 ns before the data reaches the L2, but the
+    /// attribution sweep charges each instant to the covering span that
+    /// ends last, and the AES outlasts the DRAM read and the MC's MAC
+    /// step while the response leg has not started yet: 10.2 ns of AES
+    /// show as critical. The test passes once the sweep follows
+    /// dependences.
+    #[test]
+    fn fig13a_has_zero_critical_aes() {
+        let aes = critical("Fig 13a", Component::Aes);
+        assert_eq!(aes, Time::ZERO, "Fig 13a: critical AES");
     }
 
     #[test]
-    fn render_contains_all_segments() {
-        let t = Timeline::compose(TimelineScenario::EmccCtrHitLlc, &p());
-        let s = t.render();
-        assert!(s.contains("AES@L2"));
-        assert!(s.contains("total:"));
+    fn measured_line_is_the_first_at_the_mean_slice_distance() {
+        let sys = SecureSystem::new(SCENARIOS[0].config());
+        let cfg = &sys.cfg;
+        let l2 = Node::Core(cfg.core_position(0));
+        let hops = |s: usize| cfg.mesh.hops(l2, Node::Core(cfg.slice_position(s)));
+        let sum: u32 = (0..cfg.llc_slices).map(hops).sum();
+        let mean = (f64::from(sum) / cfg.llc_slices as f64).round() as u32;
+        assert_eq!(mean, 4);
+        let map = AddressMapping::new(cfg.dram.channels);
+        let fits = |line: LineAddr| {
+            let block = sys.ctr_block_of(line);
+            let (d, c) = (map.locate(line), map.locate(block));
+            hops(sys.slice_of(line)) == mean
+                && hops(sys.slice_of(block)) == mean
+                && (d.rank, d.bank) != (c.rank, c.bank)
+        };
+        let first = (0..).map(LineAddr::new).find(|&l| fits(l));
+        assert_eq!(first, Some(LINE));
     }
 }

@@ -80,17 +80,6 @@ impl CryptoLatencies {
         self
     }
 
-    /// Total counter-dependent latency before data is needed: decode + AES.
-    pub fn counter_path(&self) -> Time {
-        self.counter_decode + self.aes
-    }
-
-    /// Total latency from data arrival to verified plaintext, assuming the
-    /// counter-dependent work already finished.
-    pub fn data_path(&self) -> Time {
-        self.xor_and_compare
-    }
-
     /// Per-read cipher latency of a counter-free direct placement, charged
     /// serially between data arrival and shipping it upstream.
     pub fn direct_read_latency(&self, cipher: DirectCipher) -> Time {
@@ -135,7 +124,6 @@ mod tests {
         for ns in [14u64, 20, 25] {
             let lat = CryptoLatencies::paper_default().with_aes(Time::from_ns(ns));
             assert_eq!(lat.aes, Time::from_ns(ns));
-            assert_eq!(lat.counter_path(), Time::from_ns(ns + 3));
         }
     }
 
@@ -153,13 +141,5 @@ mod tests {
         // In-SRAM AES pays the full AES latency both ways.
         assert_eq!(lat.direct_read_latency(DirectCipher::InSram), lat.aes);
         assert_eq!(lat.direct_write_latency(DirectCipher::InSram), lat.aes);
-    }
-
-    #[test]
-    fn data_path_is_short() {
-        // Post-data work must be far below AES latency: the entire point of
-        // eager computation is that only the XOR/compare remains.
-        let lat = CryptoLatencies::paper_default();
-        assert!(lat.data_path() < lat.aes / 4);
     }
 }

@@ -319,11 +319,6 @@ impl FaultModel {
         self.corrupted.remove(&line);
     }
 
-    /// Whether `line` currently holds corrupted contents.
-    pub fn is_corrupted(&self, line: LineAddr) -> bool {
-        self.stuck.contains(&line) || self.corrupted.contains_key(&line)
-    }
-
     fn inject(&mut self, line: LineAddr, class: FaultClass) {
         self.stats.injected[class.index()] += 1;
         match class {

@@ -38,7 +38,6 @@ pub struct AesPool {
     latency: Time,
     next_start: Time,
     scheduled: u64,
-    busy: Time,
 }
 
 impl AesPool {
@@ -58,7 +57,6 @@ impl AesPool {
             latency,
             next_start: Time::ZERO,
             scheduled: 0,
-            busy: Time::ZERO,
         }
     }
 
@@ -82,7 +80,6 @@ impl AesPool {
         let start = now.max(self.next_start);
         self.next_start = start + self.interval;
         self.scheduled += 1;
-        self.busy += self.interval;
         (start, start + self.latency)
     }
 
@@ -96,12 +93,6 @@ impl AesPool {
     /// Total operations scheduled.
     pub fn scheduled(&self) -> u64 {
         self.scheduled
-    }
-
-    /// Aggregate busy (reserved) start-slot time; divide by elapsed time
-    /// for utilization.
-    pub fn busy_time(&self) -> Time {
-        self.busy
     }
 }
 

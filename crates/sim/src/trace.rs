@@ -13,14 +13,12 @@
 //! claims when its eager counter fetch runs in parallel with the data
 //! fetch.
 //!
-//! The same reduction is used in three places, which is what closes the
-//! loop between model and simulator:
+//! The same reduction serves three users:
 //!
 //! * `emcc_system::SecureSystem` runs it over every completed access and
 //!   aggregates per-component histograms into the report,
-//! * `emcc_system::timeline` expresses the paper's Fig 5/10 analytic
-//!   scenarios as span sets and checks the reduction reproduces
-//!   `Timeline::compose` exactly,
+//! * `emcc_system::timeline` returns it for one simulated load per
+//!   Fig 5/8/10/13/14 scenario, and `run_all` prints those paths,
 //! * the fuzzer's conservation law checks the segments of every access
 //!   tile its end-to-end latency with no span out of bounds.
 //!
