@@ -169,7 +169,7 @@ fn bench_dram(c: &mut Criterion) {
             id += 1;
             now += Time::from_ns(10);
             let line = LineAddr::new(rng.below(1 << 24));
-            let _ = dram.enqueue(DramRequest::read(id, line, RequestClass::Data), now);
+            dram.enqueue(DramRequest::read(id, line, RequestClass::Data), now);
             black_box(dram.pump(now).completions.len())
         })
     });

@@ -53,10 +53,9 @@ pub(crate) struct CtrTxn {
     pub llc_reply: bool,
     /// Outstanding node fetches (the block itself + missing ancestors).
     pub pending_fetches: u32,
-    /// Levels fetched (for verification cost).
-    pub fetched_levels: u32,
-    /// Ancestor nodes fetched from DRAM; inserted into the MC cache on
-    /// verification so later walks stop early.
+    /// Ancestor nodes fetched from DRAM. Each costs one MAC check at
+    /// verification (as does the block itself), then enters the MC cache
+    /// so later walks stop early.
     pub fetched_ancestors: Vec<LineAddr>,
     /// Where the level-0 block was found.
     pub source: Option<CtrSource>,
@@ -100,7 +99,7 @@ impl SecureSystem {
         is_write: bool,
         class: RequestClass,
         target: DramTarget,
-    ) -> bool {
+    ) {
         let id = self.mc.next_dram_id;
         self.mc.next_dram_id += 1;
         let req = if is_write {
@@ -108,14 +107,9 @@ impl SecureSystem {
         } else {
             DramRequest::read(id, line, class)
         };
-        match self.mc.dram.enqueue(req, self.now) {
-            Ok(()) => {
-                self.mc.dram_targets.insert(id, target);
-                self.pump_dram();
-                true
-            }
-            Err(_) => false,
-        }
+        self.mc.dram.enqueue(req, self.now);
+        self.mc.dram_targets.insert(id, target);
+        self.pump_dram();
     }
 
     pub(crate) fn pump_dram(&mut self) {
@@ -254,7 +248,7 @@ impl SecureSystem {
         // One borrow covers the reads AND the confirmed-miss bookkeeping
         // (`enqueue_dram` below needs whole-`self`, so the arrival
         // mutations happen first — nothing in between observes them).
-        let (line, dram_issued, confirm, mc_decrypt) = match self.txns.get_mut(&txn_id) {
+        let (line, issue_read, confirm, mc_decrypt) = match self.txns.get_mut(&txn_id) {
             Some(txn) => {
                 let confirm = !(via_xpt || txn.at_mc);
                 if confirm {
@@ -265,15 +259,16 @@ impl SecureSystem {
                     let from = txn.t_slice_done.unwrap_or(self.now);
                     txn.spans.push(Span::new(Component::Noc, from, self.now));
                 }
-                (txn.line, txn.dram_issued, confirm, txn.mc_decrypt)
+                let issue_read = !std::mem::replace(&mut txn.dram_issued, true);
+                (txn.line, issue_read, confirm, txn.mc_decrypt)
             }
             None => return,
         };
         // The speculative XPT copy only starts the DRAM read early; the
         // secure pipeline acts on the confirmed miss (Intel XPT semantics:
         // the response still flows through the normal path).
-        if !dram_issued {
-            if self.enqueue_dram(
+        if issue_read {
+            self.enqueue_dram(
                 line,
                 false,
                 RequestClass::Data,
@@ -281,21 +276,7 @@ impl SecureSystem {
                     txn: txn_id,
                     refetch: false,
                 },
-            ) {
-                self.txns.get_mut(&txn_id).expect("txn exists").dram_issued = true;
-            } else {
-                // DRAM queue full. Marking the read issued without a queue
-                // slot used to drop it silently, wedging the access until
-                // cutoff; retry the enqueue shortly instead (`via_xpt`
-                // skips the already-done confirmation bookkeeping).
-                self.queue.push(
-                    self.now + Time::from_ns(50),
-                    Ev::McDataReq {
-                        txn: txn_id,
-                        via_xpt: true,
-                    },
-                );
-            }
+            );
         }
         if !confirm {
             return;
@@ -335,7 +316,7 @@ impl SecureSystem {
             txn.spans.push(aes);
             self.try_ship_data(txn_id);
         } else {
-            self.mc_fetch_counter(block, Some(txn_id), None, Vec::new());
+            self.mc_fetch_counter(block, Some(txn_id), None);
         }
     }
 
@@ -393,27 +374,26 @@ impl SecureSystem {
             )
         };
 
+        let core = txn.core;
+        let line = txn.line;
+        let t_arrival = txn.t_mc_arrival;
         // MC-side detection: corrupted data cannot pass the MAC compare
         // that gates a verified ship. Unverified EMCC ships carry the
         // corruption to the requesting L2, whose local verify catches it.
-        if txn.corrupt.is_some() {
+        if txn.corrupt.is_some() && (verified || !placement.detects_tamper) {
+            txn.corrupt = None;
             if !placement.detects_tamper {
                 // No verification exists (non-secure, or an encryption-only
                 // cipher like BipBip that decrypts tampered ciphertext into
                 // garbage); the corrupted line is consumed.
                 self.report.faulty_reads += 1;
                 self.report.silent_corruptions += 1;
-                txn.corrupt = None;
-            } else if verified {
+            } else {
                 let (comp, cost) = crypt.expect("tamper detection implies crypto cost");
                 let retries = txn.retries;
-                self.report.faulty_reads += 1;
-                self.report.integrity_violations += 1;
-                self.report
-                    .detection_latency_ns
-                    .add_time(ship_at.saturating_sub(data_at));
-                txn.corrupt = None;
-                if self.cfg.recovery.retry.should_retry(retries) {
+                let detected_after = ship_at.saturating_sub(data_at);
+                if let Some(backoff) = self.integrity_failure(1, detected_after, retries) {
+                    let txn = self.txns.get_mut(&txn_id).expect("txn exists");
                     txn.retries += 1;
                     txn.mc_data_at = None;
                     // The failed MAC compare (or direct-cipher check) is
@@ -421,21 +401,13 @@ impl SecureSystem {
                     // unattributed time.
                     txn.spans
                         .push(Span::new(comp, ship_at.saturating_sub(cost), ship_at));
-                    self.report.integrity_retries += 1;
-                    let backoff = self.cfg.recovery.retry.backoff(retries);
                     self.queue
                         .push(ship_at + backoff, Ev::DataRefetch { txn: txn_id });
                     return;
                 }
-                // Retry budget exhausted: deliver the poisoned line
-                // (machine-check semantics — the OS would contain it; the
-                // simulation completes the access so cores never wedge).
-                self.report.integrity_unrecovered += 1;
+                // Retry budget exhausted: the poisoned line is delivered.
             }
         }
-        let core = txn.core;
-        let line = txn.line;
-        let t_arrival = txn.t_mc_arrival;
         if verified && placement.encrypts {
             self.report.decrypted_at_mc += 1;
         }
@@ -478,7 +450,6 @@ impl SecureSystem {
         block: LineAddr,
         data_waiter: Option<TxnId>,
         wb_waiter: Option<LineAddr>,
-        l2_reply: Vec<usize>,
     ) {
         let scheme = self.cfg.scheme;
         let exists = self.mc.ctr_txns.contains_key(&block);
@@ -489,7 +460,6 @@ impl SecureSystem {
         if let Some(w) = wb_waiter {
             ctr.wb_waiters.push(w);
         }
-        ctr.l2_reply.extend(l2_reply);
         if exists {
             return;
         }
@@ -533,7 +503,6 @@ impl SecureSystem {
         let ctr = self.mc.ctr_txns.get_mut(&block).expect("ctr txn exists");
         ctr.dram_started = true;
         ctr.pending_fetches = nodes.len() as u32;
-        ctr.fetched_levels = nodes.len() as u32;
         ctr.fetched_ancestors = nodes[1..].to_vec();
         if ctr.source.is_none() {
             ctr.source = Some(CtrSource::Dram);
@@ -544,22 +513,12 @@ impl SecureSystem {
             } else {
                 RequestClass::TreeNode
             };
-            if !self.enqueue_dram(
+            self.enqueue_dram(
                 node,
                 false,
                 class,
                 DramTarget::NodeFetch { ctr_block: block },
-            ) {
-                // Queue full: model as a short retry by completing later.
-                let ctr = self.mc.ctr_txns.get_mut(&block).expect("ctr txn exists");
-                ctr.pending_fetches -= 1;
-                ctr.fetched_levels -= 1;
-            }
-        }
-        // Degenerate case: every node already cached (only the block was
-        // missing from `lookup` but an earlier txn inserted it).
-        if self.mc.ctr_txns[&block].pending_fetches == 0 {
-            self.queue.push(self.now, Ev::McCtrReady { block });
+            );
         }
     }
 
@@ -574,8 +533,8 @@ impl SecureSystem {
         }
         // All nodes here: verify each fetched level (one MAC AES per
         // level, pipelined on the MC pool) then decode the counter.
-        let levels = ctr.fetched_levels.max(1);
-        let corrupt = ctr.corrupt;
+        let levels = ctr.fetched_ancestors.len() + 1;
+        let corrupt = std::mem::take(&mut ctr.corrupt);
         let retries = ctr.retries;
         let mut done = self.now;
         for _ in 0..levels {
@@ -587,50 +546,70 @@ impl SecureSystem {
             // Counter/tree detection: each corrupted node fails its own
             // per-level MAC check at verify time. Recovery invalidates the
             // cached copy and re-walks the tree after a bounded backoff.
-            self.report.faulty_reads += u64::from(corrupt);
-            self.report.integrity_violations += u64::from(corrupt);
-            for _ in 0..corrupt {
-                self.report
-                    .detection_latency_ns
-                    .add_time(ready.saturating_sub(self.now));
-            }
-            let ctr = self
-                .mc
-                .ctr_txns
-                .get_mut(&ctr_block)
-                .expect("ctr txn exists");
-            ctr.corrupt = 0;
-            if self.cfg.recovery.retry.should_retry(retries) {
+            let detected_after = ready.saturating_sub(self.now);
+            if let Some(backoff) =
+                self.integrity_failure(u64::from(corrupt), detected_after, retries)
+            {
+                let ctr = self
+                    .mc
+                    .ctr_txns
+                    .get_mut(&ctr_block)
+                    .expect("ctr txn exists");
                 ctr.retries += 1;
-                self.report.integrity_retries += 1;
-                let backoff = self.cfg.recovery.retry.backoff(retries);
                 self.queue
                     .push(ready + backoff, Ev::CtrRefetch { block: ctr_block });
                 return;
             }
-            // Retry budget exhausted: proceed with the unverifiable
-            // counter (machine-check semantics) so waiters never wedge.
-            self.report.integrity_unrecovered += u64::from(corrupt);
+            // Retry budget exhausted: the walk proceeds with the
+            // unverifiable counter.
         }
         self.queue.push(ready, Ev::McCtrReady { block: ctr_block });
     }
 
     // ----- Fault recovery ----------------------------------------------------
 
-    /// Drops every cached copy of a counter block (MC metadata cache, LLC,
-    /// EMCC L2s) so the next walk re-fetches and re-verifies from DRAM.
-    fn invalidate_ctr_block(&mut self, block: LineAddr) {
-        self.mc.meta.invalidate(block);
-        if self.cfg.scheme.placement().counters_in_llc() {
+    /// The one integrity-failure path (L2 verify, MC MAC compare, tree
+    /// walk): accounts `n` failures detected `latency` after the bad read
+    /// arrived and decides recovery. `Some(backoff)` means re-fetch after
+    /// `backoff` (the caller counts the attempt); `None` means `attempts`
+    /// retries spent the budget, so the failures stay unrecovered and the
+    /// access proceeds with the poisoned data (machine-check semantics:
+    /// the OS would contain it; cores never wedge).
+    pub(crate) fn integrity_failure(
+        &mut self,
+        n: u64,
+        latency: Time,
+        attempts: u32,
+    ) -> Option<Time> {
+        let retry = self.cfg.recovery.retry;
+        let r = &mut self.report;
+        r.faulty_reads += n;
+        r.integrity_violations += n;
+        for _ in 0..n {
+            r.detection_latency_ns.add_time(latency);
+        }
+        if retry.should_retry(attempts) {
+            r.integrity_retries += 1;
+            Some(retry.backoff(attempts))
+        } else {
+            r.integrity_unrecovered += n;
+            None
+        }
+    }
+
+    /// Drops a counter block's LLC and EMCC L2 copies: stale after a
+    /// write-back bumps the counter (Fig 23), suspect after a failed
+    /// verification.
+    fn drop_ctr_copies(&mut self, block: LineAddr) {
+        let placement = self.cfg.scheme.placement();
+        if placement.l2_decrypts() {
+            for core in 0..self.cfg.cores {
+                self.evict_l2_ctr_line(core, block, true);
+            }
+        }
+        if placement.counters_in_llc() {
             let slice = self.slice_of(block);
             self.slices[slice].invalidate(block);
-        }
-        if self.cfg.scheme.placement().l2_decrypts() {
-            for core in 0..self.cfg.cores {
-                if self.l2[core].cache.contains(block) {
-                    self.evict_l2_ctr_line(core, block, true);
-                }
-            }
         }
     }
 
@@ -650,8 +629,9 @@ impl SecureSystem {
         txn.cipher_at = None;
         txn.aes_done = None;
         let block = self.ctr_block_of(line);
-        self.invalidate_ctr_block(block);
-        if !self.enqueue_dram(
+        self.mc.meta.invalidate(block);
+        self.drop_ctr_copies(block);
+        self.enqueue_dram(
             line,
             false,
             RequestClass::Data,
@@ -659,14 +639,7 @@ impl SecureSystem {
                 txn: txn_id,
                 refetch: true,
             },
-        ) {
-            // DRAM queue full: retry shortly (same pattern as writes).
-            self.queue.push(
-                self.now + Time::from_ns(50),
-                Ev::DataRefetch { txn: txn_id },
-            );
-            return;
-        }
+        );
         // Direct-cipher placements have no counter to re-resolve; the
         // refetched data alone re-enters `try_ship_data`.
         if self.cfg.scheme.placement().uses_counters() {
@@ -681,7 +654,8 @@ impl SecureSystem {
         if !self.mc.ctr_txns.contains_key(&block) {
             return;
         }
-        self.invalidate_ctr_block(block);
+        self.mc.meta.invalidate(block);
+        self.drop_ctr_copies(block);
         self.ctr_start_dram_fetch(block);
     }
 
@@ -851,7 +825,7 @@ impl SecureSystem {
         self.report.writebacks += 1;
         let placement = self.cfg.scheme.placement();
         if !placement.encrypts {
-            self.enqueue_dram(line, true, RequestClass::Data, DramTarget::PostedWrite);
+            self.mc_write_issue(line);
             return;
         }
         if let Some(cipher) = placement.direct_cipher() {
@@ -871,19 +845,16 @@ impl SecureSystem {
         if self.mc.meta.lookup(block) {
             self.mc_do_writeback_with_counter(line);
         } else {
-            self.mc_fetch_counter(block, None, Some(line), Vec::new());
+            self.mc_fetch_counter(block, None, Some(line));
         }
     }
 
     /// Counter block is on hand: bump the counter, encrypt, write.
     pub(crate) fn mc_do_writeback_with_counter(&mut self, line: LineAddr) {
-        // Overflow admission control (§V: at most two outstanding).
+        // Overflow admission control (§V: at most two outstanding): a
+        // write-back that would start a third stalls until one drains.
         if self.tree.would_overflow_data(line) && !self.mc.overflow.can_add() {
-            let _ = self.mc.overflow.try_add(OverflowTask {
-                base: LineAddr::new(0),
-                blocks: 0,
-                level: 0,
-            }); // records the rejection stat
+            self.report.overflow_stalls += 1;
             self.mc.deferred_wb.push_back(line);
             return;
         }
@@ -897,29 +868,17 @@ impl SecureSystem {
         }
         let r = self.tree.increment_data(line);
         self.mc.meta.mark_dirty(block);
-
-        // Coherence: invalidate stale copies in L2s (Fig 23) and LLC.
-        if self.cfg.scheme.placement().l2_decrypts() {
-            for core in 0..self.cfg.cores {
-                if self.l2[core].cache.contains(block) {
-                    self.evict_l2_ctr_line(core, block, true);
-                }
-            }
-        }
-        if self.cfg.scheme.placement().counters_in_llc() {
-            let slice = self.slice_of(block);
-            self.slices[slice].invalidate(block);
-        }
+        // Coherence: the LLC and L2 copies are stale now (Fig 23).
+        self.drop_ctr_copies(block);
 
         if r.overflow.is_some() {
             let coverage = self.cfg.counter_design.coverage();
             let cb_idx = self.tree.geometry().counter_block_of(line);
-            let added = self.mc.overflow.try_add(OverflowTask {
+            self.mc.overflow.add(OverflowTask {
                 base: LineAddr::new(cb_idx * coverage),
                 blocks: coverage,
                 level: 0,
             });
-            debug_assert!(added, "admission control checked capacity");
             self.pump_overflow();
         }
 
@@ -930,17 +889,12 @@ impl SecureSystem {
         let pad_ready = d1.max(d2);
         // The DRAM write is posted once the ciphertext is ready; enqueue
         // through a zero-payload event to respect the time.
-        let line_copy = line;
-        self.queue
-            .push(pad_ready, Ev::McWriteIssue { line: line_copy });
+        self.queue.push(pad_ready, Ev::McWriteIssue { line });
     }
 
+    /// Posts a write-back's DRAM write.
     pub(crate) fn mc_write_issue(&mut self, line: LineAddr) {
-        if !self.enqueue_dram(line, true, RequestClass::Data, DramTarget::PostedWrite) {
-            // Write queue full: retry shortly.
-            self.queue
-                .push(self.now + Time::from_ns(50), Ev::McWriteIssue { line });
-        }
+        self.enqueue_dram(line, true, RequestClass::Data, DramTarget::PostedWrite);
     }
 
     /// A dirty metadata block leaves the MC cache: write it to DRAM and
@@ -971,42 +925,28 @@ impl SecureSystem {
             let blocks = arity.min(max_idx - first_child);
             let base = self.tree.geometry().node_addr(level, first_child);
             if self.mc.overflow.can_add() {
-                let added = self.mc.overflow.try_add(OverflowTask {
+                self.mc.overflow.add(OverflowTask {
                     base,
                     blocks,
                     level: level + 1,
                 });
-                debug_assert!(added);
                 self.pump_overflow();
             }
-            // Else: drop silently — higher-level overflows during a full
-            // engine are vanishingly rare; counted in tree stats anyway.
+            // Else: dropped. The tree still counts the overflow, but its
+            // re-encryption traffic never reaches DRAM.
         }
     }
 
     // ----- Overflow engine ----------------------------------------------------
 
     pub(crate) fn pump_overflow(&mut self) {
-        while let Some(req) = {
-            // Only pull a request when the DRAM can take it.
-            if self.mc.dram.can_accept(LineAddr::new(0), true) {
-                self.mc.overflow.next_request()
-            } else {
-                None
-            }
-        } {
+        while let Some(req) = self.mc.overflow.next_request() {
             let class = if req.level == 0 {
                 RequestClass::OverflowL0
             } else {
                 RequestClass::OverflowHigher
             };
-            let ok = self.enqueue_dram(req.line, req.is_write, class, DramTarget::Overflow);
-            if !ok {
-                // Roll the slot back by treating it as completed; retry on
-                // the next completion.
-                self.mc.overflow.complete_one();
-                break;
-            }
+            self.enqueue_dram(req.line, req.is_write, class, DramTarget::Overflow);
         }
     }
 }

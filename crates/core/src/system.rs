@@ -526,7 +526,6 @@ impl SecureSystem {
         let of = self.tree.overflows_by_level();
         self.report.overflows_l0 = of.first().copied().unwrap_or(0);
         self.report.overflows_higher = of.iter().skip(1).sum();
-        self.report.overflow_stalls = self.mc.overflow.rejected();
         // Differential check: every written line's counter in the timing
         // model's tree must equal the functional oracle's (both saw the
         // same write-back sequence, one increment per write-back).
@@ -558,8 +557,7 @@ impl SecureSystem {
         }
         for txn in self.txns.values() {
             if txn.from_dram && !txn.dram_issued {
-                // Confirmed miss whose DRAM read is still waiting for a
-                // queue slot (enqueue retry pending).
+                // An LLC miss whose request had not reached the MC yet.
                 self.report.unissued_misses_at_cutoff += 1;
             } else if !txn.from_dram && txn.mc_data_at.is_some() {
                 // A speculative XPT read completed, but the LLC lookup had
@@ -860,9 +858,7 @@ impl SecureSystem {
             return;
         };
         let core = txn.core;
-        let line = txn.line;
-        let cb_idx = self.tree.geometry().counter_block_of(line);
-        let block = self.tree.geometry().node_addr(0, cb_idx);
+        let block = self.ctr_block_of(txn.line);
         let t_miss = txn.t_miss;
 
         if self.l2[core].cache.touch(block) {
@@ -1099,17 +1095,11 @@ impl SecureSystem {
         self.report.l2_ctr_insertions += 1;
         let budget = self.cfg.emcc.l2_counter_budget_lines;
         while self.l2[core].ctr_lines >= budget.max(1) {
-            match self.l2[core].ctr_fifo.pop_front() {
-                Some(old) => {
-                    // May already be gone (invalidated / evicted).
-                    if self.l2[core].cache.contains(old) {
-                        self.evict_l2_ctr_line(core, old, false);
-                    } else {
-                        continue;
-                    }
-                }
-                None => break,
-            }
+            // The oldest entry may already be gone (invalidated / evicted).
+            let Some(old) = self.l2[core].ctr_fifo.pop_front() else {
+                break;
+            };
+            self.evict_l2_ctr_line(core, old, false);
         }
         let meta = L2Meta {
             kind: BlockKind::Counter,
@@ -1181,18 +1171,14 @@ impl SecureSystem {
         txn.spans
             .push(Span::new(Component::CtrFetch, self.now, self.now + decode));
         txn.spans.push(aes);
-        // The counter's value is consumed now: mark the cached counter
-        // line used (AES only starts once an LLC hit has been ruled out).
-        let line = txn.line;
-        let cb_idx = self.tree.geometry().counter_block_of(line);
-        let block = self.tree.geometry().node_addr(0, cb_idx);
-        if let Some(meta) = self.l2[core].cache.get_mut(block) {
-            meta.used = true;
-        }
-        if let Some(cipher_at) = txn.cipher_at {
+        let (line, cipher_at) = (txn.line, txn.cipher_at);
+        if let Some(cipher_at) = cipher_at {
             let t = cipher_at.max(done) + self.cfg.crypto.xor_and_compare;
             self.queue.push(t, Ev::L2TxnFinish { txn: txn_id });
         }
+        // The counter's value is consumed now (AES only starts once an
+        // LLC hit has been ruled out).
+        self.mark_l2_ctr_used(core, line);
     }
 
     fn l2_txn_finish(&mut self, txn_id: TxnId) {
@@ -1206,46 +1192,38 @@ impl SecureSystem {
         // detected corruption.
         txn.spans
             .push(Span::new(Component::Verify, now.saturating_sub(xor), now));
-        let corrupt = txn.corrupt.is_some();
+        let corrupt = txn.corrupt.take().is_some();
         let cipher_at = txn.cipher_at;
         let retries = txn.retries;
         let line = txn.line;
         let l2_ctr_ready = txn.l2_ctr_ready.is_some();
         if corrupt {
             // L2-side detection: the locally recomputed MAC half cannot
-            // match corrupted ciphertext. Count, then either retry via the
-            // MC-verified path or deliver the poisoned line (machine-check
-            // semantics) once the retry budget is exhausted.
-            let cipher_at = cipher_at.unwrap_or(self.now);
-            self.report.faulty_reads += 1;
-            self.report.integrity_violations += 1;
-            self.report
-                .detection_latency_ns
-                .add_time(self.now.saturating_sub(cipher_at));
-            self.l2[core].verify_fail_streak += 1;
-            if !self.l2[core].verify_degraded
-                && self.l2[core].verify_fail_streak >= self.cfg.recovery.l2_fallback_threshold
+            // match corrupted ciphertext. Either retry via the MC-verified
+            // path or, once the retry budget is spent, deliver the
+            // poisoned line.
+            let l2 = &mut self.l2[core];
+            l2.verify_fail_streak += 1;
+            if !l2.verify_degraded
+                && l2.verify_fail_streak >= self.cfg.recovery.l2_fallback_threshold
             {
-                self.l2[core].verify_degraded = true;
+                l2.verify_degraded = true;
                 self.report.verify_fallbacks += 1;
             }
-            let txn = self.txns.get_mut(&txn_id).expect("txn exists");
-            txn.corrupt = None;
-            if self.cfg.recovery.retry.should_retry(retries) {
+            let detected_after = now.saturating_sub(cipher_at.unwrap_or(now));
+            if let Some(backoff) = self.integrity_failure(1, detected_after, retries) {
                 // Hand the retry to the MC-verified path so the refetched
                 // line is checked end-to-end before it reaches this L2.
+                let txn = self.txns.get_mut(&txn_id).expect("txn exists");
                 txn.retries += 1;
                 txn.mc_decrypt = true;
                 txn.shipped_unverified = false;
                 txn.cipher_at = None;
                 txn.aes_done = None;
-                self.report.integrity_retries += 1;
-                let backoff = self.cfg.recovery.retry.backoff(retries);
                 self.queue
-                    .push(self.now + backoff, Ev::DataRefetch { txn: txn_id });
+                    .push(now + backoff, Ev::DataRefetch { txn: txn_id });
                 return;
             }
-            self.report.integrity_unrecovered += 1;
         } else {
             self.l2[core].verify_fail_streak = 0;
         }
@@ -1255,13 +1233,8 @@ impl SecureSystem {
                 .l2_finish_wait_ns
                 .add_time(self.now.saturating_sub(cipher_at));
         }
-        // Mark the supplying counter line as used (Fig 11 accounting).
         if l2_ctr_ready {
-            let cb_idx = self.tree.geometry().counter_block_of(line);
-            let block = self.tree.geometry().node_addr(0, cb_idx);
-            if let Some(meta) = self.l2[core].cache.get_mut(block) {
-                meta.used = true;
-            }
+            self.mark_l2_ctr_used(core, line);
         }
         self.complete_txn(txn_id, self.now);
     }
@@ -1348,14 +1321,7 @@ impl SecureSystem {
     /// accounting), data victims travel to the LLC.
     pub(crate) fn l2_victim(&mut self, core: usize, victim: emcc_cache::EvictedLine<L2Meta>) {
         match victim.meta.kind {
-            BlockKind::Counter => {
-                self.l2[core].ctr_lines = self.l2[core].ctr_lines.saturating_sub(1);
-                if victim.meta.used {
-                    self.report.l2_ctr_useful += 1;
-                } else {
-                    self.report.l2_ctr_useless += 1;
-                }
-            }
+            BlockKind::Counter => self.retire_l2_ctr_line(core, victim.meta.used),
             _ => {
                 let slice = self.slice_of(victim.addr);
                 let t = self.now + self.noc_l2_slice(core, slice, true);
@@ -1371,19 +1337,33 @@ impl SecureSystem {
         }
     }
 
-    /// Invalidate-path eviction of an L2 counter line (MC update or budget
-    /// replacement).
+    /// Invalidate-path eviction of an L2 counter line, if resident (MC
+    /// update or budget replacement).
     pub(crate) fn evict_l2_ctr_line(&mut self, core: usize, block: LineAddr, by_mc: bool) {
         if let Some(ev) = self.l2[core].cache.invalidate(block) {
-            self.l2[core].ctr_lines = self.l2[core].ctr_lines.saturating_sub(1);
             if by_mc {
                 self.report.l2_ctr_invalidations += 1;
             }
-            if ev.meta.used {
-                self.report.l2_ctr_useful += 1;
-            } else {
-                self.report.l2_ctr_useless += 1;
-            }
+            self.retire_l2_ctr_line(core, ev.meta.used);
+        }
+    }
+
+    /// Fig 11: a counter line leaves an L2, useful if a data miss consumed
+    /// its value while it was resident.
+    fn retire_l2_ctr_line(&mut self, core: usize, used: bool) {
+        self.l2[core].ctr_lines = self.l2[core].ctr_lines.saturating_sub(1);
+        if used {
+            self.report.l2_ctr_useful += 1;
+        } else {
+            self.report.l2_ctr_useless += 1;
+        }
+    }
+
+    /// Fig 11: marks the L2 copy of `line`'s counter block, if any, used.
+    fn mark_l2_ctr_used(&mut self, core: usize, line: LineAddr) {
+        let block = self.ctr_block_of(line);
+        if let Some(meta) = self.l2[core].cache.get_mut(block) {
+            meta.used = true;
         }
     }
 

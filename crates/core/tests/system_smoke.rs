@@ -254,6 +254,49 @@ fn exact_cutoff_accounting_holds_without_warmup() {
 }
 
 #[test]
+fn two_entry_dram_queues_keep_every_ledger_exact() {
+    // Two-entry DRAM queues make requests wait for an entry all the time;
+    // the shrunk hierarchy of `writes_eventually_reach_dram` adds
+    // write-backs. Waiting must delay requests, never lose them.
+    use emcc_dram::{FaultClass, FaultConfig};
+    let run = |scheme: SecurityScheme, fault: Option<FaultConfig>| {
+        let mut cfg = SystemConfig::table_i(scheme).with_shadow_check(true);
+        cfg.l2_size = 128 * 1024;
+        cfg.llc_slice_size = 32 * 1024;
+        cfg.dram.queue_capacity = 2;
+        cfg.fault = fault;
+        let sources = Benchmark::Mcf.build_scaled(7, cfg.cores, WorkloadScale::Test);
+        SecureSystem::new(cfg).run(sources, 6_000)
+    };
+    for scheme in SecurityScheme::all() {
+        let r = run(scheme, None);
+        assert_eq!(
+            r.llc_data_misses + r.data_refetch_reads + r.xpt_wasted_reads,
+            r.dram_data_reads + r.dram_reads_inflight_at_cutoff + r.unissued_misses_at_cutoff,
+            "{scheme}: LLC-miss/DRAM-read ledger out of balance"
+        );
+        assert_eq!(r.crit_violations, 0, "{scheme}: span outside its window");
+        assert_eq!(r.crit_path.total_sum_ps(), r.crit_total_ps, "{scheme}");
+        assert!(r.writebacks > 0, "{scheme}: no write-backs");
+        assert_eq!(r.shadow_mismatches, 0, "{scheme}: counter state diverged");
+        if scheme.placement().uses_counters() {
+            assert!(r.shadow_lines > 0, "{scheme}: no write-backs mirrored");
+        }
+
+        let flips = FaultConfig::uniform(0xFA17, FaultClass::BitFlip, 0.05);
+        let r = run(scheme, Some(flips));
+        assert!(r.faulty_reads > 0, "{scheme}: no faults consumed");
+        if scheme.placement().detects_tamper {
+            assert_eq!(r.integrity_violations, r.faulty_reads, "{scheme}");
+            assert_eq!(r.silent_corruptions, 0, "{scheme}");
+        } else {
+            assert_eq!(r.silent_corruptions, r.faulty_reads, "{scheme}");
+            assert_eq!(r.integrity_violations, 0, "{scheme}");
+        }
+    }
+}
+
+#[test]
 fn traced_run_matches_untraced_and_exports_chrome_json() {
     let cfg = SystemConfig::table_i(SecurityScheme::Emcc);
     let sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);

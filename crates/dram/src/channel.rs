@@ -1,12 +1,13 @@
 //! Per-channel FR-FCFS-capped scheduler with banks and write drain.
 
+use std::collections::VecDeque;
+
 use emcc_sim::{LineAddr, Time};
 
 use crate::config::DramConfig;
 use crate::mapping::AddressMapping;
 use crate::request::{DramRequest, Pending, RequestClass, RequestId};
 use crate::stats::DramStats;
-use crate::QueueFull;
 
 /// A finished DRAM access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,13 +66,46 @@ enum RowOutcome {
     Conflict,
 }
 
+/// One direction's scheduler queue and the requests waiting to enter it.
+#[derive(Debug, Default)]
+struct Queue {
+    /// Requests the scheduler may pick, oldest first (at most
+    /// `queue_capacity`).
+    entries: Vec<Pending>,
+    /// Arrivals that found `entries` full, oldest first; the head enters
+    /// when an entry issues.
+    waiting: VecDeque<Pending>,
+}
+
+impl Queue {
+    fn admit(&mut self, pending: Pending, capacity: usize) {
+        if self.entries.len() < capacity {
+            self.entries.push(pending);
+        } else {
+            self.waiting.push_back(pending);
+        }
+    }
+
+    /// Removes entry `idx` for issue; the oldest waiting request takes
+    /// the freed entry.
+    fn take(&mut self, idx: usize) -> Pending {
+        let pending = self.entries.remove(idx);
+        self.entries.extend(self.waiting.pop_front());
+        pending
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len() + self.waiting.len()
+    }
+}
+
 /// One DRAM channel: read/write queues, banks, the shared data bus.
 #[derive(Debug)]
 pub struct DramChannel {
     config: DramConfig,
     mapping: AddressMapping,
-    read_q: Vec<Pending>,
-    write_q: Vec<Pending>,
+    read_q: Queue,
+    write_q: Queue,
     banks: Vec<BankState>,
     rank_next_refresh: Vec<Time>,
     bus_free_at: Time,
@@ -87,8 +121,8 @@ impl DramChannel {
         DramChannel {
             config,
             mapping: AddressMapping::new(config.channels),
-            read_q: Vec::new(),
-            write_q: Vec::new(),
+            read_q: Queue::default(),
+            write_q: Queue::default(),
             banks: vec![BankState::default(); config.banks()],
             rank_next_refresh: (0..config.ranks)
                 .map(|r| refi * (r as u64 + 1) / config.ranks as u64)
@@ -100,41 +134,38 @@ impl DramChannel {
         }
     }
 
-    /// Queues a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFull`] when the direction's queue is at capacity.
-    pub fn enqueue(&mut self, req: DramRequest, now: Time) -> Result<(), QueueFull> {
-        let q = if req.is_write {
-            &mut self.write_q
-        } else {
-            &mut self.read_q
-        };
-        if q.len() >= self.config.queue_capacity {
-            return Err(QueueFull);
-        }
+    /// Queues a request. One that finds its direction's queue full waits,
+    /// in arrival order, and enters when an entry of that queue issues;
+    /// its queuing delay counts from `now` either way.
+    pub fn enqueue(&mut self, req: DramRequest, now: Time) {
         let loc = self.mapping.locate(req.line);
-        q.push(Pending {
+        let pending = Pending {
             req,
             enqueued_at: now,
             bank: loc.rank * self.config.banks_per_rank + loc.bank,
             row: loc.row,
-        });
-        Ok(())
+        };
+        let capacity = self.config.queue_capacity;
+        self.queue_mut(req.is_write).admit(pending, capacity);
     }
 
-    /// True if a request of the given direction can be queued.
-    pub fn can_accept(&self, is_write: bool) -> bool {
-        let q = if is_write {
+    fn queue(&self, is_write: bool) -> &Queue {
+        if is_write {
             &self.write_q
         } else {
             &self.read_q
-        };
-        q.len() < self.config.queue_capacity
+        }
     }
 
-    /// Queued requests in both directions.
+    fn queue_mut(&mut self, is_write: bool) -> &mut Queue {
+        if is_write {
+            &mut self.write_q
+        } else {
+            &mut self.read_q
+        }
+    }
+
+    /// Requests not yet issued, both directions, waiting ones included.
     pub fn queued(&self) -> usize {
         self.read_q.len() + self.write_q.len()
     }
@@ -284,88 +315,39 @@ impl DramChannel {
         }
 
         // Write-drain hysteresis.
-        if self.write_q.len() >= self.config.write_high_watermark {
+        let writes = self.write_q.entries.len();
+        if writes >= self.config.write_high_watermark {
             self.draining = true;
-        } else if self.write_q.len() <= self.config.write_low_watermark {
+        } else if writes <= self.config.write_low_watermark {
             self.draining = false;
         }
 
         // Pick the queue: drain mode forces writes; otherwise reads first,
-        // opportunistically serving writes when no read exists.
-        let use_writes = self.draining || self.read_q.is_empty();
-        let (primary_is_write, primary_pick) = if use_writes {
-            (true, self.pick(&self.write_q, now))
-        } else {
-            (false, self.pick(&self.read_q, now))
+        // opportunistically serving writes when no read exists. Outside
+        // drain mode, when no bank of the primary queue is ready, a ready
+        // request of the other queue issues instead so the channel never
+        // idles with issuable work.
+        let primary = self.draining || self.read_q.entries.is_empty();
+        let choice = match self.pick(&self.queue(primary).entries, now) {
+            Ok(idx) => Ok((primary, idx)),
+            Err(earliest) if self.draining || self.queue(!primary).entries.is_empty() => {
+                Err(earliest)
+            }
+            Err(earliest) => match self.pick(&self.queue(!primary).entries, now) {
+                Ok(idx) => Ok((!primary, idx)),
+                Err(other) => Err(earliest.into_iter().chain(other).min()),
+            },
         };
-
-        match primary_pick {
-            Ok(idx) => {
-                let pending = if primary_is_write {
-                    self.write_q.remove(idx)
-                } else {
-                    self.read_q.remove(idx)
-                };
-                let completion = self.issue(pending, now);
+        match choice {
+            Ok((is_write, idx)) => {
+                let pending = self.queue_mut(is_write).take(idx);
+                result.completions.push(self.issue(pending, now));
                 self.next_issue_at = now + self.config.burst;
-                result.completions.push(completion);
                 if self.queued() > 0 {
                     result.next_wake = Some(self.next_issue_at);
                 }
             }
-            Err(earliest) => {
-                // Nothing ready in the primary queue; consider the other
-                // queue's earliest readiness too so we never stall.
-                let other = if primary_is_write {
-                    &self.read_q
-                } else {
-                    &self.write_q
-                };
-                let other_earliest = if other.is_empty() || self.draining {
-                    None
-                } else {
-                    match self.pick(other, now) {
-                        Ok(_) => Some(now + Time::from_ps(1)),
-                        Err(e) => e,
-                    }
-                };
-                // In non-drain mode with an empty read queue we already
-                // picked writes; here both were unready.
-                result.next_wake = match (earliest, other_earliest) {
-                    (None, None) => None,
-                    (Some(a), None) | (None, Some(a)) => Some(a),
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                };
-                // Opportunistic issue from the other queue when the
-                // primary has no ready candidate but the other does.
-                if !self.draining {
-                    if let Some(w) = other_earliest {
-                        if w <= now + Time::from_ps(1) {
-                            let q = if primary_is_write {
-                                // primary was writes (read_q empty) — other is reads
-                                &self.read_q
-                            } else {
-                                &self.write_q
-                            };
-                            if let Ok(idx) = self.pick(q, now) {
-                                let pending = if primary_is_write {
-                                    self.read_q.remove(idx)
-                                } else {
-                                    self.write_q.remove(idx)
-                                };
-                                let completion = self.issue(pending, now);
-                                self.next_issue_at = now + self.config.burst;
-                                result.completions.push(completion);
-                                result.next_wake = if self.queued() > 0 {
-                                    Some(self.next_issue_at)
-                                } else {
-                                    None
-                                };
-                            }
-                        }
-                    }
-                }
-            }
+            Err(wake) => result.next_wake = wake,
         }
         result
     }
@@ -390,7 +372,7 @@ mod tests {
     #[test]
     fn single_read_completes_with_closed_row_latency() {
         let mut c = chan();
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
         let r = c.pump(Time::ZERO);
         assert_eq!(r.completions.len(), 1);
         assert_eq!(r.completions[0].done, Time::from_ns_f64(30.0));
@@ -400,10 +382,10 @@ mod tests {
     #[test]
     fn row_hit_detected_within_timeout() {
         let mut c = chan();
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
         c.pump(Time::ZERO);
         let t = Time::from_ns(100);
-        c.enqueue(rd(2, 1), t).unwrap();
+        c.enqueue(rd(2, 1), t);
         let r = c.pump(t);
         assert!(r.completions[0].row_hit);
     }
@@ -411,10 +393,10 @@ mod tests {
     #[test]
     fn row_times_out_after_500ns() {
         let mut c = chan();
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
         c.pump(Time::ZERO);
         let t = Time::from_ns(900); // beyond last_access + 500ns
-        c.enqueue(rd(2, 1), t).unwrap();
+        c.enqueue(rd(2, 1), t);
         let r = c.pump(t);
         assert!(!r.completions[0].row_hit);
         // Closed, not conflict: timeout precharged in the background.
@@ -424,7 +406,7 @@ mod tests {
     #[test]
     fn row_conflict_pays_precharge() {
         let mut c = chan();
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
         let r1 = c.pump(Time::ZERO);
         let t = r1.completions[0].done + Time::from_ns(50);
         // Same bank, different row: +16 banks * 8 ranks * 128 col stride.
@@ -433,7 +415,7 @@ mod tests {
         let loc_b = AddressMapping::new(1).locate(LineAddr::new(conflict_line));
         assert_eq!((loc_a.rank, loc_a.bank), (loc_b.rank, loc_b.bank));
         assert_ne!(loc_a.row, loc_b.row);
-        c.enqueue(rd(2, conflict_line), t).unwrap();
+        c.enqueue(rd(2, conflict_line), t);
         let r2 = c.pump(t);
         assert_eq!(r2.completions[0].done - t, Time::from_ns_f64(43.75));
     }
@@ -442,14 +424,14 @@ mod tests {
     fn frfcfs_prefers_row_hits() {
         let mut c = chan();
         // Open row 0 of bank (0,0).
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
         let r = c.pump(Time::ZERO);
         let t = r.completions[0].done;
         // Old request to a conflicting row, young request hitting the
         // open row: the young hit should issue first.
         let conflict_line = 128 * 16 * 8 * 16;
-        c.enqueue(rd(2, conflict_line), t).unwrap();
-        c.enqueue(rd(3, 1), t).unwrap();
+        c.enqueue(rd(2, conflict_line), t);
+        c.enqueue(rd(3, 1), t);
         let r = c.pump(t);
         assert_eq!(r.completions[0].id, 3, "row hit must bypass older conflict");
     }
@@ -457,15 +439,15 @@ mod tests {
     #[test]
     fn frfcfs_cap_limits_bypassing() {
         let mut c = chan();
-        c.enqueue(rd(0, 0), Time::ZERO).unwrap();
+        c.enqueue(rd(0, 0), Time::ZERO);
         let mut t = c.pump(Time::ZERO).completions[0].done;
         let conflict_line = 128 * 16 * 8 * 16;
         // The old conflicting request waits while hits stream past — but
         // only up to the cap (4).
-        c.enqueue(rd(100, conflict_line), t).unwrap();
+        c.enqueue(rd(100, conflict_line), t);
         let mut served_before_old = 0;
         for i in 0..10 {
-            c.enqueue(rd(i + 1, 1 + i), t).unwrap();
+            c.enqueue(rd(i + 1, 1 + i), t);
         }
         for _ in 0..20 {
             let r = c.pump(t);
@@ -487,8 +469,8 @@ mod tests {
     #[test]
     fn reads_prioritized_over_writes() {
         let mut c = chan();
-        c.enqueue(wr(1, 1_000_000), Time::ZERO).unwrap();
-        c.enqueue(rd(2, 0), Time::ZERO).unwrap();
+        c.enqueue(wr(1, 1_000_000), Time::ZERO);
+        c.enqueue(rd(2, 0), Time::ZERO);
         let r = c.pump(Time::ZERO);
         assert_eq!(r.completions[0].id, 2);
     }
@@ -498,10 +480,9 @@ mod tests {
         let mut c = chan();
         let hw = c.config.write_high_watermark;
         for i in 0..hw {
-            c.enqueue(wr(i as u64, (i as u64) * 200_000), Time::ZERO)
-                .unwrap();
+            c.enqueue(wr(i as u64, (i as u64) * 200_000), Time::ZERO);
         }
-        c.enqueue(rd(9999, 7), Time::ZERO).unwrap();
+        c.enqueue(rd(9999, 7), Time::ZERO);
         let r = c.pump(Time::ZERO);
         assert!(
             r.completions[0].is_write,
@@ -515,7 +496,7 @@ mod tests {
         // burst (2.5 ns) per access, not one access latency (16 ns).
         let mut c = chan();
         for i in 0..128 {
-            c.enqueue(rd(i, i), Time::ZERO).unwrap();
+            c.enqueue(rd(i, i), Time::ZERO);
         }
         let mut t = Time::ZERO;
         let mut last_done = Time::ZERO;
@@ -544,7 +525,7 @@ mod tests {
         let mut c = chan();
         // First refresh of rank 0 is at tREFI/8 = 975 ns.
         let t = Time::from_ns(980);
-        c.enqueue(rd(1, 0), t).unwrap();
+        c.enqueue(rd(1, 0), t);
         let r = c.pump(t);
         // The bank is blocked until refresh completes (975 + 350 = 1325 ns).
         match r.completions.first() {
@@ -556,8 +537,8 @@ mod tests {
     #[test]
     fn queuing_delay_recorded() {
         let mut c = chan();
-        c.enqueue(rd(1, 0), Time::ZERO).unwrap();
-        c.enqueue(rd(2, 1_000_000), Time::ZERO).unwrap();
+        c.enqueue(rd(1, 0), Time::ZERO);
+        c.enqueue(rd(2, 1_000_000), Time::ZERO);
         let mut t = Time::ZERO;
         for _ in 0..10 {
             let r = c.pump(t);

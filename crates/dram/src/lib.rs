@@ -11,6 +11,11 @@
 //! burst; queuing delay (enqueue → first command) is tracked per request
 //! class, which is exactly what Figure 22 reports.
 //!
+//! A full queue delays a request and never refuses it:
+//! [`Dram::enqueue`] cannot fail. A request that finds its channel's read
+//! or write queue full waits in arrival order, enters the queue when an
+//! entry issues, and its queuing delay counts from its arrival.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,8 +24,7 @@
 //!
 //! let mut dram = Dram::new(DramConfig::table_i(1));
 //! let t0 = Time::ZERO;
-//! dram.enqueue(DramRequest::read(1, LineAddr::new(0), RequestClass::Data), t0)
-//!     .unwrap();
+//! dram.enqueue(DramRequest::read(1, LineAddr::new(0), RequestClass::Data), t0);
 //! let issued = dram.pump(t0);
 //! assert_eq!(issued.completions.len(), 1);
 //! // A cold access pays activate + CAS + burst.
@@ -41,21 +45,9 @@ pub use mapping::AddressMapping;
 pub use request::{DramRequest, RequestClass, RequestId};
 pub use stats::DramStats;
 
-use emcc_sim::{LineAddr, Time};
+use emcc_sim::Time;
 
 use channel::DramChannel;
-
-/// Error returned when a channel's queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull;
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("dram queue full")
-    }
-}
-
-impl std::error::Error for QueueFull {}
 
 /// The full DRAM subsystem: one or more channels behind an address map.
 #[derive(Debug)]
@@ -91,20 +83,13 @@ impl Dram {
 
     /// Enqueues a request on the owning channel.
     ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFull`] when the channel's read or write queue has no
-    /// free entry; the caller must retry later (the MC models this as
-    /// back-pressure toward the LLC).
-    pub fn enqueue(&mut self, req: DramRequest, now: Time) -> Result<(), QueueFull> {
+    /// Never refuses. A full read or write queue delays the request: it
+    /// waits in arrival order and enters the queue when an entry issues,
+    /// and the wait counts toward its queuing delay and its completion's
+    /// `enqueued` time.
+    pub fn enqueue(&mut self, req: DramRequest, now: Time) {
         let ch = self.mapping.channel_of(req.line);
-        self.channels[ch].enqueue(req, now)
-    }
-
-    /// True if the owning channel for `line` can accept another request of
-    /// the given direction.
-    pub fn can_accept(&self, line: LineAddr, is_write: bool) -> bool {
-        self.channels[self.mapping.channel_of(line)].can_accept(is_write)
+        self.channels[ch].enqueue(req, now);
     }
 
     /// Runs all channel schedulers at `now`, collecting issued completions
@@ -140,7 +125,8 @@ impl Dram {
         }
     }
 
-    /// Total requests currently queued (both directions, all channels).
+    /// Total requests not yet issued (both directions, all channels,
+    /// waiting ones included).
     pub fn queued(&self) -> usize {
         self.channels.iter().map(|c| c.queued()).sum()
     }
@@ -149,6 +135,7 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emcc_sim::LineAddr;
 
     fn read(id: u64, line: u64) -> DramRequest {
         DramRequest::read(id, LineAddr::new(line), RequestClass::Data)
@@ -157,7 +144,7 @@ mod tests {
     #[test]
     fn cold_read_latency_is_activate_plus_cas() {
         let mut d = Dram::new(DramConfig::table_i(1));
-        d.enqueue(read(1, 0), Time::ZERO).unwrap();
+        d.enqueue(read(1, 0), Time::ZERO);
         let r = d.pump(Time::ZERO);
         let done = r.completions[0].done;
         // tRCD + tCL + burst = 13.75 + 13.75 + 2.5 = 30 ns (the paper's
@@ -168,11 +155,11 @@ mod tests {
     #[test]
     fn row_hit_is_faster() {
         let mut d = Dram::new(DramConfig::table_i(1));
-        d.enqueue(read(1, 0), Time::ZERO).unwrap();
+        d.enqueue(read(1, 0), Time::ZERO);
         let r1 = d.pump(Time::ZERO);
         let t1 = r1.completions[0].done;
         // Second access to the same row, right after.
-        d.enqueue(read(2, 1), t1).unwrap();
+        d.enqueue(read(2, 1), t1);
         let r2 = d.pump(t1);
         let hit_latency = r2.completions[0].done - t1;
         // tCL + burst = 16.25 ns (paper: "row buffer hit ≈ 16ns").
@@ -185,7 +172,7 @@ mod tests {
         // Lines 0..8 with channel = line bits 2..4: lines 0..3 → ch 0,
         // 4..7 → ch 1.
         for i in 0..8 {
-            d.enqueue(read(i, i), Time::ZERO).unwrap();
+            d.enqueue(read(i, i), Time::ZERO);
         }
         let r = d.pump(Time::ZERO);
         // At least two channels issued immediately.
@@ -193,13 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn queue_full_reported() {
-        let mut d = Dram::new(DramConfig::table_i(1));
-        let cap = d.config().queue_capacity as u64;
-        for i in 0..cap {
-            d.enqueue(read(i, i * 1_000_000), Time::ZERO).unwrap();
+    fn full_queue_delays_and_never_refuses() {
+        let mut cfg = DramConfig::table_i(1);
+        cfg.queue_capacity = 2;
+        let mut d = Dram::new(cfg);
+        // Eight reads to distinct rows arrive 1 ns apart; six find the
+        // two-entry queue full and wait.
+        for i in 0..8 {
+            d.enqueue(read(i, i * 1_000_000), Time::from_ns(i));
         }
-        assert!(d.enqueue(read(999, 42), Time::ZERO).is_err());
-        assert!(!d.can_accept(LineAddr::new(42), false));
+        assert_eq!(d.queued(), 8);
+        let mut seen = Vec::new();
+        let mut t = Time::from_ns(7);
+        loop {
+            let r = d.pump(t);
+            for c in r.completions {
+                // Each completion reports its own admission time.
+                assert_eq!(c.enqueued, Time::from_ns(c.id), "read {}", c.id);
+                assert!(c.issued >= c.enqueued);
+                seen.push(c.id);
+            }
+            match r.next_wake {
+                Some(w) => t = w,
+                None => break,
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..8).collect::<Vec<_>>(), "each read exactly once");
+        assert_eq!(d.queued(), 0);
+        let stats = d.stats();
+        let b = stats.bucket(RequestClass::Data, false);
+        assert_eq!(b.count, 8);
+        // The last arrival waited for six issues at one per 2.5 ns burst.
+        assert!(b.queuing_ns.max().unwrap() >= 15.0);
     }
 }

@@ -21,9 +21,8 @@ fn drive(channels: usize, n: u64, seed: u64) -> Vec<(u64, Time, bool)> {
             } else {
                 DramRequest::read(issued, line, RequestClass::Data)
             };
-            if dram.enqueue(req, now).is_ok() {
-                issued += 1;
-            }
+            dram.enqueue(req, now);
+            issued += 1;
         }
         let r = dram.pump(now);
         for c in r.completions {

@@ -56,7 +56,8 @@ impl ActiveTask {
 /// use emcc_sim::LineAddr;
 ///
 /// let mut e = OverflowEngine::new();
-/// assert!(e.try_add(OverflowTask { base: LineAddr::new(0), blocks: 4, level: 0 }));
+/// assert!(e.can_add());
+/// e.add(OverflowTask { base: LineAddr::new(0), blocks: 4, level: 0 });
 /// let r = e.next_request().unwrap();
 /// assert!(!r.is_write); // reads the old ciphertext first
 /// ```
@@ -67,7 +68,6 @@ pub struct OverflowEngine {
     max_outstanding: usize,
     max_in_flight: u32,
     finished: u64,
-    rejected: u64,
 }
 
 impl OverflowEngine {
@@ -79,29 +79,27 @@ impl OverflowEngine {
             max_outstanding: 2,
             max_in_flight: 8,
             finished: 0,
-            rejected: 0,
         }
     }
 
-    /// True if a new overflow can be accepted without blocking the MC.
+    /// True if a new overflow can be accepted without blocking the MC
+    /// (the only admission check; [`Self::add`] requires it).
     pub fn can_add(&self) -> bool {
         self.active.len() < self.max_outstanding
     }
 
-    /// Attempts to register a new overflow. Returns false (and counts a
-    /// rejection) when two are already outstanding — the caller must stall
-    /// incoming requests until one drains.
-    pub fn try_add(&mut self, task: OverflowTask) -> bool {
-        if !self.can_add() {
-            self.rejected += 1;
-            return false;
-        }
+    /// Registers a new overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::can_add`] is false.
+    pub fn add(&mut self, task: OverflowTask) {
+        assert!(self.can_add(), "overflow engine already holds two tasks");
         self.active.push_back(ActiveTask {
             task,
             issued: 0,
             completed: 0,
         });
-        true
     }
 
     /// Next background request to enqueue, or `None` if the 8-slot budget
@@ -159,11 +157,6 @@ impl OverflowEngine {
     pub fn finished(&self) -> u64 {
         self.finished
     }
-
-    /// Times `try_add` had to reject (MC stalled incoming traffic).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
 }
 
 impl Default for OverflowEngine {
@@ -185,19 +178,28 @@ mod tests {
     }
 
     #[test]
-    fn accepts_two_rejects_third() {
+    fn accepts_two_then_refuses_admission() {
         let mut e = OverflowEngine::new();
-        assert!(e.try_add(task(0, 128)));
-        assert!(e.try_add(task(1000, 128)));
-        assert!(!e.try_add(task(2000, 128)));
-        assert_eq!(e.rejected(), 1);
+        e.add(task(0, 128));
+        assert!(e.can_add());
+        e.add(task(1000, 128));
+        assert!(!e.can_add());
         assert_eq!(e.outstanding(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two tasks")]
+    fn add_past_admission_panics() {
+        let mut e = OverflowEngine::new();
+        e.add(task(0, 128));
+        e.add(task(1000, 128));
+        e.add(task(2000, 128));
     }
 
     #[test]
     fn read_then_write_per_block() {
         let mut e = OverflowEngine::new();
-        e.try_add(task(10, 2));
+        e.add(task(10, 2));
         let r0 = e.next_request().unwrap();
         let r1 = e.next_request().unwrap();
         let r2 = e.next_request().unwrap();
@@ -212,7 +214,7 @@ mod tests {
     #[test]
     fn eight_slot_budget_enforced() {
         let mut e = OverflowEngine::new();
-        e.try_add(task(0, 128));
+        e.add(task(0, 128));
         for _ in 0..8 {
             assert!(e.next_request().is_some());
         }
@@ -224,8 +226,8 @@ mod tests {
     #[test]
     fn completion_drains_task_and_unblocks() {
         let mut e = OverflowEngine::new();
-        e.try_add(task(0, 1));
-        e.try_add(task(5, 1));
+        e.add(task(0, 1));
+        e.add(task(5, 1));
         assert!(!e.can_add());
         // Drain the first task: 2 requests, 2 completions.
         e.next_request().unwrap();
@@ -239,8 +241,8 @@ mod tests {
     #[test]
     fn requests_span_second_task_after_first_issued() {
         let mut e = OverflowEngine::new();
-        e.try_add(task(0, 1));
-        e.try_add(task(100, 1));
+        e.add(task(0, 1));
+        e.add(task(100, 1));
         let mut lines = Vec::new();
         while let Some(r) = e.next_request() {
             lines.push(r.line.get());

@@ -250,3 +250,41 @@ fn timing_counters_match_functional_model_for_every_design() {
         );
     }
 }
+
+#[test]
+fn full_dram_queue_delays_tree_walk_reads_instead_of_skipping_them() {
+    // One cold load on one core: its counter misses everywhere, so the
+    // MC walks the integrity tree to the root. A one-entry DRAM queue
+    // must delay that walk's reads, not drop them (and then cache the
+    // ancestors it never read as verified).
+    use emcc::sim::LineAddr;
+    use emcc::workloads::{MemOp, Trace};
+
+    let reads = |scheme: SecurityScheme, queue_capacity: usize| {
+        let mut cfg = SystemConfig::table_i(scheme);
+        cfg.cores = 1;
+        cfg.l2_prefetch_degree = 0;
+        cfg.dram.queue_capacity = queue_capacity;
+        let load = Trace::new("cold load", vec![MemOp::load(LineAddr::new(0x604), 0)]);
+        let r = SecureSystem::new(cfg).run(vec![Box::new(load.cursor(0))], 1);
+        [
+            RequestClass::Counter,
+            RequestClass::TreeNode,
+            RequestClass::Data,
+        ]
+        .map(|class| r.dram.bucket(class, false).count)
+    };
+    for scheme in [
+        SecurityScheme::McOnly,
+        SecurityScheme::CtrInLlc,
+        SecurityScheme::Emcc,
+    ] {
+        let table_i = reads(scheme, 256);
+        assert_eq!(
+            table_i,
+            [1, 3, 1],
+            "{scheme}: counter, tree-node, data reads"
+        );
+        assert_eq!(reads(scheme, 1), table_i, "{scheme}: one-entry queue");
+    }
+}
