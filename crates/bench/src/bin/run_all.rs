@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
+use emcc::system::DispatchLedger;
 use emcc_bench::cli::{exit_error, write_or_exit, Argv};
 use emcc_bench::experiments::{self, Entry, REGISTRY};
 use emcc_bench::json::Json;
@@ -146,6 +147,7 @@ fn main() {
             &[],
             &failures,
             &h.recovery_exhausted(),
+            &h.dispatches(),
         );
         write_telemetry("BENCH_run_all.json", &json, total_secs);
         eprintln!(
@@ -209,6 +211,7 @@ fn main() {
         &timings,
         &[],
         &exhausted,
+        &h.dispatches(),
     );
     write_telemetry("BENCH_run_all.json", &json, total_secs);
     eprintln!("[{total_secs:>7.1}s] done ({misses} simulations, {hits} cache hits)");
@@ -234,10 +237,11 @@ fn write_telemetry(path: &str, json: &Json, secs: f64) {
     }
 }
 
-/// Timing + cache telemetry + the failed-run trail (empty on a clean
-/// pass) + runs that completed with an exhausted integrity-retry budget
-/// (kept distinct from `failed_runs`: their reports are valid and
-/// rendered).
+/// Timing + cache telemetry + the host work of the unique runs (event
+/// dispatches per kind, which depend on nothing but the runs) + the
+/// failed-run trail (empty on a clean pass) + runs that completed with
+/// an exhausted integrity-retry budget (kept distinct from
+/// `failed_runs`: their reports are valid and rendered).
 #[allow(clippy::too_many_arguments)]
 fn bench_json(
     scale: WorkloadScale,
@@ -250,6 +254,7 @@ fn bench_json(
     timings: &[(&str, f64)],
     failures: &[FailedRun],
     exhausted: &[ExhaustedRun],
+    dispatches: &DispatchLedger,
 ) -> Json {
     // The perf trajectory: unique simulations per second of simulate
     // phase — the number `perf_gate` compares against its committed
@@ -274,6 +279,9 @@ fn bench_json(
     let sections = timings
         .iter()
         .map(|&(name, secs)| (name, Json::fixed(secs, 3)));
+    let counts = std::iter::once(("total", dispatches.total()))
+        .chain(dispatches.entries())
+        .map(|(kind, n)| (kind, Json::num(n)));
     Json::obj([
         ("scale", Json::str(format!("{scale:?}"))),
         ("jobs", Json::num(jobs)),
@@ -287,6 +295,7 @@ fn bench_json(
         ("simulate_ns", ns(sim_secs)),
         ("render_ns", ns((total_secs - sim_secs).max(0.0))),
         ("total_ns", ns(total_secs)),
+        ("dispatches", Json::obj(counts)),
         ("failed_runs", Json::Arr(failed.collect())),
         ("recovery_exhausted_count", Json::num(exhausted.len())),
         (
@@ -315,6 +324,11 @@ mod tests {
             scheme: "CtrInLlc".into(),
             unrecovered: 3,
         }];
+        let mut dispatches = DispatchLedger::default();
+        dispatches.by_kind[0] = 7;
+        dispatches.by_kind[16] = 3;
+        dispatches.idle_core_advances = 5;
+        dispatches.idle_dram_pumps = 2;
         let json = bench_json(
             WorkloadScale::Test,
             2,
@@ -326,6 +340,7 @@ mod tests {
             &[],
             &failures,
             &exhausted,
+            &dispatches,
         );
         assert_eq!(
             json.render(),
@@ -342,6 +357,31 @@ mod tests {
   "simulate_ns": 1234500000,
   "render_ns": 1265500000,
   "total_ns": 2500000000,
+  "dispatches": {
+    "total": 10,
+    "CoreAdvance": 7,
+    "LoadComplete": 0,
+    "L2Access": 0,
+    "L2CtrLookup": 0,
+    "SliceDataReq": 0,
+    "SliceVictim": 0,
+    "SliceCtrReq": 0,
+    "McDataReq": 0,
+    "McCtrReq": 0,
+    "McWriteback": 0,
+    "McWriteIssue": 0,
+    "McCtrReady": 0,
+    "L2Fill": 0,
+    "L2CtrFill": 0,
+    "L2AesStart": 0,
+    "L2TxnFinish": 0,
+    "DramPump": 3,
+    "DramDone": 0,
+    "DataRefetch": 0,
+    "CtrRefetch": 0,
+    "idle_core_advances": 5,
+    "idle_dram_pumps": 2
+  },
   "failed_runs": [
     {"bench": "canneal", "scheme": "EMCC", "error": "EMCC_FORCE_PANIC: simulated \"crash\"\nline2"}
   ],
@@ -365,6 +405,7 @@ mod tests {
             &[("Fig 3", 0.0125), ("ablations", 1.5)],
             &[],
             &[],
+            &DispatchLedger::default(),
         );
         let text = clean.render();
         assert!(text.contains(

@@ -3,7 +3,7 @@
 use std::sync::{Mutex, OnceLock};
 
 use emcc::prelude::*;
-use emcc::system::SystemConfig as Cfg;
+use emcc::system::{DispatchLedger, SystemConfig as Cfg};
 
 use crate::cli::exit_error;
 use crate::pool::{jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest};
@@ -76,9 +76,16 @@ pub struct Harness {
     jobs: usize,
     cache: RunCache,
     failures: Mutex<Vec<FailedRun>>,
-    exhausted: Mutex<Vec<ExhaustedRun>>,
+    notes: Mutex<RunNotes>,
     /// Recording mode: the requests [`run`](Harness::run) has noted.
     recorded: Option<Mutex<Vec<RunRequest>>>,
+}
+
+/// What the harness notes about each unique simulation it runs.
+#[derive(Default)]
+struct RunNotes {
+    exhausted: Vec<ExhaustedRun>,
+    dispatches: DispatchLedger,
 }
 
 /// A simulation that panicked inside [`Harness::execute`]: the pool
@@ -125,7 +132,7 @@ impl Harness {
             jobs: jobs.max(1),
             cache: RunCache::new(),
             failures: Mutex::new(Vec::new()),
-            exhausted: Mutex::new(Vec::new()),
+            notes: Mutex::new(RunNotes::default()),
             recorded: None,
         }
     }
@@ -178,22 +185,28 @@ impl Harness {
     /// `(benchmark, config)` is recorded once — cache hits never
     /// double-count.
     pub fn recovery_exhausted(&self) -> Vec<ExhaustedRun> {
-        self.exhausted
-            .lock()
-            .expect("exhausted list poisoned")
-            .clone()
+        self.notes().exhausted.clone()
     }
 
-    fn note_exhaustion(&self, req: &RunRequest, report: &SimReport) {
+    /// Host work summed over every unique simulation so far (cache hits
+    /// add nothing).
+    pub fn dispatches(&self) -> DispatchLedger {
+        self.notes().dispatches
+    }
+
+    fn notes(&self) -> std::sync::MutexGuard<'_, RunNotes> {
+        self.notes.lock().expect("run notes poisoned")
+    }
+
+    fn note(&self, req: &RunRequest, report: &SimReport) {
+        let mut notes = self.notes();
+        notes.dispatches.add(&report.dispatches);
         if report.integrity_unrecovered > 0 {
-            self.exhausted
-                .lock()
-                .expect("exhausted list poisoned")
-                .push(ExhaustedRun {
-                    bench: req.bench.name(),
-                    scheme: req.cfg.scheme.to_string(),
-                    unrecovered: report.integrity_unrecovered,
-                });
+            notes.exhausted.push(ExhaustedRun {
+                bench: req.bench.name(),
+                scheme: req.cfg.scheme.to_string(),
+                unrecovered: report.integrity_unrecovered,
+            });
         }
     }
 
@@ -225,7 +238,7 @@ impl Harness {
         for (req, report) in fresh.into_iter().zip(reports) {
             match report {
                 Ok(report) => {
-                    self.note_exhaustion(req, &report);
+                    self.note(req, &report);
                     self.cache.insert(req.clone(), params, report);
                 }
                 Err(error) => {
@@ -255,7 +268,7 @@ impl Harness {
             return r;
         }
         let report = self.params.run(req.bench, req.cfg.clone());
-        self.note_exhaustion(&req, &report);
+        self.note(&req, &report);
         self.cache.insert(req, self.params, report)
     }
 

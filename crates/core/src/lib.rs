@@ -40,7 +40,7 @@ pub mod timeline;
 pub mod xpt;
 
 pub use config::{EmccConfig, SystemConfig};
-pub use report::SimReport;
+pub use report::{DispatchLedger, SimReport};
 pub use system::SecureSystem;
 pub use timeline::TimelineScenario;
 pub use xpt::XptPredictor;

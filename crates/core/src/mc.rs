@@ -112,8 +112,10 @@ impl SecureSystem {
         self.pump_dram();
     }
 
-    pub(crate) fn pump_dram(&mut self) {
+    /// Runs the DRAM schedulers now; true if they issued a request.
+    pub(crate) fn pump_dram(&mut self) -> bool {
         let r = self.mc.dram.pump(self.now);
+        let issued = !r.completions.is_empty();
         for c in r.completions {
             self.queue.push(
                 c.done,
@@ -138,6 +140,7 @@ impl SecureSystem {
                 self.queue.push(w, Ev::DramPump);
             }
         }
+        issued
     }
 
     #[allow(clippy::too_many_arguments)]

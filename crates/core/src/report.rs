@@ -67,6 +67,72 @@ impl CritPathStats {
     }
 }
 
+/// Host work of one run, counted over the whole run with warm-up
+/// included: event dispatches per kind, plus the `CoreAdvance` and
+/// `DramPump` dispatches that issued nothing.
+///
+/// The counts depend only on the run's inputs, never on the host, so
+/// tests pin them exactly. [`SimReport::canonical_json`] does not render
+/// them: they measure the simulator, not the simulated machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchLedger {
+    /// Dispatches per event kind, in [`DispatchLedger::KINDS`] order.
+    pub by_kind: [u64; DispatchLedger::KINDS.len()],
+    /// `CoreAdvance` dispatches that issued no memory operation.
+    pub idle_core_advances: u64,
+    /// `DramPump` dispatches that issued no DRAM request.
+    pub idle_dram_pumps: u64,
+}
+
+impl DispatchLedger {
+    /// The simulator's event kinds, in declaration order.
+    pub const KINDS: [&'static str; 20] = [
+        "CoreAdvance",
+        "LoadComplete",
+        "L2Access",
+        "L2CtrLookup",
+        "SliceDataReq",
+        "SliceVictim",
+        "SliceCtrReq",
+        "McDataReq",
+        "McCtrReq",
+        "McWriteback",
+        "McWriteIssue",
+        "McCtrReady",
+        "L2Fill",
+        "L2CtrFill",
+        "L2AesStart",
+        "L2TxnFinish",
+        "DramPump",
+        "DramDone",
+        "DataRefetch",
+        "CtrRefetch",
+    ];
+
+    /// All dispatches.
+    pub fn total(&self) -> u64 {
+        self.by_kind.iter().sum()
+    }
+
+    /// Every count by name: the event kinds in [`Self::KINDS`] order,
+    /// then `idle_core_advances` and `idle_dram_pumps`.
+    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Self::KINDS.into_iter().zip(self.by_kind).chain([
+            ("idle_core_advances", self.idle_core_advances),
+            ("idle_dram_pumps", self.idle_dram_pumps),
+        ])
+    }
+
+    /// Adds another run's counts to these.
+    pub fn add(&mut self, other: &DispatchLedger) {
+        for (a, b) in self.by_kind.iter_mut().zip(other.by_kind) {
+            *a += b;
+        }
+        self.idle_core_advances += other.idle_core_advances;
+        self.idle_dram_pumps += other.idle_dram_pumps;
+    }
+}
+
 /// Where a data read's counter was found (Figs 6/7 categories, plus the
 /// EMCC-only L2 category).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,6 +296,9 @@ pub struct SimReport {
     /// Shadow differential checker: lines whose timing-model counter state
     /// diverged from the functional model (must be 0).
     pub shadow_mismatches: u64,
+    /// Host work: dispatches per event kind over the whole run, warm-up
+    /// included (not rendered by [`Self::canonical_json`]).
+    pub dispatches: DispatchLedger,
 }
 
 impl SimReport {

@@ -88,6 +88,35 @@ pub(crate) enum Ev {
     CtrRefetch { block: LineAddr },
 }
 
+impl Ev {
+    /// This event's index in
+    /// [`DispatchLedger::KINDS`](crate::report::DispatchLedger::KINDS).
+    fn kind(&self) -> usize {
+        match self {
+            Ev::CoreAdvance(_) => 0,
+            Ev::LoadComplete { .. } => 1,
+            Ev::L2Access { .. } => 2,
+            Ev::L2CtrLookup { .. } => 3,
+            Ev::SliceDataReq { .. } => 4,
+            Ev::SliceVictim { .. } => 5,
+            Ev::SliceCtrReq { .. } => 6,
+            Ev::McDataReq { .. } => 7,
+            Ev::McCtrReq { .. } => 8,
+            Ev::McWriteback { .. } => 9,
+            Ev::McWriteIssue { .. } => 10,
+            Ev::McCtrReady { .. } => 11,
+            Ev::L2Fill { .. } => 12,
+            Ev::L2CtrFill { .. } => 13,
+            Ev::L2AesStart { .. } => 14,
+            Ev::L2TxnFinish { .. } => 15,
+            Ev::DramPump => 16,
+            Ev::DramDone { .. } => 17,
+            Ev::DataRefetch { .. } => 18,
+            Ev::CtrRefetch { .. } => 19,
+        }
+    }
+}
+
 /// Per-line L2 metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct L2Meta {
@@ -499,9 +528,11 @@ impl SecureSystem {
         self.insts_at_measure_start = self.cores.iter().map(|c| c.retired_insts()).sum();
         let benchmark = std::mem::take(&mut self.report.benchmark);
         let scheme = std::mem::take(&mut self.report.scheme);
+        // Warm-up is host work too: the dispatch ledger spans the run.
         self.report = SimReport {
             benchmark,
             scheme,
+            dispatches: self.report.dispatches,
             ..SimReport::default()
         };
         self.mc.dram.reset_stats();
@@ -574,8 +605,13 @@ impl SecureSystem {
     }
 
     fn dispatch(&mut self, ev: Ev) {
+        self.report.dispatches.by_kind[ev.kind()] += 1;
         match ev {
-            Ev::CoreAdvance(core) => self.core_advance(core),
+            Ev::CoreAdvance(core) => {
+                if !self.core_advance(core) {
+                    self.report.dispatches.idle_core_advances += 1;
+                }
+            }
             Ev::LoadComplete { core, token } => {
                 self.cores[core].complete_load(token, self.now);
                 self.core_advance(core);
@@ -601,7 +637,9 @@ impl SecureSystem {
             Ev::L2TxnFinish { txn } => self.l2_txn_finish(txn),
             Ev::DramPump => {
                 self.dram_pump_at = None;
-                self.pump_dram();
+                if !self.pump_dram() {
+                    self.report.dispatches.idle_dram_pumps += 1;
+                }
             }
             Ev::DramDone {
                 id,
@@ -638,18 +676,21 @@ impl SecureSystem {
 
     // ----- Core + L1 ------------------------------------------------------
 
-    fn core_advance(&mut self, core: usize) {
+    /// Issues the core's operations until it stalls; true if it issued
+    /// any.
+    fn core_advance(&mut self, core: usize) -> bool {
+        let mut issued = false;
         loop {
             match self.cores[core].advance(self.now) {
                 Ok(issue) => {
                     self.l1_access(core, issue.op, issue.load_token);
+                    issued = true;
                 }
                 Err(Stall::UntilTime(t)) => {
                     self.queue.push(t, Ev::CoreAdvance(core));
-                    return;
+                    return issued;
                 }
-                Err(Stall::OnLoad) => return,
-                Err(Stall::Finished) => return,
+                Err(Stall::OnLoad | Stall::Finished) => return issued,
             }
         }
     }
@@ -1429,6 +1470,83 @@ impl SecureSystem {
             }
         } else {
             self.l2[core].stride[slot] = (line.get(), stride, 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::DispatchLedger;
+
+    #[test]
+    fn ledger_kinds_name_every_event() {
+        let (line, t) = (LineAddr::new(1), Time::ZERO);
+        let origin = CtrOrigin::Mc;
+        let events = [
+            Ev::CoreAdvance(0),
+            Ev::LoadComplete { core: 0, token: 0 },
+            Ev::L2Access {
+                core: 0,
+                line,
+                is_write: false,
+                token: None,
+            },
+            Ev::L2CtrLookup { txn: 0 },
+            Ev::SliceDataReq { txn: 0 },
+            Ev::SliceVictim {
+                line,
+                dirty: false,
+                kind: BlockKind::Data,
+            },
+            Ev::SliceCtrReq {
+                block: line,
+                origin,
+            },
+            Ev::McDataReq {
+                txn: 0,
+                via_xpt: false,
+            },
+            Ev::McCtrReq {
+                block: line,
+                origin,
+            },
+            Ev::McWriteback { line },
+            Ev::McWriteIssue { line },
+            Ev::McCtrReady { block: line },
+            Ev::L2Fill {
+                txn: 0,
+                verified: false,
+            },
+            Ev::L2CtrFill {
+                core: 0,
+                block: line,
+            },
+            Ev::L2AesStart { txn: 0 },
+            Ev::L2TxnFinish { txn: 0 },
+            Ev::DramPump,
+            Ev::DramDone {
+                id: 0,
+                row_hit: false,
+                line,
+                class: RequestClass::Data,
+                is_write: false,
+                enqueued: t,
+                issued: t,
+            },
+            Ev::DataRefetch { txn: 0 },
+            Ev::CtrRefetch { block: line },
+        ];
+        assert_eq!(events.len(), DispatchLedger::KINDS.len());
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(ev.kind(), i);
+            let name = format!("{ev:?}");
+            let kind = DispatchLedger::KINDS[i];
+            assert!(
+                name.strip_prefix(kind)
+                    .is_some_and(|rest| !rest.starts_with(char::is_alphanumeric)),
+                "{name} is not named {kind}"
+            );
         }
     }
 }
