@@ -316,6 +316,80 @@ mod tests {
         assert!(c.finished());
     }
 
+    use emcc_sim::Rng64;
+    use proptest::prelude::*;
+
+    /// A time drawn uniformly from `[lo, hi)`.
+    fn time_in(rng: &mut Rng64, lo: Time, hi: Time) -> Time {
+        lo + Time::from_ps(rng.below((hi - lo).as_ps()))
+    }
+
+    proptest! {
+        /// The invariant `SecureSystem` keeps one pending wake per core
+        /// on: once `advance` returns `UntilTime(t)`, any load completions
+        /// at times before `t`, in any order, followed by `advance(now)`
+        /// with `now < t`, find the same `UntilTime(t)`.
+        #[test]
+        fn until_time_stall_holds_until_its_time(
+            ops in prop::collection::vec((0u64..64, 0u32..800, 0u8..8), 1..48usize),
+            mlp in 1usize..=4,
+            rob in 8u64..=256,
+            seed in any::<u64>(),
+        ) {
+            let trace: Vec<MemOp> = ops
+                .iter()
+                .map(|&(line, gap, kind)| {
+                    let line = LineAddr::new(line);
+                    match kind {
+                        0..=3 => MemOp::load(line, gap),
+                        4 | 5 => MemOp::dependent_load(line, gap),
+                        _ => MemOp::store(line, gap),
+                    }
+                })
+                .collect();
+            let mut c = core_with(trace, ops.len() as u64, mlp, rob);
+            let mut rng = Rng64::new(seed);
+            let mut outstanding: Vec<u64> = Vec::new();
+            let mut now = Time::ZERO;
+            loop {
+                match c.advance(now) {
+                    Ok(issue) => {
+                        if !issue.op.is_write {
+                            outstanding.push(issue.load_token);
+                        }
+                    }
+                    Err(Stall::Finished) => break,
+                    Err(Stall::OnLoad) => {
+                        prop_assert!(!outstanding.is_empty(), "stalled on no load");
+                        now += Time::from_ps(rng.below(50_000));
+                        let i = rng.below(outstanding.len() as u64) as usize;
+                        c.complete_load(outstanding.swap_remove(i), now);
+                    }
+                    Err(Stall::UntilTime(t)) => {
+                        prop_assert!(t > now, "stall until {t} at {now}");
+                        // Complete a random subset of the outstanding loads
+                        // in random order at nondecreasing times before `t`,
+                        // retrying in between.
+                        let mut at = now;
+                        for _ in 0..rng.below(outstanding.len() as u64 + 1) {
+                            at = time_in(&mut rng, at, t);
+                            let i = rng.below(outstanding.len() as u64) as usize;
+                            c.complete_load(outstanding.swap_remove(i), at);
+                            let retry = time_in(&mut rng, at, t);
+                            prop_assert_eq!(c.advance(retry), Err(Stall::UntilTime(t)));
+                            at = retry;
+                        }
+                        prop_assert_eq!(
+                            c.advance(time_in(&mut rng, at, t)),
+                            Err(Stall::UntilTime(t))
+                        );
+                        now = t;
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn retired_instruction_count_includes_gaps() {
         let ops = vec![MemOp::load(LineAddr::new(1), 9)];

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use emcc_cache::BlockKind;
 use emcc_crypto::DataBlock;
-use emcc_dram::{Dram, DramRequest, FaultModel, RequestClass};
+use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
 use emcc_secmem::{AesPool, MetadataCache, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
 use emcc_sim::{FastHashMap, LineAddr, Time};
@@ -84,6 +84,9 @@ pub(crate) struct McState {
     pub dram_targets: FastHashMap<u64, DramTarget>,
     pub next_dram_id: u64,
     pub dram: Dram,
+    /// Reused buffer for the requests one DRAM pump issues (empty
+    /// between pumps), so pumping never allocates.
+    pub dram_issued: Vec<Completion>,
     pub deferred_wb: VecDeque<LineAddr>,
     /// Optional DRAM fault injector, consulted on every demand/metadata
     /// completion (`None` in fault-free runs — zero behavioral change).
@@ -114,9 +117,9 @@ impl SecureSystem {
 
     /// Runs the DRAM schedulers now; true if they issued a request.
     pub(crate) fn pump_dram(&mut self) -> bool {
-        let r = self.mc.dram.pump(self.now);
-        let issued = !r.completions.is_empty();
-        for c in r.completions {
+        let next_wake = self.mc.dram.pump(self.now, &mut self.mc.dram_issued);
+        let issued = !self.mc.dram_issued.is_empty();
+        for c in self.mc.dram_issued.drain(..) {
             self.queue.push(
                 c.done,
                 Ev::DramDone {
@@ -130,7 +133,7 @@ impl SecureSystem {
                 },
             );
         }
-        if let Some(w) = r.next_wake {
+        if let Some(w) = next_wake {
             let need = match self.dram_pump_at {
                 None => true,
                 Some(t) => w < t,

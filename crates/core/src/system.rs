@@ -276,6 +276,10 @@ pub struct SecureSystem {
     hops_l2_mc: Vec<u32>,
     pub(crate) report: SimReport,
     pub(crate) dram_pump_at: Option<Time>,
+    /// Each core's one pending `CoreAdvance` wake, if any. A core waiting
+    /// out an instruction gap is woken once at the gap's end, however
+    /// many of its loads complete meanwhile (see `core_advance`).
+    advance_at: Vec<Option<Time>>,
     /// Per-access trace ring (disabled unless [`SecureSystem::run_traced`]
     /// is used; a disabled recorder costs one branch per completion).
     pub(crate) tracer: TraceRecorder,
@@ -336,6 +340,7 @@ impl SecureSystem {
             dram_targets: FastHashMap::default(),
             next_dram_id: 1,
             dram: emcc_dram::Dram::new(cfg.dram),
+            dram_issued: Vec::with_capacity(cfg.dram.channels),
             deferred_wb: std::collections::VecDeque::new(),
             fault: cfg.fault.clone().map(FaultModel::new),
         };
@@ -390,6 +395,7 @@ impl SecureSystem {
             hops_l2_mc,
             report: SimReport::default(),
             dram_pump_at: None,
+            advance_at: Vec::new(),
             tracer: TraceRecorder::disabled(),
             warmup_ops: 0,
             warmup_done: true,
@@ -475,6 +481,7 @@ impl SecureSystem {
                 warmup_ops + ops_per_core,
             ));
             self.queue.push(Time::ZERO, Ev::CoreAdvance(i));
+            self.advance_at.push(Some(Time::ZERO));
         }
 
         let mut timed_out = false;
@@ -608,6 +615,11 @@ impl SecureSystem {
         self.report.dispatches.by_kind[ev.kind()] += 1;
         match ev {
             Ev::CoreAdvance(core) => {
+                // The core's pending wake fires, unless a load completion
+                // at this instant already advanced the core past it.
+                if self.advance_at[core] == Some(self.now) {
+                    self.advance_at[core] = None;
+                }
                 if !self.core_advance(core) {
                     self.report.dispatches.idle_core_advances += 1;
                 }
@@ -678,6 +690,15 @@ impl SecureSystem {
 
     /// Issues the core's operations until it stalls; true if it issued
     /// any.
+    ///
+    /// A stall until `t` wakes the core at `t` unless a wake for `t` is
+    /// already pending. Dropping the repeat is exact: while that wake is
+    /// pending the core's next op has its issue time at `t`, and only a
+    /// load completion (followed by this call) touches the core, so each
+    /// repeat would stall until the same `t`. At `t` the first wake in
+    /// FIFO order advances the core and a later one finds it stalled
+    /// again, so keeping the first push keeps every wake that does work
+    /// in its place among the events of its instant.
     fn core_advance(&mut self, core: usize) -> bool {
         let mut issued = false;
         loop {
@@ -687,7 +708,10 @@ impl SecureSystem {
                     issued = true;
                 }
                 Err(Stall::UntilTime(t)) => {
-                    self.queue.push(t, Ev::CoreAdvance(core));
+                    if self.advance_at[core] != Some(t) {
+                        self.advance_at[core] = Some(t);
+                        self.queue.push(t, Ev::CoreAdvance(core));
+                    }
                     return issued;
                 }
                 Err(Stall::OnLoad | Stall::Finished) => return issued,

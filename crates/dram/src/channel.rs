@@ -31,11 +31,12 @@ pub struct Completion {
     pub issued: Time,
 }
 
-/// Result of running a channel's scheduler.
-#[derive(Debug, Clone, Default)]
+/// Result of running a channel's scheduler once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpResult {
-    /// Requests issued by this pump, with their completion times.
-    pub completions: Vec<Completion>,
+    /// The request this pump issued, with its completion time. A pump
+    /// issues at most one request (one command per burst slot).
+    pub completion: Option<Completion>,
     /// When the scheduler next needs to run, if work remains.
     pub next_wake: Option<Time>,
 }
@@ -341,7 +342,7 @@ impl DramChannel {
         match choice {
             Ok((is_write, idx)) => {
                 let pending = self.queue_mut(is_write).take(idx);
-                result.completions.push(self.issue(pending, now));
+                result.completion = Some(self.issue(pending, now));
                 self.next_issue_at = now + self.config.burst;
                 if self.queued() > 0 {
                     result.next_wake = Some(self.next_issue_at);
@@ -373,10 +374,9 @@ mod tests {
     fn single_read_completes_with_closed_row_latency() {
         let mut c = chan();
         c.enqueue(rd(1, 0), Time::ZERO);
-        let r = c.pump(Time::ZERO);
-        assert_eq!(r.completions.len(), 1);
-        assert_eq!(r.completions[0].done, Time::from_ns_f64(30.0));
-        assert!(!r.completions[0].row_hit);
+        let done = c.pump(Time::ZERO).completion.expect("one issue");
+        assert_eq!(done.done, Time::from_ns_f64(30.0));
+        assert!(!done.row_hit);
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
         let t = Time::from_ns(100);
         c.enqueue(rd(2, 1), t);
         let r = c.pump(t);
-        assert!(r.completions[0].row_hit);
+        assert!(r.completion.unwrap().row_hit);
     }
 
     #[test]
@@ -397,10 +397,10 @@ mod tests {
         c.pump(Time::ZERO);
         let t = Time::from_ns(900); // beyond last_access + 500ns
         c.enqueue(rd(2, 1), t);
-        let r = c.pump(t);
-        assert!(!r.completions[0].row_hit);
+        let done = c.pump(t).completion.unwrap();
+        assert!(!done.row_hit);
         // Closed, not conflict: timeout precharged in the background.
-        assert_eq!(r.completions[0].done - t, Time::from_ns_f64(30.0));
+        assert_eq!(done.done - t, Time::from_ns_f64(30.0));
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         let mut c = chan();
         c.enqueue(rd(1, 0), Time::ZERO);
         let r1 = c.pump(Time::ZERO);
-        let t = r1.completions[0].done + Time::from_ns(50);
+        let t = r1.completion.unwrap().done + Time::from_ns(50);
         // Same bank, different row: +16 banks * 8 ranks * 128 col stride.
         let conflict_line = 128 * 16 * 8 * 16; // row bits change, XOR keeps bank
         let loc_a = AddressMapping::new(1).locate(LineAddr::new(0));
@@ -417,7 +417,7 @@ mod tests {
         assert_ne!(loc_a.row, loc_b.row);
         c.enqueue(rd(2, conflict_line), t);
         let r2 = c.pump(t);
-        assert_eq!(r2.completions[0].done - t, Time::from_ns_f64(43.75));
+        assert_eq!(r2.completion.unwrap().done - t, Time::from_ns_f64(43.75));
     }
 
     #[test]
@@ -426,21 +426,25 @@ mod tests {
         // Open row 0 of bank (0,0).
         c.enqueue(rd(1, 0), Time::ZERO);
         let r = c.pump(Time::ZERO);
-        let t = r.completions[0].done;
+        let t = r.completion.unwrap().done;
         // Old request to a conflicting row, young request hitting the
         // open row: the young hit should issue first.
         let conflict_line = 128 * 16 * 8 * 16;
         c.enqueue(rd(2, conflict_line), t);
         c.enqueue(rd(3, 1), t);
         let r = c.pump(t);
-        assert_eq!(r.completions[0].id, 3, "row hit must bypass older conflict");
+        assert_eq!(
+            r.completion.unwrap().id,
+            3,
+            "row hit must bypass older conflict"
+        );
     }
 
     #[test]
     fn frfcfs_cap_limits_bypassing() {
         let mut c = chan();
         c.enqueue(rd(0, 0), Time::ZERO);
-        let mut t = c.pump(Time::ZERO).completions[0].done;
+        let mut t = c.pump(Time::ZERO).completion.unwrap().done;
         let conflict_line = 128 * 16 * 8 * 16;
         // The old conflicting request waits while hits stream past — but
         // only up to the cap (4).
@@ -451,7 +455,7 @@ mod tests {
         }
         for _ in 0..20 {
             let r = c.pump(t);
-            if let Some(comp) = r.completions.first() {
+            if let Some(comp) = r.completion {
                 if comp.id == 100 {
                     break;
                 }
@@ -472,7 +476,7 @@ mod tests {
         c.enqueue(wr(1, 1_000_000), Time::ZERO);
         c.enqueue(rd(2, 0), Time::ZERO);
         let r = c.pump(Time::ZERO);
-        assert_eq!(r.completions[0].id, 2);
+        assert_eq!(r.completion.unwrap().id, 2);
     }
 
     #[test]
@@ -485,7 +489,7 @@ mod tests {
         c.enqueue(rd(9999, 7), Time::ZERO);
         let r = c.pump(Time::ZERO);
         assert!(
-            r.completions[0].is_write,
+            r.completion.unwrap().is_write,
             "drain mode must serve writes before reads"
         );
     }
@@ -503,7 +507,7 @@ mod tests {
         let mut completed = 0;
         while completed < 128 {
             let r = c.pump(t);
-            for comp in &r.completions {
+            if let Some(comp) = &r.completion {
                 completed += 1;
                 last_done = last_done.max(comp.done);
             }
@@ -528,7 +532,7 @@ mod tests {
         c.enqueue(rd(1, 0), t);
         let r = c.pump(t);
         // The bank is blocked until refresh completes (975 + 350 = 1325 ns).
-        match r.completions.first() {
+        match r.completion {
             Some(comp) => assert!(comp.done >= Time::from_ns(1325)),
             None => assert!(r.next_wake.unwrap() >= Time::from_ns(1325)),
         }

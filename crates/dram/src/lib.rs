@@ -25,10 +25,11 @@
 //! let mut dram = Dram::new(DramConfig::table_i(1));
 //! let t0 = Time::ZERO;
 //! dram.enqueue(DramRequest::read(1, LineAddr::new(0), RequestClass::Data), t0);
-//! let issued = dram.pump(t0);
-//! assert_eq!(issued.completions.len(), 1);
+//! let mut issued = Vec::new();
+//! dram.pump(t0, &mut issued);
+//! assert_eq!(issued.len(), 1);
 //! // A cold access pays activate + CAS + burst.
-//! assert!(issued.completions[0].done > Time::from_ns(27));
+//! assert!(issued[0].done > Time::from_ns(27));
 //! ```
 
 pub mod channel;
@@ -92,20 +93,24 @@ impl Dram {
         self.channels[ch].enqueue(req, now);
     }
 
-    /// Runs all channel schedulers at `now`, collecting issued completions
-    /// and the earliest next wake-up across channels.
-    pub fn pump(&mut self, now: Time) -> PumpResult {
-        let mut out = PumpResult::default();
+    /// Runs all channel schedulers at `now`, appends the requests they
+    /// issue (at most one per channel) to `completions` in channel order,
+    /// and returns the earliest next wake-up across channels.
+    ///
+    /// The caller owns the buffer, so a caller that reuses it pumps
+    /// without allocating.
+    pub fn pump(&mut self, now: Time, completions: &mut Vec<Completion>) -> Option<Time> {
+        let mut next_wake = None;
         for ch in &mut self.channels {
             let r = ch.pump(now);
-            out.completions.extend(r.completions);
-            out.next_wake = match (out.next_wake, r.next_wake) {
+            completions.extend(r.completion);
+            next_wake = match (next_wake, r.next_wake) {
                 (None, w) => w,
                 (w, None) => w,
                 (Some(a), Some(b)) => Some(a.min(b)),
             };
         }
-        out
+        next_wake
     }
 
     /// Aggregated statistics across channels.
@@ -145,8 +150,9 @@ mod tests {
     fn cold_read_latency_is_activate_plus_cas() {
         let mut d = Dram::new(DramConfig::table_i(1));
         d.enqueue(read(1, 0), Time::ZERO);
-        let r = d.pump(Time::ZERO);
-        let done = r.completions[0].done;
+        let mut r = Vec::new();
+        d.pump(Time::ZERO, &mut r);
+        let done = r[0].done;
         // tRCD + tCL + burst = 13.75 + 13.75 + 2.5 = 30 ns (the paper's
         // "row buffer miss ≈ 30ns").
         assert_eq!(done, Time::from_ns_f64(30.0));
@@ -156,12 +162,14 @@ mod tests {
     fn row_hit_is_faster() {
         let mut d = Dram::new(DramConfig::table_i(1));
         d.enqueue(read(1, 0), Time::ZERO);
-        let r1 = d.pump(Time::ZERO);
-        let t1 = r1.completions[0].done;
+        let mut r1 = Vec::new();
+        d.pump(Time::ZERO, &mut r1);
+        let t1 = r1[0].done;
         // Second access to the same row, right after.
         d.enqueue(read(2, 1), t1);
-        let r2 = d.pump(t1);
-        let hit_latency = r2.completions[0].done - t1;
+        let mut r2 = Vec::new();
+        d.pump(t1, &mut r2);
+        let hit_latency = r2[0].done - t1;
         // tCL + burst = 16.25 ns (paper: "row buffer hit ≈ 16ns").
         assert_eq!(hit_latency, Time::from_ns_f64(16.25));
     }
@@ -174,9 +182,10 @@ mod tests {
         for i in 0..8 {
             d.enqueue(read(i, i), Time::ZERO);
         }
-        let r = d.pump(Time::ZERO);
+        let mut r = Vec::new();
+        d.pump(Time::ZERO, &mut r);
         // At least two channels issued immediately.
-        assert!(r.completions.len() >= 2);
+        assert!(r.len() >= 2);
     }
 
     #[test]
@@ -191,16 +200,17 @@ mod tests {
         }
         assert_eq!(d.queued(), 8);
         let mut seen = Vec::new();
+        let mut issued = Vec::new();
         let mut t = Time::from_ns(7);
         loop {
-            let r = d.pump(t);
-            for c in r.completions {
+            let next_wake = d.pump(t, &mut issued);
+            for c in issued.drain(..) {
                 // Each completion reports its own admission time.
                 assert_eq!(c.enqueued, Time::from_ns(c.id), "read {}", c.id);
                 assert!(c.issued >= c.enqueued);
                 seen.push(c.id);
             }
-            match r.next_wake {
+            match next_wake {
                 Some(w) => t = w,
                 None => break,
             }

@@ -9,6 +9,7 @@ fn drive(channels: usize, n: u64, seed: u64) -> Vec<(u64, Time, bool)> {
     let mut dram = Dram::new(DramConfig::table_i(channels));
     let mut rng = Rng64::new(seed);
     let mut out = Vec::new();
+    let mut done = Vec::new();
     let mut now = Time::ZERO;
     let mut issued = 0u64;
     while out.len() < n as usize {
@@ -24,11 +25,11 @@ fn drive(channels: usize, n: u64, seed: u64) -> Vec<(u64, Time, bool)> {
             dram.enqueue(req, now);
             issued += 1;
         }
-        let r = dram.pump(now);
-        for c in r.completions {
+        let next_wake = dram.pump(now, &mut done);
+        for c in done.drain(..) {
             out.push((c.id, c.done, c.is_write));
         }
-        now = match r.next_wake {
+        now = match next_wake {
             Some(w) if w > now => w,
             _ => now + Time::from_ns(5),
         };

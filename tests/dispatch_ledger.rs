@@ -24,8 +24,8 @@ fn dfs_dispatch_ledger_is_pinned() {
     assert_eq!(
         ledger(Benchmark::Graph(GraphKernel::Dfs)),
         "\
-total 27449
-CoreAdvance 10434
+total 20007
+CoreAdvance 2992
 LoadComplete 3530
 L2Access 3369
 L2CtrLookup 1102
@@ -45,7 +45,7 @@ DramPump 839
 DramDone 1217
 DataRefetch 0
 CtrRefetch 0
-idle_core_advances 8403
+idle_core_advances 961
 idle_dram_pumps 317
 "
     );
