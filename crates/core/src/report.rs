@@ -1,6 +1,6 @@
 //! Simulation reports: every statistic the paper's figures need.
 
-use emcc_dram::DramStats;
+use emcc_dram::{DramStats, RequestClass};
 use emcc_sim::stats::{ratio, Histogram, RunningMean};
 use emcc_sim::trace::Component;
 use emcc_sim::Time;
@@ -363,7 +363,7 @@ impl SimReport {
     /// Fig 15-style bandwidth utilization for one traffic class: bus busy
     /// time over elapsed time (per channel, summed across channels the
     /// ratio is of aggregate peak).
-    pub fn bandwidth_utilization(&self, class: emcc_dram::RequestClass, channels: u64) -> f64 {
+    pub fn bandwidth_utilization(&self, class: RequestClass, channels: u64) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
@@ -396,192 +396,169 @@ impl SimReport {
     /// Two runs are behaviourally identical iff their canonical JSON is
     /// byte-identical.
     pub fn canonical_json(&self) -> String {
-        fn s(out: &mut String, key: &str, val: &str) {
-            out.push_str("  \"");
-            out.push_str(key);
-            out.push_str("\": ");
-            out.push_str(val);
-            out.push_str(",\n");
+        use std::fmt::{Display, Formatter, Result, Write};
+
+        /// An optional float, `null` when absent.
+        struct Opt(Option<f64>);
+        impl Display for Opt {
+            fn fmt(&self, f: &mut Formatter<'_>) -> Result {
+                match self.0 {
+                    Some(v) => v.fmt(f),
+                    None => f.write_str("null"),
+                }
+            }
         }
-        fn u(out: &mut String, key: &str, val: u64) {
-            s(out, key, &val.to_string());
-        }
-        fn f(out: &mut String, key: &str, val: f64) {
-            s(out, key, &format!("{val}"));
-        }
-        fn mean(out: &mut String, key: &str, m: &RunningMean) {
-            let fmt_opt = |o: Option<f64>| match o {
-                Some(v) => format!("{v}"),
-                None => "null".to_string(),
-            };
-            s(
-                out,
-                key,
-                &format!(
+        /// A running mean as an object.
+        struct Mean<'a>(&'a RunningMean);
+        impl Display for Mean<'_> {
+            fn fmt(&self, f: &mut Formatter<'_>) -> Result {
+                let m = self.0;
+                write!(
+                    f,
                     "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
                     m.count(),
                     m.sum(),
-                    fmt_opt(m.min()),
-                    fmt_opt(m.max()),
-                ),
-            );
+                    Opt(m.min()),
+                    Opt(m.max())
+                )
+            }
         }
-        let mut out = String::from("{\n");
-        s(
-            &mut out,
-            "benchmark",
-            &format!("{:?}", self.benchmark.as_str()),
-        );
-        s(&mut out, "scheme", &format!("{:?}", self.scheme.as_str()));
-        u(&mut out, "elapsed_ps", self.elapsed.as_ps());
-        u(&mut out, "instructions", self.instructions);
-        u(&mut out, "mem_ops", self.mem_ops);
-        u(&mut out, "l1_hits", self.l1_hits);
-        u(&mut out, "l2_accesses", self.l2_accesses);
-        u(&mut out, "l2_hits", self.l2_hits);
-        u(&mut out, "l2_data_misses", self.l2_data_misses);
-        u(&mut out, "llc_data_hits", self.llc_data_hits);
-        u(&mut out, "llc_data_misses", self.llc_data_misses);
-        u(&mut out, "dram_data_reads", self.dram_data_reads);
-        u(&mut out, "writebacks", self.writebacks);
-        mean(&mut out, "l2_miss_latency_ns", &self.l2_miss_latency_ns);
-        mean(
-            &mut out,
-            "secure_access_latency_ns",
-            &self.secure_access_latency_ns,
+        /// A histogram's bin counts as an array.
+        struct Bins<'a>(&'a Histogram);
+        impl Display for Bins<'_> {
+            fn fmt(&self, f: &mut Formatter<'_>) -> Result {
+                f.write_str("[")?;
+                for i in 0..self.0.num_bins() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    self.0.bin_count(i).fmt(f)?;
+                }
+                f.write_str("]")
+            }
+        }
+        /// Writes one `  "key": value,` line, the key given in parts.
+        fn field(out: &mut String, key: &[&str], value: impl Display) {
+            out.push_str("  \"");
+            for part in key {
+                out.push_str(part);
+            }
+            let _ = writeln!(out, "\": {value},");
+        }
+
+        // Every value goes straight into one buffer: no per-field or
+        // per-bin temporaries.
+        let mut out = String::with_capacity(8 << 10);
+        out.push_str("{\n");
+        let o = &mut out;
+        field(o, &["benchmark"], format_args!("{:?}", self.benchmark));
+        field(o, &["scheme"], format_args!("{:?}", self.scheme));
+        field(o, &["elapsed_ps"], self.elapsed.as_ps());
+        field(o, &["instructions"], self.instructions);
+        field(o, &["mem_ops"], self.mem_ops);
+        field(o, &["l1_hits"], self.l1_hits);
+        field(o, &["l2_accesses"], self.l2_accesses);
+        field(o, &["l2_hits"], self.l2_hits);
+        field(o, &["l2_data_misses"], self.l2_data_misses);
+        field(o, &["llc_data_hits"], self.llc_data_hits);
+        field(o, &["llc_data_misses"], self.llc_data_misses);
+        field(o, &["dram_data_reads"], self.dram_data_reads);
+        field(o, &["writebacks"], self.writebacks);
+        field(o, &["l2_miss_latency_ns"], Mean(&self.l2_miss_latency_ns));
+        field(
+            o,
+            &["secure_access_latency_ns"],
+            Mean(&self.secure_access_latency_ns),
         );
         let src = self.ctr_source;
-        s(
-            &mut out,
-            "ctr_source",
-            &format!("[{}, {}, {}, {}]", src[0], src[1], src[2], src[3]),
+        field(
+            o,
+            &["ctr_source"],
+            format_args!("[{}, {}, {}, {}]", src[0], src[1], src[2], src[3]),
         );
-        u(&mut out, "l2_ctr_reqs_to_llc", self.l2_ctr_reqs_to_llc);
-        u(&mut out, "mc_ctr_reqs_to_llc", self.mc_ctr_reqs_to_llc);
-        u(&mut out, "l2_ctr_insertions", self.l2_ctr_insertions);
-        u(&mut out, "l2_ctr_invalidations", self.l2_ctr_invalidations);
-        u(&mut out, "l2_ctr_useless", self.l2_ctr_useless);
-        u(&mut out, "l2_ctr_useful", self.l2_ctr_useful);
-        u(&mut out, "decrypted_at_l2", self.decrypted_at_l2);
-        u(&mut out, "decrypted_at_mc", self.decrypted_at_mc);
-        u(
-            &mut out,
-            "offloaded_for_bandwidth",
+        field(o, &["l2_ctr_reqs_to_llc"], self.l2_ctr_reqs_to_llc);
+        field(o, &["mc_ctr_reqs_to_llc"], self.mc_ctr_reqs_to_llc);
+        field(o, &["l2_ctr_insertions"], self.l2_ctr_insertions);
+        field(o, &["l2_ctr_invalidations"], self.l2_ctr_invalidations);
+        field(o, &["l2_ctr_useless"], self.l2_ctr_useless);
+        field(o, &["l2_ctr_useful"], self.l2_ctr_useful);
+        field(o, &["decrypted_at_l2"], self.decrypted_at_l2);
+        field(o, &["decrypted_at_mc"], self.decrypted_at_mc);
+        field(
+            o,
+            &["offloaded_for_bandwidth"],
             self.offloaded_for_bandwidth,
         );
-        u(&mut out, "xpt_forwards", self.xpt_forwards);
-        u(&mut out, "xpt_wasted", self.xpt_wasted);
-        u(&mut out, "overflows_l0", self.overflows_l0);
-        u(&mut out, "overflows_higher", self.overflows_higher);
-        u(&mut out, "overflow_stalls", self.overflow_stalls);
-        u(&mut out, "prefetches", self.prefetches);
-        mean(&mut out, "l2_finish_wait_ns", &self.l2_finish_wait_ns);
-        mean(&mut out, "l2_aes_queue_ns", &self.l2_aes_queue_ns);
-        u(&mut out, "l2_ctr_lines_peak", self.l2_ctr_lines_peak);
-        u(
-            &mut out,
-            "emcc_disabled_windows",
-            self.emcc_disabled_windows,
-        );
-        u(
-            &mut out,
-            "llc_unverified_inserts",
-            self.llc_unverified_inserts,
-        );
-        u(&mut out, "llc_unverified_hits", self.llc_unverified_hits);
-        u(
-            &mut out,
-            "inclusive_back_invals",
-            self.inclusive_back_invals,
-        );
-        for class in [
-            emcc_dram::RequestClass::Data,
-            emcc_dram::RequestClass::Counter,
-            emcc_dram::RequestClass::TreeNode,
-            emcc_dram::RequestClass::OverflowL0,
-            emcc_dram::RequestClass::OverflowHigher,
+        field(o, &["xpt_forwards"], self.xpt_forwards);
+        field(o, &["xpt_wasted"], self.xpt_wasted);
+        field(o, &["overflows_l0"], self.overflows_l0);
+        field(o, &["overflows_higher"], self.overflows_higher);
+        field(o, &["overflow_stalls"], self.overflow_stalls);
+        field(o, &["prefetches"], self.prefetches);
+        field(o, &["l2_finish_wait_ns"], Mean(&self.l2_finish_wait_ns));
+        field(o, &["l2_aes_queue_ns"], Mean(&self.l2_aes_queue_ns));
+        field(o, &["l2_ctr_lines_peak"], self.l2_ctr_lines_peak);
+        field(o, &["emcc_disabled_windows"], self.emcc_disabled_windows);
+        field(o, &["llc_unverified_inserts"], self.llc_unverified_inserts);
+        field(o, &["llc_unverified_hits"], self.llc_unverified_hits);
+        field(o, &["inclusive_back_invals"], self.inclusive_back_invals);
+        for (class, key) in [
+            (RequestClass::Data, "dram_data"),
+            (RequestClass::Counter, "dram_counter"),
+            (RequestClass::TreeNode, "dram_treenode"),
+            (RequestClass::OverflowL0, "dram_overflowl0"),
+            (RequestClass::OverflowHigher, "dram_overflowhigher"),
         ] {
-            let key = format!("dram_{:?}", class).to_lowercase();
-            s(
-                &mut out,
-                &format!("{key}_count"),
-                &self.dram.count_for(class).to_string(),
-            );
-            s(
-                &mut out,
-                &format!("{key}_bus_busy_ps"),
-                &self.dram.bus_busy_for(class).as_ps().to_string(),
+            field(o, &[key, "_count"], self.dram.count_for(class));
+            field(
+                o,
+                &[key, "_bus_busy_ps"],
+                self.dram.bus_busy_for(class).as_ps(),
             );
         }
-        u(&mut out, "dram_row_hits", self.dram.row_hits);
-        u(&mut out, "dram_row_opens", self.dram.row_opens);
-        u(&mut out, "dram_row_conflicts", self.dram.row_conflicts);
-        u(&mut out, "faulty_reads", self.faulty_reads);
+        field(o, &["dram_row_hits"], self.dram.row_hits);
+        field(o, &["dram_row_opens"], self.dram.row_opens);
+        field(o, &["dram_row_conflicts"], self.dram.row_conflicts);
+        field(o, &["faulty_reads"], self.faulty_reads);
         let fi = self.faults_injected;
-        s(
-            &mut out,
-            "faults_injected",
-            &format!("[{}, {}, {}, {}, {}]", fi[0], fi[1], fi[2], fi[3], fi[4]),
+        field(
+            o,
+            &["faults_injected"],
+            format_args!("[{}, {}, {}, {}, {}]", fi[0], fi[1], fi[2], fi[3], fi[4]),
         );
-        u(&mut out, "integrity_violations", self.integrity_violations);
-        u(&mut out, "integrity_retries", self.integrity_retries);
-        u(
-            &mut out,
-            "integrity_unrecovered",
-            self.integrity_unrecovered,
-        );
-        u(&mut out, "verify_fallbacks", self.verify_fallbacks);
-        u(&mut out, "silent_corruptions", self.silent_corruptions);
+        field(o, &["integrity_violations"], self.integrity_violations);
+        field(o, &["integrity_retries"], self.integrity_retries);
+        field(o, &["integrity_unrecovered"], self.integrity_unrecovered);
+        field(o, &["verify_fallbacks"], self.verify_fallbacks);
+        field(o, &["silent_corruptions"], self.silent_corruptions);
         let h = &self.detection_latency_ns;
-        let bins: Vec<String> = (0..h.num_bins())
-            .map(|i| h.bin_count(i).to_string())
-            .collect();
-        s(
-            &mut out,
-            "detection_latency_bins",
-            &format!("[{}]", bins.join(", ")),
-        );
-        u(&mut out, "detection_latency_overflow", h.overflow());
-        f(&mut out, "detection_latency_mean", h.mean());
+        field(o, &["detection_latency_bins"], Bins(h));
+        field(o, &["detection_latency_overflow"], h.overflow());
+        field(o, &["detection_latency_mean"], h.mean());
         for comp in Component::ALL {
-            let h = self.crit_path.component(comp);
-            let bins: Vec<String> = (0..h.num_bins())
-                .map(|i| h.bin_count(i).to_string())
-                .collect();
-            s(
-                &mut out,
-                &format!("crit_{}_bins", comp.label()),
-                &format!("[{}]", bins.join(", ")),
-            );
-            u(
-                &mut out,
-                &format!("crit_{}_overflow", comp.label()),
-                h.overflow(),
-            );
-            f(&mut out, &format!("crit_{}_mean", comp.label()), h.mean());
-            u(
-                &mut out,
-                &format!("crit_{}_sum_ps", comp.label()),
-                self.crit_path.sum_ps(comp),
-            );
+            let (h, label) = (self.crit_path.component(comp), comp.label());
+            field(o, &["crit_", label, "_bins"], Bins(h));
+            field(o, &["crit_", label, "_overflow"], h.overflow());
+            field(o, &["crit_", label, "_mean"], h.mean());
+            field(o, &["crit_", label, "_sum_ps"], self.crit_path.sum_ps(comp));
         }
-        u(&mut out, "crit_total_ps", self.crit_total_ps);
-        mean(&mut out, "overlap_credit_ns", &self.overlap_credit_ns);
-        u(&mut out, "crit_violations", self.crit_violations);
-        u(&mut out, "data_refetch_reads", self.data_refetch_reads);
-        u(&mut out, "xpt_wasted_reads", self.xpt_wasted_reads);
-        u(
-            &mut out,
-            "dram_reads_inflight_at_cutoff",
+        field(o, &["crit_total_ps"], self.crit_total_ps);
+        field(o, &["overlap_credit_ns"], Mean(&self.overlap_credit_ns));
+        field(o, &["crit_violations"], self.crit_violations);
+        field(o, &["data_refetch_reads"], self.data_refetch_reads);
+        field(o, &["xpt_wasted_reads"], self.xpt_wasted_reads);
+        field(
+            o,
+            &["dram_reads_inflight_at_cutoff"],
             self.dram_reads_inflight_at_cutoff,
         );
-        u(
-            &mut out,
-            "unissued_misses_at_cutoff",
+        field(
+            o,
+            &["unissued_misses_at_cutoff"],
             self.unissued_misses_at_cutoff,
         );
-        u(&mut out, "shadow_lines", self.shadow_lines);
-        u(&mut out, "shadow_mismatches", self.shadow_mismatches);
+        field(o, &["shadow_lines"], self.shadow_lines);
+        field(o, &["shadow_mismatches"], self.shadow_mismatches);
         // Replace the trailing ",\n" with a clean close.
         out.truncate(out.len() - 2);
         out.push_str("\n}\n");

@@ -60,6 +60,14 @@ impl OracleReport {
     }
 }
 
+/// One scheme × design run of a case and its canonical rendering.
+struct Combo {
+    scheme: SecurityScheme,
+    design: CounterDesign,
+    report: SimReport,
+    json: String,
+}
+
 /// Runs the full battery on one case.
 ///
 /// Honors `EMCC_FORCE_ORACLE_FAIL` (value `*` or a specific case seed):
@@ -82,28 +90,35 @@ pub fn check_case(case: &FuzzCase) -> OracleReport {
         crash_recovery_oracle(case, design, &mut failures);
     }
 
-    // One SimReport per scheme×design, in fixed order.
-    let mut reports: Vec<(SecurityScheme, CounterDesign, SimReport)> = Vec::new();
+    // One SimReport per scheme×design, in fixed order, each rendered
+    // once: the digest, the design-invariance law and the determinism
+    // check all compare the same text.
+    let mut combos: Vec<Combo> = Vec::new();
     for scheme in SCHEMES {
         for design in DESIGNS {
             let cfg = case.system_config(scheme, design);
             let report = SecureSystem::new(cfg).run(case.sources(), case.ops_per_core);
-            fnv_mix(&mut digest, report.canonical_json().as_bytes());
+            let json = report.canonical_json();
+            fnv_mix(&mut digest, json.as_bytes());
             report_laws(case, scheme, &report, &mut failures);
-            reports.push((scheme, design, report));
+            combos.push(Combo {
+                scheme,
+                design,
+                report,
+                json,
+            });
         }
     }
-    metamorphic_laws(&reports, &mut failures);
+    metamorphic_laws(&combos, &mut failures);
 
     // Determinism: re-running a combo must reproduce its report verbatim.
     let cfg = case.system_config(SecurityScheme::Emcc, CounterDesign::Morphable);
     let again = SecureSystem::new(cfg).run(case.sources(), case.ops_per_core);
-    let first = reports
+    let first = combos
         .iter()
-        .find(|(s, d, _)| *s == SecurityScheme::Emcc && *d == CounterDesign::Morphable)
-        .map(|(_, _, r)| r.canonical_json())
+        .find(|c| c.scheme == SecurityScheme::Emcc && c.design == CounterDesign::Morphable)
         .expect("combo was run");
-    if again.canonical_json() != first {
+    if again.canonical_json() != first.json {
         failures.push("determinism: emcc/morphable replay diverged from first run".to_string());
     }
 
@@ -439,19 +454,16 @@ fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures:
 
 /// Cross-scheme metamorphic relations over one case's scheme × design
 /// reports.
-fn metamorphic_laws(
-    reports: &[(SecurityScheme, CounterDesign, SimReport)],
-    failures: &mut Vec<String>,
-) {
+fn metamorphic_laws(combos: &[Combo], failures: &mut Vec<String>) {
     // NonSecure never loses to an encrypting placement on the same design:
     // cryptography only adds work (counter fetches, AES, verification, or
     // a direct cipher's serial latency).
     for design in DESIGNS {
         let of = |scheme: SecurityScheme| {
-            reports
+            combos
                 .iter()
-                .find(|(s, d, _)| *s == scheme && *d == design)
-                .map(|(_, _, r)| r)
+                .find(|c| c.scheme == scheme && c.design == design)
+                .map(|c| &c.report)
                 .expect("all combos present")
         };
         let ns = of(SecurityScheme::NonSecure);
@@ -489,13 +501,13 @@ fn metamorphic_laws(
         if scheme.placement().uses_counters() {
             continue;
         }
-        let runs: Vec<&SimReport> = reports
+        let runs: Vec<&str> = combos
             .iter()
-            .filter(|(s, _, _)| *s == scheme)
-            .map(|(_, _, r)| r)
+            .filter(|c| c.scheme == scheme)
+            .map(|c| c.json.as_str())
             .collect();
         for w in runs.windows(2) {
-            if w[0].canonical_json() != w[1].canonical_json() {
+            if w[0] != w[1] {
                 failures.push(format!(
                     "metamorphic: {scheme} report varies with counter design"
                 ));
