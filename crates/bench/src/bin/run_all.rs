@@ -46,7 +46,7 @@ use emcc::system::DispatchLedger;
 use emcc_bench::cli::{exit_error, write_or_exit, Argv};
 use emcc_bench::experiments::{self, Entry, REGISTRY};
 use emcc_bench::json::Json;
-use emcc_bench::{ExhaustedRun, ExpParams, FailedRun, Harness};
+use emcc_bench::{ExhaustedRun, ExpParams, FailedRun, Harness, TruncatedRun};
 
 fn main() {
     let mut smoke = false;
@@ -147,6 +147,7 @@ fn main() {
             &[],
             &failures,
             &h.recovery_exhausted(),
+            &h.truncated(),
             &h.dispatches(),
         );
         write_telemetry("BENCH_run_all.json", &json, total_secs);
@@ -200,6 +201,14 @@ fn main() {
             e.bench, e.scheme, e.unrecovered
         );
     }
+    let truncated = h.truncated();
+    for t in &truncated {
+        eprintln!(
+            "[{total_secs:>7.1}s] WARNING: {} / {} stopped at the simulated-time \
+             limit after {} measured memory operations",
+            t.bench, t.scheme, t.mem_ops
+        );
+    }
     let json = bench_json(
         scale,
         h.jobs(),
@@ -211,6 +220,7 @@ fn main() {
         &timings,
         &[],
         &exhausted,
+        &truncated,
         &h.dispatches(),
     );
     write_telemetry("BENCH_run_all.json", &json, total_secs);
@@ -241,7 +251,8 @@ fn write_telemetry(path: &str, json: &Json, secs: f64) {
 /// dispatches per kind, which depend on nothing but the runs) + the
 /// failed-run trail (empty on a clean pass) + runs that completed with
 /// an exhausted integrity-retry budget (kept distinct from
-/// `failed_runs`: their reports are valid and rendered).
+/// `failed_runs`: their reports are valid and rendered) + runs cut off
+/// at the simulated-time limit.
 #[allow(clippy::too_many_arguments)]
 fn bench_json(
     scale: WorkloadScale,
@@ -254,6 +265,7 @@ fn bench_json(
     timings: &[(&str, f64)],
     failures: &[FailedRun],
     exhausted: &[ExhaustedRun],
+    truncated: &[TruncatedRun],
     dispatches: &DispatchLedger,
 ) -> Json {
     // The perf trajectory: unique simulations per second of simulate
@@ -276,6 +288,9 @@ fn bench_json(
     let exhausted_runs = exhausted
         .iter()
         .map(|e| run(&e.bench, &e.scheme, unrecovered(e)));
+    let truncated_runs = truncated
+        .iter()
+        .map(|t| run(&t.bench, &t.scheme, ("mem_ops", Json::num(t.mem_ops))));
     let sections = timings
         .iter()
         .map(|&(name, secs)| (name, Json::fixed(secs, 3)));
@@ -302,6 +317,7 @@ fn bench_json(
             "recovery_exhausted_runs",
             Json::Arr(exhausted_runs.collect()),
         ),
+        ("truncated_runs", Json::Arr(truncated_runs.collect())),
         ("render_seconds", Json::obj(sections)),
     ])
 }
@@ -324,6 +340,11 @@ mod tests {
             scheme: "CtrInLlc".into(),
             unrecovered: 3,
         }];
+        let truncated = [TruncatedRun {
+            bench: "DFS".into(),
+            scheme: "EMCC".into(),
+            mem_ops: 1234,
+        }];
         let mut dispatches = DispatchLedger::default();
         dispatches.by_kind[0] = 7;
         dispatches.by_kind[16] = 3;
@@ -340,6 +361,7 @@ mod tests {
             &[],
             &failures,
             &exhausted,
+            &truncated,
             &dispatches,
         );
         assert_eq!(
@@ -389,6 +411,9 @@ mod tests {
   "recovery_exhausted_runs": [
     {"bench": "mcf", "scheme": "CtrInLlc", "unrecovered": 3}
   ],
+  "truncated_runs": [
+    {"bench": "DFS", "scheme": "EMCC", "mem_ops": 1234}
+  ],
   "render_seconds": {
   }
 }
@@ -405,12 +430,14 @@ mod tests {
             &[("Fig 3", 0.0125), ("ablations", 1.5)],
             &[],
             &[],
+            &[],
             &DispatchLedger::default(),
         );
         let text = clean.render();
         assert!(text.contains(
             "  \"failed_runs\": [],\n  \"recovery_exhausted_count\": 0,\n  \
-             \"recovery_exhausted_runs\": [],\n  \"render_seconds\": {\n    \
+             \"recovery_exhausted_runs\": [],\n  \"truncated_runs\": [],\n  \
+             \"render_seconds\": {\n    \
              \"Fig 3\": 0.013,\n    \"ablations\": 1.500\n  }\n}\n"
         ));
     }

@@ -25,4 +25,4 @@ pub mod runner;
 
 pub use cli::bless_requested;
 pub use pool::{jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest};
-pub use runner::{scale_from_env, ExhaustedRun, ExpParams, FailedRun, Harness};
+pub use runner::{scale_from_env, ExhaustedRun, ExpParams, FailedRun, Harness, TruncatedRun};

@@ -85,6 +85,7 @@ pub struct Harness {
 #[derive(Default)]
 struct RunNotes {
     exhausted: Vec<ExhaustedRun>,
+    truncated: Vec<TruncatedRun>,
     dispatches: DispatchLedger,
 }
 
@@ -116,6 +117,19 @@ pub struct ExhaustedRun {
     pub scheme: String,
     /// Detections left unrecovered after the retry budget.
     pub unrecovered: u64,
+}
+
+/// A simulation that stopped at `SystemConfig::max_sim_time` before
+/// every core finished (`SimReport::truncated`): its report covers a
+/// cut-off run. Surfaced in `BENCH_run_all.json` as `truncated_runs`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TruncatedRun {
+    /// Benchmark name of the run.
+    pub bench: String,
+    /// Security scheme of the run.
+    pub scheme: String,
+    /// Measured memory operations completed before the cut.
+    pub mem_ops: u64,
 }
 
 impl Harness {
@@ -188,6 +202,12 @@ impl Harness {
         self.notes().exhausted.clone()
     }
 
+    /// Completed runs cut off at `SystemConfig::max_sim_time`, in
+    /// simulation order, each unique `(benchmark, config)` once.
+    pub fn truncated(&self) -> Vec<TruncatedRun> {
+        self.notes().truncated.clone()
+    }
+
     /// Host work summed over every unique simulation so far (cache hits
     /// add nothing).
     pub fn dispatches(&self) -> DispatchLedger {
@@ -206,6 +226,13 @@ impl Harness {
                 bench: req.bench.name(),
                 scheme: req.cfg.scheme.to_string(),
                 unrecovered: report.integrity_unrecovered,
+            });
+        }
+        if report.truncated {
+            notes.truncated.push(TruncatedRun {
+                bench: req.bench.name(),
+                scheme: req.cfg.scheme.to_string(),
+                mem_ops: report.mem_ops,
             });
         }
     }
@@ -430,6 +457,24 @@ mod tests {
         // A cache hit of the same run must not double-count.
         h.run(Benchmark::Canneal, cfg);
         assert_eq!(h.recovery_exhausted().len(), 1);
+    }
+
+    #[test]
+    fn truncated_runs_are_recorded_once() {
+        let h = Harness::with_jobs(ExpParams::for_scale(WorkloadScale::Test), 2);
+        h.run_scheme(Benchmark::Mcf, SecurityScheme::NonSecure);
+        assert!(h.truncated().is_empty(), "a finished run is not truncated");
+        let mut cfg = Cfg::table_i(SecurityScheme::Emcc);
+        cfg.max_sim_time = Time::from_ns(500);
+        let report = h.run(Benchmark::Mcf, cfg.clone());
+        assert!(report.truncated);
+        let cut = h.truncated();
+        assert_eq!(cut.len(), 1);
+        assert_eq!(cut[0].bench, Benchmark::Mcf.name());
+        assert_eq!(cut[0].mem_ops, report.mem_ops);
+        // A cache hit of the same run must not record it again.
+        h.run(Benchmark::Mcf, cfg);
+        assert_eq!(h.truncated().len(), 1);
     }
 
     #[test]

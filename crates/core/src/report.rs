@@ -299,6 +299,10 @@ pub struct SimReport {
     /// Host work: dispatches per event kind over the whole run, warm-up
     /// included (not rendered by [`Self::canonical_json`]).
     pub dispatches: DispatchLedger,
+    /// The run reached `SystemConfig::max_sim_time` before every core
+    /// finished, so its counts cover a cut-off run (not rendered by
+    /// [`Self::canonical_json`]).
+    pub truncated: bool,
 }
 
 impl SimReport {

@@ -527,6 +527,7 @@ impl SecureSystem {
             self.cores.iter().filter(|c| !c.finished()).count(),
             self.now
         );
+        self.report.truncated = timed_out;
     }
 
     fn end_warmup(&mut self) {

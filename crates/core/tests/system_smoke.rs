@@ -322,3 +322,19 @@ fn deterministic_across_runs() {
     assert_eq!(a.dram_data_reads, b.dram_data_reads);
     assert_eq!(a.l2_ctr_insertions, b.l2_ctr_insertions);
 }
+
+#[test]
+fn reaching_max_sim_time_marks_the_report_truncated() {
+    let r = run(SecurityScheme::Emcc, Benchmark::Canneal, 2_000);
+    assert!(!r.truncated, "a run that finishes is not truncated");
+
+    let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
+    cfg.max_sim_time = emcc_sim::Time::from_ns(500);
+    let sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);
+    let cut = SecureSystem::new(cfg).run(sources, 2_000);
+    assert!(cut.truncated, "a run cut at max_sim_time must say so");
+    assert!(cut.mem_ops < 4 * 2_000, "the cut run finished its work");
+    // Truncation is host-side bookkeeping: the canonical report does
+    // not render it.
+    assert!(!cut.canonical_json().contains("truncated"));
+}
