@@ -116,7 +116,7 @@ impl DispatchLedger {
 
     /// Every count by name: the event kinds in [`Self::KINDS`] order,
     /// then `idle_core_advances` and `idle_dram_pumps`.
-    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
         Self::KINDS.into_iter().zip(self.by_kind).chain([
             ("idle_core_advances", self.idle_core_advances),
             ("idle_dram_pumps", self.idle_dram_pumps),

@@ -32,7 +32,7 @@ pub struct Completion {
 }
 
 /// Result of running a channel's scheduler once.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PumpResult {
     /// The request this pump issued, with its completion time. A pump
     /// issues at most one request (one command per burst slot).
