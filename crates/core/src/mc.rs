@@ -827,8 +827,9 @@ impl SecureSystem {
 
     // ----- Write-backs -------------------------------------------------------
 
+    /// Routes a write-back by placement: posted as is, through a direct
+    /// cipher, or through the counter path.
     pub(crate) fn mc_writeback(&mut self, line: LineAddr) {
-        self.report.writebacks += 1;
         let placement = self.cfg.scheme.placement();
         if !placement.encrypts {
             self.mc_write_issue(line);

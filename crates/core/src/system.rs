@@ -641,7 +641,12 @@ impl SecureSystem {
             Ev::SliceCtrReq { block, origin } => self.slice_ctr_req(block, origin),
             Ev::McDataReq { txn, via_xpt } => self.mc_data_req(txn, via_xpt),
             Ev::McCtrReq { block, origin } => self.mc_ctr_req(block, origin),
-            Ev::McWriteback { line } => self.mc_writeback(line),
+            Ev::McWriteback { line } => {
+                // Counted on arrival: a write-back that overflow admission
+                // defers replays through `mc_writeback` uncounted.
+                self.report.writebacks += 1;
+                self.mc_writeback(line);
+            }
             Ev::McWriteIssue { line } => self.mc_write_issue(line),
             Ev::McCtrReady { block } => self.mc_ctr_ready(block),
             Ev::L2Fill { txn, verified } => self.l2_fill(txn, verified),
@@ -1503,6 +1508,36 @@ impl SecureSystem {
 mod tests {
     use super::*;
     use crate::report::DispatchLedger;
+    use emcc_counters::CounterDesign;
+    use emcc_secmem::SecurityScheme;
+
+    /// A write-back that overflow admission defers counts once, when it
+    /// arrives at the MC, and not again when it replays.
+    #[test]
+    fn deferred_writeback_counts_once() {
+        let mut cfg = SystemConfig::table_i(SecurityScheme::McOnly);
+        cfg.counter_design = CounterDesign::Sc64;
+        let mut sys = SecureSystem::new(cfg);
+        // Three lines under three counter blocks, each one write-back
+        // short of a level-0 overflow: the third overflow must wait.
+        let lines = [0, 64, 128].map(LineAddr::new);
+        for line in lines {
+            while !sys.tree.would_overflow_data(line) {
+                sys.tree.increment_data(line);
+            }
+            let block = sys.ctr_block_of(line);
+            sys.mc.meta.fill(block, BlockKind::Counter, false);
+        }
+        for line in lines {
+            sys.queue.push(Time::ZERO, Ev::McWriteback { line });
+        }
+        while let Some((t, ev)) = sys.queue.pop() {
+            sys.now = t;
+            sys.dispatch(ev);
+        }
+        assert_eq!(sys.report.overflow_stalls, 1);
+        assert_eq!(sys.report.writebacks, 3);
+    }
 
     #[test]
     fn ledger_kinds_name_every_event() {
