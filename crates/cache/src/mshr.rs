@@ -36,8 +36,6 @@ pub enum MshrOutcome {
 pub struct MshrFile<W> {
     capacity: usize,
     entries: FastHashMap<LineAddr, Vec<W>>,
-    merged_total: u64,
-    allocated_total: u64,
     /// Recycled waiter vectors: completed entries park their (cleared)
     /// allocation here and new entries draw from it, so steady-state
     /// allocate/complete churn touches no allocator.
@@ -55,8 +53,6 @@ impl<W> MshrFile<W> {
         MshrFile {
             capacity,
             entries: FastHashMap::default(),
-            merged_total: 0,
-            allocated_total: 0,
             spare: Vec::new(),
         }
     }
@@ -65,7 +61,6 @@ impl<W> MshrFile<W> {
     pub fn allocate(&mut self, addr: LineAddr, waiter: W) -> MshrOutcome {
         if let Some(ws) = self.entries.get_mut(&addr) {
             ws.push(waiter);
-            self.merged_total += 1;
             return MshrOutcome::Merged;
         }
         if self.entries.len() >= self.capacity {
@@ -74,7 +69,6 @@ impl<W> MshrFile<W> {
         let mut ws = self.spare.pop().unwrap_or_default();
         ws.push(waiter);
         self.entries.insert(addr, ws);
-        self.allocated_total += 1;
         MshrOutcome::Allocated
     }
 
@@ -115,16 +109,6 @@ impl<W> MshrFile<W> {
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
-
-    /// Secondary misses merged so far.
-    pub fn merged_total(&self) -> u64 {
-        self.merged_total
-    }
-
-    /// Primary misses allocated so far.
-    pub fn allocated_total(&self) -> u64 {
-        self.allocated_total
-    }
 }
 
 #[cfg(test)]
@@ -138,8 +122,6 @@ mod tests {
         assert_eq!(m.allocate(LineAddr::new(1), 2), MshrOutcome::Merged);
         assert!(m.is_outstanding(LineAddr::new(1)));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.merged_total(), 1);
-        assert_eq!(m.allocated_total(), 1);
     }
 
     #[test]

@@ -3,10 +3,39 @@
 use emcc_counters::CounterDesign;
 use emcc_crypto::CryptoLatencies;
 use emcc_dram::{DramConfig, FaultConfig};
-use emcc_noc::{Mesh, NocLatency};
+use emcc_noc::Mesh;
 use emcc_secmem::{RecoveryConfig, SecurityScheme};
-use emcc_sim::time::Frequency;
 use emcc_sim::Time;
+
+// Table I values that every run shares. The NoC constants are
+// `NocLatency::calibrated()` (Fig 3).
+
+/// Core clock in GHz (Table I: 3.2 GHz).
+pub const CORE_GHZ: f64 = 3.2;
+/// Reorder-buffer entries (Table I: 192).
+pub const ROB_ENTRIES: u64 = 192;
+/// Retire/issue width (Table I: 4-wide).
+pub const WIDTH: u64 = 4;
+/// Maximum outstanding L1 misses per core (MLP cap).
+pub const MAX_OUTSTANDING_LOADS: usize = 16;
+/// L1D latency (Table I: 2 ns).
+pub const L1_LATENCY: Time = Time::from_ns(2);
+/// L2 additive latency (Table I: 4 ns).
+pub const L2_LATENCY: Time = Time::from_ns(4);
+/// LLC slice SRAM latency (tag + data array).
+pub const LLC_SRAM_LATENCY: Time = Time::from_ns(4);
+/// MC metadata cache latency (Table I: 3 ns).
+pub const MC_CACHE_LATENCY: Time = Time::from_ns(3);
+/// EMCC: delay of the serial counter lookup in L2 after a data miss (the
+/// 'J' term of Fig 10a: spare-cycle lookup).
+pub const CTR_LOOKUP_DELAY: Time = Time::from_ns(2);
+/// EMCC: queue-delay threshold above which an L2 offloads decryption back
+/// to the MC (§IV-D adaptive offload): compared against the latency an
+/// L2-side decryption could save (≈ the MC→L2 response time).
+pub const OFFLOAD_THRESHOLD: Time = Time::from_ns(17);
+/// EMCC dynamic disable (§IV-F): minimum DRAM-served fills per 1000 L2
+/// accesses for EMCC to stay on in the next window.
+pub const INTENSITY_THRESHOLD_PER_MILLE: u64 = 10;
 
 /// EMCC-specific knobs (§IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,26 +46,16 @@ pub struct EmccConfig {
     /// Fraction of chip AES bandwidth moved from the MC to the L2s
     /// (Fig 19 sweeps 20/40/50/80%; default 50%).
     pub aes_fraction_to_l2: f64,
-    /// Delay of the serial counter lookup in L2 after a data miss
-    /// (the 'J' term of Fig 10a: spare-cycle lookup).
-    pub ctr_lookup_delay: Time,
     /// How long L2 waits after a data miss before starting AES, so AES
     /// bandwidth is not wasted on LLC hits (§IV-D: "only starts
     /// calculating AES ... after waiting LLC hit latency").
     pub aes_start_wait: Time,
-    /// Queue-delay threshold above which L2 offloads decryption back to
-    /// the MC (§IV-D adaptive offload): compared against the latency an
-    /// L2-side decryption could save (≈ the MC→L2 response time).
-    pub offload_threshold: Time,
     /// §IV-F extension: periodically sample each L2's memory intensity
     /// (DRAM-served fills per L2 access) and turn EMCC off for that L2
     /// while the application is not memory-intensive, so counter caching
     /// wastes neither L2 space nor energy. Off by default (the paper's
     /// primary evaluation does not use it).
     pub dynamic_disable: bool,
-    /// Dynamic-disable threshold: minimum DRAM-served fills per 1000 L2
-    /// accesses for EMCC to stay on in the next window.
-    pub intensity_threshold_per_mille: u32,
     /// Sampling window in L2 accesses for the dynamic-disable decision.
     pub intensity_window: u64,
 }
@@ -52,20 +71,14 @@ impl std::hash::Hash for EmccConfig {
         let EmccConfig {
             l2_counter_budget_lines,
             aes_fraction_to_l2,
-            ctr_lookup_delay,
             aes_start_wait,
-            offload_threshold,
             dynamic_disable,
-            intensity_threshold_per_mille,
             intensity_window,
         } = self;
         l2_counter_budget_lines.hash(state);
         aes_fraction_to_l2.to_bits().hash(state);
-        ctr_lookup_delay.hash(state);
         aes_start_wait.hash(state);
-        offload_threshold.hash(state);
         dynamic_disable.hash(state);
-        intensity_threshold_per_mille.hash(state);
         intensity_window.hash(state);
     }
 }
@@ -75,11 +88,8 @@ impl Default for EmccConfig {
         EmccConfig {
             l2_counter_budget_lines: 512,
             aes_fraction_to_l2: 0.5,
-            ctr_lookup_delay: Time::from_ns(2),
             aes_start_wait: Time::from_ns(23),
-            offload_threshold: Time::from_ns(17),
             dynamic_disable: false,
-            intensity_threshold_per_mille: 10,
             intensity_window: 4096,
         }
     }
@@ -104,40 +114,24 @@ impl Default for EmccConfig {
 pub struct SystemConfig {
     /// Number of cores (Table I: 4).
     pub cores: usize,
-    /// Core clock (Table I: 3.2 GHz).
-    pub freq: Frequency,
-    /// Reorder-buffer entries (Table I: 192).
-    pub rob_entries: u64,
-    /// Retire/issue width (Table I: 4-wide).
-    pub width: u64,
-    /// Maximum outstanding L1 misses per core (MLP cap).
-    pub max_outstanding_loads: usize,
     /// L1D size in bytes (Table I: 64 KB).
     pub l1_size: u64,
     /// L1D associativity (Table I: 8).
     pub l1_ways: u32,
-    /// L1D latency (Table I: 2 ns).
-    pub l1_latency: Time,
     /// L2 size in bytes (Table I: 1 MB).
     pub l2_size: u64,
     /// L2 associativity (Table I: 8).
     pub l2_ways: u32,
-    /// L2 additive latency (Table I: 4 ns).
-    pub l2_latency: Time,
     /// Number of LLC slices (mapped onto mesh core-tile positions).
     pub llc_slices: usize,
     /// Per-slice LLC size in bytes (16 slices × 512 KB = Table I's 8 MB).
     pub llc_slice_size: u64,
     /// LLC associativity (Table I: 16).
     pub llc_ways: u32,
-    /// LLC slice SRAM latency (tag + data array).
-    pub llc_sram_latency: Time,
     /// MC metadata (counter) cache size in bytes (Table I: 128 KB).
     pub mc_cache_size: u64,
     /// MC metadata cache associativity (Table I: 32).
     pub mc_cache_ways: u32,
-    /// MC metadata cache latency (Table I: 3 ns).
-    pub mc_cache_latency: Time,
     /// Cryptography latencies (AES 14 ns, Morphable decode 3 ns).
     pub crypto: CryptoLatencies,
     /// The secure-memory design point under test.
@@ -148,8 +142,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Mesh topology (Fig 4).
     pub mesh: Mesh,
-    /// NoC latency constants (calibrated to Fig 3).
-    pub noc: NocLatency,
     /// LLC-miss prediction (Intel XPT-like, §IV-D / Fig 14).
     pub xpt_enabled: bool,
     /// §IV-F extension: inclusive LLC. DRAM fills are also inserted into
@@ -184,29 +176,20 @@ impl SystemConfig {
     pub fn table_i(scheme: SecurityScheme) -> Self {
         SystemConfig {
             cores: 4,
-            freq: Frequency::from_ghz(3.2),
-            rob_entries: 192,
-            width: 4,
-            max_outstanding_loads: 16,
             l1_size: 64 * 1024,
             l1_ways: 8,
-            l1_latency: Time::from_ns(2),
             l2_size: 1024 * 1024,
             l2_ways: 8,
-            l2_latency: Time::from_ns(4),
             llc_slices: 16,
             llc_slice_size: 512 * 1024,
             llc_ways: 16,
-            llc_sram_latency: Time::from_ns(4),
             mc_cache_size: 128 * 1024,
             mc_cache_ways: 32,
-            mc_cache_latency: Time::from_ns(3),
             crypto: CryptoLatencies::paper_default(),
             scheme,
             counter_design: CounterDesign::Morphable,
             dram: DramConfig::table_i(1),
             mesh: Mesh::xeon_w3175x(),
-            noc: NocLatency::calibrated(),
             xpt_enabled: true,
             inclusive_llc: false,
             l2_prefetch_degree: 2,
@@ -302,9 +285,17 @@ mod tests {
     fn table_i_defaults() {
         let c = SystemConfig::table_i(SecurityScheme::CtrInLlc);
         assert_eq!(c.cores, 4);
-        assert_eq!(c.rob_entries, 192);
-        assert_eq!(c.l1_latency, Time::from_ns(2));
-        assert_eq!(c.l2_latency, Time::from_ns(4));
+        assert_eq!(CORE_GHZ, 3.2);
+        assert_eq!(ROB_ENTRIES, 192);
+        assert_eq!(WIDTH, 4);
+        assert_eq!(MAX_OUTSTANDING_LOADS, 16);
+        assert_eq!(L1_LATENCY, Time::from_ns(2));
+        assert_eq!(L2_LATENCY, Time::from_ns(4));
+        assert_eq!(LLC_SRAM_LATENCY, Time::from_ns(4));
+        assert_eq!(MC_CACHE_LATENCY, Time::from_ns(3));
+        assert_eq!(CTR_LOOKUP_DELAY, Time::from_ns(2));
+        assert_eq!(OFFLOAD_THRESHOLD, Time::from_ns(17));
+        assert_eq!(INTENSITY_THRESHOLD_PER_MILLE, 10);
         assert_eq!(c.llc_total_size(), 8 * 1024 * 1024);
         assert_eq!(c.mc_cache_size, 128 * 1024);
         assert_eq!(c.crypto.aes, Time::from_ns(14));

@@ -4,13 +4,14 @@
 
 use std::collections::VecDeque;
 
-use emcc_cache::BlockKind;
+use emcc_cache::{BlockKind, SetAssocCache};
 use emcc_crypto::DataBlock;
 use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
-use emcc_secmem::{AesPool, MetadataCache, OverflowEngine, OverflowTask};
+use emcc_secmem::{AesPool, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
 use emcc_sim::{FastHashMap, LineAddr, Time};
 
+use crate::config::MC_CACHE_LATENCY;
 use crate::report::CtrSource;
 use crate::system::{Ev, SecureSystem, TxnId};
 
@@ -23,6 +24,18 @@ pub(crate) enum CtrOrigin {
     Mc,
     /// Internal: the LLC found the block and is replying to the MC.
     LlcHitReply,
+}
+
+/// What joins a counter resolution at the MC.
+#[derive(Debug)]
+pub(crate) enum CtrJoiner {
+    /// A data read the MC decrypts.
+    Read(TxnId),
+    /// A write-back waiting to bump the counter.
+    Writeback(LineAddr),
+    /// An EMCC L2 whose parallel counter request missed the LLC, with the
+    /// reads at the MC that the MC now decrypts for it (§IV-D).
+    L2 { core: usize, reads: Vec<TxnId> },
 }
 
 /// What a DRAM completion corresponds to.
@@ -59,8 +72,6 @@ pub(crate) struct CtrTxn {
     pub fetched_ancestors: Vec<LineAddr>,
     /// Where the level-0 block was found.
     pub source: Option<CtrSource>,
-    /// The LLC probe for the level-0 block is in flight.
-    pub llc_probe_outstanding: bool,
     /// DRAM fetches have been launched.
     pub dram_started: bool,
     /// Node fetches in the current walk that returned corrupted contents
@@ -72,7 +83,9 @@ pub(crate) struct CtrTxn {
 
 /// MC state owned by the system.
 pub(crate) struct McState {
-    pub meta: MetadataCache,
+    /// The MC's private metadata cache (Table I: 128 KB, 32-way): level-0
+    /// counter blocks and tree nodes, tagged by kind.
+    pub meta: SetAssocCache<BlockKind>,
     /// Read-path AES: OTPs for MC-decrypted reads and counter-block
     /// verification. Write-path AES runs on [`Self::aes_wr`] — real MCs
     /// deprioritize write-back crypto so it never delays read OTPs.
@@ -120,18 +133,7 @@ impl SecureSystem {
         let next_wake = self.mc.dram.pump(self.now, &mut self.mc.dram_issued);
         let issued = !self.mc.dram_issued.is_empty();
         for c in self.mc.dram_issued.drain(..) {
-            self.queue.push(
-                c.done,
-                Ev::DramDone {
-                    id: c.id,
-                    row_hit: c.row_hit,
-                    line: c.line,
-                    class: c.class,
-                    is_write: c.is_write,
-                    enqueued: c.enqueued,
-                    issued: c.issued,
-                },
-            );
+            self.queue.push(c.done, Ev::DramDone(c));
         }
         if let Some(w) = next_wake {
             let need = match self.dram_pump_at {
@@ -146,18 +148,8 @@ impl SecureSystem {
         issued
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dram_done(
-        &mut self,
-        id: u64,
-        row_hit: bool,
-        line: LineAddr,
-        class: RequestClass,
-        is_write: bool,
-        enqueued: Time,
-        issued: Time,
-    ) {
-        let Some(target) = self.mc.dram_targets.remove(&id) else {
+    pub(crate) fn dram_done(&mut self, c: Completion) {
+        let Some(target) = self.mc.dram_targets.remove(&c.id) else {
             return;
         };
         // Fault model: writes repair soft faults in the written line;
@@ -165,8 +157,8 @@ impl SecureSystem {
         // Overflow re-encryption traffic bypasses the model — its reads
         // are re-verified by the re-encryption itself.
         let fault = match self.mc.fault.as_mut() {
-            Some(fm) if is_write => {
-                fm.on_write(line);
+            Some(fm) if c.is_write => {
+                fm.on_write(c.line);
                 None
             }
             Some(fm)
@@ -175,7 +167,7 @@ impl SecureSystem {
                     DramTarget::DataRead { .. } | DramTarget::NodeFetch { .. }
                 ) =>
             {
-                fm.on_read(line, class)
+                fm.on_read(c.line, c.class)
             }
             _ => None,
         };
@@ -197,13 +189,13 @@ impl SecureSystem {
                     Some(txn) => {
                         txn.mc_data_at = Some(self.now);
                         txn.spans
-                            .push(Span::new(Component::McQueue, enqueued, issued));
-                        let row = if row_hit {
+                            .push(Span::new(Component::McQueue, c.enqueued, c.issued));
+                        let row = if c.row_hit {
                             Component::DramRowHit
                         } else {
                             Component::DramRowMiss
                         };
-                        txn.spans.push(Span::new(row, issued, self.now));
+                        txn.spans.push(Span::new(row, c.issued, self.now));
                         // Attach the corruption to the transaction; it is
                         // counted as a consumed faulty read at the point a
                         // verifier (or unverified delivery) observes it, so
@@ -308,8 +300,8 @@ impl SecureSystem {
     fn mc_resolve_counter_for_read(&mut self, txn_id: TxnId) {
         let line = self.txns[&txn_id].line;
         let block = self.ctr_block_of(line);
-        let lookup_done = self.now + self.cfg.mc_cache_latency;
-        if self.mc.meta.lookup(block) {
+        let lookup_done = self.now + MC_CACHE_LATENCY;
+        if self.mc.meta.touch(block) {
             let ready = lookup_done + self.cfg.crypto.counter_decode;
             // Start the OTP AES as soon as the counter is decoded.
             let aes = self.mc.aes.schedule_span(ready);
@@ -322,7 +314,7 @@ impl SecureSystem {
             txn.spans.push(aes);
             self.try_ship_data(txn_id);
         } else {
-            self.mc_fetch_counter(block, Some(txn_id), None);
+            self.mc_fetch_counter(block, CtrJoiner::Read(txn_id));
         }
     }
 
@@ -450,29 +442,34 @@ impl SecureSystem {
 
     // ----- Counter fetch + verification -------------------------------------
 
-    /// Begins (or joins) resolution of a counter block at the MC.
-    pub(crate) fn mc_fetch_counter(
-        &mut self,
-        block: LineAddr,
-        data_waiter: Option<TxnId>,
-        wb_waiter: Option<LineAddr>,
-    ) {
-        let scheme = self.cfg.scheme;
+    /// Joins `joiner` to the resolution of counter block `block`, opening
+    /// one if none is in flight.
+    ///
+    /// A new resolution probes the LLC when the scheme caches counters
+    /// there, unless its joiner is an L2 whose request already missed the
+    /// LLC; otherwise it starts the tree walk. An L2 that joins a
+    /// resolution whose walk has not started starts it too.
+    pub(crate) fn mc_fetch_counter(&mut self, block: LineAddr, joiner: CtrJoiner) {
+        let counters_in_llc = self.cfg.scheme.placement().counters_in_llc();
         let exists = self.mc.ctr_txns.contains_key(&block);
         let ctr = self.mc.ctr_txns.entry(block).or_default();
-        if let Some(t) = data_waiter {
-            ctr.data_waiters.push(t);
-        }
-        if let Some(w) = wb_waiter {
-            ctr.wb_waiters.push(w);
+        let from_l2 = matches!(joiner, CtrJoiner::L2 { .. });
+        match joiner {
+            CtrJoiner::Read(txn) => ctr.data_waiters.push(txn),
+            CtrJoiner::Writeback(line) => ctr.wb_waiters.push(line),
+            CtrJoiner::L2 { core, reads } => {
+                ctr.data_waiters.extend(reads);
+                if !ctr.l2_reply.contains(&core) {
+                    ctr.l2_reply.push(core);
+                }
+                ctr.llc_reply = true;
+            }
         }
         if exists {
-            return;
-        }
-        // New resolution: probe the LLC for the block when the scheme
-        // caches counters there; otherwise go straight to DRAM.
-        if scheme.placement().counters_in_llc() {
-            ctr.llc_probe_outstanding = true;
+            if from_l2 && !ctr.dram_started {
+                self.ctr_start_dram_fetch(block);
+            }
+        } else if counters_in_llc && !from_l2 {
             ctr.llc_reply = true;
             self.report.mc_ctr_reqs_to_llc += 1;
             let slice = self.slice_of(block);
@@ -500,7 +497,7 @@ impl SecureSystem {
         let mut cur = (0u32, idx0);
         while let Some((lvl, idx)) = self.tree.geometry().parent_of(cur.0, cur.1) {
             let addr = self.tree.geometry().node_addr(lvl, idx);
-            if self.mc.meta.touch_quiet(addr) {
+            if self.mc.meta.touch(addr) {
                 break;
             }
             nodes.push(addr);
@@ -671,7 +668,6 @@ impl SecureSystem {
             CtrOrigin::LlcHitReply => {
                 // The LLC had the verified block.
                 if let Some(ctr) = self.mc.ctr_txns.get_mut(&block) {
-                    ctr.llc_probe_outstanding = false;
                     ctr.source = Some(CtrSource::Llc);
                     ctr.llc_reply = false; // already in LLC
                     let decode = self.cfg.crypto.counter_decode;
@@ -681,7 +677,6 @@ impl SecureSystem {
             CtrOrigin::Mc => {
                 // Our own probe missed in LLC: fetch from DRAM.
                 if let Some(ctr) = self.mc.ctr_txns.get_mut(&block) {
-                    ctr.llc_probe_outstanding = false;
                     if !ctr.dram_started {
                         self.ctr_start_dram_fetch(block);
                     }
@@ -694,7 +689,7 @@ impl SecureSystem {
                 // both LLC and L2.
                 // Borrowing the waiter list while mutating `txns` is fine
                 // (disjoint fields) — no clone of the list per request.
-                let mut mc_side: Vec<TxnId> = Vec::new();
+                let mut reads: Vec<TxnId> = Vec::new();
                 if let Some(waiters) = self.l2_ctr_waiters.get(&(core, block)) {
                     for txn_id in waiters {
                         if let Some(txn) = self.txns.get_mut(txn_id) {
@@ -710,7 +705,7 @@ impl SecureSystem {
                     }
                     // Data transactions already at the MC join as waiters so
                     // their OTPs start the moment the counter verifies.
-                    mc_side.extend(
+                    reads.extend(
                         waiters
                             .iter()
                             .copied()
@@ -718,39 +713,18 @@ impl SecureSystem {
                     );
                 }
                 let exists = self.mc.ctr_txns.contains_key(&block);
-                if self.mc.meta.lookup(block) && !exists {
+                if self.mc.meta.touch(block) && !exists {
                     // Rare: the MC already holds it (inserted after the
                     // L2 looked). Reply directly.
-                    self.ctr_reply_to_l2(block, core, self.now + self.cfg.mc_cache_latency);
-                    for txn_id in mc_side {
-                        self.mc_ctr_ready_for_txn(txn_id, self.now + self.cfg.mc_cache_latency);
+                    let ready = self.now + MC_CACHE_LATENCY;
+                    self.ctr_reply_to_l2(block, core, ready);
+                    for txn_id in reads {
+                        self.mc_ctr_ready_for_txn(txn_id, ready);
                     }
                     return;
                 }
-                self.mc_fetch_counter_from_l2_path(block, mc_side, core);
+                self.mc_fetch_counter(block, CtrJoiner::L2 { core, reads });
             }
-        }
-    }
-
-    fn mc_fetch_counter_from_l2_path(
-        &mut self,
-        block: LineAddr,
-        data_waiters: Vec<TxnId>,
-        core: usize,
-    ) {
-        let exists = self.mc.ctr_txns.contains_key(&block);
-        let ctr = self.mc.ctr_txns.entry(block).or_default();
-        ctr.data_waiters.extend(data_waiters);
-        if !ctr.l2_reply.contains(&core) {
-            ctr.l2_reply.push(core);
-        }
-        ctr.llc_reply = true;
-        if ctr.source.is_none() {
-            ctr.source = Some(CtrSource::Dram);
-        }
-        if !exists || !ctr.dram_started {
-            // The L2's request already missed LLC — no point probing again.
-            self.ctr_start_dram_fetch(block);
         }
     }
 
@@ -761,13 +735,9 @@ impl SecureSystem {
         };
         // Insert the block and its fetched ancestors into the MC's
         // metadata cache (all verified by now).
-        if let Some(victim) = self.mc.meta.fill(block, BlockKind::Counter, false) {
-            self.meta_victim_writeback(victim.addr, victim.meta.kind);
-        }
+        self.meta_fill(block, BlockKind::Counter, false);
         for node in std::mem::take(&mut ctr.fetched_ancestors) {
-            if let Some(victim) = self.mc.meta.fill(node, BlockKind::TreeNode, false) {
-                self.meta_victim_writeback(victim.addr, victim.meta.kind);
-            }
+            self.meta_fill(node, BlockKind::TreeNode, false);
         }
         // Reply to the LLC (the baseline's "second-level counter cache").
         if ctr.llc_reply {
@@ -849,10 +819,10 @@ impl SecureSystem {
             return;
         }
         let block = self.ctr_block_of(line);
-        if self.mc.meta.lookup(block) {
+        if self.mc.meta.touch(block) {
             self.mc_do_writeback_with_counter(line);
         } else {
-            self.mc_fetch_counter(block, None, Some(line));
+            self.mc_fetch_counter(block, CtrJoiner::Writeback(line));
         }
     }
 
@@ -904,6 +874,16 @@ impl SecureSystem {
         self.enqueue_dram(line, true, RequestClass::Data, DramTarget::PostedWrite);
     }
 
+    /// Inserts a verified metadata block into the MC cache and writes back
+    /// the dirty block it evicts, if any.
+    fn meta_fill(&mut self, addr: LineAddr, kind: BlockKind, dirty: bool) {
+        if let Some(victim) = self.mc.meta.insert(addr, dirty, kind) {
+            if victim.dirty {
+                self.meta_victim_writeback(victim.addr, victim.meta);
+            }
+        }
+    }
+
     /// A dirty metadata block leaves the MC cache: write it to DRAM and
     /// bump its protecting counter (which may overflow at a higher level).
     pub(crate) fn meta_victim_writeback(&mut self, addr: LineAddr, kind: BlockKind) {
@@ -918,9 +898,7 @@ impl SecureSystem {
         if let Some((plvl, pidx)) = self.tree.geometry().parent_of(level, idx) {
             let paddr = self.tree.geometry().node_addr(plvl, pidx);
             if !self.mc.meta.mark_dirty(paddr) {
-                if let Some(v) = self.mc.meta.fill(paddr, BlockKind::TreeNode, true) {
-                    self.meta_victim_writeback(v.addr, v.meta.kind);
-                }
+                self.meta_fill(paddr, BlockKind::TreeNode, true);
             }
         }
         if r.overflow.is_some() {
@@ -955,5 +933,32 @@ impl SecureSystem {
             };
             self.enqueue_dram(req.line, req.is_write, class, DramTarget::Overflow);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use emcc_secmem::SecurityScheme;
+
+    /// A metadata block the MC cache evicts dirty is written back, which
+    /// bumps its protecting counter; one evicted clean leaves silently.
+    #[test]
+    fn meta_fill_writes_back_only_dirty_victims() {
+        let mut cfg = SystemConfig::table_i(SecurityScheme::McOnly);
+        // One set of two ways.
+        cfg.mc_cache_size = 128;
+        cfg.mc_cache_ways = 2;
+        let mut sys = SecureSystem::new(cfg);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| sys.tree.geometry().node_addr(0, i));
+        sys.meta_fill(a, BlockKind::Counter, false);
+        sys.meta_fill(b, BlockKind::Counter, true);
+        sys.meta_fill(c, BlockKind::Counter, false); // evicts a, clean
+        assert_eq!(sys.tree.node_counter(0, 0), 0);
+        assert!(sys.mc.dram_targets.is_empty());
+        sys.meta_fill(d, BlockKind::Counter, false); // evicts b, dirty
+        assert_eq!(sys.tree.node_counter(0, 1), 1);
+        assert_eq!(sys.mc.dram_targets.len(), 1);
     }
 }

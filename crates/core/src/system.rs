@@ -7,16 +7,20 @@
 
 use emcc_cache::{BlockKind, CacheConfig, MshrFile, MshrOutcome, SetAssocCache};
 use emcc_counters::IntegrityTree;
-use emcc_dram::{FaultClass, FaultModel, RequestClass};
+use emcc_dram::{Completion, FaultClass, FaultModel};
 use emcc_noc::mesh::Node;
-use emcc_noc::SliceMap;
+use emcc_noc::{NocLatency, SliceMap};
 use emcc_secmem::engine::split_aes_bandwidth;
-use emcc_secmem::{AesPool, FunctionalSecureMemory, MetadataCache, OverflowEngine};
+use emcc_secmem::{AesPool, FunctionalSecureMemory, OverflowEngine};
+use emcc_sim::time::Frequency;
 use emcc_sim::trace::{Attributor, Component, Span, TraceRecorder};
 use emcc_sim::{EventQueue, FastHashMap, LineAddr, Time};
 use emcc_workloads::TraceSource;
 
-use crate::config::SystemConfig;
+use crate::config::{
+    SystemConfig, CORE_GHZ, CTR_LOOKUP_DELAY, INTENSITY_THRESHOLD_PER_MILLE, L1_LATENCY,
+    L2_LATENCY, LLC_SRAM_LATENCY, MAX_OUTSTANDING_LOADS, OFFLOAD_THRESHOLD, ROB_ENTRIES, WIDTH,
+};
 use crate::core_model::{CoreModel, Stall};
 use crate::mc::{CtrOrigin, McState};
 use crate::report::{CtrSource, SimReport};
@@ -72,16 +76,7 @@ pub(crate) enum Ev {
     /// Run the DRAM schedulers.
     DramPump,
     /// A DRAM access finished.
-    DramDone {
-        id: u64,
-        row_hit: bool,
-        line: LineAddr,
-        class: RequestClass,
-        is_write: bool,
-        /// Queue-entry and bank-issue times (critical-path attribution).
-        enqueued: Time,
-        issued: Time,
-    },
+    DramDone(Completion),
     /// Recovery: re-fetch a data line after a failed integrity check.
     DataRefetch { txn: TxnId },
     /// Recovery: re-walk the tree for a counter block that failed verify.
@@ -110,7 +105,7 @@ impl Ev {
             Ev::L2AesStart { .. } => 14,
             Ev::L2TxnFinish { .. } => 15,
             Ev::DramPump => 16,
-            Ev::DramDone { .. } => 17,
+            Ev::DramDone(_) => 17,
             Ev::DataRefetch { .. } => 18,
             Ev::CtrRefetch { .. } => 19,
         }
@@ -188,11 +183,8 @@ pub(crate) struct DataTxn {
     pub t_miss: Time,
     /// The MC must decrypt (offload, counter missed LLC, or baseline).
     pub mc_decrypt: bool,
-    /// EMCC: counter value availability time at the L2.
-    pub l2_ctr_ready: Option<Time>,
     /// EMCC: local AES completion time.
     pub aes_done: Option<Time>,
-    pub aes_started: bool,
     /// Ciphertext arrival time at L2 (unverified fill waiting for AES).
     pub cipher_at: Option<Time>,
     /// The MC already shipped this read as unverified ciphertext — the L2
@@ -232,6 +224,20 @@ pub(crate) struct DataTxn {
     /// Attribution: MC ship time of the in-flight data response (start of
     /// the response NoC legs; taken by the L2 fill).
     pub t_shipped: Option<Time>,
+}
+
+impl DataTxn {
+    /// EMCC: the counter, found at `src`, becomes usable at this read's L2
+    /// at `now`. Records `src` (unless a source is already recorded) and
+    /// the counter fetch since the miss (the serial L2 lookup, or the
+    /// parallel LLC/MC round trip), and returns when the L2's AES may
+    /// start: not before the LLC-hit wait has passed.
+    fn l2_ctr_usable(&mut self, src: CtrSource, now: Time, aes_start_wait: Time) -> Time {
+        self.ctr_source.get_or_insert(src);
+        self.spans
+            .push(Span::new(Component::CtrFetch, self.t_miss, now));
+        now.max(self.t_miss + aes_start_wait)
+    }
 }
 
 /// The assembled system.
@@ -332,7 +338,7 @@ impl SecureSystem {
             .map(|_| SetAssocCache::new(CacheConfig::new(cfg.llc_slice_size, cfg.llc_ways)))
             .collect();
         let mc = McState {
-            meta: MetadataCache::new(cfg.mc_cache_size, cfg.mc_cache_ways),
+            meta: SetAssocCache::new(CacheConfig::new(cfg.mc_cache_size, cfg.mc_cache_ways)),
             aes: AesPool::new(mc_bw.max(1.0), cfg.crypto.aes),
             aes_wr: AesPool::new(mc_bw.max(1.0), cfg.crypto.aes),
             overflow: OverflowEngine::new(),
@@ -474,10 +480,10 @@ impl SecureSystem {
             }
             self.cores.push(CoreModel::new(
                 src,
-                self.cfg.freq,
-                self.cfg.width,
-                self.cfg.rob_entries,
-                self.cfg.max_outstanding_loads,
+                Frequency::from_ghz(CORE_GHZ),
+                WIDTH,
+                ROB_ENTRIES,
+                MAX_OUTSTANDING_LOADS,
                 warmup_ops + ops_per_core,
             ));
             self.queue.push(Time::ZERO, Ev::CoreAdvance(i));
@@ -544,7 +550,6 @@ impl SecureSystem {
             ..SimReport::default()
         };
         self.mc.dram.reset_stats();
-        self.mc.meta.reset_stats();
     }
 
     fn finalize(mut self) -> SimReport {
@@ -659,15 +664,7 @@ impl SecureSystem {
                     self.report.dispatches.idle_dram_pumps += 1;
                 }
             }
-            Ev::DramDone {
-                id,
-                row_hit,
-                line,
-                class,
-                is_write,
-                enqueued,
-                issued,
-            } => self.dram_done(id, row_hit, line, class, is_write, enqueued, issued),
+            Ev::DramDone(c) => self.dram_done(c),
             Ev::DataRefetch { txn } => self.data_refetch(txn),
             Ev::CtrRefetch { block } => self.ctr_refetch(block),
         }
@@ -677,15 +674,15 @@ impl SecureSystem {
 
     pub(crate) fn noc_l2_slice(&self, core: usize, slice: usize, payload: bool) -> Time {
         let hops = self.hops_l2_slice[core * self.cfg.llc_slices + slice];
-        self.cfg.noc.one_way(hops, payload)
+        NocLatency::calibrated().one_way(hops, payload)
     }
 
     pub(crate) fn noc_slice_mc(&self, slice: usize, payload: bool) -> Time {
-        self.cfg.noc.one_way(self.hops_slice_mc[slice], payload)
+        NocLatency::calibrated().one_way(self.hops_slice_mc[slice], payload)
     }
 
     pub(crate) fn noc_l2_mc(&self, core: usize, payload: bool) -> Time {
-        self.cfg.noc.one_way(self.hops_l2_mc[core], payload)
+        NocLatency::calibrated().one_way(self.hops_l2_mc[core], payload)
     }
 
     pub(crate) fn slice_of(&self, line: LineAddr) -> usize {
@@ -732,16 +729,14 @@ impl SecureSystem {
             if op.is_write {
                 self.l1[core].mark_dirty(op.line);
             } else {
-                self.queue.push(
-                    self.now + self.cfg.l1_latency,
-                    Ev::LoadComplete { core, token },
-                );
+                self.queue
+                    .push(self.now + L1_LATENCY, Ev::LoadComplete { core, token });
             }
             return;
         }
         // L1 miss: go to L2 after the L1 tag check.
         self.queue.push(
-            self.now + self.cfg.l1_latency,
+            self.now + L1_LATENCY,
             Ev::L2Access {
                 core,
                 line: op.line,
@@ -774,7 +769,7 @@ impl SecureSystem {
     fn l2_access(&mut self, core: usize, line: LineAddr, is_write: bool, token: Option<u64>) {
         self.report.l2_accesses += 1;
         self.sample_intensity(core);
-        let t_done = self.now + self.cfg.l2_latency;
+        let t_done = self.now + L2_LATENCY;
         let hit = self.l2[core].cache.touch(line);
         if hit {
             self.report.l2_hits += 1;
@@ -841,7 +836,7 @@ impl SecureSystem {
             } else if let Some(pool) = &self.l2[core].aes {
                 let effective =
                     pool.queue_delay(t_miss) + pool.interval() * self.l2[core].aes_reserved;
-                if effective > self.cfg.emcc.offload_threshold {
+                if effective > OFFLOAD_THRESHOLD {
                     offload_bit = true;
                     self.report.offloaded_for_bandwidth += 1;
                 } else {
@@ -862,7 +857,7 @@ impl SecureSystem {
         let t_start = if is_prefetch {
             t_miss
         } else {
-            t_miss.saturating_sub(self.cfg.l2_latency)
+            t_miss.saturating_sub(L2_LATENCY)
         };
         let mut spans = self.span_pool.pop().unwrap_or_default();
         if !is_prefetch {
@@ -877,9 +872,7 @@ impl SecureSystem {
                 is_prefetch,
                 t_miss,
                 mc_decrypt: !self.cfg.scheme.placement().l2_decrypts() || offload_bit,
-                l2_ctr_ready: None,
                 aes_done: None,
-                aes_started: false,
                 cipher_at: None,
                 shipped_unverified: false,
                 aes_reserved: reserved_aes,
@@ -916,10 +909,8 @@ impl SecureSystem {
         }
         // EMCC: serial counter lookup in L2 during spare cycles.
         if self.cfg.scheme.placement().l2_decrypts() && !offload_bit {
-            self.queue.push(
-                t_miss + self.cfg.emcc.ctr_lookup_delay,
-                Ev::L2CtrLookup { txn: id },
-            );
+            self.queue
+                .push(t_miss + CTR_LOOKUP_DELAY, Ev::L2CtrLookup { txn: id });
         }
     }
 
@@ -930,17 +921,12 @@ impl SecureSystem {
         };
         let core = txn.core;
         let block = self.ctr_block_of(txn.line);
-        let t_miss = txn.t_miss;
 
         if self.l2[core].cache.touch(block) {
             // Counter hit in L2.
+            let wait = self.cfg.emcc.aes_start_wait;
             let txn = self.txns.get_mut(&txn_id).expect("txn exists");
-            txn.l2_ctr_ready = Some(self.now);
-            txn.ctr_source = Some(CtrSource::L2);
-            // Counter availability: the serial L2 lookup after the miss.
-            txn.spans
-                .push(Span::new(Component::CtrFetch, t_miss, self.now));
-            let start = self.now.max(t_miss + self.cfg.emcc.aes_start_wait);
+            let start = txn.l2_ctr_usable(CtrSource::L2, self.now, wait);
             self.queue.push(start, Ev::L2AesStart { txn: txn_id });
         } else {
             // Counter miss in L2: speculatively request it from LLC, in
@@ -978,7 +964,7 @@ impl SecureSystem {
         let t_miss = txn.t_miss;
         let xpt_forwarded = txn.xpt_forwarded;
         let slice = self.slice_of(line);
-        let t_lookup = self.now + self.cfg.llc_sram_latency;
+        let t_lookup = self.now + LLC_SRAM_LATENCY;
         // Inclusive mode: a hit on an *encrypted & unverified* line cannot
         // be served from the LLC; the paper fetches from an owning L2, but
         // our private-workload model has no second owner, so we re-fetch
@@ -1020,11 +1006,7 @@ impl SecureSystem {
             );
         } else {
             self.report.llc_data_misses += 1;
-            let txn = self.txns.get_mut(&txn_id).expect("txn exists");
-            txn.from_dram = true;
-            if txn.xpt_forwarded {
-                self.xpt[core].record_correct();
-            }
+            self.txns.get_mut(&txn_id).expect("txn exists").from_dram = true;
             // The confirmed miss always travels to the MC: even under XPT
             // (which only started the DRAM read early), the MC's secure
             // pipeline acts on the confirmed request.
@@ -1101,7 +1083,7 @@ impl SecureSystem {
 
     fn slice_ctr_req(&mut self, block: LineAddr, origin: CtrOrigin) {
         let slice = self.slice_of(block);
-        let t_lookup = self.now + self.cfg.llc_sram_latency;
+        let t_lookup = self.now + LLC_SRAM_LATENCY;
         if self.slices[slice].touch(block) {
             match origin {
                 CtrOrigin::L2 { core } => {
@@ -1187,6 +1169,7 @@ impl SecureSystem {
 
     /// Wakes transactions waiting on a counter block at an L2.
     fn wake_ctr_waiters(&mut self, core: usize, block: LineAddr) {
+        let wait = self.cfg.emcc.aes_start_wait;
         let mut waiters = self
             .l2_ctr_waiters
             .remove(&(core, block))
@@ -1198,30 +1181,19 @@ impl SecureSystem {
             if txn.mc_decrypt && !txn.shipped_unverified {
                 continue;
             }
-            txn.l2_ctr_ready = Some(self.now);
-            if txn.ctr_source.is_none() {
-                txn.ctr_source = Some(CtrSource::Llc);
-            }
-            // The parallel counter fetch ran from the miss (L2 lookup,
-            // LLC/MC round trip) until the block arrived here.
-            txn.spans
-                .push(Span::new(Component::CtrFetch, txn.t_miss, self.now));
-            let start = self.now.max(txn.t_miss + self.cfg.emcc.aes_start_wait);
+            let start = txn.l2_ctr_usable(CtrSource::Llc, self.now, wait);
             self.queue.push(start, Ev::L2AesStart { txn: txn_id });
         }
         self.waiter_pool.push(waiters);
     }
 
+    /// Starts a read's OTP AES at its L2. Each read gets at most one
+    /// `L2AesStart`: its one counter lookup either hits or parks it in a
+    /// waiter list that is drained once.
     fn l2_aes_start(&mut self, txn_id: TxnId) {
         let Some(txn) = self.txns.get(&txn_id) else {
             return;
         };
-        if txn.aes_started
-            || txn.l2_ctr_ready.is_none()
-            || (txn.mc_decrypt && !txn.shipped_unverified)
-        {
-            return;
-        }
         let core = txn.core;
         let decode = self.cfg.crypto.counter_decode;
         let Some(pool) = self.l2[core].aes.as_mut() else {
@@ -1236,7 +1208,6 @@ impl SecureSystem {
             self.l2[core].aes_reserved = self.l2[core].aes_reserved.saturating_sub(1);
         }
         let txn = self.txns.get_mut(&txn_id).expect("txn exists");
-        txn.aes_started = true;
         txn.aes_done = Some(done);
         // Counter decode, then the (possibly queued) OTP AES.
         txn.spans
@@ -1267,7 +1238,6 @@ impl SecureSystem {
         let cipher_at = txn.cipher_at;
         let retries = txn.retries;
         let line = txn.line;
-        let l2_ctr_ready = txn.l2_ctr_ready.is_some();
         if corrupt {
             // L2-side detection: the locally recomputed MAC half cannot
             // match corrupted ciphertext. Either retry via the MC-verified
@@ -1304,9 +1274,8 @@ impl SecureSystem {
                 .l2_finish_wait_ns
                 .add_time(self.now.saturating_sub(cipher_at));
         }
-        if l2_ctr_ready {
-            self.mark_l2_ctr_used(core, line);
-        }
+        // This event follows the AES start, so the counter was used.
+        self.mark_l2_ctr_used(core, line);
         self.complete_txn(txn_id, self.now);
     }
 
@@ -1445,12 +1414,11 @@ impl SecureSystem {
             return;
         }
         let window = self.cfg.emcc.intensity_window;
-        let threshold = u64::from(self.cfg.emcc.intensity_threshold_per_mille);
         let l2 = &mut self.l2[core];
         l2.window_accesses += 1;
         if l2.window_accesses >= window {
             let per_mille = l2.window_dram_fills * 1000 / l2.window_accesses;
-            l2.emcc_disabled = per_mille < threshold;
+            l2.emcc_disabled = per_mille < INTENSITY_THRESHOLD_PER_MILLE;
             if l2.emcc_disabled {
                 self.report.emcc_disabled_windows += 1;
             }
@@ -1509,6 +1477,7 @@ mod tests {
     use super::*;
     use crate::report::DispatchLedger;
     use emcc_counters::CounterDesign;
+    use emcc_dram::RequestClass;
     use emcc_secmem::SecurityScheme;
 
     /// A write-back that overflow admission defers counts once, when it
@@ -1526,7 +1495,7 @@ mod tests {
                 sys.tree.increment_data(line);
             }
             let block = sys.ctr_block_of(line);
-            sys.mc.meta.fill(block, BlockKind::Counter, false);
+            sys.mc.meta.insert(block, false, BlockKind::Counter);
         }
         for line in lines {
             sys.queue.push(Time::ZERO, Ev::McWriteback { line });
@@ -1585,15 +1554,16 @@ mod tests {
             Ev::L2AesStart { txn: 0 },
             Ev::L2TxnFinish { txn: 0 },
             Ev::DramPump,
-            Ev::DramDone {
+            Ev::DramDone(Completion {
                 id: 0,
-                row_hit: false,
-                line,
-                class: RequestClass::Data,
+                done: t,
                 is_write: false,
+                class: RequestClass::Data,
+                line,
+                row_hit: false,
                 enqueued: t,
                 issued: t,
-            },
+            }),
             Ev::DataRefetch { txn: 0 },
             Ev::CtrRefetch { block: line },
         ];

@@ -115,12 +115,12 @@ impl TimelineScenario {
         while let Some((level, idx)) = geo.parent_of(node.0, node.1) {
             sys.mc
                 .meta
-                .fill(geo.node_addr(level, idx), BlockKind::TreeNode, false);
+                .insert(geo.node_addr(level, idx), false, BlockKind::TreeNode);
             node = (level, idx);
         }
         match self.ctr {
             CtrAt::McCache => {
-                sys.mc.meta.fill(block, BlockKind::Counter, false);
+                sys.mc.meta.insert(block, false, BlockKind::Counter);
             }
             CtrAt::Llc => {
                 let slice = sys.slice_of(block);

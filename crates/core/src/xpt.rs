@@ -28,8 +28,6 @@ use emcc_sim::LineAddr;
 #[derive(Debug, Clone)]
 pub struct XptPredictor {
     counters: Vec<u8>,
-    predictions: u64,
-    correct: u64,
 }
 
 /// Lines per 4 KB training region.
@@ -50,8 +48,6 @@ impl XptPredictor {
         // almost certainly misses the LLC.
         XptPredictor {
             counters: vec![2; entries],
-            predictions: 0,
-            correct: 0,
         }
     }
 
@@ -62,8 +58,7 @@ impl XptPredictor {
     }
 
     /// Predicts whether `line` will miss in the LLC.
-    pub fn predict_miss(&mut self, line: LineAddr) -> bool {
-        self.predictions += 1;
+    pub fn predict_miss(&self, line: LineAddr) -> bool {
         self.counters[self.index(line)] >= 2
     }
 
@@ -76,22 +71,6 @@ impl XptPredictor {
         } else {
             *c = c.saturating_sub(1);
         }
-    }
-
-    /// Records that the last prediction for this line was correct.
-    pub fn record_correct(&mut self) {
-        self.correct += 1;
-    }
-
-    /// Predictions made so far.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    /// Accuracy over recorded outcomes (requires callers to call
-    /// [`Self::record_correct`]).
-    pub fn accuracy(&self) -> f64 {
-        emcc_sim::stats::ratio(self.correct, self.predictions)
     }
 }
 
@@ -140,7 +119,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_leans_miss() {
-        let mut p = XptPredictor::new(256);
+        let p = XptPredictor::new(256);
         assert!(p.predict_miss(LineAddr::new(123_456)));
     }
 

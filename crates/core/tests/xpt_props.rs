@@ -94,28 +94,4 @@ proptest! {
         }
         prop_assert_eq!(p.predict_miss(b), toward_miss);
     }
-
-    /// Bookkeeping: `predictions()` counts every query, and accuracy stays
-    /// a valid ratio when an arbitrary subset of predictions is recorded
-    /// as correct.
-    #[test]
-    fn prediction_and_accuracy_bookkeeping(
-        lines in prop::collection::vec(0u64..100_000, 1..=40),
-        correct_mask in prop::collection::vec(any::<bool>(), 40..=40),
-    ) {
-        let mut p = XptPredictor::new(1024);
-        let mut correct = 0u64;
-        for (i, &line) in lines.iter().enumerate() {
-            let predicted_miss = p.predict_miss(LineAddr::new(line));
-            p.train(LineAddr::new(line), predicted_miss);
-            if correct_mask[i] {
-                p.record_correct();
-                correct += 1;
-            }
-        }
-        prop_assert_eq!(p.predictions(), lines.len() as u64);
-        let acc = p.accuracy();
-        prop_assert!((0.0..=1.0).contains(&acc), "accuracy {} out of range", acc);
-        prop_assert_eq!(acc, correct as f64 / lines.len() as f64);
-    }
 }

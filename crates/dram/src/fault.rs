@@ -88,12 +88,6 @@ impl FaultClass {
             FaultClass::TransientRead => 4,
         }
     }
-
-    /// Whether the corruption outlives the read that first observed it
-    /// (until the next write, or forever for stuck lines).
-    pub const fn is_persistent(self) -> bool {
-        !matches!(self, FaultClass::TransientRead)
-    }
 }
 
 impl std::fmt::Display for FaultClass {
@@ -216,22 +210,6 @@ pub struct FaultEvent {
     pub fresh: bool,
 }
 
-/// Running injection statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Fresh injections by [`FaultClass::index`].
-    pub injected: [u64; 5],
-    /// Total corrupted reads returned (fresh + re-reads of corrupt lines).
-    pub faulty_reads: u64,
-}
-
-impl FaultStats {
-    /// Total fresh injections across classes.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-}
-
 /// The deterministic fault injector.
 ///
 /// Owned by the memory pipeline; consulted once per DRAM read completion
@@ -247,7 +225,6 @@ pub struct FaultModel {
     corrupted: HashMap<LineAddr, FaultClass>,
     /// Hard-stuck lines (never repaired).
     stuck: HashSet<LineAddr>,
-    stats: FaultStats,
 }
 
 impl FaultModel {
@@ -258,18 +235,12 @@ impl FaultModel {
             reads: HashMap::new(),
             corrupted: HashMap::new(),
             stuck: HashSet::new(),
-            stats: FaultStats::default(),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// Injection statistics so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
     }
 
     /// Decides whether a read completion of `line` returns corrupted
@@ -281,14 +252,12 @@ impl FaultModel {
 
         // Existing corruption dominates: the stored line is already bad.
         if self.stuck.contains(&line) {
-            self.stats.faulty_reads += 1;
             return Some(FaultEvent {
                 class: FaultClass::StuckLine,
                 fresh: false,
             });
         }
         if let Some(&c) = self.corrupted.get(&line) {
-            self.stats.faulty_reads += 1;
             return Some(FaultEvent {
                 class: c,
                 fresh: false,
@@ -309,7 +278,6 @@ impl FaultModel {
         let injected = planted.or_else(|| self.roll(line, nth));
         let class = injected?;
         self.inject(line, class);
-        self.stats.faulty_reads += 1;
         Some(FaultEvent { class, fresh: true })
     }
 
@@ -320,7 +288,6 @@ impl FaultModel {
     }
 
     fn inject(&mut self, line: LineAddr, class: FaultClass) {
-        self.stats.injected[class.index()] += 1;
         match class {
             FaultClass::StuckLine => {
                 self.stuck.insert(line);
@@ -363,7 +330,6 @@ mod tests {
         for i in 0..1000 {
             assert!(data_read(&mut m, i).is_none());
         }
-        assert_eq!(m.stats().total_injected(), 0);
     }
 
     #[test]
@@ -453,21 +419,5 @@ mod tests {
         assert!(m
             .on_read(LineAddr::new(2), RequestClass::OverflowL0)
             .is_none());
-    }
-
-    #[test]
-    fn stats_count_fresh_and_rereads() {
-        let mut m = FaultModel::new(FaultConfig::planted_at(
-            9,
-            LineAddr::new(3),
-            FaultClass::BitFlip,
-            0,
-        ));
-        data_read(&mut m, 3);
-        data_read(&mut m, 3);
-        data_read(&mut m, 5);
-        let s = m.stats();
-        assert_eq!(s.injected[FaultClass::BitFlip.index()], 1);
-        assert_eq!(s.faulty_reads, 2);
     }
 }

@@ -41,7 +41,7 @@ pub mod stats;
 
 pub use channel::{Completion, PumpResult};
 pub use config::DramConfig;
-pub use fault::{FaultClass, FaultConfig, FaultEvent, FaultModel, FaultStats, PlantedFault};
+pub use fault::{FaultClass, FaultConfig, FaultEvent, FaultModel, PlantedFault};
 pub use mapping::AddressMapping;
 pub use request::{DramRequest, RequestClass, RequestId};
 pub use stats::DramStats;

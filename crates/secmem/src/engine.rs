@@ -37,7 +37,6 @@ pub struct AesPool {
     interval: Time,
     latency: Time,
     next_start: Time,
-    scheduled: u64,
 }
 
 impl AesPool {
@@ -56,7 +55,6 @@ impl AesPool {
             interval: Time::from_ps((1e12 / ops_per_second).round() as u64),
             latency,
             next_start: Time::ZERO,
-            scheduled: 0,
         }
     }
 
@@ -79,7 +77,6 @@ impl AesPool {
     pub fn schedule(&mut self, now: Time) -> (Time, Time) {
         let start = now.max(self.next_start);
         self.next_start = start + self.interval;
-        self.scheduled += 1;
         (start, start + self.latency)
     }
 
@@ -88,11 +85,6 @@ impl AesPool {
     pub fn schedule_span(&mut self, now: Time) -> emcc_sim::trace::Span {
         let (start, done) = self.schedule(now);
         emcc_sim::trace::Span::new(emcc_sim::trace::Component::Aes, start, done)
-    }
-
-    /// Total operations scheduled.
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
     }
 }
 
@@ -145,7 +137,6 @@ mod tests {
         }
         // After 5 back-to-back ops the 6th would wait 50 ns.
         assert_eq!(pool.queue_delay(t), Time::from_ns(50));
-        assert_eq!(pool.scheduled(), 5);
     }
 
     #[test]

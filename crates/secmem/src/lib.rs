@@ -8,8 +8,6 @@
 //!   the direct-cipher placements BipBip, near-mem, in-SRAM), each
 //!   resolving to a [`CryptoPlacement`] capability descriptor the
 //!   pipeline dispatches on,
-//! * [`MetadataCache`] — the MC's private counter/tree cache (Table I:
-//!   128 KB, 32-way, 3 ns),
 //! * [`AesPool`] — a bandwidth-limited pool of AES units (the §V
 //!   arithmetic: 2.6 G AES/s peak for Morphable at DDR4-3200; EMCC moves
 //!   half of it to the L2s),
@@ -36,7 +34,6 @@
 //! assert_eq!(mem.read(line).unwrap().words()[0], 1);
 //! ```
 
-pub mod counter_cache;
 pub mod engine;
 pub mod functional;
 pub mod overflow;
@@ -45,7 +42,6 @@ pub mod scheme;
 pub mod service;
 pub mod verify;
 
-pub use counter_cache::MetadataCache;
 pub use engine::AesPool;
 pub use functional::{FunctionalSecureMemory, ReadError, StoredLine, WriteLog};
 pub use overflow::{OverflowEngine, OverflowTask};

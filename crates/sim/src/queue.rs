@@ -56,8 +56,6 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     /// Pending event count across all buckets.
     len: usize,
-    /// Events ever scheduled (`scheduled_total`).
-    seq: u64,
 }
 
 /// FIFO of same-instant payloads: a vector with a consume cursor, so a
@@ -86,7 +84,6 @@ impl<E> EventQueue<E> {
             buckets: Vec::new(),
             free: Vec::new(),
             len: 0,
-            seq: 0,
         }
     }
 
@@ -98,13 +95,11 @@ impl<E> EventQueue<E> {
             buckets: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             len: 0,
-            seq: 0,
         }
     }
 
     /// Schedules `payload` for delivery at `time`.
     pub fn push(&mut self, time: Time, payload: E) {
-        self.seq += 1;
         self.len += 1;
         match self.index.entry(time) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -157,11 +152,6 @@ impl<E> EventQueue<E> {
         Some((time, payload))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|&(t, _)| t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -170,11 +160,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
     }
 
     /// Moves `heap[i]` toward the root until its parent is earlier.
@@ -272,27 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(Time::from_ns(3), ());
-        q.push(Time::from_ns(2), ());
-        assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
-        assert_eq!(q.pop().unwrap().0, Time::from_ns(2));
-        assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
-    }
-
-    #[test]
-    fn len_and_totals() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::with_capacity(4);
         assert!(q.is_empty());
         q.push(Time::ZERO, ());
         q.push(Time::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
@@ -326,7 +298,6 @@ mod tests {
             "bucket slab grew past its high-water mark: {} buckets",
             q.buckets.len()
         );
-        assert_eq!(q.scheduled_total(), 1_008);
     }
 
     #[test]
