@@ -145,12 +145,6 @@ impl<M> SetAssocCache<M> {
         set.iter().find(|w| w.addr == addr).map(|w| &w.meta)
     }
 
-    /// Whether the line is present and dirty (no LRU update).
-    pub fn is_dirty(&self, addr: LineAddr) -> Option<bool> {
-        let set = &self.sets[self.set_index(addr)];
-        set.iter().find(|w| w.addr == addr).map(|w| w.dirty)
-    }
-
     /// Mutable access to the line's metadata, updating LRU state.
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut M> {
         self.clock += 1;
@@ -246,21 +240,6 @@ impl<M> SetAssocCache<M> {
             .iter()
             .flat_map(|s| s.iter().map(|w| (w.addr, w.dirty, &w.meta)))
     }
-
-    /// Address of the least-recently-used resident line satisfying `pred`,
-    /// across all sets.
-    ///
-    /// Used by EMCC's L2 to enforce its global 32 KB counter-line budget:
-    /// when the budget is exceeded, the globally coldest counter line is
-    /// dropped.
-    pub fn lru_matching<F: Fn(LineAddr, &M) -> bool>(&self, pred: F) -> Option<LineAddr> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| pred(w.addr, &w.meta))
-            .min_by_key(|w| w.last_use)
-            .map(|w| w.addr)
-    }
 }
 
 #[cfg(test)]
@@ -324,7 +303,8 @@ mod tests {
         let mut c = tiny();
         c.insert(LineAddr::new(0), true, 7);
         assert!(c.insert(LineAddr::new(0), false, 9).is_none());
-        assert_eq!(c.is_dirty(LineAddr::new(0)), Some(true));
+        let lines: Vec<_> = c.iter().collect();
+        assert_eq!(lines, vec![(LineAddr::new(0), true, &9)]);
         assert_eq!(c.peek(LineAddr::new(0)), Some(&9));
         assert_eq!(c.len(), 1);
     }
@@ -355,20 +335,6 @@ mod tests {
         assert!(c.peek(LineAddr::new(0)).is_some());
         let ev = c.insert(LineAddr::new(8), false, 0).unwrap();
         assert_eq!(ev.addr, LineAddr::new(0));
-    }
-
-    #[test]
-    fn lru_matching_finds_global_coldest() {
-        let mut c = tiny();
-        c.insert(LineAddr::new(1), false, 10); // set 1, oldest matching
-        c.insert(LineAddr::new(2), false, 20); // set 2
-        c.insert(LineAddr::new(6), false, 10); // set 2
-
-        // Coldest line with meta == 10 is addr 1.
-        assert_eq!(c.lru_matching(|_, &m| m == 10), Some(LineAddr::new(1)));
-        c.touch(LineAddr::new(1));
-        assert_eq!(c.lru_matching(|_, &m| m == 10), Some(LineAddr::new(6)));
-        assert_eq!(c.lru_matching(|_, &m| m == 99), None);
     }
 
     #[test]

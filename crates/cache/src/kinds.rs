@@ -18,13 +18,6 @@ pub enum BlockKind {
     TreeNode,
 }
 
-impl BlockKind {
-    /// True for any secure-memory metadata (counters or tree nodes).
-    pub const fn is_metadata(self) -> bool {
-        !matches!(self, BlockKind::Data)
-    }
-}
-
 impl fmt::Display for BlockKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -39,13 +32,6 @@ impl fmt::Display for BlockKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metadata_flag() {
-        assert!(!BlockKind::Data.is_metadata());
-        assert!(BlockKind::Counter.is_metadata());
-        assert!(BlockKind::TreeNode.is_metadata());
-    }
 
     #[test]
     fn display() {

@@ -316,11 +316,6 @@ impl SimReport {
         self.instructions as f64 / self.elapsed.as_ns_f64()
     }
 
-    /// L2 data miss ratio.
-    pub fn l2_miss_rate(&self) -> f64 {
-        ratio(self.l2_data_misses, self.l2_accesses)
-    }
-
     /// Figs 6/7: fraction of DRAM data reads whose counter hit in the MC
     /// metadata cache (L2 hits under EMCC count toward on-chip hits).
     pub fn ctr_mc_hit_frac(&self) -> f64 {
@@ -578,7 +573,6 @@ mod tests {
     fn empty_report_is_all_zero() {
         let r = SimReport::default();
         assert_eq!(r.ipc(), 0.0);
-        assert_eq!(r.l2_miss_rate(), 0.0);
         assert_eq!(r.useless_ctr_frac(), 0.0);
     }
 

@@ -43,11 +43,6 @@ impl CounterDesign {
         self.coverage() * emcc_sim::mem::LINE_BYTES
     }
 
-    /// Whether this is a split design (subject to minor-counter overflow).
-    pub const fn is_split(self) -> bool {
-        !matches!(self, CounterDesign::Monolithic)
-    }
-
     /// All designs, for sweeps.
     pub const fn all() -> [CounterDesign; 3] {
         [
@@ -81,13 +76,6 @@ mod tests {
         assert_eq!(CounterDesign::Sc64.coverage(), 64);
         assert_eq!(CounterDesign::Morphable.coverage(), 128);
         assert_eq!(CounterDesign::Morphable.coverage_bytes(), 2 * 4096);
-    }
-
-    #[test]
-    fn split_flags() {
-        assert!(!CounterDesign::Monolithic.is_split());
-        assert!(CounterDesign::Sc64.is_split());
-        assert!(CounterDesign::Morphable.is_split());
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl DataBlock {
         &self.words
     }
 
-    /// The block contents as 64 bytes.
-    pub fn to_bytes(self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        for (chunk, w) in out.chunks_exact_mut(8).zip(self.words.iter()) {
-            chunk.copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-
     /// XOR of two blocks (pad application).
     pub fn xor(&self, other: &DataBlock) -> DataBlock {
         let mut words = [0u64; 8];
@@ -173,12 +164,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bytes_roundtrip() {
+    fn from_bytes_packs_big_endian_words() {
         let mut bytes = [0u8; 64];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = i as u8;
         }
-        assert_eq!(DataBlock::from_bytes(bytes).to_bytes(), bytes);
+        let words = *DataBlock::from_bytes(bytes).words();
+        assert_eq!(words[0], 0x0001_0203_0405_0607);
+        assert_eq!(words[7], 0x3839_3A3B_3C3D_3E3F);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl DramConfig {
         self.ranks * self.banks_per_rank
     }
 
-    /// Lines per row buffer.
-    pub fn lines_per_row(&self) -> u64 {
-        self.row_bytes / emcc_sim::mem::LINE_BYTES
-    }
-
     /// Latency of a row-buffer hit (CAS + burst).
     pub fn row_hit_latency(&self) -> Time {
         self.t_cl + self.burst
@@ -107,11 +102,6 @@ impl DramConfig {
     /// Latency of a row conflict (precharge + activate + CAS + burst).
     pub fn row_conflict_latency(&self) -> Time {
         self.t_rp + self.t_rcd + self.t_cl + self.burst
-    }
-
-    /// Peak data bandwidth per channel in bytes/second.
-    pub fn peak_bandwidth(&self) -> f64 {
-        64.0 / (self.burst.as_ns_f64() * 1e-9)
     }
 }
 
@@ -133,14 +123,6 @@ mod tests {
     fn bank_geometry() {
         let c = DramConfig::table_i(1);
         assert_eq!(c.banks(), 128);
-        assert_eq!(c.lines_per_row(), 128);
-    }
-
-    #[test]
-    fn peak_bandwidth_is_25_6_gbps() {
-        let c = DramConfig::table_i(1);
-        let gb = c.peak_bandwidth() / 1e9;
-        assert!((gb - 25.6).abs() < 0.01, "peak {gb} GB/s");
     }
 
     #[test]

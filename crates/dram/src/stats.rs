@@ -61,11 +61,6 @@ impl DramStats {
         self.buckets.iter().flatten().map(|b| b.count).sum()
     }
 
-    /// Total bus busy time across buckets.
-    pub fn total_bus_busy(&self) -> Time {
-        self.buckets.iter().flatten().map(|b| b.bus_busy).sum()
-    }
-
     /// Bus busy time for one class (both directions).
     pub fn bus_busy_for(&self, class: RequestClass) -> Time {
         self.buckets[class.index()].iter().map(|b| b.bus_busy).sum()
@@ -100,7 +95,6 @@ mod tests {
     fn buckets_start_empty() {
         let s = DramStats::default();
         assert_eq!(s.total_requests(), 0);
-        assert_eq!(s.total_bus_busy(), Time::ZERO);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Mesh {
         self.mc_pos.len()
     }
 
-    /// Grid dimensions as `(cols, rows)`.
-    pub fn dims(&self) -> (u32, u32) {
-        (self.cols, self.rows)
-    }
-
     fn pos(&self, n: Node) -> (u32, u32) {
         match n {
             Node::Core(i) => self.core_pos[i],
@@ -126,13 +121,6 @@ impl Mesh {
         }
         total as f64 / (n * n) as f64
     }
-
-    /// Mean hop count from core tiles to a given MC.
-    pub fn mean_core_to_mc_hops(&self, mc: usize) -> f64 {
-        let n = self.num_cores();
-        let total: u64 = (0..n).map(|c| u64::from(self.hops_core_to_mc(c, mc))).sum();
-        total as f64 / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +132,6 @@ mod tests {
         let m = Mesh::xeon_w3175x();
         assert_eq!(m.num_cores(), 28);
         assert_eq!(m.num_mcs(), 2);
-        assert_eq!(m.dims(), (6, 5));
     }
 
     #[test]
@@ -185,13 +172,6 @@ mod tests {
         let m = Mesh::xeon_w3175x();
         let mean = m.mean_core_to_core_hops();
         assert!((3.0..4.0).contains(&mean), "mean hops {mean}");
-    }
-
-    #[test]
-    fn mc_positions_reachable() {
-        let m = Mesh::xeon_w3175x();
-        assert!(m.mean_core_to_mc_hops(0) > 0.0);
-        assert!(m.mean_core_to_mc_hops(1) > 0.0);
     }
 
     #[test]

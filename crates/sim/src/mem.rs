@@ -45,12 +45,6 @@ impl PhysAddr {
     pub const fn line(self) -> LineAddr {
         LineAddr(self.0 >> LINE_SHIFT)
     }
-
-    /// Byte offset within the line.
-    #[inline]
-    pub const fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
-    }
 }
 
 impl fmt::Debug for PhysAddr {
@@ -124,7 +118,6 @@ mod tests {
     fn line_extraction() {
         let a = PhysAddr::new(0x1FFF);
         assert_eq!(a.line().get(), 0x7F);
-        assert_eq!(a.line_offset(), 0x3F);
         assert_eq!(a.line().base().get(), 0x1FC0);
     }
 

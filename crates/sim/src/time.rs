@@ -228,12 +228,6 @@ impl Frequency {
         Time::from_ps(n * self.ps_per_cycle_x16 / 16)
     }
 
-    /// Number of whole cycles contained in `t`.
-    #[inline]
-    pub fn cycles_in(self, t: Time) -> u64 {
-        t.as_ps() * 16 / self.ps_per_cycle_x16
-    }
-
     /// Period of one cycle.
     #[inline]
     pub fn period(self) -> Time {
@@ -357,7 +351,6 @@ mod tests {
         assert_eq!(f.cycles(1).as_ps(), 312);
         assert_eq!(f.cycles(2).as_ps(), 625);
         assert_eq!(f.cycles(16).as_ps(), 5_000);
-        assert_eq!(f.cycles_in(Time::from_ns(1)), 3);
     }
 
     #[test]

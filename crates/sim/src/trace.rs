@@ -394,12 +394,6 @@ impl TraceRecorder {
         TraceRecorder::default()
     }
 
-    /// Whether [`TraceRecorder::record`] stores anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Stores one attributed access, evicting the oldest at capacity.
     pub fn record(
         &mut self,
@@ -633,7 +627,6 @@ mod tests {
         let mut r = TraceRecorder::disabled();
         let att = attribute(ns(0), ns(1), &[]);
         r.record(0, 1, ns(0), ns(1), &[], &att);
-        assert!(!r.is_enabled());
         assert!(r.is_empty());
     }
 

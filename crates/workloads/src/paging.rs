@@ -81,11 +81,6 @@ impl HugePager {
         self.used[f as usize] = true;
         f
     }
-
-    /// Number of huge pages allocated so far.
-    pub fn allocated_pages(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,6 @@ mod tests {
             let pa = p.translate(LineAddr::new(v * LINES_PER_PAGE));
             assert!(frames.insert(pa.get() / LINES_PER_PAGE), "frame reused");
         }
-        assert_eq!(p.allocated_pages(), 100);
     }
 
     #[test]
