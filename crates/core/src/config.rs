@@ -7,8 +7,8 @@ use emcc_noc::Mesh;
 use emcc_secmem::{RecoveryConfig, SecurityScheme};
 use emcc_sim::Time;
 
-// Table I values that every run shares. The NoC constants are
-// `NocLatency::calibrated()` (Fig 3).
+// Table I values that no configuration varies. The NoC latency constants
+// are `NocLatency::calibrated()` (Fig 3).
 
 /// Core clock in GHz (Table I: 3.2 GHz).
 pub const CORE_GHZ: f64 = 3.2;

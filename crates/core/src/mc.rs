@@ -84,7 +84,9 @@ pub(crate) struct CtrTxn {
 /// MC state owned by the system.
 pub(crate) struct McState {
     /// The MC's private metadata cache (Table I: 128 KB, 32-way): level-0
-    /// counter blocks and tree nodes, tagged by kind.
+    /// counter blocks and tree nodes, tagged by kind. Recovery drops a
+    /// block even when dirty: a failed verification means its contents
+    /// cannot be trusted.
     pub meta: SetAssocCache<BlockKind>,
     /// Read-path AES: OTPs for MC-decrypted reads and counter-block
     /// verification. Write-path AES runs on [`Self::aes_wr`] — real MCs

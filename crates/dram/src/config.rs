@@ -34,8 +34,6 @@ pub struct DramConfig {
     pub t_refi: Time,
     /// One 64 B burst on the data bus (BL8 at the configured data rate).
     pub burst: Time,
-    /// Row-buffer size in bytes.
-    pub row_bytes: u64,
     /// Open rows auto-precharge after this idle time (Table I: 500 ns
     /// timeout policy).
     pub row_timeout: Time,
@@ -75,7 +73,6 @@ impl DramConfig {
             t_rfc: Time::from_ns(350),
             t_refi: Time::from_ns(7_800),
             burst: Time::from_ns_f64(2.5),
-            row_bytes: 8192,
             row_timeout: Time::from_ns(500),
             queue_capacity: 256,
             frfcfs_cap: 4,

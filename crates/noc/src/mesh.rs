@@ -104,11 +104,6 @@ impl Mesh {
         self.hops(Node::Core(a), Node::Core(b))
     }
 
-    /// Hop count from a core tile to a memory controller.
-    pub fn hops_core_to_mc(&self, core: usize, mc: usize) -> u32 {
-        self.hops(Node::Core(core), Node::Mc(mc))
-    }
-
     /// Mean hop count over all ordered core-tile pairs (self-pairs
     /// included, which have 0 hops — the slice co-located with the L2).
     pub fn mean_core_to_core_hops(&self) -> f64 {
