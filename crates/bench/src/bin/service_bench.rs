@@ -9,8 +9,11 @@
 //! batched writes, guarded writes and batched reads against its own
 //! stripe of the line space (`line % threads == t`), so adjacent lines —
 //! and therefore shared counter blocks — are contended across threads
-//! while per-line values stay trivially checkable. Wall-clock ops/sec
-//! per thread count lands in `BENCH_service.json` (`--out` overrides).
+//! while per-line values stay trivially checkable. Per thread count,
+//! `BENCH_service.json` (`--out` overrides) gets wall-clock ops/sec, the
+//! p50 and p99 of per-operation latency as a client sees it (backpressure
+//! retries included, binned in an `emcc_sim::Histogram`) and the journal
+//! bytes appended per acknowledged write.
 //!
 //! `--smoke` shrinks the op count and thread list for CI. Exit 2 is
 //! reserved for usage errors and an unwritable `--out`; a read-back
@@ -24,7 +27,7 @@ use emcc::crypto::DataBlock;
 use emcc::secmem::service::InMemoryBackend;
 use emcc::secmem::{MemoryAdt, SecureMemoryService, SecurityScheme, ServiceConfig, ServiceError};
 use emcc::sim::rng::{mix64, GAMMA};
-use emcc::sim::LineAddr;
+use emcc::sim::{Histogram, LineAddr};
 use emcc_bench::cli::{write_or_exit, Argv};
 use emcc_bench::json::Json;
 
@@ -105,20 +108,37 @@ struct Cell {
     total_ops: u64,
     seconds: f64,
     ops_per_sec: f64,
+    p50_us: Option<f64>,
+    p99_us: Option<f64>,
+    journal_bytes_per_write: f64,
     overloaded_absorbed: u64,
     service_retries: u64,
+}
+
+/// One thread's tally: `Overloaded` rejections absorbed and each
+/// operation's latency in µs.
+struct ThreadRun {
+    absorbed: u64,
+    latencies_us: Vec<f64>,
 }
 
 /// Runs one thread's deterministic script: 60% single-line batch writes,
 /// 20% guarded writes (guard = the thread's own last value), 20% batched
 /// reads checked against the thread's model.
-fn run_thread(svc: &SecureMemoryService<InMemoryBackend>, thread: u64, n: u64, ops: u64) -> u64 {
+fn run_thread(
+    svc: &SecureMemoryService<InMemoryBackend>,
+    thread: u64,
+    n: u64,
+    ops: u64,
+) -> ThreadRun {
     let mut last: std::collections::HashMap<LineAddr, DataBlock> = Default::default();
     let mut absorbed = 0;
+    let mut latencies_us = Vec::with_capacity(ops as usize);
     for i in 0..ops {
         let r = mix64((SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i)).wrapping_add(GAMMA));
         let line = owned_line(thread, n, r >> 16);
         let val = block(r);
+        let start = Instant::now();
         match r % 10 {
             0..=5 => {
                 let (_, rej) = with_retry(|| svc.batch_write(&[(line, val)]));
@@ -147,8 +167,12 @@ fn run_thread(svc: &SecureMemoryService<InMemoryBackend>, thread: u64, n: u64, o
                 }
             }
         }
+        latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
     }
-    absorbed
+    ThreadRun {
+        absorbed,
+        latencies_us,
+    }
 }
 
 fn run_cell(threads: usize, ops: u64) -> Cell {
@@ -164,14 +188,22 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
         cfg,
     );
     let t0 = Instant::now();
-    let absorbed: u64 = std::thread::scope(|s| {
+    let runs: Vec<ThreadRun> = std::thread::scope(|s| {
         let svc = &svc;
         let handles: Vec<_> = (0..threads)
             .map(|t| s.spawn(move || run_thread(svc, t as u64, threads as u64, ops)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
     });
     let seconds = t0.elapsed().as_secs_f64();
+    // 0.1 µs bins up to 1 ms; a percentile past that reads as null.
+    let mut latency = Histogram::new(0.0, 0.1, 10_000);
+    for &us in runs.iter().flat_map(|r| &r.latencies_us) {
+        latency.add(us);
+    }
     let total_ops = ops * threads as u64;
     let stats = svc.stats();
     Cell {
@@ -179,7 +211,10 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
         total_ops,
         seconds,
         ops_per_sec: total_ops as f64 / seconds.max(1e-9),
-        overloaded_absorbed: absorbed,
+        p50_us: latency.percentile(50.0),
+        p99_us: latency.percentile(99.0),
+        journal_bytes_per_write: stats.journal_bytes as f64 / stats.writes.max(1) as f64,
+        overloaded_absorbed: runs.iter().map(|r| r.absorbed).sum(),
         service_retries: stats.retries,
     }
 }
@@ -191,6 +226,18 @@ fn bench_json(ops: u64, cells: &[Cell]) -> Json {
             ("total_ops", Json::num(c.total_ops)),
             ("seconds", Json::fixed(c.seconds, 3)),
             ("ops_per_sec", Json::fixed(c.ops_per_sec, 0)),
+            (
+                "p50_us",
+                c.p50_us.map_or(Json::num("null"), |v| Json::fixed(v, 2)),
+            ),
+            (
+                "p99_us",
+                c.p99_us.map_or(Json::num("null"), |v| Json::fixed(v, 2)),
+            ),
+            (
+                "journal_bytes_per_write",
+                Json::fixed(c.journal_bytes_per_write, 1),
+            ),
             ("overloaded_absorbed", Json::num(c.overloaded_absorbed)),
             ("service_retries", Json::num(c.service_retries)),
         ])
@@ -209,9 +256,18 @@ fn main() {
     let mut cells = Vec::new();
     for &threads in &args.threads {
         let cell = run_cell(threads, args.ops);
+        let us = |p: Option<f64>| p.map_or("-".to_string(), |v| format!("{v:.2}"));
         println!(
-            "{:>2} thread(s): {:>10.0} ops/s ({} ops in {:.3}s, {} rejections absorbed)",
-            cell.threads, cell.ops_per_sec, cell.total_ops, cell.seconds, cell.overloaded_absorbed
+            "{:>2} thread(s): {:>10.0} ops/s, p50 {} µs, p99 {} µs, {:.1} journal B/write \
+             ({} ops in {:.3}s, {} rejections absorbed)",
+            cell.threads,
+            cell.ops_per_sec,
+            us(cell.p50_us),
+            us(cell.p99_us),
+            cell.journal_bytes_per_write,
+            cell.total_ops,
+            cell.seconds,
+            cell.overloaded_absorbed
         );
         cells.push(cell);
     }

@@ -96,8 +96,9 @@ impl CrashCase {
     /// Generates the case for `seed`. Pure: same seed, same case.
     ///
     /// A quarter of cases are write-hammers (many writes to a handful of
-    /// lines) so split-counter minor overflows — and thus whole-block
-    /// rebase records — land on both sides of the crash point.
+    /// lines) so split-counter minor overflows — and thus rebase records,
+    /// which list every slot of their block — land on both sides of the
+    /// crash point.
     pub fn generate(seed: u64) -> Self {
         let mut rng = Rng64::new(seed ^ 0xC4A5_CA5E);
         let design = rng.index(DESIGNS.len());

@@ -22,9 +22,10 @@ use emcc_sim::LineAddr;
 pub struct WriteLog {
     /// Index of the (single) level-0 counter block the write mutated.
     pub counter_block: u64,
-    /// Post-write snapshot of that block. All slots share one major, so
-    /// whole-block capture is the smallest sound unit: a rebase rewrites
-    /// every minor, and per-slot deltas could not reproduce that.
+    /// Post-write snapshot of that block. Against the pre-write block it
+    /// yields the slots the write changed ([`CounterBlock::changed_slots`]):
+    /// one for a plain write, every slot a rebase rewrote otherwise, all
+    /// under the new major.
     pub block: CounterBlock,
     /// Post-write ciphertext+MAC of every line the write re-encrypted.
     pub touched: Vec<(LineAddr, StoredLine)>,

@@ -5,10 +5,10 @@
 //! [`MemoryAdt`] surface (`batch_read` / `batch_write` / `guarded_write`)
 //! over a pluggable [`StorageBackend`], with
 //!
-//! * **write-ahead journaling** — every write's persistent effect (one
-//!   counter block + the re-encrypted line images) is appended to the
-//!   journal *before* the write is acknowledged, so a crash at any moment
-//!   loses only unacknowledged work ([`journal`]);
+//! * **write-ahead journaling** — every write's persistent effect (the
+//!   counter-block slots it changed + the re-encrypted line images) is
+//!   appended to the journal *before* the write is acknowledged, so a
+//!   crash at any moment loses only unacknowledged work ([`journal`]);
 //! * **atomic checkpointing** — [`SecureMemoryService::checkpoint`]
 //!   captures full state, installs it atomically and truncates the
 //!   journal; stale-checkpoint and stale-journal crash windows are closed
@@ -92,6 +92,7 @@ struct Stats {
     overloaded: AtomicU64,
     verify_failures: AtomicU64,
     checkpoints: AtomicU64,
+    journal_bytes: AtomicU64,
 }
 
 /// Snapshot of [`SecureMemoryService::stats`].
@@ -113,6 +114,8 @@ pub struct StatsSnapshot {
     pub verify_failures: u64,
     /// Checkpoints installed.
     pub checkpoints: u64,
+    /// Journal bytes appended by acknowledged writes.
+    pub journal_bytes: u64,
 }
 
 /// State behind the service mutex.
@@ -256,6 +259,7 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             overloaded: self.stats.overloaded.load(Ordering::Relaxed),
             verify_failures: self.stats.verify_failures.load(Ordering::Relaxed),
             checkpoints: self.stats.checkpoints.load(Ordering::Relaxed),
+            journal_bytes: self.stats.journal_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -361,7 +365,8 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         line: LineAddr,
         value: DataBlock,
     ) -> Result<u64, ServiceError> {
-        // Capture rollback images before mutating.
+        // Capture pre-write images before mutating: rollback restores them,
+        // and the record lists the slots that differ from `prev_block`.
         let cb = core.mem.tree().geometry().counter_block_of(line);
         let prev_block = core.mem.counter_block_state(cb).cloned();
         let rebase = core.mem.tree().would_overflow_data(line);
@@ -382,22 +387,7 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             .write_logged(line, value)
             .map_err(ServiceError::Corruption)?;
         let seq = core.next_seq;
-        let rec = JournalRecord {
-            seq,
-            counter_block: log.counter_block,
-            major: log.block.major(),
-            format_tag: log.block.format().tag(),
-            slots: log.block.raw_slots(),
-            lines: log
-                .touched
-                .iter()
-                .map(|(l, s)| LineImage {
-                    line: l.get(),
-                    cipher: *s.cipher.words(),
-                    mac: s.mac.as_u64(),
-                })
-                .collect(),
-        };
+        let rec = JournalRecord::of_write(seq, &log, prev_block.as_ref());
         let (frame, new_check) = journal::encode_record(&rec, core.check_chain);
 
         match self.append_with_retry(core, &frame) {
@@ -406,6 +396,9 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                 core.next_seq += 1;
                 core.ops_since_checkpoint += 1;
                 self.stats.writes.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .journal_bytes
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
                 Ok(seq)
             }
             Err(e) => {
@@ -478,14 +471,7 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             .mem
             .written_lines()
             .into_iter()
-            .map(|l| {
-                let s = core.mem.raw(l).expect("written line has an image");
-                LineImage {
-                    line: l.get(),
-                    cipher: *s.cipher.words(),
-                    mac: s.mac.as_u64(),
-                }
-            })
+            .map(|l| LineImage::of(l, &core.mem.raw(l).expect("written line has an image")))
             .collect();
         let ckpt = journal::Checkpoint {
             design: core.mem.tree().geometry().design(),

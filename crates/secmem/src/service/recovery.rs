@@ -30,13 +30,12 @@
 use std::collections::BTreeSet;
 
 use emcc_counters::{CounterBlock, CounterDesign};
-use emcc_crypto::{DataBlock, Mac56};
 use emcc_sim::LineAddr;
 
 use super::backend::{BackendError, StorageBackend};
-use super::journal::{self, LineImage};
+use super::journal;
 use super::{SecureMemoryService, ServiceConfig};
-use crate::functional::{FunctionalSecureMemory, StoredLine};
+use crate::functional::FunctionalSecureMemory;
 
 /// Why recovery failed. Every variant is a *detected* failure — recovery
 /// never silently drops acknowledged state.
@@ -107,13 +106,6 @@ pub struct RecoveryReport {
     pub last_seq: u64,
     /// Whether the service starts in degraded read-only mode.
     pub degraded: bool,
-}
-
-fn stored_line_of(img: &LineImage) -> StoredLine {
-    StoredLine {
-        cipher: DataBlock::from_words(img.cipher),
-        mac: Mac56::from_u64(img.mac),
-    }
 }
 
 /// Rebuilds a service from persisted state: loads the checkpoint, replays
@@ -198,7 +190,7 @@ pub fn recover<B: StorageBackend>(
                     reason: format!("checkpoint line {} out of range", img.line),
                 });
             }
-            mem.restore_line(LineAddr::new(img.line), Some(stored_line_of(img)));
+            mem.restore_line(LineAddr::new(img.line), Some(img.stored()));
             checkpoint_lines += 1;
         }
         last_seq = ckpt.last_seq;
@@ -223,7 +215,8 @@ pub fn recover<B: StorageBackend>(
                 reason: format!("record counter block {} out of range", rec.counter_block),
             });
         }
-        let block = CounterBlock::restore(design, rec.major, rec.format_tag, &rec.slots)
+        let block = rec
+            .replay_block(design, mem.counter_block_state(rec.counter_block))
             .map_err(|reason| RecoveryError::Inconsistent { reason })?;
         mem.restore_counter_block(rec.counter_block, Some(block));
         for img in &rec.lines {
@@ -232,7 +225,7 @@ pub fn recover<B: StorageBackend>(
                     reason: format!("record line {} out of range", img.line),
                 });
             }
-            mem.restore_line(LineAddr::new(img.line), Some(stored_line_of(img)));
+            mem.restore_line(LineAddr::new(img.line), Some(img.stored()));
         }
         last_seq = rec.seq;
         replayed += 1;
@@ -274,6 +267,7 @@ mod tests {
     use super::*;
     use crate::service::adt::{MemoryAdt, ServiceError};
     use crate::service::backend::{CrashInjector, CrashSchedule, InMemoryBackend, Region};
+    use emcc_crypto::DataBlock;
 
     fn block(v: u64) -> DataBlock {
         DataBlock::from_words([v; 8])
