@@ -12,8 +12,9 @@
 //! while per-line values stay trivially checkable. Per thread count,
 //! `BENCH_service.json` (`--out` overrides) gets wall-clock ops/sec, the
 //! p50 and p99 of per-operation latency as a client sees it (backpressure
-//! retries included, binned in an `emcc_sim::Histogram`) and the journal
-//! bytes appended per acknowledged write.
+//! retries included, binned in an `emcc_sim::Histogram`), overall and for
+//! each operation kind under `by_kind`, and the journal bytes appended per
+//! acknowledged write.
 //!
 //! `--smoke` shrinks the op count and thread list for CI. Exit 2 is
 //! reserved for usage errors and an unwritable `--out`; a read-back
@@ -102,24 +103,53 @@ fn with_retry<T>(mut f: impl FnMut() -> Result<T, ServiceError>) -> (T, u64) {
     }
 }
 
+/// The script's operation kinds, as `BENCH_service.json` names them.
+const KINDS: [&str; 3] = ["write", "guarded_write", "batch_read"];
+
+/// The p50 and p99 of a set of latencies, in µs.
+struct Percentiles {
+    p50_us: Option<f64>,
+    p99_us: Option<f64>,
+}
+
+impl Percentiles {
+    fn of<'a>(latencies_us: impl Iterator<Item = &'a f64>) -> Self {
+        // 0.1 µs bins up to 1 ms; a percentile past that reads as null.
+        let mut latency = Histogram::new(0.0, 0.1, 10_000);
+        for &us in latencies_us {
+            latency.add(us);
+        }
+        Percentiles {
+            p50_us: latency.percentile(50.0),
+            p99_us: latency.percentile(99.0),
+        }
+    }
+
+    fn json(&self) -> [(&'static str, Json); 2] {
+        let us = |p: Option<f64>| p.map_or(Json::num("null"), |v| Json::fixed(v, 2));
+        [("p50_us", us(self.p50_us)), ("p99_us", us(self.p99_us))]
+    }
+}
+
 /// One measured cell: `threads` workers, `ops` operations each.
 struct Cell {
     threads: usize,
     total_ops: u64,
     seconds: f64,
     ops_per_sec: f64,
-    p50_us: Option<f64>,
-    p99_us: Option<f64>,
+    latency: Percentiles,
+    /// Latency of each of [`KINDS`], in its order.
+    by_kind: [Percentiles; 3],
     journal_bytes_per_write: f64,
     overloaded_absorbed: u64,
     service_retries: u64,
 }
 
 /// One thread's tally: `Overloaded` rejections absorbed and each
-/// operation's latency in µs.
+/// operation's latency in µs, by kind (in [`KINDS`] order).
 struct ThreadRun {
     absorbed: u64,
-    latencies_us: Vec<f64>,
+    latencies_us: [Vec<f64>; 3],
 }
 
 /// Runs one thread's deterministic script: 60% single-line batch writes,
@@ -133,19 +163,24 @@ fn run_thread(
 ) -> ThreadRun {
     let mut last: std::collections::HashMap<LineAddr, DataBlock> = Default::default();
     let mut absorbed = 0;
-    let mut latencies_us = Vec::with_capacity(ops as usize);
+    let mut latencies_us: [Vec<f64>; 3] = Default::default();
     for i in 0..ops {
         let r = mix64((SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i)).wrapping_add(GAMMA));
         let line = owned_line(thread, n, r >> 16);
         let val = block(r);
+        let kind = match r % 10 {
+            0..=5 => 0,
+            6 | 7 => 1,
+            _ => 2,
+        };
         let start = Instant::now();
-        match r % 10 {
-            0..=5 => {
+        match kind {
+            0 => {
                 let (_, rej) = with_retry(|| svc.batch_write(&[(line, val)]));
                 absorbed += rej;
                 last.insert(line, val);
             }
-            6 | 7 => {
+            1 => {
                 let guard = last.get(&line).copied();
                 let (seen, rej) = with_retry(|| svc.guarded_write((line, guard), &[(line, val)]));
                 absorbed += rej;
@@ -167,7 +202,7 @@ fn run_thread(
                 }
             }
         }
-        latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
+        latencies_us[kind].push(start.elapsed().as_secs_f64() * 1e6);
     }
     ThreadRun {
         absorbed,
@@ -199,11 +234,7 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
             .collect()
     });
     let seconds = t0.elapsed().as_secs_f64();
-    // 0.1 µs bins up to 1 ms; a percentile past that reads as null.
-    let mut latency = Histogram::new(0.0, 0.1, 10_000);
-    for &us in runs.iter().flat_map(|r| &r.latencies_us) {
-        latency.add(us);
-    }
+    let of_kind = |k: usize| runs.iter().flat_map(move |r| &r.latencies_us[k]);
     let total_ops = ops * threads as u64;
     let stats = svc.stats();
     Cell {
@@ -211,8 +242,8 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
         total_ops,
         seconds,
         ops_per_sec: total_ops as f64 / seconds.max(1e-9),
-        p50_us: latency.percentile(50.0),
-        p99_us: latency.percentile(99.0),
+        latency: Percentiles::of((0..KINDS.len()).flat_map(of_kind)),
+        by_kind: std::array::from_fn(|k| Percentiles::of(of_kind(k))),
         journal_bytes_per_write: stats.journal_bytes as f64 / stats.writes.max(1) as f64,
         overloaded_absorbed: runs.iter().map(|r| r.absorbed).sum(),
         service_retries: stats.retries,
@@ -221,19 +252,19 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
 
 fn bench_json(ops: u64, cells: &[Cell]) -> Json {
     let results = cells.iter().map(|c| {
+        let by_kind = KINDS
+            .iter()
+            .zip(&c.by_kind)
+            .map(|(k, p)| (*k, Json::obj(p.json())));
+        let [p50, p99] = c.latency.json();
         Json::obj([
             ("threads", Json::num(c.threads)),
             ("total_ops", Json::num(c.total_ops)),
             ("seconds", Json::fixed(c.seconds, 3)),
             ("ops_per_sec", Json::fixed(c.ops_per_sec, 0)),
-            (
-                "p50_us",
-                c.p50_us.map_or(Json::num("null"), |v| Json::fixed(v, 2)),
-            ),
-            (
-                "p99_us",
-                c.p99_us.map_or(Json::num("null"), |v| Json::fixed(v, 2)),
-            ),
+            p50,
+            p99,
+            ("by_kind", Json::obj(by_kind)),
             (
                 "journal_bytes_per_write",
                 Json::fixed(c.journal_bytes_per_write, 1),
@@ -262,13 +293,19 @@ fn main() {
              ({} ops in {:.3}s, {} rejections absorbed)",
             cell.threads,
             cell.ops_per_sec,
-            us(cell.p50_us),
-            us(cell.p99_us),
+            us(cell.latency.p50_us),
+            us(cell.latency.p99_us),
             cell.journal_bytes_per_write,
             cell.total_ops,
             cell.seconds,
             cell.overloaded_absorbed
         );
+        let kinds: Vec<String> = KINDS
+            .iter()
+            .zip(&cell.by_kind)
+            .map(|(k, p)| format!("{k} {}/{}", us(p.p50_us), us(p.p99_us)))
+            .collect();
+        println!("    p50/p99 µs by kind: {}", kinds.join(", "));
         cells.push(cell);
     }
     write_or_exit(&args.out, bench_json(args.ops, &cells).render());

@@ -574,7 +574,7 @@ impl SecureSystem {
         // model's tree must equal the functional oracle's (both saw the
         // same write-back sequence, one increment per write-back).
         if let Some(shadow) = &self.shadow {
-            for line in shadow.written_lines() {
+            for (line, _) in shadow.stored_lines() {
                 self.report.shadow_lines += 1;
                 if shadow.tree().data_counter(line) != self.tree.data_counter(line) {
                     self.report.shadow_mismatches += 1;

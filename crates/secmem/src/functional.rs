@@ -12,9 +12,9 @@
 
 use std::collections::HashMap;
 
-use emcc_counters::{CounterBlock, CounterDesign, IntegrityTree};
+use emcc_counters::{CounterBlock, CounterDesign, IncrementResult, IntegrityTree};
 use emcc_crypto::{BlockCipherKeys, DataBlock, Mac56};
-use emcc_sim::LineAddr;
+use emcc_sim::{FastHashMap, LineAddr};
 
 /// Persistent state touched by one [`FunctionalSecureMemory::write_logged`]
 /// call — the payload a write-ahead journal record must carry.
@@ -111,6 +111,12 @@ pub struct FunctionalSecureMemory {
     /// Stored-MAC overrides for tampered tree nodes; absent means the MAC
     /// in "DRAM" is the correct MAC of the intact node image.
     node_macs: HashMap<(u32, u64), Mac56>,
+    /// The intact image of every materialized level-0 counter block, by
+    /// block index, kept current on every counter change: exactly one
+    /// entry per block the tree holds at level 0.
+    images: FastHashMap<u64, [u64; 8]>,
+    /// The image of an absent full-arity node: every counter zero.
+    zero_image: [u64; 8],
 }
 
 impl FunctionalSecureMemory {
@@ -128,6 +134,8 @@ impl FunctionalSecureMemory {
             reencrypted_lines: 0,
             node_masks: HashMap::new(),
             node_macs: HashMap::new(),
+            images: FastHashMap::default(),
+            zero_image: node_image(None, design.coverage()),
         }
     }
 
@@ -154,6 +162,12 @@ impl FunctionalSecureMemory {
     /// launder the tampering. The write is refused before any state
     /// changes.
     pub fn write(&mut self, line: LineAddr, plain: DataBlock) -> Result<(), ReadError> {
+        self.apply_write(line, plain).map(|_| ())
+    }
+
+    /// [`Self::write`]'s work; returns whether the write rebased the
+    /// line's counter block.
+    fn apply_write(&mut self, line: LineAddr, plain: DataBlock) -> Result<bool, ReadError> {
         // If this increment will rebase, decrypt the covered region with
         // the *old* counters first.
         let saved: Vec<(LineAddr, DataBlock)> = if self.tree.would_overflow_data(line) {
@@ -166,7 +180,9 @@ impl FunctionalSecureMemory {
         };
 
         let r = self.tree.increment_data(line);
-        if r.overflow.is_some() {
+        self.track_increment(line, &r);
+        let rebased = r.overflow.is_some();
+        if rebased {
             for (l, plain) in saved {
                 let counter = self.tree.data_counter(l);
                 self.store_encrypted(l, plain, counter);
@@ -186,7 +202,24 @@ impl FunctionalSecureMemory {
                 self.node_macs.remove(&key);
             }
         }
-        Ok(())
+        Ok(rebased)
+    }
+
+    /// Keeps the image of `line`'s counter block current after `r`, the
+    /// increment of the line's counter. A plain increment moved that one
+    /// counter from n − 1 to n, so one image word changes. A rebase
+    /// rewrote every counter of the block, so its image is rebuilt.
+    fn track_increment(&mut self, line: LineAddr, r: &IncrementResult) {
+        let g = self.tree.geometry();
+        let cb = g.counter_block_of(line);
+        // A block's first write starts from the absent block's image.
+        let image = self.images.entry(cb).or_insert(self.zero_image);
+        if r.overflow.is_some() {
+            *image = node_image(self.tree.node_block(0, cb), g.design().coverage());
+        } else {
+            let slot = g.slot_of(line) as u64;
+            image[(slot % 8) as usize] ^= mix(r.new_counter - 1, slot) ^ mix(r.new_counter, slot);
+        }
     }
 
     /// Reads and verifies a block.
@@ -253,8 +286,7 @@ impl FunctionalSecureMemory {
         line: LineAddr,
         plain: DataBlock,
     ) -> Result<WriteLog, ReadError> {
-        let rebased = self.tree.would_overflow_data(line);
-        self.write(line, plain)?;
+        let rebased = self.apply_write(line, plain)?;
         let cb_index = self.tree.geometry().counter_block_of(line);
         let block = self
             .tree
@@ -296,7 +328,13 @@ impl FunctionalSecureMemory {
     /// Installs (or clears) a level-0 counter block during recovery or
     /// write rollback. See [`IntegrityTree::restore_level0_block`].
     pub fn restore_counter_block(&mut self, index: u64, block: Option<CounterBlock>) {
+        let coverage = self.tree.geometry().design().coverage();
+        let image = block.as_ref().map(|b| node_image(Some(b), coverage));
         self.tree.restore_level0_block(index, block);
+        match image {
+            Some(image) => self.images.insert(index, image),
+            None => self.images.remove(&index),
+        };
     }
 
     /// Attack: flip one bit of the stored ciphertext.
@@ -376,12 +414,15 @@ impl FunctionalSecureMemory {
     /// verifying each node's stored MAC against its observed contents —
     /// the functional analogue of the MC's tree walk.
     ///
-    /// Each node's counter block is looked up once: it yields the node's
-    /// intact image, and, as the parent of the node below, that node's
-    /// counter. The observed image is the intact one XOR the node's tamper
-    /// mask. Both MACs are computed for every node: the recomputed MAC
-    /// over the observed image, and the stored MAC over the intact image
-    /// unless an override replaced it.
+    /// A level-0 node's intact image is the one kept current on write, so
+    /// its counter block is not read. Above level 0, each node's counter
+    /// block is looked up once: as the parent of the node below it yields
+    /// that node's counter, and it yields the node's own image, which is
+    /// the precomputed all-zero image for an absent full-arity node. The
+    /// observed image is the intact one XOR the node's tamper mask. Both
+    /// MACs are computed for every node: the recomputed MAC over the
+    /// observed image, and the stored MAC over the intact image unless an
+    /// override replaced it.
     ///
     /// # Errors
     ///
@@ -391,7 +432,8 @@ impl FunctionalSecureMemory {
         let g = self.tree.geometry();
         let arity = g.design().coverage();
         let mut index = g.counter_block_of(line);
-        let mut block = self.tree.node_block(0, index);
+        // The node's own block, needed for its image above level 0 only.
+        let mut block = None;
         for level in 0..g.num_levels() {
             // The parent's block holds this node's counter; above the top
             // level it is the on-chip root.
@@ -435,40 +477,35 @@ impl FunctionalSecureMemory {
         self.read(line)
     }
 
-    /// Every line that has been written, in ascending order — the domain a
+    /// Every line that has been written, with its stored image, in
+    /// ascending line order — what a checkpoint captures and the domain a
     /// differential checker must compare.
-    pub fn written_lines(&self) -> Vec<LineAddr> {
-        let mut lines: Vec<LineAddr> = self.store.keys().copied().collect();
-        lines.sort_unstable();
+    pub fn stored_lines(&self) -> Vec<(LineAddr, &StoredLine)> {
+        let mut lines: Vec<(LineAddr, &StoredLine)> =
+            self.store.iter().map(|(&l, s)| (l, s)).collect();
+        lines.sort_unstable_by_key(|&(l, _)| l);
         lines
     }
 
-    /// The intact 512-bit image of node `(level, index)`, whose counter
-    /// block is `block`: a deterministic packing of the counters it stores
-    /// (data counters at level 0, child node counters above). Any single
-    /// counter change flips image bits.
+    /// The intact 512-bit image of node `(level, index)`: a deterministic
+    /// packing of the counters it stores (data counters at level 0, child
+    /// node counters above). Any single counter change flips image bits.
+    /// A level-0 image is the one kept current on write. Above level 0 it
+    /// is built from `block`, the node's counter block, except for an
+    /// absent full-arity node, whose image is the precomputed zero image.
     fn intact_node_image(&self, level: u32, index: u64, block: Option<&CounterBlock>) -> [u64; 8] {
-        fn mix(c: u64, slot: u64) -> u64 {
-            let mut z = c ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+        if level == 0 {
+            return self.images.get(&index).copied().unwrap_or(self.zero_image);
         }
         let g = self.tree.geometry();
         let arity = g.design().coverage();
-        // Above level 0, slots past the last node of the level below
-        // protect nothing and stay out of the image.
-        let slots = if level == 0 {
-            arity
-        } else {
-            (g.blocks_at_level(level - 1) - index * arity).min(arity)
-        };
-        let mut img = [0u64; 8];
-        for slot in 0..slots {
-            let c = block.map_or(0, |b| b.counter(slot as usize));
-            img[(slot % 8) as usize] ^= mix(c, slot);
+        // Slots past the last node of the level below protect nothing and
+        // stay out of the image.
+        let slots = (g.blocks_at_level(level - 1) - index * arity).min(arity);
+        match block {
+            None if slots == arity => self.zero_image,
+            _ => node_image(block, slots),
         }
-        img
     }
 
     fn covered_lines(&self, line: LineAddr) -> impl Iterator<Item = LineAddr> {
@@ -485,9 +522,31 @@ impl FunctionalSecureMemory {
     }
 }
 
+/// Counter `c` of slot `slot`, mixed into the image word it lands in.
+fn mix(c: u64, slot: u64) -> u64 {
+    let mut z = c ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The image of the first `slots` counters of `block`, an absent block
+/// counting as all zeros: slot `s`'s mixed counter XOR-ed into word
+/// `s % 8`.
+fn node_image(block: Option<&CounterBlock>, slots: u64) -> [u64; 8] {
+    let mut img = [0u64; 8];
+    for slot in 0..slots {
+        let c = block.map_or(0, |b| b.counter(slot as usize));
+        img[(slot % 8) as usize] ^= mix(c, slot);
+    }
+    img
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{recover, InMemoryBackend, MemoryAdt, SecureMemoryService, ServiceConfig};
+    use proptest::prelude::*;
 
     fn block(v: u64) -> DataBlock {
         DataBlock::from_words([v; 8])
@@ -728,20 +787,19 @@ mod tests {
     }
 
     #[test]
-    fn written_lines_sorted_and_complete() {
+    fn stored_lines_sorted_and_complete() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         for l in [9u64, 2, 40, 7] {
             m.write(LineAddr::new(l), block(l)).unwrap();
         }
+        let lines = m.stored_lines();
         assert_eq!(
-            m.written_lines(),
-            vec![
-                LineAddr::new(2),
-                LineAddr::new(7),
-                LineAddr::new(9),
-                LineAddr::new(40)
-            ]
+            lines.iter().map(|&(l, _)| l.get()).collect::<Vec<_>>(),
+            [2, 7, 9, 40]
         );
+        for &(l, stored) in &lines {
+            assert_eq!(Some(*stored), m.raw(l));
+        }
     }
 
     #[test]
@@ -780,7 +838,7 @@ mod tests {
                 dst.restore_line(*line, Some(*stored));
             }
         }
-        for l in src.written_lines() {
+        for (l, _) in src.stored_lines() {
             assert_eq!(dst.read(l).unwrap(), src.read(l).unwrap());
         }
     }
@@ -793,6 +851,137 @@ mod tests {
         m.restore_line(l, None);
         assert_eq!(m.read(l).unwrap(), DataBlock::default());
         assert!(m.raw(l).is_none());
+    }
+
+    /// Every materialized level-0 block's kept image must equal the image
+    /// rebuilt from its counters, and no absent block may keep one.
+    fn check_images(m: &FunctionalSecureMemory) -> Result<(), String> {
+        let coverage = m.tree().geometry().design().coverage();
+        let blocks = m.tree().level0_blocks();
+        for (index, b) in &blocks {
+            if m.images.get(index) != Some(&node_image(Some(b), coverage)) {
+                return Err(format!("block {index}: the kept image is stale"));
+            }
+        }
+        if m.images.len() != blocks.len() {
+            return Err(format!(
+                "{} images kept for {} blocks",
+                m.images.len(),
+                blocks.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// A block's counters and the stored images of every line it covers:
+    /// what a write rollback puts back.
+    type BlockState = (
+        u64,
+        Option<CounterBlock>,
+        Vec<(LineAddr, Option<StoredLine>)>,
+    );
+
+    fn block_state(m: &FunctionalSecureMemory, cb: u64) -> BlockState {
+        let coverage = m.tree().geometry().design().coverage();
+        let lines = (cb * coverage..(cb + 1) * coverage)
+            .map(|l| (LineAddr::new(l), m.raw(LineAddr::new(l))))
+            .collect();
+        (cb, m.counter_block_state(cb).cloned(), lines)
+    }
+
+    fn roll_back(m: &mut FunctionalSecureMemory, (cb, block, lines): BlockState) {
+        m.restore_counter_block(cb, block);
+        for (l, stored) in lines {
+            m.restore_line(l, stored);
+        }
+    }
+
+    const DESIGNS: [CounterDesign; 3] = [
+        CounterDesign::Monolithic,
+        CounterDesign::Sc64,
+        CounterDesign::Morphable,
+    ];
+
+    proptest! {
+        #[test]
+        fn kept_images_match_images_rebuilt_from_counters(
+            design in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            const LINES: u64 = 1 << 9;
+            // Writes mixed with rollbacks, then writes to one hot line alone.
+            const MIXED: usize = 900;
+            const HAMMER: usize = 260;
+            let design = DESIGNS[design];
+            let coverage = design.coverage();
+            let mut rng = emcc_sim::Rng64::new(seed);
+            // Four of five mixed writes hit two lines of one block. The
+            // hammer rebases that block under SC-64 and Morphable whatever
+            // the rollbacks undid, and re-formats it under Morphable.
+            let hot = rng.below(LINES / coverage) * coverage;
+            let writes: Vec<(LineAddr, DataBlock)> = (0..MIXED + HAMMER)
+                .map(|i| {
+                    let line = if i >= MIXED {
+                        hot
+                    } else if rng.below(5) > 0 {
+                        hot + rng.below(2)
+                    } else {
+                        rng.below(LINES)
+                    };
+                    (LineAddr::new(line), block(rng.next_u64()))
+                })
+                .collect();
+
+            let mut m = FunctionalSecureMemory::with_design(seed, LINES, design);
+            let mut saved: Vec<BlockState> = Vec::new();
+            for (step, &(line, value)) in writes.iter().enumerate() {
+                let cb = m.tree().geometry().counter_block_of(line);
+                let roll = if step < MIXED { rng.below(60) } else { u64::MAX };
+                match roll {
+                    // Back to an earlier state of the block, as a write
+                    // rollback restores it.
+                    0 if !saved.is_empty() => {
+                        let state = saved.swap_remove(rng.below(saved.len() as u64) as usize);
+                        roll_back(&mut m, state);
+                    }
+                    // Back to before some block's first write.
+                    1 => {
+                        let cb = rng.below(LINES / coverage);
+                        let cleared = (cb * coverage..(cb + 1) * coverage)
+                            .map(|l| (LineAddr::new(l), None))
+                            .collect();
+                        roll_back(&mut m, (cb, None, cleared));
+                    }
+                    2 | 3 => saved.push(block_state(&m, cb)),
+                    _ => prop_assert!(m.write(line, value).is_ok(), "step {} refused", step),
+                }
+                check_images(&m).map_err(|e| format!("step {step}: {e}"))?;
+            }
+            let (rebases, morphs) = (m.tree().overflows_by_level()[0], m.tree().morphs());
+            prop_assert_eq!(rebases > 0, design != CounterDesign::Monolithic);
+            prop_assert_eq!(morphs > 0, design == CounterDesign::Morphable);
+
+            // The same writes through the service, then recovery from its
+            // checkpoint and journal, which installs every block by restore.
+            let cfg = ServiceConfig::default();
+            let svc =
+                SecureMemoryService::with_design(InMemoryBackend::new(), seed, LINES, design, cfg);
+            for (i, &write) in writes.iter().enumerate() {
+                if i == MIXED / 2 {
+                    svc.checkpoint().map_err(|e| e.to_string())?;
+                }
+                svc.batch_write(&[write]).map_err(|e| e.to_string())?;
+            }
+            let (r, report) = recover(svc.into_backend(), seed, LINES, design, cfg)
+                .map_err(|e| e.to_string())?;
+            prop_assert!(report.quarantined.is_empty());
+            r.with_memory(check_images)?;
+            // Later increments start from the restored images.
+            for &write in &writes[MIXED..] {
+                r.batch_write(&[write]).map_err(|e| e.to_string())?;
+            }
+            r.with_memory(check_images)?;
+        }
     }
 
     #[test]

@@ -259,8 +259,9 @@ pub struct CrashSchedule {
     /// 1-based index of the mutating call (`append_journal`,
     /// `install_checkpoint`, `truncate_journal`) that crashes; 0 = never.
     pub crash_on_op: u64,
-    /// For an append crash: how many bytes of the final record survive
-    /// (clamped to the record length). Models a torn write.
+    /// For an append crash: how many bytes of the final record survive,
+    /// clamped to one byte short of the record, so a strict prefix
+    /// survives. Models a torn write.
     pub torn_keep: u64,
 }
 
@@ -325,7 +326,7 @@ impl<B: StorageBackend> StorageBackend for CrashInjector<B> {
         }
         if self.tick() {
             // Torn write: a strict prefix of the record reaches the medium.
-            let keep = (self.schedule.torn_keep as usize).min(bytes.len());
+            let keep = (self.schedule.torn_keep as usize).min(bytes.len().saturating_sub(1));
             if keep > 0 {
                 self.inner.append_journal(&bytes[..keep])?;
             }
@@ -470,16 +471,20 @@ mod tests {
 
     #[test]
     fn crash_injector_tears_final_append() {
-        let schedule = CrashSchedule {
-            crash_on_op: 2,
-            torn_keep: 2,
-        };
-        let mut b = CrashInjector::new(InMemoryBackend::new(), schedule);
-        b.append_journal(&[1, 2, 3]).unwrap();
-        assert_eq!(b.append_journal(&[4, 5, 6, 7]), Err(BackendError::Crashed));
-        assert!(b.crashed());
-        assert_eq!(b.append_journal(&[8]), Err(BackendError::Crashed));
-        assert_eq!(b.into_inner().journal_bytes().unwrap(), vec![1, 2, 3, 4, 5]);
+        // A strict prefix of the crashed record survives, however many
+        // bytes the schedule keeps.
+        for (torn_keep, kept) in [(2, vec![1, 2, 3, 4, 5]), (10_000, vec![1, 2, 3, 4, 5, 6])] {
+            let schedule = CrashSchedule {
+                crash_on_op: 2,
+                torn_keep,
+            };
+            let mut b = CrashInjector::new(InMemoryBackend::new(), schedule);
+            b.append_journal(&[1, 2, 3]).unwrap();
+            assert_eq!(b.append_journal(&[4, 5, 6, 7]), Err(BackendError::Crashed));
+            assert!(b.crashed());
+            assert_eq!(b.append_journal(&[8]), Err(BackendError::Crashed));
+            assert_eq!(b.into_inner().journal_bytes().unwrap(), kept);
+        }
     }
 
     #[test]

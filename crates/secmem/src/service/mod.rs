@@ -469,9 +469,9 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             .collect();
         let lines = core
             .mem
-            .written_lines()
+            .stored_lines()
             .into_iter()
-            .map(|l| LineImage::of(l, &core.mem.raw(l).expect("written line has an image")))
+            .map(|(l, s)| LineImage::of(l, s))
             .collect();
         let ckpt = journal::Checkpoint {
             design: core.mem.tree().geometry().design(),

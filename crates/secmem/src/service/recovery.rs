@@ -233,8 +233,8 @@ pub fn recover<B: StorageBackend>(
 
     // -- Reverify every reachable line (tree walk + MAC).
     let mut quarantined = BTreeSet::new();
-    let lines = mem.written_lines();
-    for &line in &lines {
+    let lines = mem.stored_lines();
+    for &(line, _) in &lines {
         if mem.read_checked(line).is_err() {
             quarantined.insert(line);
         }
@@ -374,6 +374,36 @@ mod tests {
         }
         // The unacked write is absent — not silently half-applied.
         assert_eq!(r.batch_read(&[LineAddr::new(3)]).unwrap(), vec![None]);
+    }
+
+    #[test]
+    fn a_crashed_append_never_replays_however_much_it_keeps() {
+        // A `torn_keep` past the frame length still tears the frame: the
+        // write that reported the crash was never acknowledged.
+        let schedule = CrashSchedule {
+            crash_on_op: 2,
+            torn_keep: 10_000,
+        };
+        let s = SecureMemoryService::with_design(
+            CrashInjector::new(InMemoryBackend::new(), schedule),
+            SEED,
+            LINES,
+            CounterDesign::Morphable,
+            ServiceConfig::default(),
+        );
+        let line = LineAddr::new(1);
+        s.batch_write(&[(line, block(1))]).unwrap();
+        assert!(matches!(
+            s.batch_write(&[(line, block(2))]),
+            Err(ServiceError::Backend {
+                error: BackendError::Crashed,
+                committed: 0
+            })
+        ));
+        let (r, report) = recover_inmem(s.into_backend().into_inner());
+        assert_eq!(report.replayed_records, 1);
+        assert!(report.discarded_tail_bytes > 0, "torn tail discarded");
+        assert_eq!(r.batch_read(&[line]).unwrap(), vec![Some(block(1))]);
     }
 
     #[test]

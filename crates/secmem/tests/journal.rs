@@ -59,11 +59,7 @@ fn persistent(svc: &SecureMemoryService<InMemoryBackend>) -> (Blocks, Vec<(LineA
             .into_iter()
             .map(|(i, b)| (i, b.major(), b.format().tag(), b.raw_slots()))
             .collect();
-        let lines = m
-            .written_lines()
-            .into_iter()
-            .map(|l| (l, m.raw(l).expect("written line has an image")))
-            .collect();
+        let lines = m.stored_lines().into_iter().map(|(l, s)| (l, *s)).collect();
         (blocks, lines)
     })
 }
