@@ -5,16 +5,18 @@
 //! ```
 //!
 //! Each configured thread count runs a fresh [`SecureMemoryService`] over
-//! an [`InMemoryBackend`]: every thread replays a deterministic script of
-//! batched writes, guarded writes and batched reads against its own
-//! stripe of the line space (`line % threads == t`), so adjacent lines —
-//! and therefore shared counter blocks — are contended across threads
-//! while per-line values stay trivially checkable. Per thread count,
-//! `BENCH_service.json` (`--out` overrides) gets wall-clock ops/sec, the
-//! p50 and p99 of per-operation latency as a client sees it (backpressure
-//! retries included, binned in an `emcc_sim::Histogram`), overall and for
-//! each operation kind under `by_kind`, and the journal bytes appended per
-//! acknowledged write.
+//! an [`InMemoryBackend`], with every line written once in 64-line batches
+//! before the clock starts, so every read verifies a stored line. Then
+//! every thread replays a deterministic script of batched writes, guarded
+//! writes and batched reads against its own stripe of the line space
+//! (`line % threads == t`), so adjacent lines — and therefore shared
+//! counter blocks — are contended across threads while per-line values
+//! stay trivially checkable. Per thread count, `BENCH_service.json`
+//! (`--out` overrides) gets wall-clock ops/sec, the p50 and p99 of
+//! per-operation latency as a client sees it (backpressure retries
+//! included, binned in an `emcc_sim::Histogram`), overall and for each
+//! operation kind under `by_kind`, and the journal bytes the script
+//! appended per acknowledged write.
 //!
 //! `--smoke` shrinks the op count and thread list for CI. Exit 2 is
 //! reserved for usage errors and an unwritable `--out`; a read-back
@@ -37,6 +39,9 @@ const SEED: u64 = 0x5E4B;
 
 /// Line space per service instance.
 const LINES: u64 = 1 << 14;
+
+/// Lines per write batch while filling the space before the clock starts.
+const FILL_BATCH: u64 = 64;
 
 struct Args {
     threads: Vec<usize>,
@@ -78,6 +83,11 @@ fn parse_args() -> Args {
 
 fn block(v: u64) -> DataBlock {
     DataBlock::from_words([v; 8])
+}
+
+/// The value every line holds before the script starts.
+fn fill_value(line: LineAddr) -> DataBlock {
+    block(mix64(SEED ^ line.get()))
 }
 
 /// Thread `t` of `n` owns the interleaved stripe `{ l | l % n == t }`, so
@@ -154,14 +164,18 @@ struct ThreadRun {
 
 /// Runs one thread's deterministic script: 60% single-line batch writes,
 /// 20% guarded writes (guard = the thread's own last value), 20% batched
-/// reads checked against the thread's model.
+/// reads checked against the thread's model, which starts from its
+/// stripe's fill values.
 fn run_thread(
     svc: &SecureMemoryService<InMemoryBackend>,
     thread: u64,
     n: u64,
     ops: u64,
 ) -> ThreadRun {
-    let mut last: std::collections::HashMap<LineAddr, DataBlock> = Default::default();
+    let mut last: std::collections::HashMap<LineAddr, DataBlock> = (0..LINES / n)
+        .map(|k| owned_line(thread, n, k))
+        .map(|l| (l, fill_value(l)))
+        .collect();
     let mut absorbed = 0;
     let mut latencies_us: [Vec<f64>; 3] = Default::default();
     for i in 0..ops {
@@ -222,6 +236,14 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
         CounterDesign::Morphable,
         cfg,
     );
+    for start in (0..LINES).step_by(FILL_BATCH as usize) {
+        let batch: Vec<(LineAddr, DataBlock)> = (start..start + FILL_BATCH)
+            .map(LineAddr::new)
+            .map(|l| (l, fill_value(l)))
+            .collect();
+        svc.batch_write(&batch).expect("fill the line space");
+    }
+    let filled = svc.stats();
     let t0 = Instant::now();
     let runs: Vec<ThreadRun> = std::thread::scope(|s| {
         let svc = &svc;
@@ -244,7 +266,8 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
         ops_per_sec: total_ops as f64 / seconds.max(1e-9),
         latency: Percentiles::of((0..KINDS.len()).flat_map(of_kind)),
         by_kind: std::array::from_fn(|k| Percentiles::of(of_kind(k))),
-        journal_bytes_per_write: stats.journal_bytes as f64 / stats.writes.max(1) as f64,
+        journal_bytes_per_write: (stats.journal_bytes - filled.journal_bytes) as f64
+            / (stats.writes - filled.writes).max(1) as f64,
         overloaded_absorbed: runs.iter().map(|r| r.absorbed).sum(),
         service_retries: stats.retries,
     }

@@ -249,16 +249,14 @@ pub struct CaseRun {
     pub failure: Option<String>,
 }
 
-/// The service configuration campaigns run under: no auto-checkpoint
-/// (the script checkpoints explicitly) and no retries (a crashed backend
-/// never comes back, so retrying only obscures the crash point).
+/// The service configuration campaigns run under: no retries (a crashed
+/// backend never comes back, so retrying only obscures the crash point).
 fn campaign_config() -> ServiceConfig {
     ServiceConfig {
         retry: emcc::secmem::RetryPolicy {
             max_attempts: 0,
             base_ticks: 0,
         },
-        checkpoint_every: 0,
         ..ServiceConfig::default()
     }
 }

@@ -315,7 +315,9 @@ impl IntegrityTree {
     }
 
     /// Snapshot of every materialized level-0 block, ascending by index —
-    /// the persistent counter state a checkpoint must capture. (Functional
+    /// the persistent counter state. A service checkpoint walks it beside
+    /// the sorted stored lines and writes one record per block: its major,
+    /// format tag and nonzero slots, and the lines it covers. (Functional
     /// users only ever mutate level 0: data writes bump leaf counters and
     /// node counters above stay zero, so this *is* the full tree state.)
     pub fn level0_blocks(&self) -> Vec<(u64, CounterBlock)> {

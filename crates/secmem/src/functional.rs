@@ -16,19 +16,26 @@ use emcc_counters::{CounterBlock, CounterDesign, IncrementResult, IntegrityTree}
 use emcc_crypto::{BlockCipherKeys, DataBlock, Mac56};
 use emcc_sim::{FastHashMap, LineAddr};
 
-/// Persistent state touched by one [`FunctionalSecureMemory::write_logged`]
-/// call — the payload a write-ahead journal record must carry.
+/// One write's whole persistent change, as
+/// [`FunctionalSecureMemory::write_logged`] made it: the level-0 counter
+/// block the write bumped, before and after, and every line it
+/// re-encrypted, before and after, in ascending line order. That is the
+/// written line alone, unless the write rebased the block: then it is every
+/// stored line the block covers. A write-ahead journal records the after
+/// half; [`FunctionalSecureMemory::undo`] puts the before half back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteLog {
     /// Index of the (single) level-0 counter block the write mutated.
     pub counter_block: u64,
-    /// Post-write snapshot of that block. Against the pre-write block it
-    /// yields the slots the write changed ([`CounterBlock::changed_slots`]):
-    /// one for a plain write, every slot a rebase rewrote otherwise, all
-    /// under the new major.
-    pub block: CounterBlock,
-    /// Post-write ciphertext+MAC of every line the write re-encrypted.
-    pub touched: Vec<(LineAddr, StoredLine)>,
+    /// That block before the write; `None` when it was absent (all zeros).
+    pub before: Option<CounterBlock>,
+    /// That block after the write. Against [`Self::before`] it yields the
+    /// slots the write changed ([`CounterBlock::changed_slots`]): one for a
+    /// plain write, every slot a rebase rewrote otherwise.
+    pub after: CounterBlock,
+    /// `(line, before, after)` of every line the write re-encrypted,
+    /// ascending; `before` is `None` for a line never written.
+    pub touched: Vec<(LineAddr, Option<StoredLine>, StoredLine)>,
 }
 
 /// Why a read failed verification.
@@ -165,15 +172,21 @@ impl FunctionalSecureMemory {
         self.apply_write(line, plain).map(|_| ())
     }
 
-    /// [`Self::write`]'s work; returns whether the write rebased the
-    /// line's counter block.
-    fn apply_write(&mut self, line: LineAddr, plain: DataBlock) -> Result<bool, ReadError> {
+    /// [`Self::write`]'s work; returns the pre-write image of every other
+    /// line the write re-encrypted (a rebase's stored neighbours),
+    /// ascending.
+    fn apply_write(
+        &mut self,
+        line: LineAddr,
+        plain: DataBlock,
+    ) -> Result<Vec<(LineAddr, StoredLine)>, ReadError> {
         // If this increment will rebase, decrypt the covered region with
         // the *old* counters first.
-        let saved: Vec<(LineAddr, DataBlock)> = if self.tree.would_overflow_data(line) {
+        let saved: Vec<(LineAddr, StoredLine, DataBlock)> = if self.tree.would_overflow_data(line) {
             self.covered_lines(line)
-                .filter(|l| *l != line && self.store.contains_key(l))
-                .map(|l| self.read(l).map(|plain| (l, plain)))
+                .filter(|l| *l != line)
+                .filter_map(|l| self.store.get(&l).map(|s| (l, *s)))
+                .map(|(l, s)| self.read(l).map(|plain| (l, s, plain)))
                 .collect::<Result<_, _>>()?
         } else {
             Vec::new()
@@ -181,13 +194,10 @@ impl FunctionalSecureMemory {
 
         let r = self.tree.increment_data(line);
         self.track_increment(line, &r);
-        let rebased = r.overflow.is_some();
-        if rebased {
-            for (l, plain) in saved {
-                let counter = self.tree.data_counter(l);
-                self.store_encrypted(l, plain, counter);
-                self.reencrypted_lines += 1;
-            }
+        for &(l, _, plain) in &saved {
+            let counter = self.tree.data_counter(l);
+            self.store_encrypted(l, plain, counter);
+            self.reencrypted_lines += 1;
         }
         self.store_encrypted(line, plain, r.new_counter);
 
@@ -202,7 +212,7 @@ impl FunctionalSecureMemory {
                 self.node_macs.remove(&key);
             }
         }
-        Ok(rebased)
+        Ok(saved.into_iter().map(|(l, s, _)| (l, s)).collect())
     }
 
     /// Keeps the image of `line`'s counter block current after `r`, the
@@ -272,11 +282,9 @@ impl FunctionalSecureMemory {
         self.store.get(&line).copied()
     }
 
-    /// Like [`Self::write`], but also reports exactly which persistent
-    /// state the write touched, so a write-ahead journal can capture it:
-    /// the (single) mutated counter block and every stored line whose
-    /// ciphertext changed — one line normally, the whole covered region on
-    /// a rebase.
+    /// Like [`Self::write`], but also returns the write's whole persistent
+    /// change ([`WriteLog`]), so a write-ahead journal can record it and
+    /// [`Self::undo`] can take it back.
     ///
     /// # Errors
     ///
@@ -286,25 +294,40 @@ impl FunctionalSecureMemory {
         line: LineAddr,
         plain: DataBlock,
     ) -> Result<WriteLog, ReadError> {
-        let rebased = self.apply_write(line, plain)?;
-        let cb_index = self.tree.geometry().counter_block_of(line);
-        let block = self
+        let counter_block = self.tree.geometry().counter_block_of(line);
+        let before = self.tree.node_block(0, counter_block).cloned();
+        let written = (line, self.raw(line));
+        let neighbours = self.apply_write(line, plain)?;
+        let after = self
             .tree
-            .node_block(0, cb_index)
+            .node_block(0, counter_block)
             .expect("write materializes its counter block")
             .clone();
-        let touched: Vec<(LineAddr, StoredLine)> = if rebased {
-            self.covered_lines(line)
-                .filter_map(|l| self.store.get(&l).map(|s| (l, *s)))
-                .collect()
-        } else {
-            vec![(line, self.store[&line])]
-        };
+        let mut touched: Vec<(LineAddr, Option<StoredLine>, StoredLine)> = neighbours
+            .into_iter()
+            .map(|(l, s)| (l, Some(s)))
+            .chain([written])
+            .map(|(l, before)| (l, before, self.store[&l]))
+            .collect();
+        touched.sort_unstable_by_key(|&(l, ..)| l);
         Ok(WriteLog {
-            counter_block: cb_index,
-            block,
+            counter_block,
+            before,
+            after,
             touched,
         })
+    }
+
+    /// Takes back the write `log` describes: its counter block and every
+    /// line it re-encrypted return to their pre-write state, an absent
+    /// block or a never-written line to absent again. Statistics
+    /// ([`Self::reencrypted_lines`], the tree's overflow counts) keep
+    /// counting the write.
+    pub fn undo(&mut self, log: WriteLog) {
+        self.restore_counter_block(log.counter_block, log.before);
+        for (line, before, _) in log.touched {
+            self.restore_line(line, before);
+        }
     }
 
     /// Installs a raw ciphertext+MAC image, or clears the line with `None`
@@ -809,8 +832,8 @@ mod tests {
         let log = m.write_logged(l, block(4)).unwrap();
         assert_eq!(log.counter_block, m.tree().geometry().counter_block_of(l));
         assert_eq!(log.touched.len(), 1);
-        assert_eq!(log.touched[0], (l, m.raw(l).unwrap()));
-        assert_eq!(log.block.counter(m.tree().geometry().slot_of(l)), 1);
+        assert_eq!(log.touched[0], (l, None, m.raw(l).unwrap()));
+        assert_eq!(log.after.counter(m.tree().geometry().slot_of(l)), 1);
     }
 
     #[test]
@@ -833,8 +856,8 @@ mod tests {
         let writes: Vec<(u64, u64)> = (0..140).map(|i| (i % 9, i)).collect();
         for (l, v) in writes {
             let log = src.write_logged(LineAddr::new(l), block(v)).unwrap();
-            dst.restore_counter_block(log.counter_block, Some(log.block.clone()));
-            for (line, stored) in &log.touched {
+            dst.restore_counter_block(log.counter_block, Some(log.after.clone()));
+            for (line, _, stored) in &log.touched {
                 dst.restore_line(*line, Some(*stored));
             }
         }

@@ -4,11 +4,13 @@
 //! blocks — never plaintext or keys: the key seed is supplied by the
 //! operator at recovery time, so a stolen journal is no more useful than a
 //! stolen DIMM. One journal record captures what one logical write
-//! changed: the post-write major counter and format tag of the single
-//! level-0 counter block it bumped, each slot of that block whose raw value
-//! changed, and every re-encrypted line image. A plain write bumps one
-//! minor, so its record lists one slot; a rebase or a Morphable re-format
-//! lists every slot it rewrote, so one record kind covers all three.
+//! changed, read off its [`WriteLog`]: the post-write major counter and
+//! format tag of the single level-0 counter block it bumped, each slot of
+//! that block whose raw value changed, and every re-encrypted line image.
+//! A plain write bumps one minor, so its record lists one slot; a rebase or
+//! a Morphable re-format lists every slot it rewrote, so one record kind
+//! covers all three. A checkpoint is a list of the same record bodies, one
+//! per counter block: frames and checkpoints share one body codec.
 //!
 //! # Frame format
 //!
@@ -45,7 +47,23 @@
 //! ([`JournalRecord::of_write`]). Replay patches the block it holds, or an
 //! all-zero one, and validates the result through `CounterBlock::restore`
 //! ([`JournalRecord::replay_block`]). A write that does not rebase appends
-//! a 141-byte frame under every design.
+//! a 141-byte frame under every design. A MAC word wider than 56 bits is
+//! rejected, not masked.
+//!
+//! # Checkpoint format
+//!
+//! ```text
+//! "EMCCKPT3" | design: u8 | data_lines: u64 | last_seq: u64
+//! n_records: u32 | n_records × record body | check: u64
+//! ```
+//!
+//! One record per level-0 counter block that holds state, ascending: its
+//! major, its format tag, its nonzero slots (those that differ from an
+//! absent block) and every stored line it covers, with the checkpoint's
+//! `last_seq` as its `seq`. A stored line whose block holds no counters
+//! (only a replay onto a never-written line makes one) gets a record with
+//! no slots, so re-verification after recovery still flags it. `check`
+//! covers every byte before it, seeded with [`CHAIN_SEED`].
 //!
 //! # Checksum
 //!
@@ -64,10 +82,11 @@
 //!
 //! # Versions
 //!
-//! Checkpoints open with the magic `EMCCKPT2`. Files of an earlier format
-//! are not migrated: its checkpoints fail as bad magic and its frames fail
-//! their checksum, both reported as corruption.
+//! Checkpoints open with the magic `EMCCKPT3`. Files of an earlier format
+//! are not migrated: their checkpoints fail as bad magic, and frames of
+//! the first format fail their checksum, both reported as corruption.
 
+use std::borrow::Borrow;
 use std::hash::Hasher;
 
 use emcc_counters::{CounterBlock, CounterDesign};
@@ -75,7 +94,7 @@ use emcc_crypto::{DataBlock, Mac56};
 use emcc_sim::hash::FastHasher;
 use emcc_sim::LineAddr;
 
-use crate::functional::{StoredLine, WriteLog};
+use crate::functional::{FunctionalSecureMemory, StoredLine, WriteLog};
 
 /// Chain seed of an empty journal, and the seed of a checkpoint's
 /// whole-file check.
@@ -86,7 +105,7 @@ pub const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const MAX_RECORD_BYTES: usize = 1 << 20;
 
 /// Checkpoint file magic + version.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"EMCCKPT2";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"EMCCKPT3";
 
 /// The frame and checkpoint check: `seed`, then `bytes` a little-endian
 /// word at a time (a short last word zero-padded, its length in the top
@@ -102,69 +121,38 @@ fn checksum(seed: u64, bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// One stored line's persistent image: ciphertext words + 56-bit MAC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineImage {
-    /// Line index.
-    pub line: u64,
-    /// The 512-bit ciphertext as eight words.
-    pub cipher: [u64; 8],
-    /// The co-located MAC (56 significant bits).
-    pub mac: u64,
-}
-
-impl LineImage {
-    /// The image of `line` stored as `s`.
-    pub fn of(line: LineAddr, s: &StoredLine) -> Self {
-        LineImage {
-            line: line.get(),
-            cipher: *s.cipher.words(),
-            mac: s.mac.as_u64(),
-        }
-    }
-
-    /// The stored line this image records.
-    pub fn stored(&self) -> StoredLine {
-        StoredLine {
-            cipher: DataBlock::from_words(self.cipher),
-            mac: Mac56::from_u64(self.mac),
-        }
-    }
-}
-
-/// One journal record: the persistent effect of one acknowledged write.
+/// One record: the persistent effect of one acknowledged write, or in a
+/// checkpoint the whole state of one level-0 counter block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
-    /// Strictly increasing sequence number (1-based).
+    /// Strictly increasing sequence number (1-based); in a checkpoint, the
+    /// checkpoint's last sequence number.
     pub seq: u64,
-    /// Index of the level-0 counter block the write mutated.
+    /// Index of the level-0 counter block the record sets.
     pub counter_block: u64,
     /// Post-write major counter of that block.
     pub major: u64,
     /// Post-write storage format tag ([`emcc_counters::MorphFormat::tag`]).
     pub format_tag: u8,
     /// `(slot, post-write raw value)` of every slot the write changed
-    /// ([`CounterBlock::changed_slots`] against the pre-write block).
+    /// ([`CounterBlock::changed_slots`] against the pre-write block); in a
+    /// checkpoint, of every nonzero slot.
     pub slots: Vec<(u32, u64)>,
-    /// Post-write image of every line the write re-encrypted.
-    pub lines: Vec<LineImage>,
+    /// Post-write image of every line the write re-encrypted, ascending;
+    /// in a checkpoint, of every stored line the block covers.
+    pub lines: Vec<(LineAddr, StoredLine)>,
 }
 
 impl JournalRecord {
-    /// The record of write `seq`, which found `before` (`None`: absent) at
-    /// its counter block and left `log`.
-    pub fn of_write(seq: u64, log: &WriteLog, before: Option<&CounterBlock>) -> Self {
+    /// The record of write `seq`, which `log` describes.
+    pub fn of_write(seq: u64, log: &WriteLog) -> Self {
         JournalRecord {
             seq,
             counter_block: log.counter_block,
-            major: log.block.major(),
-            format_tag: log.block.format().tag(),
-            slots: log.block.changed_slots(before),
-            lines: log
-                .touched
-                .iter()
-                .map(|(l, s)| LineImage::of(*l, s))
-                .collect(),
+            major: log.after.major(),
+            format_tag: log.after.format().tag(),
+            slots: log.after.changed_slots(log.before.as_ref()),
+            lines: log.touched.iter().map(|&(l, _, s)| (l, s)).collect(),
         }
     }
 
@@ -241,12 +229,33 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn line(&mut self, img: &LineImage) {
-        self.u64(img.line);
-        for &c in &img.cipher {
-            self.u64(c);
+    /// One record body, laid out as the module docs give it.
+    fn body<S: Borrow<StoredLine>>(
+        &mut self,
+        seq: u64,
+        counter_block: u64,
+        (major, format_tag): (u64, u8),
+        slots: &[(u32, u64)],
+        lines: &[(LineAddr, S)],
+    ) {
+        self.u64(seq);
+        self.u64(counter_block);
+        self.u64(major);
+        self.u8(format_tag);
+        self.u32(slots.len() as u32);
+        for &(slot, raw) in slots {
+            self.u32(slot);
+            self.u64(raw);
         }
-        self.u64(img.mac);
+        self.u32(lines.len() as u32);
+        for (line, stored) in lines {
+            let stored = stored.borrow();
+            self.u64(line.get());
+            for &c in stored.cipher.words() {
+                self.u64(c);
+            }
+            self.u64(stored.mac.as_u64());
+        }
     }
 }
 
@@ -280,14 +289,55 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn line(&mut self) -> Result<LineImage, String> {
-        let line = self.u64()?;
+    fn line(&mut self) -> Result<(LineAddr, StoredLine), String> {
+        let line = LineAddr::new(self.u64()?);
         let mut cipher = [0u64; 8];
         for c in &mut cipher {
             *c = self.u64()?;
         }
         let mac = self.u64()?;
-        Ok(LineImage { line, cipher, mac })
+        if mac >> 56 != 0 {
+            return Err(format!(
+                "line {}: MAC word {mac:#x} is wider than 56 bits",
+                line.get()
+            ));
+        }
+        let stored = StoredLine {
+            cipher: DataBlock::from_words(cipher),
+            mac: Mac56::from_u64(mac),
+        };
+        Ok((line, stored))
+    }
+    /// One record body, as [`Writer::body`] wrote it.
+    fn body(&mut self) -> Result<JournalRecord, String> {
+        let seq = self.u64()?;
+        let counter_block = self.u64()?;
+        let major = self.u64()?;
+        let format_tag = self.u8()?;
+        let n_slots = self.u32()? as usize;
+        if n_slots > 128 {
+            return Err(format!("slot count {n_slots} exceeds any design coverage"));
+        }
+        let mut slots = Vec::with_capacity(n_slots);
+        for _ in 0..n_slots {
+            slots.push((self.u32()?, self.u64()?));
+        }
+        let n_lines = self.u32()? as usize;
+        if n_lines > 128 {
+            return Err(format!("line count {n_lines} exceeds any rebase region"));
+        }
+        let mut lines = Vec::with_capacity(n_lines);
+        for _ in 0..n_lines {
+            lines.push(self.line()?);
+        }
+        Ok(JournalRecord {
+            seq,
+            counter_block,
+            major,
+            format_tag,
+            slots,
+            lines,
+        })
     }
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
@@ -296,37 +346,11 @@ impl<'a> Reader<'a> {
 
 fn decode_body(body: &[u8]) -> Result<JournalRecord, String> {
     let mut r = Reader::new(body);
-    let seq = r.u64()?;
-    let counter_block = r.u64()?;
-    let major = r.u64()?;
-    let format_tag = r.u8()?;
-    let n_slots = r.u32()? as usize;
-    if n_slots > 128 {
-        return Err(format!("slot count {n_slots} exceeds any design coverage"));
-    }
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        slots.push((r.u32()?, r.u64()?));
-    }
-    let n_lines = r.u32()? as usize;
-    if n_lines > 128 {
-        return Err(format!("line count {n_lines} exceeds any rebase region"));
-    }
-    let mut lines = Vec::with_capacity(n_lines);
-    for _ in 0..n_lines {
-        lines.push(r.line()?);
-    }
+    let rec = r.body()?;
     if !r.done() {
         return Err("trailing bytes after record body".into());
     }
-    Ok(JournalRecord {
-        seq,
-        counter_block,
-        major,
-        format_tag,
-        slots,
-        lines,
-    })
+    Ok(rec)
 }
 
 /// Encodes one record as a framed journal append, chaining from
@@ -336,19 +360,13 @@ pub fn encode_record(rec: &JournalRecord, prev_check: u64) -> (Vec<u8>, u64) {
         49 + rec.slots.len() * 12 + rec.lines.len() * 80,
     ));
     w.u64(0); // `len | !len`, known once the body is written
-    w.u64(rec.seq);
-    w.u64(rec.counter_block);
-    w.u64(rec.major);
-    w.u8(rec.format_tag);
-    w.u32(rec.slots.len() as u32);
-    for &(slot, raw) in &rec.slots {
-        w.u32(slot);
-        w.u64(raw);
-    }
-    w.u32(rec.lines.len() as u32);
-    for img in &rec.lines {
-        w.line(img);
-    }
+    w.body(
+        rec.seq,
+        rec.counter_block,
+        (rec.major, rec.format_tag),
+        &rec.slots,
+        &rec.lines,
+    );
     let len = (w.0.len() - 8) as u32;
     w.0[..4].copy_from_slice(&len.to_le_bytes());
     w.0[4..8].copy_from_slice(&(!len).to_le_bytes());
@@ -426,11 +444,9 @@ pub struct Checkpoint {
     pub data_lines: u64,
     /// Sequence number of the last write the checkpoint includes.
     pub last_seq: u64,
-    /// Every materialized level-0 counter block:
-    /// `(index, major, format_tag, raw_slots)`.
-    pub blocks: Vec<(u64, u64, u8, Vec<u64>)>,
-    /// Every stored line image.
-    pub lines: Vec<LineImage>,
+    /// One record per level-0 counter block that holds counters, stored
+    /// lines or both, ascending by block.
+    pub records: Vec<JournalRecord>,
 }
 
 /// Why a checkpoint failed to decode.
@@ -465,28 +481,49 @@ fn design_from_tag(tag: u8) -> Option<CounterDesign> {
     }
 }
 
-/// Encodes a checkpoint image: header, counter blocks, line images, and a
+/// Encodes the checkpoint of `mem` after write `last_seq`: the header, one
+/// record per level-0 counter block that holds state, written in one
+/// ordered pass over the memory's sorted blocks and stored lines, and a
 /// trailing whole-file checksum.
-pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
+pub fn encode_checkpoint(mem: &FunctionalSecureMemory, last_seq: u64) -> Vec<u8> {
+    let g = mem.tree().geometry();
+    let coverage = g.design().coverage();
+    let mut blocks = mem.tree().level0_blocks().into_iter().peekable();
+    let stored = mem.stored_lines();
+    let mut lines = &stored[..];
+    let absent = CounterBlock::new(g.design());
+    // Sized once for every line and every slot of every block: growing by
+    // doubling would copy the image again and fault in fresh pages.
+    let mut w = Writer(Vec::with_capacity(
+        37 + stored.len() * 80 + blocks.len() * (33 + 12 * coverage as usize),
+    ));
     w.0.extend_from_slice(CHECKPOINT_MAGIC);
-    w.u8(design_tag(ckpt.design));
-    w.u64(ckpt.data_lines);
-    w.u64(ckpt.last_seq);
-    w.u32(ckpt.blocks.len() as u32);
-    for (index, major, tag, slots) in &ckpt.blocks {
-        w.u64(*index);
-        w.u64(*major);
-        w.u8(*tag);
-        w.u32(slots.len() as u32);
-        for &s in slots {
-            w.u64(s);
-        }
+    w.u8(design_tag(g.design()));
+    w.u64(g.data_lines());
+    w.u64(last_seq);
+    let count_at = w.0.len();
+    w.u32(0); // the record count, known once the records are written
+    let mut records = 0u32;
+    while let Some(index) = (blocks.peek().map(|b| b.0))
+        .into_iter()
+        .chain(lines.first().map(|&(l, _)| g.counter_block_of(l)))
+        .min()
+    {
+        let block = blocks.next_if(|b| b.0 == index).map(|b| b.1);
+        let block = block.as_ref().unwrap_or(&absent);
+        let (covered, rest) =
+            lines.split_at(lines.partition_point(|&(l, _)| l.get() < (index + 1) * coverage));
+        w.body(
+            last_seq,
+            index,
+            (block.major(), block.format().tag()),
+            &block.changed_slots(None),
+            covered,
+        );
+        lines = rest;
+        records += 1;
     }
-    w.u32(ckpt.lines.len() as u32);
-    for img in &ckpt.lines {
-        w.line(img);
-    }
+    w.0[count_at..count_at + 4].copy_from_slice(&records.to_le_bytes());
     let check = checksum(CHAIN_SEED, &w.0);
     w.u64(check);
     w.0
@@ -520,36 +557,19 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         design_from_tag(r.u8().map_err(fail)?).ok_or_else(|| fail("unknown design tag".into()))?;
     let data_lines = r.u64().map_err(fail)?;
     let last_seq = r.u64().map_err(fail)?;
-    let n_blocks = r.u32().map_err(fail)? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 16));
-    for _ in 0..n_blocks {
-        let index = r.u64().map_err(fail)?;
-        let major = r.u64().map_err(fail)?;
-        let tag = r.u8().map_err(fail)?;
-        let n_slots = r.u32().map_err(fail)? as usize;
-        if n_slots > 128 {
-            return Err(fail(format!("slot count {n_slots} exceeds any coverage")));
-        }
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(r.u64().map_err(fail)?);
-        }
-        blocks.push((index, major, tag, slots));
-    }
-    let n_lines = r.u32().map_err(fail)? as usize;
-    let mut lines = Vec::with_capacity(n_lines.min(1 << 16));
-    for _ in 0..n_lines {
-        lines.push(r.line().map_err(fail)?);
+    let n_records = r.u32().map_err(fail)? as usize;
+    let mut records = Vec::with_capacity(n_records.min(1 << 16));
+    for _ in 0..n_records {
+        records.push(r.body().map_err(fail)?);
     }
     if !r.done() {
-        return Err(fail("trailing bytes after line images".into()));
+        return Err(fail("trailing bytes after the records".into()));
     }
     Ok(Checkpoint {
         design,
         data_lines,
         last_seq,
-        blocks,
-        lines,
+        records,
     })
 }
 
@@ -565,11 +585,13 @@ mod tests {
             major: 1,
             format_tag: 0,
             slots: vec![(9, seq)],
-            lines: vec![LineImage {
-                line: 9,
-                cipher: [seq; 8],
-                mac: 0xABCD,
-            }],
+            lines: vec![(
+                LineAddr::new(9),
+                StoredLine {
+                    cipher: DataBlock::from_words([seq; 8]),
+                    mac: Mac56::from_u64(0xABCD),
+                },
+            )],
         }
     }
 
@@ -660,6 +682,22 @@ mod tests {
     }
 
     #[test]
+    fn a_mac_word_wider_than_56_bits_is_rejected() {
+        // Set a bit above the MAC's 56 and re-seal the frame's check.
+        let (mut frame, _) = encode_record(&record(1), CHAIN_SEED);
+        let end = frame.len() - 8;
+        frame[end - 1] = 0x01;
+        let check = checksum(CHAIN_SEED, &frame[8..end]);
+        frame[end..].copy_from_slice(&check.to_le_bytes());
+        match scan_journal(&frame) {
+            Err(JournalError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("wider than 56 bits"), "{reason}")
+            }
+            Ok(scan) => panic!("decoded as {:?}", scan.records),
+        }
+    }
+
+    #[test]
     fn records_cannot_be_reordered() {
         let (f1, c1) = encode_record(&record(1), CHAIN_SEED);
         let (f2, _) = encode_record(&record(2), c1);
@@ -671,33 +709,71 @@ mod tests {
         ));
     }
 
+    /// A memory of `data_lines` lines under `design` holding exactly
+    /// `blocks` and `lines`.
+    fn memory(
+        design: CounterDesign,
+        data_lines: u64,
+        blocks: &[(u64, CounterBlock)],
+        lines: &[(LineAddr, StoredLine)],
+    ) -> FunctionalSecureMemory {
+        let mut mem = FunctionalSecureMemory::with_design(1, data_lines, design);
+        for (index, block) in blocks {
+            mem.restore_counter_block(*index, Some(block.clone()));
+        }
+        for &(line, stored) in lines {
+            mem.restore_line(line, Some(stored));
+        }
+        mem
+    }
+
     #[test]
     fn checkpoint_roundtrip() {
+        let design = CounterDesign::Morphable;
+        let line = (
+            LineAddr::new(7),
+            StoredLine {
+                cipher: DataBlock::from_words([1, 2, 3, 4, 5, 6, 7, 8]),
+                mac: Mac56::from_u64(99),
+            },
+        );
+        let blocks = [
+            (0, CounterBlock::restore(design, 2, 0, &[3; 128]).unwrap()),
+            (5, CounterBlock::new(design)),
+        ];
+        let mem = memory(design, 1 << 12, &blocks, &[line]);
         let ckpt = Checkpoint {
-            design: CounterDesign::Morphable,
+            design,
             data_lines: 1 << 12,
             last_seq: 42,
-            blocks: vec![(0, 2, 1, vec![3; 128]), (5, 0, 0, vec![0; 128])],
-            lines: vec![LineImage {
-                line: 7,
-                cipher: [1, 2, 3, 4, 5, 6, 7, 8],
-                mac: 99,
-            }],
+            records: vec![
+                JournalRecord {
+                    seq: 42,
+                    counter_block: 0,
+                    major: 2,
+                    format_tag: 0,
+                    slots: (0..128).map(|slot| (slot, 3)).collect(),
+                    lines: vec![line],
+                },
+                JournalRecord {
+                    seq: 42,
+                    counter_block: 5,
+                    major: 0,
+                    format_tag: 0,
+                    slots: Vec::new(),
+                    lines: Vec::new(),
+                },
+            ],
         };
-        let bytes = encode_checkpoint(&ckpt);
+        let bytes = encode_checkpoint(&mem, 42);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
     }
 
     #[test]
     fn checkpoint_byte_flips_detected() {
-        let ckpt = Checkpoint {
-            design: CounterDesign::Sc64,
-            data_lines: 64,
-            last_seq: 1,
-            blocks: vec![(0, 0, 0, vec![1; 64])],
-            lines: Vec::new(),
-        };
-        let bytes = encode_checkpoint(&ckpt);
+        let design = CounterDesign::Sc64;
+        let block = CounterBlock::restore(design, 0, 0, &[1; 64]).unwrap();
+        let bytes = encode_checkpoint(&memory(design, 64, &[(0, block)], &[]), 1);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x08;
@@ -729,29 +805,53 @@ mod tests {
             )
         );
         assert_eq!(check, 0xd659_c98d_83c1_0b43);
-        let ckpt = Checkpoint {
-            design: CounterDesign::Monolithic,
-            data_lines: 64,
-            last_seq: 2,
-            blocks: vec![(0, 0, 0, vec![2, 0, 0, 0, 0, 0, 0, 1])],
-            lines: Vec::new(),
-        };
+        let design = CounterDesign::Monolithic;
+        let block = CounterBlock::restore(design, 0, 0, &[2, 0, 0, 0, 0, 0, 0, 1]).unwrap();
+        let mem = memory(design, 64, &[(0, block)], &[]);
         assert_eq!(
-            hex(&encode_checkpoint(&ckpt)),
+            hex(&encode_checkpoint(&mem, 2)),
             concat!(
-                "454d43434b505432",                 // EMCCKPT2
-                "00",                               // Monolithic
-                "4000000000000000",                 // data lines
-                "0200000000000000",                 // last seq
-                "01000000",                         // one block
-                "00000000000000000000000000000000", // index 0, major 0
-                "0008000000",                       // format tag, 8 slots
-                "0200000000000000000000000000000000000000000000000000000000000000",
-                "0000000000000000000000000000000000000000000000000100000000000000",
+                "454d43434b505433", // EMCCKPT3
+                "00",               // Monolithic
+                "4000000000000000", // data lines
+                "0200000000000000", // last seq
+                "01000000",         // one record
+                "0200000000000000", // its seq: the last seq
+                "0000000000000000", // counter block 0
+                "0000000000000000", // major
+                "00",               // format tag
+                "02000000",         // two nonzero slots
+                "000000000200000000000000",
+                "070000000100000000000000",
                 "00000000",         // no lines
-                "ab50dc02c5155bce", // check
+                "736942a767d9ad16", // check
             )
         );
+    }
+
+    #[test]
+    fn second_format_checkpoint_is_rejected() {
+        // The checkpoint the second format's byte pin held: block 0 of a
+        // 64-line Monolithic memory, whole, after write 2.
+        let old = concat!(
+            "454d43434b505432",
+            "00",
+            "4000000000000000",
+            "0200000000000000",
+            "01000000",
+            "00000000000000000000000000000000",
+            "0008000000",
+            "0200000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000100000000000000",
+            "00000000",
+            "ab50dc02c5155bce",
+        );
+        let old: Vec<u8> = (0..old.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&old[i..i + 2], 16).unwrap())
+            .collect();
+        let err = decode_checkpoint(&old).unwrap_err();
+        assert!(err.reason.contains("bad magic"), "{err}");
     }
 
     #[test]
@@ -765,7 +865,7 @@ mod tests {
         let err = decode_checkpoint(&old).unwrap_err();
         assert!(err.reason.contains("bad magic"), "{err}");
         // Relabelled, it still fails: its check is not this format's.
-        old[7] = b'2';
+        old[7] = b'3';
         assert!(decode_checkpoint(&old).is_err());
     }
 }

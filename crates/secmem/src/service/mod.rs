@@ -5,10 +5,12 @@
 //! [`MemoryAdt`] surface (`batch_read` / `batch_write` / `guarded_write`)
 //! over a pluggable [`StorageBackend`], with
 //!
-//! * **write-ahead journaling** — every write's persistent effect (the
-//!   counter-block slots it changed + the re-encrypted line images) is
-//!   appended to the journal *before* the write is acknowledged, so a
-//!   crash at any moment loses only unacknowledged work ([`journal`]);
+//! * **write-ahead journaling** — every write's persistent effect, read
+//!   off its [`crate::WriteLog`] (the counter-block slots it changed + the
+//!   re-encrypted line images), is appended to the journal *before* the
+//!   write is acknowledged, so a crash at any moment loses only
+//!   unacknowledged work ([`journal`]); a write whose append fails is
+//!   taken back with [`FunctionalSecureMemory::undo`];
 //! * **atomic checkpointing** — [`SecureMemoryService::checkpoint`]
 //!   captures full state, installs it atomically and truncates the
 //!   journal; stale-checkpoint and stale-journal crash windows are closed
@@ -43,10 +45,10 @@ pub use backend::{
     BackendError, CrashInjector, CrashSchedule, FileBackend, FlakyBackend, InMemoryBackend, Region,
     StorageBackend,
 };
-pub use journal::{JournalError, JournalRecord, JournalScan, LineImage};
+pub use journal::{JournalError, JournalRecord, JournalScan};
 pub use recovery::{recover, RecoveryError, RecoveryReport};
 
-use crate::functional::{FunctionalSecureMemory, StoredLine};
+use crate::functional::FunctionalSecureMemory;
 use crate::verify::RetryPolicy;
 
 /// Service-level robustness knobs.
@@ -64,9 +66,6 @@ pub struct ServiceConfig {
     /// Consecutive verification failures before the service degrades to
     /// read-only mode.
     pub degrade_after: u32,
-    /// Acknowledged writes between automatic checkpoints; 0 = only
-    /// explicit [`SecureMemoryService::checkpoint`] calls.
-    pub checkpoint_every: u64,
 }
 
 impl Default for ServiceConfig {
@@ -76,7 +75,6 @@ impl Default for ServiceConfig {
             retry: RetryPolicy::default(),
             op_timeout: Time::from_ns(1_000_000), // 1 ms of backoff budget
             degrade_after: 4,
-            checkpoint_every: 0,
         }
     }
 }
@@ -126,8 +124,6 @@ struct Core<B> {
     next_seq: u64,
     /// Checksum chain state of the journal's last record.
     check_chain: u64,
-    /// Acknowledged writes since the last checkpoint.
-    ops_since_checkpoint: u64,
     /// Consecutive read-verification failures.
     fail_streak: u32,
     /// Lines recovery could not verify; reads report detected corruption.
@@ -222,7 +218,6 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                 backend,
                 next_seq,
                 check_chain,
-                ops_since_checkpoint: 0,
                 fail_streak: 0,
                 quarantined,
             }),
@@ -309,7 +304,22 @@ impl<B: StorageBackend> SecureMemoryService<B> {
     pub fn checkpoint(&self) -> Result<(), ServiceError> {
         let _permit = self.permit()?;
         let mut core = self.lock();
-        self.checkpoint_locked(&mut core)
+        let bytes = journal::encode_checkpoint(&core.mem, core.next_seq - 1);
+        core.backend
+            .install_checkpoint(&bytes)
+            .map_err(|error| ServiceError::Backend {
+                error,
+                committed: 0,
+            })?;
+        core.backend
+            .truncate_journal()
+            .map_err(|error| ServiceError::Backend {
+                error,
+                committed: 0,
+            })?;
+        core.check_chain = journal::CHAIN_SEED;
+        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Consumes the service and returns its backend (for post-crash
@@ -357,44 +367,28 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         }
     }
 
-    /// Journals and acknowledges one write. On append failure the
-    /// functional state is rolled back to its pre-write image.
+    /// Journals and acknowledges one write. On append failure the write is
+    /// undone, so the functional state returns to its pre-write image.
     fn write_one(
         &self,
         core: &mut Core<B>,
         line: LineAddr,
         value: DataBlock,
     ) -> Result<u64, ServiceError> {
-        // Capture pre-write images before mutating: rollback restores them,
-        // and the record lists the slots that differ from `prev_block`.
-        let cb = core.mem.tree().geometry().counter_block_of(line);
-        let prev_block = core.mem.counter_block_state(cb).cloned();
-        let rebase = core.mem.tree().would_overflow_data(line);
-        let prev_lines: Vec<(LineAddr, Option<StoredLine>)> = if rebase {
-            let coverage = core.mem.tree().geometry().design().coverage();
-            (cb * coverage..(cb + 1) * coverage)
-                .map(LineAddr::new)
-                .map(|l| (l, core.mem.raw(l)))
-                .collect()
-        } else {
-            vec![(line, core.mem.raw(line))]
-        };
-
         // A refused write (a rebase over a corrupt neighbour) has changed
-        // nothing yet, so there is nothing to roll back.
+        // nothing yet, so there is nothing to undo.
         let log = core
             .mem
             .write_logged(line, value)
             .map_err(ServiceError::Corruption)?;
         let seq = core.next_seq;
-        let rec = JournalRecord::of_write(seq, &log, prev_block.as_ref());
+        let rec = JournalRecord::of_write(seq, &log);
         let (frame, new_check) = journal::encode_record(&rec, core.check_chain);
 
         match self.append_with_retry(core, &frame) {
             Ok(()) => {
                 core.check_chain = new_check;
                 core.next_seq += 1;
-                core.ops_since_checkpoint += 1;
                 self.stats.writes.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .journal_bytes
@@ -402,12 +396,9 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                 Ok(seq)
             }
             Err(e) => {
-                // The write never became durable: undo its functional
-                // effect so memory and journal agree.
-                core.mem.restore_counter_block(cb, prev_block);
-                for (l, prev) in prev_lines {
-                    core.mem.restore_line(l, prev);
-                }
+                // The write never became durable: undo it so memory and
+                // journal agree.
+                core.mem.undo(log);
                 self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
                 Err(e)
             }
@@ -450,53 +441,10 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                 }
             }
         }
-        if self.cfg.checkpoint_every > 0 && core.ops_since_checkpoint >= self.cfg.checkpoint_every {
-            self.checkpoint_locked(core)?;
-        }
         Ok(WriteAck {
             last_seq,
             committed: writes.len(),
         })
-    }
-
-    fn checkpoint_locked(&self, core: &mut Core<B>) -> Result<(), ServiceError> {
-        let blocks = core
-            .mem
-            .tree()
-            .level0_blocks()
-            .into_iter()
-            .map(|(idx, b)| (idx, b.major(), b.format().tag(), b.raw_slots()))
-            .collect();
-        let lines = core
-            .mem
-            .stored_lines()
-            .into_iter()
-            .map(|(l, s)| LineImage::of(l, s))
-            .collect();
-        let ckpt = journal::Checkpoint {
-            design: core.mem.tree().geometry().design(),
-            data_lines: core.mem.tree().geometry().data_lines(),
-            last_seq: core.next_seq - 1,
-            blocks,
-            lines,
-        };
-        let bytes = journal::encode_checkpoint(&ckpt);
-        core.backend
-            .install_checkpoint(&bytes)
-            .map_err(|error| ServiceError::Backend {
-                error,
-                committed: 0,
-            })?;
-        core.backend
-            .truncate_journal()
-            .map_err(|error| ServiceError::Backend {
-                error,
-                committed: 0,
-            })?;
-        core.check_chain = journal::CHAIN_SEED;
-        core.ops_since_checkpoint = 0;
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Reads one line under the lock, maintaining the verify-failure
@@ -683,8 +631,52 @@ mod tests {
             }
         ));
         assert_eq!(s.stats().rollbacks, 1);
-        // The failed write left no trace: line still unwritten.
+        // The failed write left no trace: line still unwritten, and its
+        // counter block absent again.
         assert_eq!(s.batch_read(&[l]).unwrap(), vec![None]);
+        assert!(s.with_memory(|m| m.counter_block_state(0).is_none()));
+    }
+
+    #[test]
+    fn rollback_across_a_rebase_restores_the_pre_write_state() {
+        let s = SecureMemoryService::with_design(
+            FlakyBackend::new(InMemoryBackend::new(), u64::MAX),
+            7,
+            1 << 12,
+            CounterDesign::Sc64,
+            ServiceConfig::default(),
+        );
+        let hot = LineAddr::new(5);
+        // Neighbours in the hot line's block, and 127 writes of the hot
+        // line, straight into memory: the service's next write of it
+        // rebases (SC-64 rebases on the 128th write to one line).
+        s.with_memory_mut(|m| {
+            for l in [0, 1, 9, 63] {
+                m.write(LineAddr::new(l), block(l)).unwrap();
+            }
+            for i in 0..127u64 {
+                m.write(hot, block(i)).unwrap();
+            }
+        });
+        let state = |s: &SecureMemoryService<FlakyBackend<InMemoryBackend>>| {
+            s.with_memory(|m| {
+                let lines: Vec<_> = (0..64)
+                    .map(LineAddr::new)
+                    .map(|l| (m.raw(l), m.read_checked(l)))
+                    .collect();
+                (
+                    m.counter_block_state(0).cloned(),
+                    lines,
+                    m.reencrypted_lines(),
+                )
+            })
+        };
+        let before = state(&s);
+        assert!(s.batch_write(&[(hot, block(127))]).is_err());
+        assert_eq!(s.stats().rollbacks, 1);
+        let after = state(&s);
+        assert_eq!((&after.0, &after.1), (&before.0, &before.1));
+        assert_eq!(after.2, before.2 + 4, "the undone write did rebase");
     }
 
     #[test]

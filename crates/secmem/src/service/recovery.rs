@@ -24,16 +24,20 @@
 //! * a crash before checkpoint install leaves the old checkpoint plus the
 //!   full journal, which replay covers.
 //!
+//! A checkpoint holds one journal record per level-0 counter block
+//! ([`journal`]), so checkpoint records and journal records install through
+//! one function.
+//!
 //! The operator supplies the key seed at recovery time — it is never
 //! persisted, so the journal and checkpoint are ciphertext-only artifacts.
 
 use std::collections::BTreeSet;
 
-use emcc_counters::{CounterBlock, CounterDesign};
+use emcc_counters::CounterDesign;
 use emcc_sim::LineAddr;
 
 use super::backend::{BackendError, StorageBackend};
-use super::journal;
+use super::journal::{self, JournalRecord};
 use super::{SecureMemoryService, ServiceConfig};
 use crate::functional::FunctionalSecureMemory;
 
@@ -152,7 +156,6 @@ pub fn recover<B: StorageBackend>(
     };
 
     let mut mem = FunctionalSecureMemory::with_design(seed, data_lines, design);
-    let level0_blocks = mem.tree().geometry().blocks_at_level(0);
     let mut last_seq = 0u64;
     let mut checkpoint_lines = 0usize;
     let had_checkpoint = checkpoint.is_some();
@@ -174,24 +177,9 @@ pub fn recover<B: StorageBackend>(
                 ),
             });
         }
-        for (index, major, tag, slots) in &ckpt.blocks {
-            if *index >= level0_blocks {
-                return Err(RecoveryError::Inconsistent {
-                    reason: format!("checkpoint block index {index} out of range"),
-                });
-            }
-            let block = CounterBlock::restore(design, *major, *tag, slots)
-                .map_err(|reason| RecoveryError::Inconsistent { reason })?;
-            mem.restore_counter_block(*index, Some(block));
-        }
-        for img in &ckpt.lines {
-            if img.line >= data_lines {
-                return Err(RecoveryError::Inconsistent {
-                    reason: format!("checkpoint line {} out of range", img.line),
-                });
-            }
-            mem.restore_line(LineAddr::new(img.line), Some(img.stored()));
-            checkpoint_lines += 1;
+        for rec in &ckpt.records {
+            install(&mut mem, rec)?;
+            checkpoint_lines += rec.lines.len();
         }
         last_seq = ckpt.last_seq;
     }
@@ -210,23 +198,7 @@ pub fn recover<B: StorageBackend>(
                 reason: format!("sequence gap: expected {}, found {}", last_seq + 1, rec.seq),
             });
         }
-        if rec.counter_block >= level0_blocks {
-            return Err(RecoveryError::Inconsistent {
-                reason: format!("record counter block {} out of range", rec.counter_block),
-            });
-        }
-        let block = rec
-            .replay_block(design, mem.counter_block_state(rec.counter_block))
-            .map_err(|reason| RecoveryError::Inconsistent { reason })?;
-        mem.restore_counter_block(rec.counter_block, Some(block));
-        for img in &rec.lines {
-            if img.line >= data_lines {
-                return Err(RecoveryError::Inconsistent {
-                    reason: format!("record line {} out of range", img.line),
-                });
-            }
-            mem.restore_line(LineAddr::new(img.line), Some(img.stored()));
-        }
+        install(&mut mem, rec)?;
         last_seq = rec.seq;
         replayed += 1;
     }
@@ -260,6 +232,31 @@ pub fn recover<B: StorageBackend>(
         cfg,
     );
     Ok((service, report))
+}
+
+/// Installs one record, from the checkpoint or the journal: its counter
+/// block, replayed onto the block `mem` holds, and its line images.
+fn install(mem: &mut FunctionalSecureMemory, rec: &JournalRecord) -> Result<(), RecoveryError> {
+    let g = mem.tree().geometry();
+    let (design, data_lines) = (g.design(), g.data_lines());
+    if rec.counter_block >= g.blocks_at_level(0) {
+        return Err(RecoveryError::Inconsistent {
+            reason: format!("record counter block {} out of range", rec.counter_block),
+        });
+    }
+    let block = rec
+        .replay_block(design, mem.counter_block_state(rec.counter_block))
+        .map_err(|reason| RecoveryError::Inconsistent { reason })?;
+    mem.restore_counter_block(rec.counter_block, Some(block));
+    for &(line, stored) in &rec.lines {
+        if line.get() >= data_lines {
+            return Err(RecoveryError::Inconsistent {
+                reason: format!("record line {} out of range", line.get()),
+            });
+        }
+        mem.restore_line(line, Some(stored));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -568,6 +565,30 @@ mod tests {
             r.batch_write(&[(good, block(5))]),
             Err(ServiceError::ReadOnly { .. })
         ));
+    }
+
+    #[test]
+    fn a_line_stored_without_a_counter_block_stays_detected() {
+        // Only a replay onto a never-written line stores a line whose
+        // counter block holds no counters.
+        let s = fresh();
+        let written = LineAddr::new(1);
+        let replayed = LineAddr::new(1000);
+        s.batch_write(&[(written, block(1))]).unwrap();
+        s.with_memory_mut(|m| {
+            let image = m.raw(written).unwrap();
+            m.tamper_replay(replayed, image);
+            assert!(m.counter_block_state(1000 / 128).is_none());
+        });
+        s.checkpoint().unwrap();
+        let (r, report) = recover_inmem(s.into_backend());
+        assert_eq!(report.checkpoint_lines, 2);
+        assert_eq!(report.quarantined, vec![replayed]);
+        assert!(matches!(
+            r.batch_read(&[replayed]),
+            Err(ServiceError::Corruption(_))
+        ));
+        assert_eq!(r.batch_read(&[written]).unwrap(), vec![Some(block(1))]);
     }
 
     #[test]
