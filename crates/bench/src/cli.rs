@@ -101,6 +101,51 @@ pub fn bless_requested() -> bool {
     std::env::var("EMCC_BLESS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// Compares `actual` with the committed snapshot at `path`; when
+/// [`bless_requested`], writes `actual` there instead. `bless` is the
+/// command that re-blesses it.
+///
+/// # Panics
+///
+/// If the snapshot cannot be read or written, or differs from `actual`:
+/// the message names the first differing line.
+pub fn check_snapshot(path: &Path, actual: &str, bless: &str) {
+    if bless_requested() {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent).expect("create snapshot dir");
+        }
+        std::fs::write(path, actual).expect("write snapshot");
+        return;
+    }
+    let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "snapshot {} unreadable ({e}) — run `{bless}` to create it",
+            path.display()
+        )
+    });
+    if actual == expected {
+        return;
+    }
+    let first_diff = actual
+        .lines()
+        .zip(expected.lines())
+        .enumerate()
+        .find(|(_, (a, e))| a != e)
+        .map(|(n, (a, e))| format!("line {}: got `{a}`, snapshot `{e}`", n + 1))
+        .unwrap_or_else(|| {
+            format!(
+                "lengths differ ({} vs {} lines)",
+                actual.lines().count(),
+                expected.lines().count()
+            )
+        });
+    panic!(
+        "{} drifted from its committed snapshot (`{bless}` regenerates it after review):\n\
+         {first_diff}",
+        path.display()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

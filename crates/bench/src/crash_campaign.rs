@@ -4,8 +4,8 @@
 //! crash-consistency invariant:
 //!
 //! > Every acknowledged write reads back exactly after recovery, or the
-//! > loss is *detected* (recovery error / quarantined line) — never
-//! > silent.
+//! > loss is *detected* (a recovery error, or a read that fails
+//! > verification) — never silent.
 //!
 //! Each case runs over both backends — `InMemoryBackend` and
 //! `FileBackend` — under the same schedule; the two must reach the same
@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use emcc::counters::CounterDesign;
 use emcc::crypto::DataBlock;
 use emcc::secmem::service::{
-    CrashInjector, CrashSchedule, FileBackend, InMemoryBackend, Region, StorageBackend,
+    corrupt_byte, CrashInjector, CrashSchedule, FileBackend, InMemoryBackend, Region,
+    StorageBackend,
 };
 use emcc::secmem::{recover, MemoryAdt, SecureMemoryService, ServiceConfig, ServiceError};
 use emcc::sim::rng::{mix64, GAMMA};
@@ -249,29 +250,15 @@ pub struct CaseRun {
     pub failure: Option<String>,
 }
 
-/// The service configuration campaigns run under: no retries (a crashed
-/// backend never comes back, so retrying only obscures the crash point).
-fn campaign_config() -> ServiceConfig {
-    ServiceConfig {
-        retry: emcc::secmem::RetryPolicy {
-            max_attempts: 0,
-            base_ticks: 0,
-        },
-        ..ServiceConfig::default()
-    }
-}
-
 /// Runs the script until completion or the injected crash, then applies
 /// the corruption plan, recovers, and judges the invariant.
 pub fn apply<B: StorageBackend>(case: &CrashCase, backend: B) -> CaseRun {
-    let design = DESIGNS[case.design];
-    let cfg = campaign_config();
     let svc = SecureMemoryService::with_design(
         CrashInjector::new(backend, case.schedule),
         case.seed,
         case.data_lines,
-        design,
-        cfg,
+        DESIGNS[case.design],
+        ServiceConfig::default(),
     );
 
     let mut acked: BTreeMap<u64, u64> = BTreeMap::new();
@@ -347,7 +334,7 @@ pub fn apply<B: StorageBackend>(case: &CrashCase, backend: B) -> CaseRun {
             } else {
                 Region::Journal
             };
-            match inner.corrupt_byte(region, c.offset as usize, c.xor) {
+            match corrupt_byte(&mut inner, region, c.offset as usize, c.xor) {
                 Ok(applied) => applied,
                 Err(e) => {
                     return CaseRun {
@@ -392,7 +379,7 @@ fn judge<B: StorageBackend>(
         case.seed,
         case.data_lines,
         DESIGNS[case.design],
-        campaign_config(),
+        ServiceConfig::default(),
     );
     let (svc, report) = match recovered {
         Ok(pair) => pair,

@@ -36,37 +36,9 @@ fn crash_campaign_smoke_matches_snapshot() {
         String::from_utf8_lossy(&output.stderr)
     );
     let actual = actual.expect("verdict file written");
-
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/crash_campaign_smoke.txt");
-    if emcc_bench::bless_requested() {
-        std::fs::write(&path, &actual).expect("write snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "snapshot {} unreadable ({e}) — run EMCC_BLESS=1 cargo test -p emcc-bench \
-             --test crash_campaign_smoke to create it",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e)
-            .map(|(n, (a, e))| format!("line {}: got `{a}`, snapshot `{e}`", n + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "lengths differ ({} vs {} lines)",
-                    actual.lines().count(),
-                    expected.lines().count()
-                )
-            });
-        panic!(
-            "crash_campaign --smoke verdicts drifted from the committed snapshot \
-             (EMCC_BLESS=1 regenerates after review):\n{first_diff}"
-        );
-    }
+    emcc_bench::cli::check_snapshot(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/crash_campaign_smoke.txt"),
+        &actual,
+        "EMCC_BLESS=1 cargo test -p emcc-bench --test crash_campaign_smoke",
+    );
 }

@@ -78,40 +78,11 @@ fn run_all_smoke_matches_snapshot() {
         String::from_utf8_lossy(&output.stderr)
     );
     let actual = String::from_utf8(output.stdout).expect("stdout is UTF-8");
-
-    let path = snapshot_path();
-    let bless = emcc_bench::bless_requested();
-    if bless {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create snapshot dir");
-        std::fs::write(&path, &actual).expect("write snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "snapshot {} unreadable ({e}) — run EMCC_BLESS=1 cargo test -p emcc-bench \
-             --test run_all_smoke -- --ignored to create it",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e)
-            .map(|(n, (a, e))| format!("line {}: got `{a}`, snapshot `{e}`", n + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "lengths differ ({} vs {} lines)",
-                    actual.lines().count(),
-                    expected.lines().count()
-                )
-            });
-        panic!(
-            "run_all --smoke stdout drifted from the committed snapshot \
-             (EMCC_BLESS=1 regenerates after review):\n{first_diff}"
-        );
-    }
+    emcc_bench::cli::check_snapshot(
+        &snapshot_path(),
+        &actual,
+        "EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored",
+    );
 }
 
 #[test]

@@ -41,40 +41,11 @@ fn render(seed: u64) -> String {
 
 #[test]
 fn golden_reports_match_snapshots() {
-    let bless = emcc_bench::bless_requested();
-    let dir = golden_dir();
-    if bless {
-        std::fs::create_dir_all(&dir).expect("create golden dir");
-    }
-    let mut diffs = Vec::new();
     for seed in GOLDEN_SEEDS {
-        let path = dir.join(format!("seed_{seed}.json"));
-        let actual = render(seed);
-        if bless {
-            std::fs::write(&path, &actual).expect("write snapshot");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "snapshot {} unreadable ({e}) — run EMCC_BLESS=1 cargo test -p emcc-fuzz \
-                 --test golden_reports to create it",
-                path.display()
-            )
-        });
-        if actual != expected {
-            let first_diff = actual
-                .lines()
-                .zip(expected.lines())
-                .enumerate()
-                .find(|(_, (a, e))| a != e)
-                .map(|(n, (a, e))| format!("line {}: got `{a}`, snapshot `{e}`", n + 1))
-                .unwrap_or_else(|| "lengths differ".to_string());
-            diffs.push(format!("seed {seed}: {first_diff}"));
-        }
+        emcc_bench::cli::check_snapshot(
+            &golden_dir().join(format!("seed_{seed}.json")),
+            &render(seed),
+            "EMCC_BLESS=1 cargo test -p emcc-fuzz --test golden_reports",
+        );
     }
-    assert!(
-        diffs.is_empty(),
-        "golden reports drifted (EMCC_BLESS=1 regenerates after review):\n{}",
-        diffs.join("\n")
-    );
 }

@@ -111,13 +111,12 @@ pub struct FunctionalSecureMemory {
     tree: IntegrityTree,
     store: HashMap<LineAddr, StoredLine>,
     reencrypted_lines: u64,
-    /// Tamper state for integrity-tree nodes, keyed by `(level, index)`.
-    /// An XOR mask over the node's 512-bit image models corrupted node
-    /// contents in DRAM; nodes without an entry are intact.
-    node_masks: HashMap<(u32, u64), [u64; 8]>,
-    /// Stored-MAC overrides for tampered tree nodes; absent means the MAC
-    /// in "DRAM" is the correct MAC of the intact node image.
-    node_macs: HashMap<(u32, u64), Mac56>,
+    /// Tamper state of integrity-tree nodes, keyed by `(level, index)`:
+    /// an XOR mask over the node's 512-bit image, modelling corrupted node
+    /// contents in DRAM, and an override of its stored MAC (`None`: the
+    /// MAC in "DRAM" is the correct MAC of the intact image). Nodes without
+    /// an entry are intact.
+    node_tamper: HashMap<(u32, u64), ([u64; 8], Option<Mac56>)>,
     /// The intact image of every materialized level-0 counter block, by
     /// block index, kept current on every counter change: exactly one
     /// entry per block the tree holds at level 0.
@@ -139,8 +138,7 @@ impl FunctionalSecureMemory {
             tree: IntegrityTree::new(design, data_lines),
             store: HashMap::new(),
             reencrypted_lines: 0,
-            node_masks: HashMap::new(),
-            node_macs: HashMap::new(),
+            node_tamper: HashMap::new(),
             images: FastHashMap::default(),
             zero_image: node_image(None, design.coverage()),
         }
@@ -164,10 +162,15 @@ impl FunctionalSecureMemory {
     ///
     /// # Errors
     ///
-    /// Returns [`ReadError::MacMismatch`] naming a covered line that fails
-    /// verification when this write would rebase: re-encrypting it would
-    /// launder the tampering. The write is refused before any state
-    /// changes.
+    /// Refuses the write before any state changes, so that it launders no
+    /// tampering:
+    ///
+    /// * [`ReadError::TreeMismatch`] when the line's integrity-tree path
+    ///   fails [`Self::verify_path`]: the write would re-MAC the corrupt
+    ///   node from counters read through it;
+    /// * [`ReadError::MacMismatch`] naming a covered line that fails
+    ///   verification when this write would rebase: re-encrypting it would
+    ///   launder the tampering.
     pub fn write(&mut self, line: LineAddr, plain: DataBlock) -> Result<(), ReadError> {
         self.apply_write(line, plain).map(|_| ())
     }
@@ -180,6 +183,11 @@ impl FunctionalSecureMemory {
         line: LineAddr,
         plain: DataBlock,
     ) -> Result<Vec<(LineAddr, StoredLine)>, ReadError> {
+        // Without tamper state every path verifies, so only a tampered
+        // memory pays for the walk.
+        if !self.node_tamper.is_empty() {
+            self.verify_path(line)?;
+        }
         // If this increment will rebase, decrypt the covered region with
         // the *old* counters first.
         let saved: Vec<(LineAddr, StoredLine, DataBlock)> = if self.tree.would_overflow_data(line) {
@@ -200,18 +208,6 @@ impl FunctionalSecureMemory {
             self.reencrypted_lines += 1;
         }
         self.store_encrypted(line, plain, r.new_counter);
-
-        // The write updates the metadata blocks along this line's path, so
-        // hardware re-MACs them as it goes: any prior node tampering on the
-        // path is overwritten (mirrors data tampering being repaired by a
-        // rewrite of the line).
-        if !(self.node_masks.is_empty() && self.node_macs.is_empty()) {
-            for addr in self.tree.geometry().verification_path(line) {
-                let key = self.tree.geometry().node_of_addr(addr);
-                self.node_masks.remove(&key);
-                self.node_macs.remove(&key);
-            }
-        }
         Ok(saved.into_iter().map(|(l, s, _)| (l, s)).collect())
     }
 
@@ -288,7 +284,8 @@ impl FunctionalSecureMemory {
     ///
     /// # Errors
     ///
-    /// As [`Self::write`]: nothing is written or logged.
+    /// As [`Self::write`], over a corrupt tree path or, rebasing, a corrupt
+    /// neighbour: nothing is written or logged.
     pub fn write_logged(
         &mut self,
         line: LineAddr,
@@ -404,22 +401,22 @@ impl FunctionalSecureMemory {
     /// flip the node's co-located 56-bit MAC.
     ///
     /// Detected by [`Self::verify_path`] for any data line whose path
-    /// includes the node, until a write to such a line rewrites the path.
+    /// includes the node. A write of such a line is refused with the same
+    /// error, so no write clears it.
     ///
     /// # Panics
     ///
     /// Panics if `level`/`index` are out of range or `bit >= 568`.
     pub fn tamper_tree_flip_bit(&mut self, level: u32, index: u64, bit: usize) {
         // Range-check through the geometry.
-        let _ = self.tree.geometry().node_addr(level, index);
+        let addr = self.tree.geometry().node_addr(level, index);
         let key = (level, index);
+        let (mut mask, mut mac) = self.node_tamper.get(&key).copied().unwrap_or_default();
         if bit < 512 {
-            let mask = self.node_masks.entry(key).or_insert([0u64; 8]);
             mask[bit / 64] ^= 1 << (bit % 64);
         } else {
             assert!(bit < 568, "node line is 512 image bits + 56 MAC bits");
-            let current = self.node_macs.get(&key).copied().unwrap_or_else(|| {
-                let addr = self.tree.geometry().node_addr(level, index);
+            let current = mac.unwrap_or_else(|| {
                 let image =
                     self.intact_node_image(level, index, self.tree.node_block(level, index));
                 self.keys.mac_block(
@@ -428,9 +425,9 @@ impl FunctionalSecureMemory {
                     &DataBlock::from_words(image),
                 )
             });
-            self.node_macs
-                .insert(key, Mac56::from_u64(current.as_u64() ^ (1 << (bit - 512))));
+            mac = Some(Mac56::from_u64(current.as_u64() ^ (1 << (bit - 512))));
         }
+        self.node_tamper.insert(key, (mask, mac));
     }
 
     /// Walks the integrity tree from the line's counter block to the root,
@@ -441,11 +438,11 @@ impl FunctionalSecureMemory {
     /// its counter block is not read. Above level 0, each node's counter
     /// block is looked up once: as the parent of the node below it yields
     /// that node's counter, and it yields the node's own image, which is
-    /// the precomputed all-zero image for an absent full-arity node. The
-    /// observed image is the intact one XOR the node's tamper mask. Both
-    /// MACs are computed for every node: the recomputed MAC over the
-    /// observed image, and the stored MAC over the intact image unless an
-    /// override replaced it.
+    /// the precomputed all-zero image for an absent full-arity node. One
+    /// lookup per node finds its tamper state: the observed image is the
+    /// intact one XOR the node's tamper mask. Both MACs are computed for
+    /// every node: the recomputed MAC over the observed image, and the
+    /// stored MAC over the intact image unless an override replaced it.
     ///
     /// # Errors
     ///
@@ -464,8 +461,9 @@ impl FunctionalSecureMemory {
             let counter = parent.map_or(0, |b| b.counter((index % arity) as usize));
             let addr = g.node_addr(level, index).base().get();
             let intact = self.intact_node_image(level, index, block);
+            let tamper = self.node_tamper.get(&(level, index));
             let mut observed = intact;
-            if let Some(mask) = self.node_masks.get(&(level, index)) {
+            if let Some((mask, _)) = tamper {
                 for (w, m) in observed.iter_mut().zip(mask) {
                     *w ^= m;
                 }
@@ -473,8 +471,8 @@ impl FunctionalSecureMemory {
             let recomputed = self
                 .keys
                 .mac_block(addr, counter, &DataBlock::from_words(observed));
-            let stored_mac = match self.node_macs.get(&(level, index)) {
-                Some(mac) => *mac,
+            let stored_mac = match tamper.and_then(|&(_, mac)| mac) {
+                Some(mac) => mac,
                 None => self
                     .keys
                     .mac_block(addr, counter, &DataBlock::from_words(intact)),
@@ -797,16 +795,23 @@ mod tests {
     }
 
     #[test]
-    fn write_repairs_tree_tamper_on_its_path() {
+    fn write_over_tree_tamper_on_its_path_is_refused() {
         let mut m = FunctionalSecureMemory::new(4, 1 << 16);
         let l = LineAddr::new(9);
         m.write(l, block(1)).unwrap();
         let cb = m.tree().geometry().counter_block_of(l);
         m.tamper_tree_flip_bit(0, cb, 3);
-        assert!(m.verify_path(l).is_err());
-        m.write(l, block(2)).unwrap();
-        assert_eq!(m.verify_path(l), Ok(()));
-        assert_eq!(m.read_checked(l).unwrap(), block(2));
+        let tampered = ReadError::TreeMismatch {
+            level: 0,
+            index: cb,
+        };
+        assert_eq!(m.verify_path(l), Err(tampered));
+        let state = |m: &FunctionalSecureMemory| (m.raw(l), m.counter_block_state(cb).cloned());
+        let before = state(&m);
+        assert_eq!(m.write(l, block(2)), Err(tampered));
+        assert_eq!(state(&m), before, "a refused write changes nothing");
+        assert_eq!(m.verify_path(l), Err(tampered), "the tamper stays detected");
+        assert_eq!(m.read_checked(l), Err(tampered));
     }
 
     #[test]

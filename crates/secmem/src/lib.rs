@@ -18,8 +18,8 @@
 //!   store, used to validate the security data path end-to-end,
 //! * [`SecureMemoryService`] — a thread-safe, crash-consistent service
 //!   over the functional model: write-ahead journaling, atomic
-//!   checkpoints, verified recovery, and request-level robustness
-//!   policies (retry, timeout, backpressure, degraded read-only mode).
+//!   checkpoints, verified recovery, and one request-level mechanism per
+//!   failure (append retries, backpressure, degraded read-only mode).
 //!
 //! # Examples
 //!

@@ -8,7 +8,7 @@
 //! encrypt/MAC/integrity-tree semantics behind a four-method surface.
 
 use emcc_crypto::DataBlock;
-use emcc_sim::{LineAddr, Time};
+use emcc_sim::LineAddr;
 
 use super::backend::BackendError;
 use crate::functional::ReadError;
@@ -34,12 +34,10 @@ pub enum ServiceError {
         /// The configured window.
         limit: usize,
     },
-    /// The service is in degraded read-only mode after a verify-failure
-    /// streak (§IV-D escalation, service level). Reads still work.
-    ReadOnly {
-        /// Consecutive verification failures that triggered degradation.
-        failures: u32,
-    },
+    /// The service is in degraded read-only mode, entered after a
+    /// verify-failure streak (§IV-D escalation, service level) or because
+    /// recovery found lines that fail verification. Reads still work.
+    ReadOnly,
     /// Integrity verification failed — tampering/corruption *detected*.
     Corruption(ReadError),
     /// The persistence backend failed non-transiently (or retries were
@@ -51,15 +49,6 @@ pub enum ServiceError {
         /// Writes of this batch already durable before the failure.
         committed: usize,
     },
-    /// The per-op retry budget ran past the configured timeout.
-    Timeout {
-        /// Backoff time accumulated before giving up.
-        spent: Time,
-        /// The configured per-op budget.
-        budget: Time,
-        /// Writes of this batch already durable before the failure.
-        committed: usize,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -68,21 +57,11 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Overloaded { in_flight, limit } => {
                 write!(f, "overloaded: {in_flight} in flight (limit {limit})")
             }
-            ServiceError::ReadOnly { failures } => {
-                write!(f, "degraded read-only mode ({failures} verify failures)")
-            }
+            ServiceError::ReadOnly => write!(f, "degraded read-only mode"),
             ServiceError::Corruption(e) => write!(f, "{e}"),
             ServiceError::Backend { error, committed } => {
                 write!(f, "backend failure after {committed} commits: {error}")
             }
-            ServiceError::Timeout {
-                spent,
-                budget,
-                committed,
-            } => write!(
-                f,
-                "op timed out ({spent:?} backoff spent, budget {budget:?}, {committed} commits)"
-            ),
         }
     }
 }
@@ -102,10 +81,11 @@ pub trait MemoryAdt {
     ///
     /// # Errors
     ///
-    /// [`ServiceError`]. On `Backend`/`Timeout` failures a *prefix* of the
-    /// batch is durable; the error carries the committed count.
-    /// `Corruption` refuses a write whose counter-block rebase would
-    /// re-encrypt a line that fails verification, naming that line: the
+    /// [`ServiceError`]. On a `Backend` failure a *prefix* of the batch is
+    /// durable; the error carries the committed count. `Corruption`
+    /// refuses a write whose line's integrity-tree path fails verification
+    /// (naming the corrupt node), or whose counter-block rebase would
+    /// re-encrypt a line that fails verification (naming that line): the
     /// writes before it stay durable, and it changes neither memory nor
     /// journal.
     fn batch_write(&self, writes: &[(LineAddr, DataBlock)]) -> Result<WriteAck, ServiceError>;

@@ -13,7 +13,9 @@
 //!
 //! [`CrashInjector`] and [`FlakyBackend`] wrap any backend to inject
 //! seeded crashes (including torn final appends) and transient append
-//! failures; the crash campaign and the retry/timeout tests drive them.
+//! failures; the crash campaign and the retry tests drive them.
+//! [`corrupt_byte`] models at-rest bit rot on any backend through the same
+//! five operations, so the persistence contract carries no fault hook.
 
 use std::fs;
 use std::io::Write as _;
@@ -43,7 +45,7 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Which persisted byte store a fault-injection hook targets.
+/// Which persisted byte store [`corrupt_byte`] targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// The append-only write-ahead journal.
@@ -89,20 +91,39 @@ pub trait StorageBackend: Send {
     ///
     /// Any [`BackendError`].
     fn checkpoint_bytes(&self) -> Result<Option<Vec<u8>>, BackendError>;
+}
 
-    /// Fault-injection hook: XOR one persisted byte in `region`, modelling
-    /// at-rest bit rot. Returns `false` (without changing anything) when
-    /// the region is empty or `offset` is out of range.
-    ///
-    /// # Errors
-    ///
-    /// Any [`BackendError`].
-    fn corrupt_byte(
-        &mut self,
-        region: Region,
-        offset: usize,
-        xor: u8,
-    ) -> Result<bool, BackendError>;
+/// XORs one persisted byte of `region` with `xor`, modelling at-rest bit
+/// rot: the region is read, changed in one byte and written back (a
+/// journal by truncate and one append, a checkpoint by install). Returns
+/// `false`, changing nothing, when the region is empty or `offset` is out
+/// of range.
+///
+/// # Errors
+///
+/// Any [`BackendError`] of those operations.
+pub fn corrupt_byte(
+    backend: &mut impl StorageBackend,
+    region: Region,
+    offset: usize,
+    xor: u8,
+) -> Result<bool, BackendError> {
+    let mut bytes = match region {
+        Region::Journal => backend.journal_bytes()?,
+        Region::Checkpoint => backend.checkpoint_bytes()?.unwrap_or_default(),
+    };
+    let Some(byte) = bytes.get_mut(offset) else {
+        return Ok(false);
+    };
+    *byte ^= xor;
+    match region {
+        Region::Journal => {
+            backend.truncate_journal()?;
+            backend.append_journal(&bytes)?;
+        }
+        Region::Checkpoint => backend.install_checkpoint(&bytes)?,
+    }
+    Ok(true)
 }
 
 /// Volatile backend: two byte vectors. The crash campaign's fast path.
@@ -141,25 +162,6 @@ impl StorageBackend for InMemoryBackend {
 
     fn checkpoint_bytes(&self) -> Result<Option<Vec<u8>>, BackendError> {
         Ok(self.checkpoint.clone())
-    }
-
-    fn corrupt_byte(
-        &mut self,
-        region: Region,
-        offset: usize,
-        xor: u8,
-    ) -> Result<bool, BackendError> {
-        let store = match region {
-            Region::Journal => Some(&mut self.journal),
-            Region::Checkpoint => self.checkpoint.as_mut(),
-        };
-        match store {
-            Some(v) if offset < v.len() => {
-                v[offset] ^= xor;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
     }
 }
 
@@ -227,29 +229,6 @@ impl StorageBackend for FileBackend {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(BackendError::Io(e.to_string())),
         }
-    }
-
-    fn corrupt_byte(
-        &mut self,
-        region: Region,
-        offset: usize,
-        xor: u8,
-    ) -> Result<bool, BackendError> {
-        let path = match region {
-            Region::Journal => self.journal_path(),
-            Region::Checkpoint => self.checkpoint_path(),
-        };
-        let mut bytes = match fs::read(&path) {
-            Ok(v) => v,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(BackendError::Io(e.to_string())),
-        };
-        if offset >= bytes.len() {
-            return Ok(false);
-        }
-        bytes[offset] ^= xor;
-        fs::write(&path, bytes).map_err(|e| BackendError::Io(e.to_string()))?;
-        Ok(true)
     }
 }
 
@@ -358,25 +337,14 @@ impl<B: StorageBackend> StorageBackend for CrashInjector<B> {
     fn checkpoint_bytes(&self) -> Result<Option<Vec<u8>>, BackendError> {
         self.inner.checkpoint_bytes()
     }
-
-    fn corrupt_byte(
-        &mut self,
-        region: Region,
-        offset: usize,
-        xor: u8,
-    ) -> Result<bool, BackendError> {
-        self.inner.corrupt_byte(region, offset, xor)
-    }
 }
 
 /// Wraps a backend so the next N journal appends fail with a transient
-/// fault — the adversary the retry/backoff policy is sized against.
+/// fault — the adversary the service's append retries are sized against.
 #[derive(Debug)]
 pub struct FlakyBackend<B> {
     inner: B,
     fail_next_appends: u64,
-    /// Total appends attempted (including failed ones), for assertions.
-    pub attempts: u64,
 }
 
 impl<B: StorageBackend> FlakyBackend<B> {
@@ -386,7 +354,6 @@ impl<B: StorageBackend> FlakyBackend<B> {
         FlakyBackend {
             inner,
             fail_next_appends,
-            attempts: 0,
         }
     }
 
@@ -398,7 +365,6 @@ impl<B: StorageBackend> FlakyBackend<B> {
 
 impl<B: StorageBackend> StorageBackend for FlakyBackend<B> {
     fn append_journal(&mut self, bytes: &[u8]) -> Result<(), BackendError> {
-        self.attempts += 1;
         if self.fail_next_appends > 0 {
             self.fail_next_appends -= 1;
             return Err(BackendError::Transient("injected append fault".into()));
@@ -421,15 +387,6 @@ impl<B: StorageBackend> StorageBackend for FlakyBackend<B> {
     fn checkpoint_bytes(&self) -> Result<Option<Vec<u8>>, BackendError> {
         self.inner.checkpoint_bytes()
     }
-
-    fn corrupt_byte(
-        &mut self,
-        region: Region,
-        offset: usize,
-        xor: u8,
-    ) -> Result<bool, BackendError> {
-        self.inner.corrupt_byte(region, offset, xor)
-    }
 }
 
 #[cfg(test)]
@@ -445,9 +402,9 @@ mod tests {
         assert_eq!(b.checkpoint_bytes().unwrap(), Some(vec![9, 9]));
         b.truncate_journal().unwrap();
         assert!(b.journal_bytes().unwrap().is_empty());
-        assert!(b.corrupt_byte(Region::Checkpoint, 1, 0xFF).unwrap());
+        assert!(corrupt_byte(&mut b, Region::Checkpoint, 1, 0xFF).unwrap());
         assert_eq!(b.checkpoint_bytes().unwrap(), Some(vec![9, 9 ^ 0xFF]));
-        assert!(!b.corrupt_byte(Region::Journal, 0, 1).unwrap());
+        assert!(!corrupt_byte(&mut b, Region::Journal, 0, 1).unwrap());
     }
 
     #[test]
@@ -511,7 +468,6 @@ mod tests {
             Err(BackendError::Transient(_))
         ));
         b.append_journal(&[1]).unwrap();
-        assert_eq!(b.attempts, 3);
         assert_eq!(b.into_inner().journal_bytes().unwrap(), vec![1]);
     }
 }

@@ -15,41 +15,41 @@
 //!   captures full state, installs it atomically and truncates the
 //!   journal; stale-checkpoint and stale-journal crash windows are closed
 //!   by sequence-number idempotence ([`recovery`]);
-//! * **request-level robustness** extending [`crate::RetryPolicy`] /
-//!   [`crate::RecoveryConfig`]: bounded retry with exponential backoff
-//!   against transient backend faults, a per-op virtual-time budget,
-//!   backpressure via a bounded in-flight window with typed
-//!   [`ServiceError::Overloaded`] rejection, and a degraded read-only mode
-//!   entered after a verify-failure streak — the service-level mirror of
-//!   the paper's §IV-D MC-fallback escalation.
+//! * **request-level robustness**, one mechanism per failure: a
+//!   transient append fault is retried up to
+//!   [`ServiceConfig::max_retries`] times; a full in-flight window rejects
+//!   with a typed [`ServiceError::Overloaded`]; a verify-failure streak,
+//!   or recovery finding lines that fail verification, puts the service
+//!   in a degraded read-only mode — the service-level mirror of the
+//!   paper's §IV-D MC-fallback escalation. Every read of a stored line
+//!   re-verifies it (tree walk and MAC), so corruption is reported by the
+//!   read that meets it, and a write over a corrupt tree path or
+//!   neighbour is refused before anything changes.
 //!
-//! Backoff time is *accounted*, not slept: like the rest of this
-//! repository the service charges virtual DRAM-tick time, which keeps
-//! every retry/timeout path deterministic and testable.
+//! Retries are immediate: the service neither sleeps nor accounts a
+//! backoff, so every retry path stays deterministic and testable.
 
 pub mod adt;
 pub mod backend;
 pub mod journal;
 pub mod recovery;
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use emcc_counters::CounterDesign;
 use emcc_crypto::DataBlock;
-use emcc_sim::{LineAddr, Time};
+use emcc_sim::LineAddr;
 
 pub use adt::{MemoryAdt, ServiceError, WriteAck};
 pub use backend::{
-    BackendError, CrashInjector, CrashSchedule, FileBackend, FlakyBackend, InMemoryBackend, Region,
-    StorageBackend,
+    corrupt_byte, BackendError, CrashInjector, CrashSchedule, FileBackend, FlakyBackend,
+    InMemoryBackend, Region, StorageBackend,
 };
 pub use journal::{JournalError, JournalRecord, JournalScan};
 pub use recovery::{recover, RecoveryError, RecoveryReport};
 
 use crate::functional::FunctionalSecureMemory;
-use crate::verify::RetryPolicy;
 
 /// Service-level robustness knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +57,9 @@ pub struct ServiceConfig {
     /// Bounded in-flight window; further requests get
     /// [`ServiceError::Overloaded`].
     pub max_in_flight: usize,
-    /// Retry policy for transient backend faults (shared with the timing
-    /// model's verify-retry machinery).
-    pub retry: RetryPolicy,
-    /// Virtual-time budget of accumulated backoff per operation; exceeded
-    /// ⇒ [`ServiceError::Timeout`].
-    pub op_timeout: Time,
+    /// Retries of a journal append that failed with a transient fault;
+    /// once they are spent the write fails with [`ServiceError::Backend`].
+    pub max_retries: u32,
     /// Consecutive verification failures before the service degrades to
     /// read-only mode.
     pub degrade_after: u32,
@@ -72,8 +69,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_in_flight: 64,
-            retry: RetryPolicy::default(),
-            op_timeout: Time::from_ns(1_000_000), // 1 ms of backoff budget
+            max_retries: 3,
             degrade_after: 4,
         }
     }
@@ -126,8 +122,6 @@ struct Core<B> {
     check_chain: u64,
     /// Consecutive read-verification failures.
     fail_streak: u32,
-    /// Lines recovery could not verify; reads report detected corruption.
-    quarantined: BTreeSet<LineAddr>,
 }
 
 /// Thread-safe crash-consistent secure-memory service.
@@ -197,21 +191,21 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             backend,
             1,
             journal::CHAIN_SEED,
-            BTreeSet::new(),
+            false,
             cfg,
         )
     }
 
-    /// Internal constructor shared with recovery.
+    /// Internal constructor shared with recovery, which starts a service
+    /// `degraded` when it found lines that fail verification.
     pub(super) fn assemble(
         mem: FunctionalSecureMemory,
         backend: B,
         next_seq: u64,
         check_chain: u64,
-        quarantined: BTreeSet<LineAddr>,
+        degraded: bool,
         cfg: ServiceConfig,
     ) -> Self {
-        let degraded = !quarantined.is_empty();
         SecureMemoryService {
             core: Mutex::new(Core {
                 mem,
@@ -219,7 +213,6 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                 next_seq,
                 check_chain,
                 fail_streak: 0,
-                quarantined,
             }),
             cfg,
             in_flight: AtomicUsize::new(0),
@@ -236,11 +229,6 @@ impl<B: StorageBackend> SecureMemoryService<B> {
     /// Whether the service is in degraded read-only mode.
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
-    }
-
-    /// Lines recovery quarantined (reads of these report corruption).
-    pub fn quarantined(&self) -> Vec<LineAddr> {
-        self.lock().quarantined.iter().copied().collect()
     }
 
     /// Operation counters so far.
@@ -299,8 +287,8 @@ impl<B: StorageBackend> SecureMemoryService<B> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Backend`] / [`ServiceError::Timeout`]; the old
-    /// checkpoint + journal remain authoritative on failure.
+    /// [`ServiceError::Backend`]; the old checkpoint + journal remain
+    /// authoritative on failure.
     pub fn checkpoint(&self) -> Result<(), ServiceError> {
         let _permit = self.permit()?;
         let mut core = self.lock();
@@ -338,28 +326,20 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         self.core.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends `bytes` with bounded retry + backoff accounting.
+    /// Appends `bytes`, retrying a transient fault up to
+    /// [`ServiceConfig::max_retries`] times.
     fn append_with_retry(&self, core: &mut Core<B>, bytes: &[u8]) -> Result<(), ServiceError> {
-        let mut attempt: u32 = 0;
-        let mut spent_ps: u64 = 0;
+        let mut retries = 0;
         loop {
             match core.backend.append_journal(bytes) {
                 Ok(()) => return Ok(()),
-                Err(BackendError::Transient(_)) if self.cfg.retry.should_retry(attempt) => {
+                Err(BackendError::Transient(_)) if retries < self.cfg.max_retries => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    spent_ps = spent_ps.saturating_add(self.cfg.retry.backoff(attempt).as_ps());
-                    if spent_ps > self.cfg.op_timeout.as_ps() {
-                        return Err(ServiceError::Timeout {
-                            spent: Time::from_ps(spent_ps),
-                            budget: self.cfg.op_timeout,
-                            committed: 0,
-                        });
-                    }
-                    attempt += 1;
+                    retries += 1;
                 }
-                Err(e) => {
+                Err(error) => {
                     return Err(ServiceError::Backend {
-                        error: e,
+                        error,
                         committed: 0,
                     })
                 }
@@ -375,8 +355,8 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         line: LineAddr,
         value: DataBlock,
     ) -> Result<u64, ServiceError> {
-        // A refused write (a rebase over a corrupt neighbour) has changed
-        // nothing yet, so there is nothing to undo.
+        // A refused write (over a corrupt tree path or, rebasing, a corrupt
+        // neighbour) has changed nothing yet, so there is nothing to undo.
         let log = core
             .mem
             .write_logged(line, value)
@@ -407,9 +387,7 @@ impl<B: StorageBackend> SecureMemoryService<B> {
 
     fn reject_if_degraded(&self) -> Result<(), ServiceError> {
         if self.degraded.load(Ordering::SeqCst) {
-            return Err(ServiceError::ReadOnly {
-                failures: self.cfg.degrade_after,
-            });
+            return Err(ServiceError::ReadOnly);
         }
         Ok(())
     }
@@ -431,11 +409,6 @@ impl<B: StorageBackend> SecureMemoryService<B> {
                             error,
                             committed: i,
                         },
-                        ServiceError::Timeout { spent, budget, .. } => ServiceError::Timeout {
-                            spent,
-                            budget,
-                            committed: i,
-                        },
                         other => other,
                     });
                 }
@@ -454,11 +427,6 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         core: &mut Core<B>,
         line: LineAddr,
     ) -> Result<Option<DataBlock>, ServiceError> {
-        if core.quarantined.contains(&line) {
-            return Err(ServiceError::Corruption(
-                crate::functional::ReadError::MacMismatch { line },
-            ));
-        }
         if core.mem.raw(line).is_none() {
             self.stats.reads.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
@@ -518,6 +486,9 @@ impl<B: StorageBackend> MemoryAdt for SecureMemoryService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functional::{ReadError, StoredLine};
+    use emcc_counters::CounterBlock;
+    use proptest::prelude::*;
 
     fn block(v: u64) -> DataBlock {
         DataBlock::from_words([v; 8])
@@ -609,10 +580,7 @@ mod tests {
     #[test]
     fn exhausted_retries_roll_back() {
         let cfg = ServiceConfig {
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_ticks: 1,
-            },
+            max_retries: 2,
             ..ServiceConfig::default()
         };
         let s = SecureMemoryService::new(
@@ -680,27 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_fires_before_retries_exhaust() {
-        let cfg = ServiceConfig {
-            retry: RetryPolicy {
-                max_attempts: 64,
-                base_ticks: 1 << 19,
-            },
-            op_timeout: Time::from_ns(100),
-            ..ServiceConfig::default()
-        };
-        let s = SecureMemoryService::new(
-            FlakyBackend::new(InMemoryBackend::new(), u64::MAX),
-            7,
-            1 << 12,
-            cfg,
-        );
-        let err = s.batch_write(&[(LineAddr::new(1), block(1))]).unwrap_err();
-        assert!(matches!(err, ServiceError::Timeout { .. }));
-        assert_eq!(s.stats().rollbacks, 1);
-    }
-
-    #[test]
     fn verify_failure_streak_degrades_to_read_only() {
         let cfg = ServiceConfig {
             degrade_after: 3,
@@ -722,7 +669,7 @@ mod tests {
         // Writes now rejected; reads of intact lines still served.
         assert!(matches!(
             s.batch_write(&[(good, block(3))]),
-            Err(ServiceError::ReadOnly { .. })
+            Err(ServiceError::ReadOnly)
         ));
         assert_eq!(s.batch_read(&[good]).unwrap(), vec![Some(block(1))]);
         assert_eq!(s.stats().verify_failures, 3);
@@ -743,6 +690,128 @@ mod tests {
         assert!(s.batch_read(&[good]).is_ok()); // streak broken
         assert!(s.batch_read(&[bad]).is_err());
         assert!(!s.is_degraded(), "interleaved successes keep service up");
+    }
+
+    #[test]
+    fn a_write_over_a_tampered_tree_path_is_refused_before_its_append() {
+        let s = SecureMemoryService::new(
+            FlakyBackend::new(InMemoryBackend::new(), u64::MAX),
+            7,
+            1 << 12,
+            ServiceConfig::default(),
+        );
+        let line = LineAddr::new(9);
+        s.with_memory_mut(|m| {
+            m.write(line, block(1)).unwrap();
+            m.tamper_tree_flip_bit(0, 0, 3);
+        });
+        let tampered = ServiceError::Corruption(ReadError::TreeMismatch { level: 0, index: 0 });
+        assert_eq!(s.batch_read(&[line]), Err(tampered.clone()));
+        assert_eq!(s.batch_write(&[(line, block(2))]), Err(tampered.clone()));
+        // No append was attempted: nothing was retried or rolled back.
+        assert_eq!((s.stats().retries, s.stats().rollbacks), (0, 0));
+        assert_eq!(s.batch_read(&[line]), Err(tampered), "still detected");
+    }
+
+    /// Every level-0 counter block of the space, then every line's stored
+    /// image and checked read: what a failed or refused write must leave
+    /// as it was.
+    type Image = (
+        Vec<Option<CounterBlock>>,
+        Vec<(Option<StoredLine>, Result<DataBlock, ReadError>)>,
+    );
+
+    fn image(m: &FunctionalSecureMemory) -> Image {
+        let g = m.tree().geometry();
+        let blocks = (0..g.blocks_at_level(0))
+            .map(|b| m.counter_block_state(b).cloned())
+            .collect();
+        let lines = (0..g.data_lines())
+            .map(LineAddr::new)
+            .map(|l| (m.raw(l), m.read_checked(l)))
+            .collect();
+        (blocks, lines)
+    }
+
+    proptest! {
+        #[test]
+        fn a_failed_or_refused_write_leaves_memory_as_it_was(
+            design in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            const LINES: u64 = 1 << 8;
+            let design =
+                [CounterDesign::Monolithic, CounterDesign::Sc64, CounterDesign::Morphable][design];
+            let mut rng = emcc_sim::Rng64::new(seed);
+            // Every append fails, and no failure streak degrades the
+            // service, so each service write is tried and must fail.
+            let cfg = ServiceConfig {
+                degrade_after: u32::MAX,
+                ..ServiceConfig::default()
+            };
+            let s = SecureMemoryService::with_design(
+                FlakyBackend::new(InMemoryBackend::new(), u64::MAX),
+                seed,
+                LINES,
+                design,
+                cfg,
+            );
+            let hot = LineAddr::new(rng.below(LINES));
+            for step in 0..60 {
+                let line = if rng.chance(0.5) { hot } else { LineAddr::new(rng.below(LINES)) };
+                let value = block(rng.next_u64());
+                let (bit, node) = (rng.below(568) as usize, rng.index(8));
+                match rng.below(8) {
+                    // A write straight into memory, as if acknowledged earlier.
+                    0 => s.with_memory_mut(|m| {
+                        let _ = m.write(line, value);
+                    }),
+                    // Age the hot line until its next write rebases its block
+                    // (SC-64, Morphable): the service's next write of it would.
+                    1 => s.with_memory_mut(|m| {
+                        for _ in 0..200 {
+                            if m.tree().would_overflow_data(hot) || m.write(hot, value).is_err() {
+                                break;
+                            }
+                        }
+                    }),
+                    // Tamper with a stored line, or now and then with a node
+                    // on the line's tree path.
+                    2 => s.with_memory_mut(|m| {
+                        if m.raw(line).is_some() {
+                            m.tamper_flip_bit(line, bit % 512);
+                        }
+                    }),
+                    3 if rng.chance(0.25) => s.with_memory_mut(|m| {
+                        let path = m.tree().geometry().verification_path(line);
+                        let (level, index) =
+                            m.tree().geometry().node_of_addr(path[node % path.len()]);
+                        m.tamper_tree_flip_bit(level, index, bit);
+                    }),
+                    // A service write, plain or guarded.
+                    kind => {
+                        let before = s.with_memory(image);
+                        let result = if kind % 2 == 0 {
+                            s.batch_write(&[(line, value)]).map(|_| ())
+                        } else {
+                            // Guard on what the line holds, so the write is
+                            // tried unless the guard's read fails.
+                            let guard = s.with_memory(|m| {
+                                m.raw(line).and_then(|_| m.read_checked(line).ok())
+                            });
+                            s.guarded_write((line, guard), &[(line, value)]).map(|_| ())
+                        };
+                        prop_assert!(result.is_err(), "step {}: a service write succeeded", step);
+                        let after = s.with_memory(image);
+                        prop_assert!(after.0 == before.0, "step {}: a counter block moved", step);
+                        let moved = (0..LINES as usize).find(|&l| after.1[l] != before.1[l]);
+                        prop_assert!(moved.is_none(), "step {}: line {:?} moved", step, moved);
+                    }
+                }
+            }
+            let journal = s.into_backend().into_inner().journal_bytes().unwrap();
+            prop_assert!(journal.is_empty());
+        }
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! LoadCheckpoint ──ok/none──▶ ReplayJournal ──ok──▶ Reverify ──clean──▶ Serve
 //!       │ corrupt                  │ corrupt            │ MAC failures
 //!       ▼                          ▼                    ▼
-//!   journal covers seq 1?     CorruptJournal       quarantine lines,
+//!   journal covers seq 1?     CorruptJournal       report the lines,
 //!    yes: full replay          (detected)          start Degraded
 //!    no: CorruptCheckpoint
 //! ```
 //!
 //! The invariant the crash campaign asserts: after `recover`, every write
 //! the pre-crash service *acknowledged* reads back with its exact value,
-//! or the failure is **detected** (a typed error here, or a quarantined
-//! line whose reads report corruption) — never silent loss. The
-//! acknowledgement point is the journal append, so:
+//! or the failure is **detected** (a typed error here, or a line
+//! [`RecoveryReport::quarantined`] lists, whose reads re-verify it and
+//! report corruption) — never silent loss. The acknowledgement point is
+//! the journal append, so:
 //!
 //! * a crash tearing the last record only loses unacknowledged work (the
 //!   torn tail never carried an ack);
@@ -30,8 +31,6 @@
 //!
 //! The operator supplies the key seed at recovery time — it is never
 //! persisted, so the journal and checkpoint are ciphertext-only artifacts.
-
-use std::collections::BTreeSet;
 
 use emcc_counters::CounterDesign;
 use emcc_sim::LineAddr;
@@ -103,8 +102,9 @@ pub struct RecoveryReport {
     pub discarded_tail_bytes: usize,
     /// Lines re-verified after replay.
     pub reverified_lines: usize,
-    /// Lines whose re-verification failed; reads report corruption and the
-    /// service starts degraded.
+    /// Lines whose re-verification failed, ascending. The service starts
+    /// degraded, so they stay as recovery found them, and every read of one
+    /// re-verifies it and reports the corruption.
     pub quarantined: Vec<LineAddr>,
     /// Highest recovered sequence number.
     pub last_seq: u64,
@@ -204,13 +204,12 @@ pub fn recover<B: StorageBackend>(
     }
 
     // -- Reverify every reachable line (tree walk + MAC).
-    let mut quarantined = BTreeSet::new();
     let lines = mem.stored_lines();
-    for &(line, _) in &lines {
-        if mem.read_checked(line).is_err() {
-            quarantined.insert(line);
-        }
-    }
+    let quarantined: Vec<LineAddr> = lines
+        .iter()
+        .map(|&(line, _)| line)
+        .filter(|&line| mem.read_checked(line).is_err())
+        .collect();
 
     let report = RecoveryReport {
         had_checkpoint,
@@ -219,16 +218,16 @@ pub fn recover<B: StorageBackend>(
         stale_records: stale,
         discarded_tail_bytes: scan.discarded_tail_bytes,
         reverified_lines: lines.len(),
-        quarantined: quarantined.iter().copied().collect(),
-        last_seq,
         degraded: !quarantined.is_empty(),
+        quarantined,
+        last_seq,
     };
     let service = SecureMemoryService::assemble(
         mem,
         backend,
         last_seq + 1,
         scan.final_check,
-        quarantined,
+        report.degraded,
         cfg,
     );
     Ok((service, report))
@@ -263,7 +262,9 @@ fn install(mem: &mut FunctionalSecureMemory, rec: &JournalRecord) -> Result<(), 
 mod tests {
     use super::*;
     use crate::service::adt::{MemoryAdt, ServiceError};
-    use crate::service::backend::{CrashInjector, CrashSchedule, InMemoryBackend, Region};
+    use crate::service::backend::{
+        corrupt_byte, CrashInjector, CrashSchedule, InMemoryBackend, Region,
+    };
     use emcc_crypto::DataBlock;
 
     fn block(v: u64) -> DataBlock {
@@ -476,7 +477,7 @@ mod tests {
             s.batch_write(&[(LineAddr::new(i), block(i))]).unwrap();
         }
         let mut backend = s.into_backend();
-        assert!(backend.corrupt_byte(Region::Journal, 40, 0x10).unwrap());
+        assert!(corrupt_byte(&mut backend, Region::Journal, 40, 0x10).unwrap());
         let err = recover(
             backend,
             SEED,
@@ -507,7 +508,7 @@ mod tests {
         }
         assert!(s.checkpoint().is_err()); // truncate crashed; journal full
         let mut inner = s.into_backend().into_inner();
-        assert!(inner.corrupt_byte(Region::Checkpoint, 20, 0xFF).unwrap());
+        assert!(corrupt_byte(&mut inner, Region::Checkpoint, 20, 0xFF).unwrap());
         let (r, report) = recover_inmem(inner);
         assert!(!report.had_checkpoint, "corrupt checkpoint bypassed");
         assert_eq!(report.replayed_records, 5);
@@ -527,7 +528,7 @@ mod tests {
         }
         s.checkpoint().unwrap(); // journal truncated
         let mut backend = s.into_backend();
-        assert!(backend.corrupt_byte(Region::Checkpoint, 20, 0xFF).unwrap());
+        assert!(corrupt_byte(&mut backend, Region::Checkpoint, 20, 0xFF).unwrap());
         let err = recover(
             backend,
             SEED,
@@ -563,7 +564,7 @@ mod tests {
         // Degraded mode rejects writes.
         assert!(matches!(
             r.batch_write(&[(good, block(5))]),
-            Err(ServiceError::ReadOnly { .. })
+            Err(ServiceError::ReadOnly)
         ));
     }
 

@@ -19,6 +19,10 @@
 //! 3. **Unrecoverable faults** (still failing after the last retry) are
 //!    surfaced as machine-check events in `SimReport` and the simulation
 //!    continues, mirroring an OS that logs and poisons the page.
+//!
+//! This policy is the timing model's. The secure-memory service does not
+//! use it: it retries a transient journal-append fault up to
+//! [`crate::ServiceConfig::max_retries`] times and charges no backoff.
 
 use emcc_sim::Time;
 
@@ -70,28 +74,6 @@ impl RetryPolicy {
             .saturating_mul(1u64 << attempt.min(20))
             .min(1 << 20);
         Time::from_ps(DRAM_TCK.as_ps() * ticks)
-    }
-
-    /// Total delay spent if every one of the policy's retries fires: the
-    /// sum of [`Self::backoff`] over `0..max_attempts`, saturating. This is
-    /// the bound the service layer compares against a per-op timeout, so it
-    /// must never overflow regardless of configuration: each term is capped
-    /// at 2^20 ticks (0.655 ms), so even `u32::MAX` attempts stay below
-    /// 2^52 picoseconds-equivalents, far under `u64::MAX`.
-    pub fn cumulative_backoff(&self) -> Time {
-        let mut total: u64 = 0;
-        for attempt in 0..self.max_attempts {
-            total = total.saturating_add(self.backoff(attempt).as_ps());
-            // Every attempt past the cap point contributes the same capped
-            // term; close the sum arithmetically instead of iterating to
-            // u32::MAX.
-            if self.backoff(attempt) == self.backoff(attempt.saturating_add(1)) {
-                let rest = u64::from(self.max_attempts - attempt - 1);
-                total = total.saturating_add(rest.saturating_mul(self.backoff(attempt).as_ps()));
-                break;
-            }
-        }
-        Time::from_ps(total)
     }
 }
 

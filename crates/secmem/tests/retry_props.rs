@@ -1,10 +1,8 @@
 //! Property tests for the retry/backoff arithmetic in
-//! `emcc_secmem::verify::RetryPolicy`.
-//!
-//! The service layer budgets per-op timeouts against
-//! `cumulative_backoff`, so these properties are load-bearing: an
-//! overflow or a cap violation would let a misconfigured policy wedge an
-//! op forever or wrap a timeout comparison.
+//! `emcc_secmem::verify::RetryPolicy`, the timing model's verify-retry
+//! policy: the DRAM re-fetch schedule charges `RetryPolicy::backoff`
+//! per retry, so a cap violation would let a misconfigured policy wedge
+//! the event queue.
 
 use emcc_secmem::verify::{RetryPolicy, DRAM_TCK};
 use emcc_sim::Time;
@@ -12,17 +10,6 @@ use proptest::prelude::*;
 
 /// The hard ceiling on any single backoff term: 2^20 DRAM ticks.
 const CAP_PS: u64 = DRAM_TCK.as_ps() * (1 << 20);
-
-/// Oracle: sum the per-attempt backoffs in 128-bit arithmetic, then
-/// saturate to u64 — what `cumulative_backoff` must compute without ever
-/// iterating `max_attempts` times or overflowing.
-fn naive_cumulative_ps(p: &RetryPolicy) -> u64 {
-    let mut total: u128 = 0;
-    for attempt in 0..p.max_attempts {
-        total += u128::from(p.backoff(attempt).as_ps());
-    }
-    u64::try_from(total).unwrap_or(u64::MAX)
-}
 
 proptest! {
     /// Every single backoff term respects the 2^20-tick cap.
@@ -55,45 +42,6 @@ proptest! {
         );
     }
 
-    /// `cumulative_backoff` matches a 128-bit naive sum (saturated to
-    /// u64) over policies small enough to sum directly.
-    #[test]
-    fn cumulative_matches_naive_sum(
-        max_attempts in 0u32..=4096,
-        base in 0u64..=u64::MAX,
-    ) {
-        let p = RetryPolicy { max_attempts, base_ticks: base };
-        prop_assert_eq!(p.cumulative_backoff().as_ps(), naive_cumulative_ps(&p));
-    }
-
-    /// `cumulative_backoff` is monotone in `max_attempts`: granting more
-    /// retries never shrinks the worst-case delay.
-    #[test]
-    fn cumulative_is_monotone_in_max_attempts(
-        max_attempts in 0u32..=100_000,
-        base in 0u64..=u64::MAX,
-    ) {
-        let lo = RetryPolicy { max_attempts, base_ticks: base };
-        let hi = RetryPolicy { max_attempts: max_attempts + 1, base_ticks: base };
-        prop_assert!(lo.cumulative_backoff() <= hi.cumulative_backoff());
-    }
-
-    /// No overflow for any configuration, including the adversarial
-    /// corner (u32::MAX attempts, u64::MAX base): the sum saturates and
-    /// the arithmetic closure keeps it O(cap-exponent), not O(attempts).
-    #[test]
-    fn cumulative_never_overflows(
-        max_attempts in 0u32..=u32::MAX,
-        base in 0u64..=u64::MAX,
-    ) {
-        let p = RetryPolicy { max_attempts, base_ticks: base };
-        let total = p.cumulative_backoff().as_ps();
-        // An upper bound that itself cannot overflow: every term is
-        // capped, so total <= max_attempts * CAP_PS (in 128-bit math).
-        let bound = u128::from(max_attempts) * u128::from(CAP_PS);
-        prop_assert!(u128::from(total) <= bound.min(u128::from(u64::MAX)));
-    }
-
     /// `should_retry` is exactly the budget predicate: true strictly
     /// below `max_attempts`, false at and beyond it.
     #[test]
@@ -106,15 +54,13 @@ proptest! {
     }
 }
 
-/// Zero retries means zero worst-case delay — the degenerate policy the
-/// crash campaign uses for "fail fast" runs.
+/// Zero retries means not even the first retry is allowed.
 #[test]
 fn zero_attempts_zero_delay() {
     let p = RetryPolicy {
         max_attempts: 0,
         base_ticks: u64::MAX,
     };
-    assert_eq!(p.cumulative_backoff(), Time::ZERO);
     assert!(!p.should_retry(0));
 }
 
@@ -127,22 +73,4 @@ fn zero_base_never_backs_off() {
     };
     assert_eq!(p.backoff(0), Time::ZERO);
     assert_eq!(p.backoff(63), Time::ZERO);
-    assert_eq!(p.cumulative_backoff(), Time::ZERO);
-}
-
-/// The adversarial corner must terminate promptly (the closed-form
-/// shortcut) and saturate rather than wrap.
-#[test]
-fn adversarial_corner_terminates_and_saturates() {
-    let p = RetryPolicy {
-        max_attempts: u32::MAX,
-        base_ticks: u64::MAX,
-    };
-    let total = p.cumulative_backoff();
-    // Every term is the cap; u32::MAX * CAP_PS fits in u64, so the sum
-    // is exact here — and trivially below u64::MAX.
-    assert_eq!(
-        u128::from(total.as_ps()),
-        u128::from(u32::MAX) * u128::from(CAP_PS)
-    );
 }

@@ -281,11 +281,11 @@ fn degraded_mode_is_read_only_and_recoverable() {
     assert!(svc.is_degraded());
     assert!(matches!(
         svc.batch_write(&[(good, block(9))]),
-        Err(ServiceError::ReadOnly { .. })
+        Err(ServiceError::ReadOnly)
     ));
     assert!(matches!(
         svc.guarded_write((good, Some(block(1))), &[(good, block(9))]),
-        Err(ServiceError::ReadOnly { .. })
+        Err(ServiceError::ReadOnly)
     ));
     // Intact data remains readable in degraded mode.
     assert_eq!(svc.batch_read(&[good]).unwrap(), vec![Some(block(1))]);
