@@ -242,8 +242,10 @@ pub struct SimReport {
     /// DRAM-side statistics (queuing delay, per-class bus busy — Figs 15
     /// and 22).
     pub dram: DramStats,
-    /// Fault campaigns: DRAM reads that returned corrupted contents
-    /// (fresh injections plus re-reads of still-corrupt lines).
+    /// Fault campaigns: corrupted DRAM reads the pipeline consumed (fresh
+    /// injections plus re-reads of still-corrupt lines), counted where a
+    /// verifier flags them or, unflagged, where they are delivered
+    /// (DESIGN §8).
     pub faulty_reads: u64,
     /// Fault campaigns: fresh fault injections by `FaultClass::index()`
     /// (bit-flip, MAC-corrupt, stuck-line, replay, transient-read).

@@ -1328,6 +1328,12 @@ impl SecureSystem {
             if let Some(src) = ctr_source {
                 self.report.record_ctr_source(src);
             }
+            // Completion is the last consumption point: a corruption no
+            // verifier took off the fill is delivered unflagged.
+            if txn.corrupt.is_some() {
+                self.report.faulty_reads += 1;
+                self.report.silent_corruptions += 1;
+            }
         }
         if !is_prefetch {
             self.report
@@ -1506,6 +1512,22 @@ mod tests {
         }
         assert_eq!(sys.report.overflow_stalls, 1);
         assert_eq!(sys.report.writebacks, 3);
+    }
+
+    /// A DRAM fill that completes with its corruption still attached was
+    /// consumed without a verifier flagging it: one faulty, silent read.
+    #[test]
+    fn corruption_left_at_completion_counts_as_silent() {
+        let mut sys = SecureSystem::new(SystemConfig::table_i(SecurityScheme::Emcc));
+        let id = sys.next_txn;
+        sys.start_data_txn(0, LineAddr::new(7), false, Time::ZERO);
+        let txn = sys.txns.get_mut(&id).expect("txn started");
+        txn.from_dram = true;
+        txn.corrupt = Some(FaultClass::BitFlip);
+        sys.complete_txn(id, Time::from_ns(100));
+        assert_eq!(sys.report.faulty_reads, 1);
+        assert_eq!(sys.report.silent_corruptions, 1);
+        assert_eq!(sys.report.integrity_violations, 0);
     }
 
     #[test]
