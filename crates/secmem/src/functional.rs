@@ -183,11 +183,7 @@ impl FunctionalSecureMemory {
         line: LineAddr,
         plain: DataBlock,
     ) -> Result<Vec<(LineAddr, StoredLine)>, ReadError> {
-        // Without tamper state every path verifies, so only a tampered
-        // memory pays for the walk.
-        if !self.node_tamper.is_empty() {
-            self.verify_path(line)?;
-        }
+        self.check_path(line)?;
         // If this increment will rebase, decrypt the covered region with
         // the *old* counters first.
         let saved: Vec<(LineAddr, StoredLine, DataBlock)> = if self.tree.would_overflow_data(line) {
@@ -486,6 +482,19 @@ impl FunctionalSecureMemory {
         Ok(())
     }
 
+    /// [`Self::verify_path`] where it can fail: without tamper state every
+    /// path verifies, so only a tampered memory pays for the walk.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::verify_path`].
+    pub fn check_path(&self, line: LineAddr) -> Result<(), ReadError> {
+        if self.node_tamper.is_empty() {
+            return Ok(());
+        }
+        self.verify_path(line)
+    }
+
     /// Tree-walk verification followed by the data read — the full check a
     /// cold miss performs.
     ///
@@ -639,6 +648,7 @@ mod tests {
             m.read(l).is_err(),
             "replayed old ciphertext must fail: counter has advanced"
         );
+        assert!(m.read_split(l).is_err(), "the split path agrees");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Crash-consistent concurrent secure-memory service.
 //!
-//! [`SecureMemoryService`] productizes [`FunctionalSecureMemory`] (ROADMAP
-//! item 2): a `Send + Sync` service exposing the batched
+//! [`SecureMemoryService`] productizes [`FunctionalSecureMemory`] (the
+//! ROADMAP item "Serve it: an encrypted-memory layer as a real concurrent
+//! library/server"): a `Send + Sync` service exposing the batched
 //! [`MemoryAdt`] surface (`batch_read` / `batch_write` / `guarded_write`)
 //! over a pluggable [`StorageBackend`], with
 //!
@@ -427,15 +428,20 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         core: &mut Core<B>,
         line: LineAddr,
     ) -> Result<Option<DataBlock>, ServiceError> {
-        if core.mem.raw(line).is_none() {
-            self.stats.reads.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        match core.mem.read_checked(line) {
+        let read = match core.mem.raw(line) {
+            // A never-written line holds no MAC to check, but the tree path
+            // over it can still be tampered.
+            None => core.mem.check_path(line).map(|()| None),
+            Some(_) => core.mem.read_checked(line).map(Some),
+        };
+        match read {
             Ok(v) => {
-                core.fail_streak = 0;
+                // Only a verified stored line breaks a failure streak.
+                if v.is_some() {
+                    core.fail_streak = 0;
+                }
                 self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(v))
+                Ok(v)
             }
             Err(e) => {
                 core.fail_streak += 1;
@@ -711,6 +717,20 @@ mod tests {
         // No append was attempted: nothing was retried or rolled back.
         assert_eq!((s.stats().retries, s.stats().rollbacks), (0, 0));
         assert_eq!(s.batch_read(&[line]), Err(tampered), "still detected");
+    }
+
+    #[test]
+    fn a_never_written_line_under_a_tampered_tree_path_reads_as_corrupt() {
+        let s = svc();
+        s.with_memory_mut(|m| m.tamper_tree_flip_bit(0, 0, 3));
+        assert_eq!(
+            s.batch_read(&[LineAddr::new(5)]),
+            Err(ServiceError::Corruption(ReadError::TreeMismatch {
+                level: 0,
+                index: 0
+            }))
+        );
+        assert_eq!(s.stats().verify_failures, 1);
     }
 
     /// Every level-0 counter block of the space, then every line's stored
