@@ -17,8 +17,8 @@
 //! On the first failing case the campaign shrinks it to a minimal
 //! reproducer, persists it under the repro directory, and exits 1;
 //! `--replay` re-runs such a file. Exit 2 is reserved for usage and I/O
-//! errors. The campaign runner is shared with `fuzz_sim`
-//! (`emcc_bench::campaign`).
+//! errors. The campaign runner is shared with `fuzz_sim` and
+//! `fault_campaign` (`emcc_bench::campaign`).
 //!
 //! The default 1000 cases give ≥1000 distinct crash schedules per
 //! backend; `--smoke` runs the 64-case CI subset.

@@ -1,4 +1,5 @@
-//! One runner for the seeded campaigns, `fuzz_sim` and `crash_campaign`.
+//! One runner for the seeded campaigns: `fuzz_sim`, `fault_campaign` and
+//! `crash_campaign`.
 //!
 //! Case `i` of a campaign is a pure function of
 //! [`Campaign::case_seed`]`(seed, i)`. [`main`] runs the cases on the

@@ -17,7 +17,6 @@ pub mod campaign;
 pub mod cli;
 pub mod crash_campaign;
 pub mod experiments;
-pub mod fault_campaign;
 pub mod json;
 pub mod pool;
 pub mod record;
@@ -25,4 +24,4 @@ pub mod runner;
 
 pub use cli::bless_requested;
 pub use pool::{jobs_from_env, run_indexed_catching, EnvError, RunCache, RunRequest};
-pub use runner::{scale_from_env, ExhaustedRun, ExpParams, FailedRun, Harness, TruncatedRun};
+pub use runner::{ExhaustedRun, ExpParams, FailedRun, Harness, TruncatedRun};

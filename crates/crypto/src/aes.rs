@@ -3,10 +3,10 @@
 //! Real AES runs only in the functional secure memory
 //! (`emcc_secmem::FunctionalSecureMemory`) and what is built on it: the
 //! secure-memory service, the fuzz battery's functional and
-//! crash-recovery oracles, the simulator's optional shadow check and the
-//! fault campaign's functional oracle. The timing simulator never
-//! encrypts: it charges AES *latency* through the memory controller's
-//! AES-unit pool, parameterised by [`crate::latency::CryptoLatencies`].
+//! crash-recovery oracles and the simulator's optional shadow check. The
+//! timing simulator never encrypts: it charges AES *latency* through the
+//! memory controller's AES-unit pool, parameterised by
+//! [`crate::latency::CryptoLatencies`].
 //!
 //! [`Aes128::encrypt_batch`] picks its path at run time. On x86-64 CPUs
 //! with AES-NI it runs `aesenc`/`aesenclast` over a key schedule laid out

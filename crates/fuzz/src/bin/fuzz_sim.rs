@@ -28,7 +28,7 @@
 //! the process exits 1; `cargo test -p emcc-fuzz` then replays the
 //! corpus red until the bug is fixed. Exit 2 is reserved for usage,
 //! configuration and I/O errors. The campaign runner is shared with
-//! `crash_campaign` (`emcc_bench::campaign`).
+//! `fault_campaign` and `crash_campaign` (`emcc_bench::campaign`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

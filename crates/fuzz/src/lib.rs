@@ -20,7 +20,10 @@
 //! config and persisted to `fuzz/corpus/*.ron`, which `cargo test`
 //! replays as a regression suite (`tests/corpus_replay.rs`). The
 //! `fuzz_sim` binary drives parallel campaigns through the bench pool;
-//! its verdict file is byte-identical for any `EMCC_JOBS`.
+//! its verdict file is byte-identical for any `EMCC_JOBS`. The
+//! `fault_campaign` binary sweeps DRAM fault classes × rates × placements
+//! through the same runner, judging each cell by
+//! [`oracle::report_laws`].
 
 pub mod case;
 pub mod corpus;

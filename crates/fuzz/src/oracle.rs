@@ -17,14 +17,14 @@ use emcc::secmem::{
     ServiceError,
 };
 use emcc::sim::LineAddr;
-use emcc::system::{SecureSystem, SimReport};
+use emcc::system::{SecureSystem, SimReport, SystemConfig};
 
-use crate::case::{FaultPlan, FuzzCase};
+use crate::case::FuzzCase;
 
-/// The schemes every case runs under. Order is append-only: golden
-/// canonical-report snapshots render combos in this order, so new
-/// placements go at the end to keep existing golden content a stable
-/// prefix.
+/// The schemes every case runs under, and the fault campaign's placements.
+/// Order is append-only: golden canonical-report snapshots render combos
+/// in this order, so new placements go at the end to keep existing golden
+/// content a stable prefix.
 pub const SCHEMES: [SecurityScheme; 6] = [
     SecurityScheme::NonSecure,
     SecurityScheme::CtrInLlc,
@@ -97,10 +97,10 @@ pub fn check_case(case: &FuzzCase) -> OracleReport {
     for scheme in SCHEMES {
         for design in DESIGNS {
             let cfg = case.system_config(scheme, design);
-            let report = SecureSystem::new(cfg).run(case.sources(), case.ops_per_core);
+            let report = SecureSystem::new(cfg.clone()).run(case.sources(), case.ops_per_core);
             let json = report.canonical_json();
             fnv_mix(&mut digest, json.as_bytes());
-            report_laws(case, scheme, &report, &mut failures);
+            report_laws(&cfg, case.ops_per_core, &report, &mut failures);
             combos.push(Combo {
                 scheme,
                 design,
@@ -265,8 +265,10 @@ fn crash_recovery_oracle(case: &FuzzCase, design: CounterDesign, failures: &mut 
     }
 }
 
-/// Conservation and detection laws over one combo's report.
-fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures: &mut Vec<String>) {
+/// Conservation and detection laws over `r`, the report of a warm-up-free
+/// run of `cfg` with `ops` operations per core; each broken law is pushed
+/// onto `failures`.
+pub fn report_laws(cfg: &SystemConfig, ops: u64, r: &SimReport, failures: &mut Vec<String>) {
     let tag = format!("laws/{}/{}", r.scheme, r.benchmark);
     let mut law = |ok: bool, what: String| {
         if !ok {
@@ -274,13 +276,10 @@ fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures:
         }
     };
 
+    let accesses = cfg.cores as u64 * ops;
     law(
-        r.mem_ops == case.total_accesses(),
-        format!(
-            "mem_ops {} != cores*ops {}",
-            r.mem_ops,
-            case.total_accesses()
-        ),
+        r.mem_ops == accesses,
+        format!("mem_ops {} != cores*ops {accesses}", r.mem_ops),
     );
     law(
         r.l2_hits + r.l2_data_misses <= r.l2_accesses,
@@ -333,13 +332,13 @@ fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures:
         r.xpt_wasted <= r.xpt_forwards,
         format!("xpt wasted {} > forwards {}", r.xpt_wasted, r.xpt_forwards),
     );
-    if !case.xpt {
+    if !cfg.xpt_enabled {
         law(
             r.xpt_forwards == 0,
             format!("xpt disabled but {} forwards", r.xpt_forwards),
         );
     }
-    if case.prefetch == 0 {
+    if cfg.l2_prefetch_degree == 0 {
         law(
             r.prefetches == 0,
             format!("prefetcher disabled but {} prefetches", r.prefetches),
@@ -356,7 +355,7 @@ fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures:
     // Capability laws: dispatch on what the placement *does*, never on
     // which scheme it is, so every present and future placement is held
     // to exactly the guarantees its descriptor claims.
-    let placement = scheme.placement();
+    let placement = cfg.scheme.placement();
     if !placement.uses_counters() {
         let ctr_total: u64 = r.ctr_source.iter().sum();
         law(
@@ -421,7 +420,7 @@ fn report_laws(case: &FuzzCase, scheme: SecurityScheme, r: &SimReport, failures:
         );
     }
 
-    if case.fault == FaultPlan::None {
+    if cfg.fault.is_none() {
         let injected: u64 = r.faults_injected.iter().sum();
         law(
             injected == 0 && r.faulty_reads == 0,
@@ -528,6 +527,8 @@ fn fnv_mix(state: &mut u64, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::FaultPlan;
+    use emcc::dram::{FaultClass, FaultConfig};
 
     #[test]
     fn small_case_passes_battery() {
@@ -558,5 +559,47 @@ mod tests {
         let rep = check_case(&case);
         assert!(!rep.ok());
         assert_eq!(rep.combos, 0);
+    }
+
+    /// The laws broken by a synthetic report of a faulty run under
+    /// `scheme`: `faulty` corrupt reads consumed, `flagged` of them by a
+    /// verifier and `silent` without one.
+    fn broken_laws(scheme: SecurityScheme, faulty: u64, flagged: u64, silent: u64) -> Vec<String> {
+        let cfg = SystemConfig::table_i(scheme).with_fault(FaultConfig::uniform(
+            1,
+            FaultClass::BitFlip,
+            0.05,
+        ));
+        let r = SimReport {
+            mem_ops: cfg.cores as u64 * 100,
+            faulty_reads: faulty,
+            integrity_violations: flagged,
+            silent_corruptions: silent,
+            ..SimReport::default()
+        };
+        let mut failures = Vec::new();
+        report_laws(&cfg, 100, &r, &mut failures);
+        failures
+    }
+
+    #[test]
+    fn report_laws_demand_exact_detection() {
+        let missed = broken_laws(SecurityScheme::Emcc, 10, 9, 0);
+        assert_eq!(missed.len(), 1, "{missed:?}");
+        assert!(missed[0].contains("detection not exact"), "{missed:?}");
+        assert_eq!(
+            broken_laws(SecurityScheme::Emcc, 10, 10, 0),
+            Vec::<String>::new()
+        );
+        let raised = broken_laws(SecurityScheme::NonSecure, 10, 1, 10);
+        assert_eq!(raised.len(), 1, "{raised:?}");
+        assert!(
+            raised[0].contains("detection-free placement raised"),
+            "{raised:?}"
+        );
+        assert_eq!(
+            broken_laws(SecurityScheme::NonSecure, 10, 0, 10),
+            Vec::<String>::new()
+        );
     }
 }
