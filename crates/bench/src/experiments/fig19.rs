@@ -11,13 +11,13 @@ use emcc::system::SystemConfig;
 use crate::experiments::FigureData;
 use crate::Harness;
 
-/// The swept AES-unit fractions.
-pub const FRACTIONS: [f64; 4] = [0.2, 0.4, 0.5, 0.8];
+/// The swept AES-unit shares, in percent.
+pub const PERCENTS: [u32; 4] = [20, 40, 50, 80];
 
 /// Config for one sweep point.
-fn config(f: f64) -> SystemConfig {
+fn config(pct: u32) -> SystemConfig {
     let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
-    cfg.emcc.aes_fraction_to_l2 = f;
+    cfg.emcc.aes_to_l2_pct = pct;
     cfg
 }
 
@@ -25,18 +25,15 @@ fn config(f: f64) -> SystemConfig {
 pub fn run(h: &Harness) -> FigureData {
     let mut fig = FigureData {
         title: "Figure 19: DRAM data reads decrypted at L2 vs AES split".into(),
-        cols: FRACTIONS
-            .iter()
-            .map(|f| format!("{:.0}%", f * 100.0))
-            .collect(),
+        cols: PERCENTS.iter().map(|pct| format!("{pct}%")).collect(),
         percent: true,
         note: "76.3% on average at the 50% split; mcf ~50% (offload)".into(),
         ..FigureData::default()
     };
     for bench in Benchmark::irregular_suite() {
         let mut row = Vec::new();
-        for f in FRACTIONS {
-            let r = h.run(bench, config(f));
+        for pct in PERCENTS {
+            let r = h.run(bench, config(pct));
             row.push(r.l2_decrypt_frac());
         }
         fig.rows.push(bench.name());

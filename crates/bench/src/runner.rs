@@ -442,7 +442,7 @@ mod tests {
         // A stuck-at line can never be re-fetched clean, so the bounded
         // retry budget must exhaust — and land in the distinct telemetry
         // list, not in the panic-trail `failures()`.
-        let fault = FaultConfig::uniform(0xFA17, FaultClass::StuckLine, 0.05);
+        let fault = FaultConfig::uniform(0xFA17, FaultClass::StuckLine, 50_000);
         let cfg = Cfg::table_i(SecurityScheme::CtrInLlc).with_fault(fault);
         let report = h.run(Benchmark::Canneal, cfg.clone());
         assert!(

@@ -3,8 +3,10 @@
 //!
 //! The smoke pass runs every figure at `Test` scale, which is fast and
 //! bit-deterministic, so its stdout can be diffed byte-for-byte against
-//! a committed snapshot. Any change to a figure's numbers — intended or
-//! not — must come with a reviewed snapshot update:
+//! a committed snapshot, and so can the host work it did: the event
+//! dispatches per kind summed over its runs. Any change to a figure's
+//! numbers or to that work — intended or not — must come with a reviewed
+//! snapshot update:
 //!
 //! ```text
 //! EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored
@@ -15,6 +17,25 @@ use std::process::Command;
 
 fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/run_all_smoke.txt")
+}
+
+/// The `dispatches` object of a `BENCH_run_all.json`, one `kind count`
+/// line per entry.
+fn dispatch_lines(json: &str) -> String {
+    let (_, rest) = json
+        .split_once("\"dispatches\": {\n")
+        .expect("telemetry has a dispatches object");
+    let (body, _) = rest.split_once("\n  }").expect("dispatches object closes");
+    body.lines()
+        .map(|line| {
+            let (kind, count) = line
+                .trim()
+                .trim_end_matches(',')
+                .split_once(": ")
+                .expect("a `\"kind\": count` entry");
+            format!("{} {count}\n", kind.trim_matches('"'))
+        })
+        .collect()
 }
 
 /// Runs `run_all --smoke` plus `args` in the scratch directory `dir` (so
@@ -70,6 +91,7 @@ fn run_all_smoke_matches_snapshot() {
         .env("EMCC_JOBS", "1")
         .output()
         .expect("spawn run_all");
+    let telemetry = std::fs::read_to_string(scratch.join("BENCH_run_all.json"));
     let _ = std::fs::remove_dir_all(&scratch);
     assert!(
         output.status.success(),
@@ -78,10 +100,13 @@ fn run_all_smoke_matches_snapshot() {
         String::from_utf8_lossy(&output.stderr)
     );
     let actual = String::from_utf8(output.stdout).expect("stdout is UTF-8");
+    let bless = "EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored";
+    emcc_bench::cli::check_snapshot(&snapshot_path(), &actual, bless);
+    let telemetry = telemetry.expect("run_all writes BENCH_run_all.json");
     emcc_bench::cli::check_snapshot(
-        &snapshot_path(),
-        &actual,
-        "EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored",
+        &snapshot_path().with_file_name("run_all_smoke_dispatches.txt"),
+        &dispatch_lines(&telemetry),
+        bless,
     );
 }
 

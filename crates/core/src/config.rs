@@ -4,11 +4,12 @@ use emcc_counters::CounterDesign;
 use emcc_crypto::CryptoLatencies;
 use emcc_dram::{DramConfig, FaultConfig};
 use emcc_noc::Mesh;
-use emcc_secmem::{RecoveryConfig, SecurityScheme};
+use emcc_secmem::SecurityScheme;
 use emcc_sim::Time;
 
 // Table I values that no configuration varies. The NoC latency constants
-// are `NocLatency::calibrated()` (Fig 3).
+// are `NocLatency::calibrated()` (Fig 3), the DRAM timing constants are in
+// `emcc_dram::config`, and the integrity-retry policy's are in `crate::mc`.
 
 /// Core clock in GHz (Table I: 3.2 GHz).
 pub const CORE_GHZ: f64 = 3.2;
@@ -26,6 +27,12 @@ pub const L2_LATENCY: Time = Time::from_ns(4);
 pub const LLC_SRAM_LATENCY: Time = Time::from_ns(4);
 /// MC metadata cache latency (Table I: 3 ns).
 pub const MC_CACHE_LATENCY: Time = Time::from_ns(3);
+/// Decoding a split-counter block (extracting the minor counter and adding
+/// major + minor): 3 ns for Morphable Counters (Table I).
+pub const COUNTER_DECODE: Time = Time::from_ns(3);
+/// The XOR of pad with ciphertext and the final MAC comparison: small and
+/// fixed.
+pub const XOR_AND_COMPARE: Time = Time::from_ns(1);
 /// EMCC: delay of the serial counter lookup in L2 after a data miss (the
 /// 'J' term of Fig 10a: spare-cycle lookup).
 pub const CTR_LOOKUP_DELAY: Time = Time::from_ns(2);
@@ -36,16 +43,18 @@ pub const OFFLOAD_THRESHOLD: Time = Time::from_ns(17);
 /// EMCC dynamic disable (§IV-F): minimum DRAM-served fills per 1000 L2
 /// accesses for EMCC to stay on in the next window.
 pub const INTENSITY_THRESHOLD_PER_MILLE: u64 = 10;
+/// EMCC dynamic disable (§IV-F): sampling window in L2 accesses.
+pub const INTENSITY_WINDOW: u64 = 4096;
 
 /// EMCC-specific knobs (§IV).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EmccConfig {
     /// Counter-line budget in the L2 (§V: "EMCC only caches 32KB worth of
     /// counters in L2"); 32 KB = 512 lines.
     pub l2_counter_budget_lines: u64,
-    /// Fraction of chip AES bandwidth moved from the MC to the L2s
+    /// Percent of chip AES bandwidth moved from the MC to the L2s
     /// (Fig 19 sweeps 20/40/50/80%; default 50%).
-    pub aes_fraction_to_l2: f64,
+    pub aes_to_l2_pct: u32,
     /// How long L2 waits after a data miss before starting AES, so AES
     /// bandwidth is not wasted on LLC hits (§IV-D: "only starts
     /// calculating AES ... after waiting LLC hit latency").
@@ -56,41 +65,15 @@ pub struct EmccConfig {
     /// wastes neither L2 space nor energy. Off by default (the paper's
     /// primary evaluation does not use it).
     pub dynamic_disable: bool,
-    /// Sampling window in L2 accesses for the dynamic-disable decision.
-    pub intensity_window: u64,
-}
-
-// Configurations serve as memoization keys for experiment run-caches.
-// `aes_fraction_to_l2` is the only non-integral field; it is always a
-// finite literal from a sweep (never NaN), so bitwise equality/hashing is
-// exact and `Eq` is sound.
-impl Eq for EmccConfig {}
-
-impl std::hash::Hash for EmccConfig {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let EmccConfig {
-            l2_counter_budget_lines,
-            aes_fraction_to_l2,
-            aes_start_wait,
-            dynamic_disable,
-            intensity_window,
-        } = self;
-        l2_counter_budget_lines.hash(state);
-        aes_fraction_to_l2.to_bits().hash(state);
-        aes_start_wait.hash(state);
-        dynamic_disable.hash(state);
-        intensity_window.hash(state);
-    }
 }
 
 impl Default for EmccConfig {
     fn default() -> Self {
         EmccConfig {
             l2_counter_budget_lines: 512,
-            aes_fraction_to_l2: 0.5,
+            aes_to_l2_pct: 50,
             aes_start_wait: Time::from_ns(23),
             dynamic_disable: false,
-            intensity_window: 4096,
         }
     }
 }
@@ -132,7 +115,7 @@ pub struct SystemConfig {
     pub mc_cache_size: u64,
     /// MC metadata cache associativity (Table I: 32).
     pub mc_cache_ways: u32,
-    /// Cryptography latencies (AES 14 ns, Morphable decode 3 ns).
+    /// Cryptography latencies (AES 14 ns; the direct ciphers').
     pub crypto: CryptoLatencies,
     /// The secure-memory design point under test.
     pub scheme: SecurityScheme,
@@ -163,8 +146,6 @@ pub struct SystemConfig {
     /// Optional DRAM fault injection (fault campaigns); `None` disables
     /// injection entirely and is behaviorally identical to the seed model.
     pub fault: Option<FaultConfig>,
-    /// Recovery policy for failed verifications (retry/backoff/fallback).
-    pub recovery: RecoveryConfig,
     /// Mirror architectural writes into a `FunctionalSecureMemory` shadow
     /// and diff per-line counter state at the end of the run (differential
     /// checking for fault campaigns; costs memory, default off).
@@ -198,7 +179,6 @@ impl SystemConfig {
             max_sim_time: Time::from_ms(400),
             seed: 0xE3CC,
             fault: None,
-            recovery: RecoveryConfig::default(),
             shadow_check: false,
         }
     }
@@ -245,12 +225,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style recovery-policy override.
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Builder-style shadow differential checking toggle.
     pub fn with_shadow_check(mut self, on: bool) -> Self {
         self.shadow_check = on;
@@ -293,6 +267,7 @@ mod tests {
         assert_eq!(L2_LATENCY, Time::from_ns(4));
         assert_eq!(LLC_SRAM_LATENCY, Time::from_ns(4));
         assert_eq!(MC_CACHE_LATENCY, Time::from_ns(3));
+        assert_eq!(COUNTER_DECODE, Time::from_ns(3));
         assert_eq!(CTR_LOOKUP_DELAY, Time::from_ns(2));
         assert_eq!(OFFLOAD_THRESHOLD, Time::from_ns(17));
         assert_eq!(INTENSITY_THRESHOLD_PER_MILLE, 10);
@@ -334,7 +309,7 @@ mod tests {
         let a = SystemConfig::table_i(SecurityScheme::Emcc);
         let b = SystemConfig::table_i(SecurityScheme::Emcc);
         let mut c = SystemConfig::table_i(SecurityScheme::Emcc);
-        c.emcc.aes_fraction_to_l2 = 0.8;
+        c.emcc.aes_to_l2_pct = 80;
         assert_eq!(a, b);
         assert_ne!(a, c);
         let mut m = HashMap::new();
@@ -347,6 +322,6 @@ mod tests {
     fn emcc_defaults_match_section_v() {
         let e = EmccConfig::default();
         assert_eq!(e.l2_counter_budget_lines * 64, 32 * 1024);
-        assert_eq!(e.aes_fraction_to_l2, 0.5);
+        assert_eq!(e.aes_to_l2_pct, 50);
     }
 }

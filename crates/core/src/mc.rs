@@ -6,14 +6,31 @@ use std::collections::VecDeque;
 
 use emcc_cache::{BlockKind, SetAssocCache};
 use emcc_crypto::DataBlock;
+use emcc_dram::config::DRAM_TCK;
 use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
 use emcc_secmem::{AesPool, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
 use emcc_sim::{FastHashMap, LineAddr, Time};
 
-use crate::config::MC_CACHE_LATENCY;
+use crate::config::{COUNTER_DECODE, MC_CACHE_LATENCY, XOR_AND_COMPARE};
 use crate::report::CtrSource;
 use crate::system::{Ev, SecureSystem, TxnId};
+
+/// Re-fetches after a failed verification before the line is delivered
+/// poisoned.
+pub const MAX_RETRIES: u32 = 3;
+/// Backoff before the first re-fetch, in DRAM clock ticks (64 tCK = 40 ns,
+/// comparable to a DRAM row miss); each later re-fetch doubles it.
+pub const RETRY_BASE_TICKS: u64 = 64;
+/// Consecutive local-verify failures after which an EMCC L2 falls back to
+/// MC-side verification for the rest of the run.
+pub const L2_FALLBACK_THRESHOLD: u32 = 4;
+
+/// The backoff before re-fetch number `attempts` (0-based), or `None` once
+/// [`MAX_RETRIES`] re-fetches are spent.
+fn retry_backoff(attempts: u32) -> Option<Time> {
+    (attempts < MAX_RETRIES).then(|| DRAM_TCK * (RETRY_BASE_TICKS << attempts))
+}
 
 /// Who asked for a counter block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,7 +321,7 @@ impl SecureSystem {
         let block = self.ctr_block_of(line);
         let lookup_done = self.now + MC_CACHE_LATENCY;
         if self.mc.meta.touch(block) {
-            let ready = lookup_done + self.cfg.crypto.counter_decode;
+            let ready = lookup_done + COUNTER_DECODE;
             // Start the OTP AES as soon as the counter is decoded.
             let aes = self.mc.aes.schedule_span(ready);
             let txn = self.txns.get_mut(&txn_id).expect("txn exists");
@@ -330,7 +347,6 @@ impl SecureSystem {
     /// (for MC-decrypt transactions) the finished OTP.
     pub(crate) fn try_ship_data(&mut self, txn_id: TxnId) {
         let placement = self.cfg.scheme.placement();
-        let xor = self.cfg.crypto.xor_and_compare;
         // Single borrow for the whole decision phase (this runs on every
         // MC data event, so repeated map walks were real wall-clock);
         // whole-`self` helpers below force one re-borrow at the end.
@@ -358,9 +374,9 @@ impl SecureSystem {
         } else if txn.mc_decrypt {
             match txn.mc_ctr_ready {
                 Some(otp_done) => (
-                    data_at.max(otp_done).max(self.now) + xor,
+                    data_at.max(otp_done).max(self.now) + XOR_AND_COMPARE,
                     true,
-                    Some((Component::Verify, xor)),
+                    Some((Component::Verify, XOR_AND_COMPARE)),
                 ),
                 None => return, // counter fetch still in flight
             }
@@ -368,9 +384,9 @@ impl SecureSystem {
             // EMCC: ship ciphertext + MAC⊕dot (the GF dot product is
             // parallel and fast — charge the same small constant).
             (
-                data_at.max(self.now) + xor,
+                data_at.max(self.now) + XOR_AND_COMPARE,
                 false,
-                Some((Component::Verify, xor)),
+                Some((Component::Verify, XOR_AND_COMPARE)),
             )
         };
 
@@ -546,7 +562,7 @@ impl SecureSystem {
             let (_, d) = self.mc.aes.schedule(self.now);
             done = done.max(d);
         }
-        let ready = done + self.cfg.crypto.counter_decode;
+        let ready = done + COUNTER_DECODE;
         if corrupt > 0 {
             // Counter/tree detection: each corrupted node fails its own
             // per-level MAC check at verify time. Recovery invalidates the
@@ -572,6 +588,12 @@ impl SecureSystem {
     }
 
     // ----- Fault recovery ----------------------------------------------------
+    //
+    // The paper (§IV-D) specifies detection: a MAC mismatch raises an
+    // ECC-style machine-check interrupt. What follows is the timing model's
+    // fixed policy: a bounded re-fetch with exponential backoff in DRAM
+    // clock ticks, and an EMCC L2 that keeps failing its local verify
+    // falls back to MC-side verification.
 
     /// The one integrity-failure path (L2 verify, MC MAC compare, tree
     /// walk): accounts `n` failures detected `latency` after the bad read
@@ -586,20 +608,19 @@ impl SecureSystem {
         latency: Time,
         attempts: u32,
     ) -> Option<Time> {
-        let retry = self.cfg.recovery.retry;
         let r = &mut self.report;
         r.faulty_reads += n;
         r.integrity_violations += n;
         for _ in 0..n {
             r.detection_latency_ns.add_time(latency);
         }
-        if retry.should_retry(attempts) {
+        let backoff = retry_backoff(attempts);
+        if backoff.is_some() {
             r.integrity_retries += 1;
-            Some(retry.backoff(attempts))
         } else {
             r.integrity_unrecovered += n;
-            None
         }
+        backoff
     }
 
     /// Drops a counter block's LLC and EMCC L2 copies: stale after a
@@ -672,8 +693,8 @@ impl SecureSystem {
                 if let Some(ctr) = self.mc.ctr_txns.get_mut(&block) {
                     ctr.source = Some(CtrSource::Llc);
                     ctr.llc_reply = false; // already in LLC
-                    let decode = self.cfg.crypto.counter_decode;
-                    self.queue.push(self.now + decode, Ev::McCtrReady { block });
+                    self.queue
+                        .push(self.now + COUNTER_DECODE, Ev::McCtrReady { block });
                 }
             }
             CtrOrigin::Mc => {
@@ -778,7 +799,7 @@ impl SecureSystem {
         if !txn.mc_decrypt || txn.mc_ctr_ready.is_some() {
             return;
         }
-        let decoded = ready + self.cfg.crypto.counter_decode;
+        let decoded = ready + COUNTER_DECODE;
         let aes = self.mc.aes.schedule_span(decoded);
         let txn = self.txns.get_mut(&txn_id).expect("txn exists");
         txn.mc_ctr_ready = Some(aes.end);
@@ -943,6 +964,14 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use emcc_secmem::SecurityScheme;
+
+    #[test]
+    fn retry_schedule_doubles_and_stops_after_three() {
+        assert_eq!(retry_backoff(0), Some(Time::from_ns(40)));
+        assert_eq!(retry_backoff(1), Some(Time::from_ns(80)));
+        assert_eq!(retry_backoff(2), Some(Time::from_ns(160)));
+        assert_eq!(retry_backoff(3), None);
+    }
 
     /// A metadata block the MC cache evicts dirty is written back, which
     /// bumps its protecting counter; one evicted clean leaves silently.

@@ -18,11 +18,12 @@ use emcc_sim::{EventQueue, FastHashMap, LineAddr, Time};
 use emcc_workloads::TraceSource;
 
 use crate::config::{
-    SystemConfig, CORE_GHZ, CTR_LOOKUP_DELAY, INTENSITY_THRESHOLD_PER_MILLE, L1_LATENCY,
-    L2_LATENCY, LLC_SRAM_LATENCY, MAX_OUTSTANDING_LOADS, OFFLOAD_THRESHOLD, ROB_ENTRIES, WIDTH,
+    SystemConfig, CORE_GHZ, COUNTER_DECODE, CTR_LOOKUP_DELAY, INTENSITY_THRESHOLD_PER_MILLE,
+    INTENSITY_WINDOW, L1_LATENCY, L2_LATENCY, LLC_SRAM_LATENCY, MAX_OUTSTANDING_LOADS,
+    OFFLOAD_THRESHOLD, ROB_ENTRIES, WIDTH, XOR_AND_COMPARE,
 };
 use crate::core_model::{CoreModel, Stall};
-use crate::mc::{CtrOrigin, McState};
+use crate::mc::{CtrOrigin, McState, L2_FALLBACK_THRESHOLD};
 use crate::report::{CtrSource, SimReport};
 use crate::xpt::XptPredictor;
 
@@ -312,7 +313,7 @@ impl SecureSystem {
         // accesses/s), so the pool scales with channel count.
         let channels = cfg.dram.channels as f64;
         let (mc_bw, l2_bw) = if cfg.scheme.placement().l2_decrypts() {
-            split_aes_bandwidth(cfg.emcc.aes_fraction_to_l2, cfg.cores)
+            split_aes_bandwidth(f64::from(cfg.emcc.aes_to_l2_pct) / 100.0, cfg.cores)
         } else {
             split_aes_bandwidth(0.0, cfg.cores)
         };
@@ -348,7 +349,7 @@ impl SecureSystem {
             dram: emcc_dram::Dram::new(cfg.dram),
             dram_issued: Vec::with_capacity(cfg.dram.channels),
             deferred_wb: std::collections::VecDeque::new(),
-            fault: cfg.fault.clone().map(FaultModel::new),
+            fault: cfg.fault.map(FaultModel::new),
         };
         // Mesh coordinates never change after construction, so every
         // hop count the NoC model can be asked for is precomputed here
@@ -1129,7 +1130,7 @@ impl SecureSystem {
         // Unverified ciphertext under EMCC: finish locally once AES done.
         txn.cipher_at = Some(self.now);
         if let Some(aes_done) = txn.aes_done {
-            let t = self.now.max(aes_done) + self.cfg.crypto.xor_and_compare;
+            let t = self.now.max(aes_done) + XOR_AND_COMPARE;
             self.queue.push(t, Ev::L2TxnFinish { txn: txn_id });
         }
         // Otherwise the AES completion (or counter arrival) path schedules
@@ -1195,12 +1196,12 @@ impl SecureSystem {
             return;
         };
         let core = txn.core;
-        let decode = self.cfg.crypto.counter_decode;
         let Some(pool) = self.l2[core].aes.as_mut() else {
             return;
         };
-        let qd = pool.queue_delay(self.now + decode);
-        let aes = pool.schedule_span(self.now + decode);
+        let decoded = self.now + COUNTER_DECODE;
+        let qd = pool.queue_delay(decoded);
+        let aes = pool.schedule_span(decoded);
         let done = aes.end;
         self.report.l2_aes_queue_ns.add_time(qd);
         if self.txns[&txn_id].aes_reserved {
@@ -1211,11 +1212,11 @@ impl SecureSystem {
         txn.aes_done = Some(done);
         // Counter decode, then the (possibly queued) OTP AES.
         txn.spans
-            .push(Span::new(Component::CtrFetch, self.now, self.now + decode));
+            .push(Span::new(Component::CtrFetch, self.now, decoded));
         txn.spans.push(aes);
         let (line, cipher_at) = (txn.line, txn.cipher_at);
         if let Some(cipher_at) = cipher_at {
-            let t = cipher_at.max(done) + self.cfg.crypto.xor_and_compare;
+            let t = cipher_at.max(done) + XOR_AND_COMPARE;
             self.queue.push(t, Ev::L2TxnFinish { txn: txn_id });
         }
         // The counter's value is consumed now (AES only starts once an
@@ -1224,7 +1225,6 @@ impl SecureSystem {
     }
 
     fn l2_txn_finish(&mut self, txn_id: TxnId) {
-        let xor = self.cfg.crypto.xor_and_compare;
         let now = self.now;
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
@@ -1232,8 +1232,11 @@ impl SecureSystem {
         let core = txn.core;
         // Local XOR + MAC compare ends now, whether it passed or
         // detected corruption.
-        txn.spans
-            .push(Span::new(Component::Verify, now.saturating_sub(xor), now));
+        txn.spans.push(Span::new(
+            Component::Verify,
+            now.saturating_sub(XOR_AND_COMPARE),
+            now,
+        ));
         let corrupt = txn.corrupt.take().is_some();
         let cipher_at = txn.cipher_at;
         let retries = txn.retries;
@@ -1245,9 +1248,7 @@ impl SecureSystem {
             // poisoned line.
             let l2 = &mut self.l2[core];
             l2.verify_fail_streak += 1;
-            if !l2.verify_degraded
-                && l2.verify_fail_streak >= self.cfg.recovery.l2_fallback_threshold
-            {
+            if !l2.verify_degraded && l2.verify_fail_streak >= L2_FALLBACK_THRESHOLD {
                 l2.verify_degraded = true;
                 self.report.verify_fallbacks += 1;
             }
@@ -1419,10 +1420,9 @@ impl SecureSystem {
         if !self.cfg.scheme.placement().l2_decrypts() || !self.cfg.emcc.dynamic_disable {
             return;
         }
-        let window = self.cfg.emcc.intensity_window;
         let l2 = &mut self.l2[core];
         l2.window_accesses += 1;
-        if l2.window_accesses >= window {
+        if l2.window_accesses >= INTENSITY_WINDOW {
             let per_mille = l2.window_dram_fills * 1000 / l2.window_accesses;
             l2.emcc_disabled = per_mille < INTENSITY_THRESHOLD_PER_MILLE;
             if l2.emcc_disabled {

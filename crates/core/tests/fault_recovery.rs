@@ -3,9 +3,10 @@
 //! EMCC L2-side), recovery must be bounded, and the differential shadow
 //! checker must agree with the timing model in fault-free runs.
 
+use emcc_counters::TreeGeometry;
 use emcc_dram::{FaultClass, FaultConfig};
-use emcc_secmem::{RecoveryConfig, RetryPolicy, SecurityScheme};
-use emcc_system::{SecureSystem, SystemConfig};
+use emcc_secmem::SecurityScheme;
+use emcc_system::{SecureSystem, SimReport, SystemConfig};
 use emcc_workloads::presets::WorkloadScale;
 use emcc_workloads::Benchmark;
 
@@ -14,8 +15,17 @@ fn run_with(cfg: SystemConfig, bench: Benchmark, ops: u64) -> emcc_system::SimRe
     SecureSystem::new(cfg).run(sources, ops)
 }
 
-fn faulty_cfg(scheme: SecurityScheme, class: FaultClass, rate: f64) -> SystemConfig {
-    SystemConfig::table_i(scheme).with_fault(FaultConfig::uniform(0xFA17, class, rate))
+fn faulty_cfg(scheme: SecurityScheme, class: FaultClass, rate_ppm: u32) -> SystemConfig {
+    SystemConfig::table_i(scheme).with_fault(FaultConfig::uniform(0xFA17, class, rate_ppm))
+}
+
+/// How many events of `kind` the run dispatched.
+fn dispatched(r: &SimReport, kind: &str) -> u64 {
+    r.dispatches
+        .entries()
+        .find(|&(k, _)| k == kind)
+        .expect("a known event kind")
+        .1
 }
 
 #[test]
@@ -25,7 +35,7 @@ fn mc_side_verification_detects_every_consumed_fault() {
         FaultClass::MacCorrupt,
         FaultClass::Replay,
     ] {
-        let cfg = faulty_cfg(SecurityScheme::CtrInLlc, class, 0.05);
+        let cfg = faulty_cfg(SecurityScheme::CtrInLlc, class, 50_000);
         let r = run_with(cfg, Benchmark::Canneal, 4_000);
         assert!(r.faulty_reads > 0, "{class}: no faults consumed");
         assert_eq!(
@@ -40,7 +50,7 @@ fn mc_side_verification_detects_every_consumed_fault() {
 
 #[test]
 fn l2_side_verification_detects_every_consumed_fault() {
-    let cfg = faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 0.05);
+    let cfg = faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 50_000);
     let r = run_with(cfg, Benchmark::Canneal, 4_000);
     assert!(r.faulty_reads > 0, "no faults consumed");
     assert_eq!(r.integrity_violations, r.faulty_reads);
@@ -49,7 +59,7 @@ fn l2_side_verification_detects_every_consumed_fault() {
 
 #[test]
 fn nonsecure_consumes_corruption_silently() {
-    let cfg = faulty_cfg(SecurityScheme::NonSecure, FaultClass::BitFlip, 0.05);
+    let cfg = faulty_cfg(SecurityScheme::NonSecure, FaultClass::BitFlip, 50_000);
     let r = run_with(cfg, Benchmark::Canneal, 4_000);
     assert!(r.silent_corruptions > 0, "faults must reach the consumer");
     assert_eq!(r.integrity_violations, 0, "nothing verifies in non-secure");
@@ -58,20 +68,37 @@ fn nonsecure_consumes_corruption_silently() {
 
 #[test]
 fn metadata_faults_detected_at_tree_verification() {
-    // Target only counter blocks and tree nodes: detections then come from
-    // the MC's per-level MAC checks during the tree walk.
-    let fault =
-        FaultConfig::uniform(0xFA17, FaultClass::BitFlip, 0.10).with_targets([false, true, true]);
-    let cfg = SystemConfig::table_i(SecurityScheme::CtrInLlc).with_fault(fault);
+    // One bit flip in the counter block of the first line canneal loads:
+    // the MC's per-level MAC check during the tree walk must catch it, and
+    // recovery re-walks the tree rather than re-fetching data.
+    let cfg = SystemConfig::table_i(SecurityScheme::CtrInLlc);
+    let mut sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);
+    let first_load = std::iter::repeat_with(|| sources[0].next_op())
+        .find(|op| !op.is_write)
+        .expect("canneal loads")
+        .line;
+    let g = TreeGeometry::new(cfg.counter_design, cfg.data_lines);
+    let block = g.node_addr(0, g.counter_block_of(first_load));
+    let cfg = cfg.with_fault(FaultConfig::planted_at(
+        0xFA17,
+        block,
+        FaultClass::BitFlip,
+        0,
+    ));
     let r = run_with(cfg, Benchmark::Canneal, 4_000);
     assert!(r.faulty_reads > 0, "metadata faults must be consumed");
     assert_eq!(r.integrity_violations, r.faulty_reads);
     assert!(r.integrity_retries > 0, "tree re-walks expected");
+    assert!(
+        dispatched(&r, "CtrRefetch") > 0,
+        "detected by the tree walk"
+    );
+    assert_eq!(dispatched(&r, "DataRefetch"), 0, "no data line was hit");
 }
 
 #[test]
 fn detections_trigger_bounded_retries() {
-    let cfg = faulty_cfg(SecurityScheme::CtrInLlc, FaultClass::TransientRead, 0.05);
+    let cfg = faulty_cfg(SecurityScheme::CtrInLlc, FaultClass::TransientRead, 50_000);
     let r = run_with(cfg, Benchmark::Canneal, 4_000);
     assert!(r.integrity_violations > 0);
     assert!(
@@ -85,11 +112,8 @@ fn detections_trigger_bounded_retries() {
 
 #[test]
 fn repeated_l2_failures_fall_back_to_mc_verification() {
-    let cfg =
-        faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 0.08).with_recovery(RecoveryConfig {
-            retry: RetryPolicy::default(),
-            l2_fallback_threshold: 1,
-        });
+    // Enough flips that some L2 fails four local verifies in a row.
+    let cfg = faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 150_000);
     let r = run_with(cfg, Benchmark::Canneal, 4_000);
     assert!(r.integrity_violations > 0);
     assert!(
@@ -139,12 +163,12 @@ fn fault_free_runs_are_unchanged_by_recovery_plumbing() {
 #[test]
 fn fault_runs_are_deterministic() {
     let a = run_with(
-        faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 0.03),
+        faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 30_000),
         Benchmark::Omnetpp,
         2_000,
     );
     let b = run_with(
-        faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 0.03),
+        faulty_cfg(SecurityScheme::Emcc, FaultClass::BitFlip, 30_000),
         Benchmark::Omnetpp,
         2_000,
     );

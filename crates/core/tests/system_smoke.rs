@@ -166,7 +166,7 @@ fn direct_cipher_cost_orders_with_latency() {
 fn bipbip_consumes_faults_silently() {
     // Encryption-only: corrupted ciphertext decrypts to garbage with no
     // MAC to fail, exactly like the non-secure baseline's fault contract.
-    let fault = emcc_dram::FaultConfig::uniform(0xFA17, emcc_dram::FaultClass::BitFlip, 0.05);
+    let fault = emcc_dram::FaultConfig::uniform(0xFA17, emcc_dram::FaultClass::BitFlip, 50_000);
     let cfg = SystemConfig::table_i(SecurityScheme::BipBip).with_fault(fault);
     let sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);
     let r = SecureSystem::new(cfg).run(sources, 4_000);
@@ -178,7 +178,7 @@ fn bipbip_consumes_faults_silently() {
 #[test]
 fn detecting_direct_ciphers_flag_every_fault() {
     for scheme in [SecurityScheme::NearMem, SecurityScheme::InSram] {
-        let fault = emcc_dram::FaultConfig::uniform(0xFA17, emcc_dram::FaultClass::BitFlip, 0.05);
+        let fault = emcc_dram::FaultConfig::uniform(0xFA17, emcc_dram::FaultClass::BitFlip, 50_000);
         let cfg = SystemConfig::table_i(scheme).with_fault(fault);
         let sources = Benchmark::Canneal.build_scaled(7, cfg.cores, WorkloadScale::Test);
         let r = SecureSystem::new(cfg).run(sources, 4_000);
@@ -283,7 +283,7 @@ fn two_entry_dram_queues_keep_every_ledger_exact() {
             assert!(r.shadow_lines > 0, "{scheme}: no write-backs mirrored");
         }
 
-        let flips = FaultConfig::uniform(0xFA17, FaultClass::BitFlip, 0.05);
+        let flips = FaultConfig::uniform(0xFA17, FaultClass::BitFlip, 50_000);
         let r = run(scheme, Some(flips));
         assert!(r.faulty_reads > 0, "{scheme}: no faults consumed");
         if scheme.placement().detects_tamper {

@@ -2,9 +2,11 @@
 //!
 //! The paper's Table I and §III fix the latencies the timing simulator
 //! charges: 14 ns for AES-128 (faster than the measured 7 nm AES latency,
-//! anticipating improvements — footnote 2), 3 ns for decoding a Morphable
-//! counter block, and sensitivity points at 20/25 ns AES (Fig 18,
-//! approximating AES-192/AES-256 round counts).
+//! anticipating improvements — footnote 2) with sensitivity points at
+//! 20/25 ns (Fig 18, approximating AES-192/AES-256 round counts), plus the
+//! per-access latencies of the counter-free direct ciphers. The fixed
+//! 3 ns counter decode and the XOR-and-compare step are constants of the
+//! timing simulator's configuration.
 
 use emcc_sim::Time;
 
@@ -41,7 +43,7 @@ pub enum DirectCipher {
 ///
 /// let lat = CryptoLatencies::paper_default();
 /// assert_eq!(lat.aes, Time::from_ns(14));
-/// assert_eq!(lat.counter_decode, Time::from_ns(3));
+/// assert_eq!(lat.bipbip, Time::from_ns(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CryptoLatencies {
@@ -49,12 +51,6 @@ pub struct CryptoLatencies {
     /// The four OTPs of a block are computed by parallel units, so a block
     /// decryption charges one AES latency, not four.
     pub aes: Time,
-    /// Decoding a split-counter block (extracting the minor counter and
-    /// adding major + minor); 3 ns for Morphable Counters.
-    pub counter_decode: Time,
-    /// The XOR of pad with ciphertext and the final MAC comparison; small
-    /// and fixed.
-    pub xor_and_compare: Time,
     /// One BipBip tweakable-cipher pass in the cache-controller pipeline.
     pub bipbip: Time,
     /// In-DRAM-device decrypt latency for a near-memory cipher read.
@@ -66,8 +62,6 @@ impl CryptoLatencies {
     pub fn paper_default() -> Self {
         CryptoLatencies {
             aes: Time::from_ns(14),
-            counter_decode: Time::from_ns(3),
-            xor_and_compare: Time::from_ns(1),
             bipbip: Time::from_ns(1),
             near_mem_read: Time::from_ns(2),
         }
@@ -116,7 +110,6 @@ mod tests {
     fn default_matches_table_i() {
         let lat = CryptoLatencies::default();
         assert_eq!(lat.aes, Time::from_ns(14));
-        assert_eq!(lat.counter_decode, Time::from_ns(3));
     }
 
     #[test]

@@ -4,7 +4,10 @@ use std::collections::VecDeque;
 
 use emcc_sim::{LineAddr, Time};
 
-use crate::config::DramConfig;
+use crate::config::{
+    DramConfig, BANKS_PER_RANK, BURST, FRFCFS_CAP, RANKS, ROW_TIMEOUT, T_CL, T_RCD, T_REFI, T_RFC,
+    T_RP, WRITE_HIGH_WATERMARK, WRITE_LOW_WATERMARK,
+};
 use crate::mapping::AddressMapping;
 use crate::request::{DramRequest, Pending, RequestClass, RequestId};
 use crate::stats::DramStats;
@@ -103,7 +106,7 @@ impl Queue {
 /// One DRAM channel: read/write queues, banks, the shared data bus.
 #[derive(Debug)]
 pub struct DramChannel {
-    config: DramConfig,
+    queue_capacity: usize,
     mapping: AddressMapping,
     read_q: Queue,
     write_q: Queue,
@@ -118,15 +121,14 @@ pub struct DramChannel {
 impl DramChannel {
     /// Creates an idle channel.
     pub fn new(config: DramConfig) -> Self {
-        let refi = config.t_refi;
         DramChannel {
-            config,
+            queue_capacity: config.queue_capacity,
             mapping: AddressMapping::new(config.channels),
             read_q: Queue::default(),
             write_q: Queue::default(),
-            banks: vec![BankState::default(); config.banks()],
-            rank_next_refresh: (0..config.ranks)
-                .map(|r| refi * (r as u64 + 1) / config.ranks as u64)
+            banks: vec![BankState::default(); RANKS * BANKS_PER_RANK],
+            rank_next_refresh: (0..RANKS)
+                .map(|r| T_REFI * (r as u64 + 1) / RANKS as u64)
                 .collect(),
             bus_free_at: Time::ZERO,
             next_issue_at: Time::ZERO,
@@ -143,10 +145,10 @@ impl DramChannel {
         let pending = Pending {
             req,
             enqueued_at: now,
-            bank: loc.rank * self.config.banks_per_rank + loc.bank,
+            bank: loc.rank * BANKS_PER_RANK + loc.bank,
             row: loc.row,
         };
-        let capacity = self.config.queue_capacity;
+        let capacity = self.queue_capacity;
         self.queue_mut(req.is_write).admit(pending, capacity);
     }
 
@@ -182,17 +184,17 @@ impl DramChannel {
     }
 
     fn apply_refresh(&mut self, now: Time) {
-        for rank in 0..self.config.ranks {
+        for rank in 0..RANKS {
             while self.rank_next_refresh[rank] <= now {
                 let start = self.rank_next_refresh[rank];
-                let end = start + self.config.t_rfc;
-                let base = rank * self.config.banks_per_rank;
-                for b in 0..self.config.banks_per_rank {
+                let end = start + T_RFC;
+                let base = rank * BANKS_PER_RANK;
+                for b in 0..BANKS_PER_RANK {
                     let bank = &mut self.banks[base + b];
                     bank.ready_at = bank.ready_at.max(end);
                     bank.open_row = None;
                 }
-                self.rank_next_refresh[rank] += self.config.t_refi;
+                self.rank_next_refresh[rank] += T_REFI;
             }
         }
     }
@@ -201,7 +203,7 @@ impl DramChannel {
         match bank.open_row {
             None => RowOutcome::Closed,
             Some(open) => {
-                if bank.last_access + self.config.row_timeout <= at {
+                if bank.last_access + ROW_TIMEOUT <= at {
                     // Timeout policy auto-precharged the row in the
                     // background; the next access pays activate only.
                     RowOutcome::Closed
@@ -231,7 +233,7 @@ impl DramChannel {
                 continue;
             }
             let hit = self.row_outcome(bank, p.row, now) == RowOutcome::Hit
-                && bank.hit_streak < self.config.frfcfs_cap;
+                && bank.hit_streak < FRFCFS_CAP;
             match best {
                 None => best = Some((hit, i)),
                 Some((best_hit, _)) => {
@@ -250,28 +252,27 @@ impl DramChannel {
     }
 
     fn issue(&mut self, pending: Pending, now: Time) -> Completion {
-        let cfg = self.config;
         let bank_idx = pending.bank;
         let row = pending.row;
         let outcome = self.row_outcome(&self.banks[bank_idx], row, now);
         let access_latency = match outcome {
-            RowOutcome::Hit => cfg.row_hit_latency(),
-            RowOutcome::Closed => cfg.row_closed_latency(),
-            RowOutcome::Conflict => cfg.row_conflict_latency(),
+            RowOutcome::Hit => T_CL + BURST,
+            RowOutcome::Closed => T_RCD + T_CL + BURST,
+            RowOutcome::Conflict => T_RP + T_RCD + T_CL + BURST,
         };
 
         let data_ready = now + access_latency;
-        let bus_start = (data_ready.saturating_sub(cfg.burst)).max(self.bus_free_at);
-        let done = bus_start + cfg.burst;
+        let bus_start = (data_ready.saturating_sub(BURST)).max(self.bus_free_at);
+        let done = bus_start + BURST;
         self.bus_free_at = done;
 
         let bank = &mut self.banks[bank_idx];
         bank.open_row = Some(row);
         bank.last_access = done;
         bank.ready_at = match outcome {
-            RowOutcome::Hit => now + cfg.burst, // CAS-to-CAS pipelining
-            RowOutcome::Closed => now + cfg.t_rcd,
-            RowOutcome::Conflict => now + cfg.t_rp + cfg.t_rcd,
+            RowOutcome::Hit => now + BURST, // CAS-to-CAS pipelining
+            RowOutcome::Closed => now + T_RCD,
+            RowOutcome::Conflict => now + T_RP + T_RCD,
         };
         bank.hit_streak = match outcome {
             RowOutcome::Hit => bank.hit_streak + 1,
@@ -288,7 +289,7 @@ impl DramChannel {
             .bucket_mut(pending.req.class, pending.req.is_write);
         bucket.count += 1;
         bucket.queuing_ns.add_time(now - pending.enqueued_at);
-        bucket.bus_busy += cfg.burst;
+        bucket.bus_busy += BURST;
 
         Completion {
             id: pending.req.id,
@@ -317,9 +318,9 @@ impl DramChannel {
 
         // Write-drain hysteresis.
         let writes = self.write_q.entries.len();
-        if writes >= self.config.write_high_watermark {
+        if writes >= WRITE_HIGH_WATERMARK {
             self.draining = true;
-        } else if writes <= self.config.write_low_watermark {
+        } else if writes <= WRITE_LOW_WATERMARK {
             self.draining = false;
         }
 
@@ -343,7 +344,7 @@ impl DramChannel {
             Ok((is_write, idx)) => {
                 let pending = self.queue_mut(is_write).take(idx);
                 result.completion = Some(self.issue(pending, now));
-                self.next_issue_at = now + self.config.burst;
+                self.next_issue_at = now + BURST;
                 if self.queued() > 0 {
                     result.next_wake = Some(self.next_issue_at);
                 }
@@ -482,8 +483,7 @@ mod tests {
     #[test]
     fn write_drain_kicks_in_at_watermark() {
         let mut c = chan();
-        let hw = c.config.write_high_watermark;
-        for i in 0..hw {
+        for i in 0..WRITE_HIGH_WATERMARK {
             c.enqueue(wr(i as u64, (i as u64) * 200_000), Time::ZERO);
         }
         c.enqueue(rd(9999, 7), Time::ZERO);

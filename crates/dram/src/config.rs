@@ -2,57 +2,59 @@
 
 use emcc_sim::Time;
 
-/// Static DRAM parameters.
+// Table I's DDR4-3200 values, which no configuration varies.
+
+/// Ranks per channel (Table I: 8).
+pub const RANKS: usize = 8;
+/// Banks per rank.
+pub const BANKS_PER_RANK: usize = 16;
+/// DDR4-3200 clock period, tCK: integrity-retry backoff is counted in it.
+pub const DRAM_TCK: Time = Time::from_ps(625);
+/// CAS latency, tCL (Table I: 13.75 ns).
+pub const T_CL: Time = Time::from_ps(13_750);
+/// RAS-to-CAS (activate) latency, tRCD (Table I: 13.75 ns).
+pub const T_RCD: Time = Time::from_ps(13_750);
+/// Precharge latency, tRP (Table I: 13.75 ns).
+pub const T_RP: Time = Time::from_ps(13_750);
+/// Refresh cycle time, tRFC (Table I: 350 ns).
+pub const T_RFC: Time = Time::from_ns(350);
+/// Refresh interval per rank, tREFI.
+pub const T_REFI: Time = Time::from_ns(7_800);
+/// One 64 B burst on the data bus: 3.2 GT/s × 8 B moves a line in 2.5 ns.
+pub const BURST: Time = Time::from_ps(2_500);
+/// Open rows auto-precharge after this idle time (Table I: 500 ns
+/// timeout policy).
+pub const ROW_TIMEOUT: Time = Time::from_ns(500);
+/// FR-FCFS cap: how many younger row-hit requests may bypass the oldest
+/// request per bank before age wins.
+pub const FRFCFS_CAP: u32 = 4;
+/// Write drain starts when the write queue reaches this fill.
+pub const WRITE_HIGH_WATERMARK: usize = 192;
+/// Write drain stops when the write queue falls back to this fill.
+pub const WRITE_LOW_WATERMARK: usize = 64;
+
+/// The DRAM parameters a run may vary; the timing is the constants above.
 ///
 /// # Examples
 ///
 /// ```
-/// use emcc_dram::DramConfig;
+/// use emcc_dram::config::{DramConfig, T_CL};
 ///
 /// let c = DramConfig::table_i(1);
 /// assert_eq!(c.channels, 1);
-/// assert_eq!(c.ranks, 8);
-/// assert_eq!(c.t_cl.as_ns_f64(), 13.75);
+/// assert_eq!(c.queue_capacity, 256);
+/// assert_eq!(T_CL.as_ns_f64(), 13.75);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramConfig {
     /// Number of channels (the paper evaluates 1 and 8).
     pub channels: usize,
-    /// Ranks per channel.
-    pub ranks: usize,
-    /// Banks per rank.
-    pub banks_per_rank: usize,
-    /// CAS latency.
-    pub t_cl: Time,
-    /// RAS-to-CAS (activate) latency.
-    pub t_rcd: Time,
-    /// Precharge latency.
-    pub t_rp: Time,
-    /// Refresh cycle time.
-    pub t_rfc: Time,
-    /// Refresh interval per rank.
-    pub t_refi: Time,
-    /// One 64 B burst on the data bus (BL8 at the configured data rate).
-    pub burst: Time,
-    /// Open rows auto-precharge after this idle time (Table I: 500 ns
-    /// timeout policy).
-    pub row_timeout: Time,
     /// Read-queue and write-queue capacity, each (Table I: 256 entries).
     pub queue_capacity: usize,
-    /// FR-FCFS cap: how many younger row-hit requests may bypass the
-    /// oldest request per bank before age wins.
-    pub frfcfs_cap: u32,
-    /// Write drain starts when the write queue reaches this fill.
-    pub write_high_watermark: usize,
-    /// Write drain stops when the write queue falls back to this fill.
-    pub write_low_watermark: usize,
 }
 
 impl DramConfig {
     /// The paper's Table I configuration with the given channel count.
-    ///
-    /// DDR4-3200: 3.2 GT/s × 8 B bus ⇒ a 64 B line takes 2.5 ns on the
-    /// bus. tCL = tRCD = tRP = 13.75 ns, tRFC = 350 ns.
     ///
     /// # Panics
     ///
@@ -65,40 +67,8 @@ impl DramConfig {
         );
         DramConfig {
             channels,
-            ranks: 8,
-            banks_per_rank: 16,
-            t_cl: Time::from_ns_f64(13.75),
-            t_rcd: Time::from_ns_f64(13.75),
-            t_rp: Time::from_ns_f64(13.75),
-            t_rfc: Time::from_ns(350),
-            t_refi: Time::from_ns(7_800),
-            burst: Time::from_ns_f64(2.5),
-            row_timeout: Time::from_ns(500),
             queue_capacity: 256,
-            frfcfs_cap: 4,
-            write_high_watermark: 192,
-            write_low_watermark: 64,
         }
-    }
-
-    /// Total banks per channel.
-    pub fn banks(&self) -> usize {
-        self.ranks * self.banks_per_rank
-    }
-
-    /// Latency of a row-buffer hit (CAS + burst).
-    pub fn row_hit_latency(&self) -> Time {
-        self.t_cl + self.burst
-    }
-
-    /// Latency of an access to a closed row (activate + CAS + burst).
-    pub fn row_closed_latency(&self) -> Time {
-        self.t_rcd + self.t_cl + self.burst
-    }
-
-    /// Latency of a row conflict (precharge + activate + CAS + burst).
-    pub fn row_conflict_latency(&self) -> Time {
-        self.t_rp + self.t_rcd + self.t_cl + self.burst
     }
 }
 
@@ -108,18 +78,12 @@ mod tests {
 
     #[test]
     fn paper_latencies() {
-        let c = DramConfig::table_i(1);
         // §I: "DRAM latency (e.g., 16ns and 30ns under row buffer hit and
         // miss, respectively)".
-        assert_eq!(c.row_hit_latency(), Time::from_ns_f64(16.25));
-        assert_eq!(c.row_closed_latency(), Time::from_ns_f64(30.0));
-        assert_eq!(c.row_conflict_latency(), Time::from_ns_f64(43.75));
-    }
-
-    #[test]
-    fn bank_geometry() {
-        let c = DramConfig::table_i(1);
-        assert_eq!(c.banks(), 128);
+        assert_eq!(T_CL + BURST, Time::from_ns_f64(16.25));
+        assert_eq!(T_RCD + T_CL + BURST, Time::from_ns_f64(30.0));
+        assert_eq!(T_RP + T_RCD + T_CL + BURST, Time::from_ns_f64(43.75));
+        assert_eq!(RANKS * BANKS_PER_RANK, 128);
     }
 
     #[test]

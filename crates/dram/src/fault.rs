@@ -103,99 +103,60 @@ impl std::fmt::Display for FaultClass {
     }
 }
 
-/// A fault pinned to an address: fires on the `on_read`-th read (0-based)
-/// of `line`, regardless of rates.
+/// The one fault a run injects: its class, and where or how often it
+/// strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlantedFault {
-    /// The target line.
-    pub line: LineAddr,
-    /// What to inject.
-    pub class: FaultClass,
-    /// Which read of the line triggers the injection (0 = first read).
-    pub on_read: u64,
+pub enum Fault {
+    /// Strikes the `on_read`-th read (0 = first) of `line`.
+    Planted {
+        /// The target line.
+        line: LineAddr,
+        /// What to inject.
+        class: FaultClass,
+        /// Which read of the line triggers the injection.
+        on_read: u64,
+    },
+    /// Strikes each read of a data line, counter block or tree node with
+    /// probability `rate_ppm` / 1,000,000.
+    Uniform {
+        /// What to inject.
+        class: FaultClass,
+        /// The per-read rate in parts per million.
+        rate_ppm: u32,
+    },
 }
 
-/// Fault-campaign configuration: per-class random rates plus explicitly
-/// planted faults.
-#[derive(Debug, Clone, PartialEq)]
+/// Fault-campaign configuration: one seeded [`Fault`]. Write and overflow
+/// traffic is never sampled (corruption there is observed via later reads
+/// of the same lines).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultConfig {
     /// Seed for the per-read fault rolls.
     pub seed: u64,
-    /// Per-[`FaultClass`] probability (by [`FaultClass::index`]) that a
-    /// DRAM read completion of an eligible line injects that fault.
-    pub rates: [f64; 5],
-    /// Eligible traffic: `[data, counter, tree-node]`. Write and overflow
-    /// traffic is never sampled (corruption there is observed via later
-    /// reads of the same lines).
-    pub targets: [bool; 3],
-    /// Address-directed faults, applied on top of the random rates.
-    pub planted: Vec<PlantedFault>,
-}
-
-// Fault configurations are part of `SystemConfig`, which serves as a
-// run-cache memoization key. The rates are always finite literals from a
-// sweep (never NaN), so bitwise equality/hashing is exact and `Eq` is
-// sound — the same reasoning as `EmccConfig`.
-impl Eq for FaultConfig {}
-
-impl std::hash::Hash for FaultConfig {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let FaultConfig {
-            seed,
-            rates,
-            targets,
-            planted,
-        } = self;
-        seed.hash(state);
-        for r in rates {
-            r.to_bits().hash(state);
-        }
-        targets.hash(state);
-        planted.hash(state);
-    }
+    /// The injected fault.
+    pub fault: Fault,
 }
 
 impl FaultConfig {
-    /// A configuration injecting only `class`, uniformly at `rate` per
-    /// eligible read, on all line kinds.
-    pub fn uniform(seed: u64, class: FaultClass, rate: f64) -> Self {
-        let mut rates = [0.0; 5];
-        rates[class.index()] = rate;
+    /// A configuration injecting `class` on each eligible read with
+    /// probability `rate_ppm` / 1,000,000.
+    pub fn uniform(seed: u64, class: FaultClass, rate_ppm: u32) -> Self {
         FaultConfig {
             seed,
-            rates,
-            targets: [true; 3],
-            planted: Vec::new(),
+            fault: Fault::Uniform { class, rate_ppm },
         }
     }
 
-    /// A configuration with a single planted fault and no random rates.
+    /// A configuration injecting `class` on the `on_read`-th read of
+    /// `line`.
     pub fn planted_at(seed: u64, line: LineAddr, class: FaultClass, on_read: u64) -> Self {
         FaultConfig {
             seed,
-            rates: [0.0; 5],
-            targets: [true; 3],
-            planted: vec![PlantedFault {
+            fault: Fault::Planted {
                 line,
                 class,
                 on_read,
-            }],
-        }
-    }
-
-    /// Builder-style restriction to specific line kinds
-    /// (`[data, counter, tree-node]`).
-    pub fn with_targets(mut self, targets: [bool; 3]) -> Self {
-        self.targets = targets;
-        self
-    }
-
-    fn class_eligible(&self, class: RequestClass) -> bool {
-        match class {
-            RequestClass::Data => self.targets[0],
-            RequestClass::Counter => self.targets[1],
-            RequestClass::TreeNode => self.targets[2],
-            RequestClass::OverflowL0 | RequestClass::OverflowHigher => false,
+            },
         }
     }
 }
@@ -264,19 +225,21 @@ impl FaultModel {
             });
         }
 
-        if !self.cfg.class_eligible(class) {
+        if matches!(
+            class,
+            RequestClass::OverflowL0 | RequestClass::OverflowHigher
+        ) {
             return None;
         }
 
-        // Planted faults fire exactly on their scheduled read.
-        let planted = self
-            .cfg
-            .planted
-            .iter()
-            .find(|p| p.line == line && p.on_read == nth)
-            .map(|p| p.class);
-        let injected = planted.or_else(|| self.roll(line, nth));
-        let class = injected?;
+        let class = match self.cfg.fault {
+            Fault::Planted {
+                line: target,
+                class,
+                on_read,
+            } => (target == line && on_read == nth).then_some(class),
+            Fault::Uniform { class, rate_ppm } => self.roll(line, nth, rate_ppm).then_some(class),
+        }?;
         self.inject(line, class);
         Some(FaultEvent { class, fresh: true })
     }
@@ -299,20 +262,13 @@ impl FaultModel {
         }
     }
 
-    /// Stateless per-(line, nth-read) fault roll: one uniform draw per
-    /// class, in class order, first hit wins.
-    fn roll(&self, line: LineAddr, nth: u64) -> Option<FaultClass> {
+    /// Stateless per-(line, nth-read) fault roll: one uniform draw, none
+    /// at rate 0.
+    fn roll(&self, line: LineAddr, nth: u64, rate_ppm: u32) -> bool {
         let key = self.cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ line.get().wrapping_mul(0xD129_0163_2BF6_D8B7)
             ^ nth.wrapping_mul(0xA24B_AED4_963E_E407);
-        let mut rng = Rng64::new(key);
-        for class in FaultClass::all() {
-            let rate = self.cfg.rates[class.index()];
-            if rate > 0.0 && rng.chance(rate) {
-                return Some(class);
-            }
-        }
-        None
+        rate_ppm > 0 && Rng64::new(key).chance(f64::from(rate_ppm) / 1e6)
     }
 }
 
@@ -326,7 +282,7 @@ mod tests {
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let mut m = FaultModel::new(FaultConfig::uniform(1, FaultClass::BitFlip, 0.0));
+        let mut m = FaultModel::new(FaultConfig::uniform(1, FaultClass::BitFlip, 0));
         for i in 0..1000 {
             assert!(data_read(&mut m, i).is_none());
         }
@@ -334,7 +290,7 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_honored() {
-        let mut m = FaultModel::new(FaultConfig::uniform(2, FaultClass::TransientRead, 0.1));
+        let mut m = FaultModel::new(FaultConfig::uniform(2, FaultClass::TransientRead, 100_000));
         let mut hits = 0;
         for i in 0..10_000 {
             if data_read(&mut m, i).is_some() {
@@ -346,8 +302,8 @@ mod tests {
 
     #[test]
     fn decisions_are_order_independent() {
-        let cfg = FaultConfig::uniform(3, FaultClass::BitFlip, 0.05);
-        let mut fwd = FaultModel::new(cfg.clone());
+        let cfg = FaultConfig::uniform(3, FaultClass::BitFlip, 50_000);
+        let mut fwd = FaultModel::new(cfg);
         let mut rev = FaultModel::new(cfg);
         let forward: Vec<bool> = (0..500).map(|i| data_read(&mut fwd, i).is_some()).collect();
         let mut backward: Vec<(u64, bool)> = (0..500)
@@ -406,18 +362,17 @@ mod tests {
     }
 
     #[test]
-    fn target_mask_filters_classes() {
-        let cfg =
-            FaultConfig::uniform(5, FaultClass::BitFlip, 1.0).with_targets([false, true, false]);
-        let mut m = FaultModel::new(cfg);
-        assert!(m.on_read(LineAddr::new(1), RequestClass::Data).is_none());
-        assert!(m
-            .on_read(LineAddr::new(1), RequestClass::TreeNode)
-            .is_none());
-        assert!(m.on_read(LineAddr::new(1), RequestClass::Counter).is_some());
-        // Overflow traffic is never sampled.
-        assert!(m
-            .on_read(LineAddr::new(2), RequestClass::OverflowL0)
-            .is_none());
+    fn overflow_traffic_is_never_sampled() {
+        let mut m = FaultModel::new(FaultConfig::uniform(5, FaultClass::BitFlip, 1_000_000));
+        for class in [RequestClass::OverflowL0, RequestClass::OverflowHigher] {
+            assert!(m.on_read(LineAddr::new(2), class).is_none());
+        }
+        for (line, class) in [
+            (3, RequestClass::Data),
+            (4, RequestClass::Counter),
+            (5, RequestClass::TreeNode),
+        ] {
+            assert!(m.on_read(LineAddr::new(line), class).is_some());
+        }
     }
 }

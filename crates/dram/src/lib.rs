@@ -4,7 +4,9 @@
 //! 13.75 ns, tRFC = 350 ns, a 500 ns row-buffer timeout policy, 256-entry
 //! read/write queues, FR-FCFS-capped bank scheduling with write draining,
 //! 8 ranks × 16 banks per channel, and either 1 or 8 channels with the
-//! paper's bits-8..10 channel interleaving (§VI-D).
+//! paper's bits-8..10 channel interleaving (§VI-D). The timing values are
+//! constants in [`config`]; a [`DramConfig`] holds only the channel count
+//! and the queue capacity.
 //!
 //! The model is request-level: each 64 B access occupies its bank for the
 //! appropriate activate/column timing and the shared data bus for one
@@ -41,7 +43,7 @@ pub mod stats;
 
 pub use channel::{Completion, PumpResult};
 pub use config::DramConfig;
-pub use fault::{FaultClass, FaultConfig, FaultEvent, FaultModel, PlantedFault};
+pub use fault::{Fault, FaultClass, FaultConfig, FaultEvent, FaultModel};
 pub use mapping::AddressMapping;
 pub use request::{DramRequest, RequestClass, RequestId};
 pub use stats::DramStats;

@@ -8,6 +8,8 @@
 
 use emcc_sim::LineAddr;
 
+use crate::config::{BANKS_PER_RANK, RANKS};
+
 /// Decoded location of a line in the DRAM system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramLocation {
@@ -29,10 +31,8 @@ pub struct AddressMapping {
 
 /// Column bits within a row: 8 KB rows = 128 lines.
 const COL_BITS: u32 = 7;
-/// 16 banks per rank.
-const BANK_BITS: u32 = 4;
-/// 8 ranks.
-const RANK_BITS: u32 = 3;
+const BANK_BITS: u32 = BANKS_PER_RANK.trailing_zeros();
+const RANK_BITS: u32 = RANKS.trailing_zeros();
 
 impl AddressMapping {
     /// Creates a mapping for the given channel count (power of two).

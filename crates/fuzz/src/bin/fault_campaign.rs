@@ -32,10 +32,11 @@ use emcc_fuzz::oracle::{report_laws, SCHEMES};
 use proptest::shrink::Shrink;
 
 const CLASSES: [FaultClass; 5] = FaultClass::all();
-/// Per-read fault rates; the smoke campaign runs the first.
-const RATES: [f64; 3] = [0.05, 0.01, 0.15];
+/// Per-read fault rates in parts per million; the smoke campaign runs the
+/// first.
+const RATES_PPM: [u32; 3] = [50_000, 10_000, 150_000];
 /// Cells in one sweep.
-const CELLS: u64 = (RATES.len() * SCHEMES.len() * CLASSES.len()) as u64;
+const CELLS: u64 = (RATES_PPM.len() * SCHEMES.len() * CLASSES.len()) as u64;
 /// Operations per core.
 const OPS: u64 = 4_000;
 
@@ -50,14 +51,14 @@ struct Cell {
 }
 
 impl Cell {
-    /// The cell's placement, fault class and rate.
-    fn point(self) -> (SecurityScheme, FaultClass, f64) {
+    /// The cell's placement, fault class and rate in parts per million.
+    fn point(self) -> (SecurityScheme, FaultClass, u32) {
         let i = self.index as usize;
         let per_rate = SCHEMES.len() * CLASSES.len();
         (
             SCHEMES[i % per_rate / CLASSES.len()],
             CLASSES[i % CLASSES.len()],
-            RATES[i / per_rate],
+            RATES_PPM[i / per_rate],
         )
     }
 }
@@ -100,9 +101,9 @@ impl Campaign for FaultCampaign {
     }
 
     fn run(&self, cell: &Cell) -> (SimReport, Vec<String>) {
-        let (scheme, class, rate) = cell.point();
-        let mut cfg =
-            SystemConfig::table_i(scheme).with_fault(FaultConfig::uniform(cell.seed, class, rate));
+        let (scheme, class, rate_ppm) = cell.point();
+        let mut cfg = SystemConfig::table_i(scheme)
+            .with_fault(FaultConfig::uniform(cell.seed, class, rate_ppm));
         // The shadow checker diffs the timing tree against a counter-based
         // functional model; only counter placements have tree state to diff.
         cfg.shadow_check = scheme.placement().uses_counters();
@@ -121,7 +122,8 @@ impl Campaign for FaultCampaign {
     }
 
     fn verdict(i: usize, cell: &Cell, outcome: Result<&(SimReport, Vec<String>), &str>) -> String {
-        let (scheme, class, rate) = cell.point();
+        let (scheme, class, rate_ppm) = cell.point();
+        let rate = f64::from(rate_ppm) / 1e6;
         let seed = Self::case_seed(cell.seed, cell.index);
         let head = format!(
             "case {i:>3} seed {seed:#x} {:<10} {:<14} {rate:.2}",
@@ -148,8 +150,8 @@ impl Campaign for FaultCampaign {
     }
 
     fn encode(cell: &Cell) -> String {
-        let (scheme, class, rate) = cell.point();
-        let about = format!("{scheme} {class} at rate {rate:.2}");
+        let (scheme, class, rate_ppm) = cell.point();
+        let about = format!("{scheme} {class} at rate {:.2}", f64::from(rate_ppm) / 1e6);
         let header = [
             "emcc fault-campaign reproducer — replay via `fault_campaign --replay <file>`",
             &about,
@@ -204,10 +206,10 @@ mod tests {
         distinct.sort();
         distinct.dedup();
         assert_eq!(distinct.len(), 90);
-        assert!((0..30).all(|i| case(7, i).point().2 == 0.05));
+        assert!((0..30).all(|i| case(7, i).point().2 == 50_000));
         assert_eq!(
             case(7, 10).point(),
-            (SecurityScheme::Emcc, FaultClass::BitFlip, 0.05)
+            (SecurityScheme::Emcc, FaultClass::BitFlip, 50_000)
         );
     }
 

@@ -1,11 +1,10 @@
 //! Fuzz cases: a seeded random system configuration + access trace.
 
 use emcc::counters::CounterDesign;
-use emcc::dram::{DramConfig, FaultClass, FaultConfig};
+use emcc::dram::{DramConfig, Fault, FaultClass, FaultConfig};
 use emcc::noc::Mesh;
 use emcc::secmem::SecurityScheme;
-use emcc::sim::LineAddr;
-use emcc::sim::{Rng64, Time};
+use emcc::sim::{LineAddr, Rng64};
 use emcc::system::SystemConfig;
 use emcc::workloads::phases::mixed_ops;
 use emcc::workloads::{MemOp, Trace, TraceSource};
@@ -32,54 +31,6 @@ impl FuzzOp {
             is_write: self.write,
             gap: self.gap,
             depends_on_prev: self.dep,
-        }
-    }
-}
-
-/// The case's DRAM fault plan, in a form that serializes exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// No injection: behaviorally identical to the fault-free model.
-    None,
-    /// One fault planted at a specific line and read ordinal.
-    Planted {
-        /// Target line.
-        line: u64,
-        /// `FaultClass::index()` of the injected class.
-        class: usize,
-        /// Which read of the line triggers injection (0 = first).
-        on_read: u64,
-    },
-    /// Uniform per-read injection of one class.
-    Uniform {
-        /// `FaultClass::index()` of the injected class.
-        class: usize,
-        /// Rate in parts-per-million (integral, so cases hash and
-        /// serialize exactly).
-        rate_ppm: u32,
-    },
-}
-
-impl FaultPlan {
-    /// Expands the plan to the simulator's fault configuration.
-    pub fn to_config(self, seed: u64) -> Option<FaultConfig> {
-        match self {
-            FaultPlan::None => None,
-            FaultPlan::Planted {
-                line,
-                class,
-                on_read,
-            } => Some(FaultConfig::planted_at(
-                seed,
-                LineAddr::new(line),
-                FaultClass::all()[class],
-                on_read,
-            )),
-            FaultPlan::Uniform { class, rate_ppm } => Some(FaultConfig::uniform(
-                seed,
-                FaultClass::all()[class],
-                f64::from(rate_ppm) / 1e6,
-            )),
         }
     }
 }
@@ -129,8 +80,9 @@ pub struct FuzzCase {
     pub aes_to_l2_pct: u32,
     /// EMCC L2 counter budget in lines.
     pub budget_lines: u64,
-    /// DRAM fault plan.
-    pub fault: FaultPlan,
+    /// The DRAM fault, seeded with [`Self::seed`]; `None` injects
+    /// nothing.
+    pub fault: Option<Fault>,
     /// The access trace (replayed cyclically).
     pub trace: Vec<FuzzOp>,
 }
@@ -157,16 +109,16 @@ impl FuzzCase {
         let cores = 1 + rng.index(2);
         let ops_per_core = (trace_len as u64) * (1 + rng.below(3));
         let fault = match rng.index(10) {
-            0..=5 => FaultPlan::None,
-            6..=8 => FaultPlan::Planted {
-                line: trace[rng.index(trace.len())].line,
-                class: rng.index(5),
+            0..=5 => None,
+            6..=8 => Some(Fault::Planted {
+                line: LineAddr::new(trace[rng.index(trace.len())].line),
+                class: FaultClass::all()[rng.index(5)],
                 on_read: rng.below(3),
-            },
-            _ => FaultPlan::Uniform {
-                class: rng.index(5),
+            }),
+            _ => Some(Fault::Uniform {
+                class: FaultClass::all()[rng.index(5)],
                 rate_ppm: [1_000u32, 10_000][rng.index(2)],
-            },
+            }),
         };
         FuzzCase {
             seed,
@@ -243,13 +195,15 @@ impl FuzzCase {
             "aes_to_l2_pct must be 1..=99",
         )?;
         check(self.budget_lines >= 1, "budget_lines must be >= 1")?;
-        if let FaultPlan::Planted { line, class, .. } = self.fault {
-            check(line < self.data_lines, "planted fault line out of range")?;
-            check(class < 5, "planted fault class out of range")?;
-        }
-        if let FaultPlan::Uniform { class, rate_ppm } = self.fault {
-            check(class < 5, "uniform fault class out of range")?;
-            check(rate_ppm <= 1_000_000, "uniform fault rate above 100%")?;
+        match self.fault {
+            Some(Fault::Planted { line, .. }) => check(
+                line.get() < self.data_lines,
+                "planted fault line out of range",
+            )?,
+            Some(Fault::Uniform { rate_ppm, .. }) => {
+                check(rate_ppm <= 1_000_000, "uniform fault rate above 100%")?
+            }
+            None => {}
         }
         Ok(())
     }
@@ -276,14 +230,16 @@ impl FuzzCase {
         cfg.inclusive_llc = self.inclusive;
         cfg.l2_prefetch_degree = self.prefetch;
         cfg.emcc.l2_counter_budget_lines = self.budget_lines;
-        cfg.emcc.aes_fraction_to_l2 = f64::from(self.aes_to_l2_pct) / 100.0;
+        cfg.emcc.aes_to_l2_pct = self.aes_to_l2_pct;
         cfg.data_lines = self.data_lines;
-        cfg.max_sim_time = Time::from_ms(400);
         cfg.seed = self.seed;
-        cfg.fault = self.fault.to_config(self.seed);
+        cfg.fault = self.fault.map(|fault| FaultConfig {
+            seed: self.seed,
+            fault,
+        });
         // The shadow checker diffs the timing tree against a counter-based
         // functional model; only counter placements have tree state to diff.
-        cfg.shadow_check = scheme.placement().uses_counters() && self.fault == FaultPlan::None;
+        cfg.shadow_check = scheme.placement().uses_counters() && self.fault.is_none();
         cfg
     }
 
@@ -324,8 +280,8 @@ impl Shrink for FuzzCase {
         if self.cores > 1 {
             out.push(with(&|c| c.cores = 1));
         }
-        if self.fault != FaultPlan::None {
-            out.push(with(&|c| c.fault = FaultPlan::None));
+        if self.fault.is_some() {
+            out.push(with(&|c| c.fault = None));
         }
         if self.xpt {
             out.push(with(&|c| c.xpt = false));
@@ -417,7 +373,7 @@ mod tests {
         assert_eq!(m.value.trace.len(), 1);
         assert_eq!(m.value.cores, 1);
         assert_eq!(m.value.ops_per_core, 1);
-        assert_eq!(m.value.fault, FaultPlan::None);
+        assert_eq!(m.value.fault, None);
         assert!(m.value.total_accesses() <= 32);
     }
 

@@ -9,9 +9,11 @@
 
 use std::path::{Path, PathBuf};
 
+use emcc::dram::{Fault, FaultClass};
+use emcc::sim::LineAddr;
 use emcc_bench::record::{self, variant, Fields, Record};
 
-use crate::case::{FaultPlan, FuzzCase, FuzzOp};
+use crate::case::{FuzzCase, FuzzOp};
 
 /// A corpus file that failed to load: the path plus why.
 ///
@@ -81,14 +83,18 @@ pub fn load_dir(dir: &Path) -> (Vec<(PathBuf, FuzzCase)>, Vec<CorpusError>) {
 /// Serializes a case to corpus text.
 pub fn to_ron(case: &FuzzCase) -> String {
     let fault = match case.fault {
-        FaultPlan::None => "None".to_string(),
-        FaultPlan::Planted {
+        None => "None".to_string(),
+        Some(Fault::Planted {
             line,
             class,
             on_read,
-        } => format!("Planted(line: {line}, class: {class}, on_read: {on_read})"),
-        FaultPlan::Uniform { class, rate_ppm } => {
-            format!("Uniform(class: {class}, rate_ppm: {rate_ppm})")
+        }) => format!(
+            "Planted(line: {}, class: {}, on_read: {on_read})",
+            line.get(),
+            class.index()
+        ),
+        Some(Fault::Uniform { class, rate_ppm }) => {
+            format!("Uniform(class: {}, rate_ppm: {rate_ppm})", class.index())
         }
     };
     let mut fields = scalars(case);
@@ -110,17 +116,25 @@ pub fn to_ron(case: &FuzzCase) -> String {
 /// missing/duplicate keys, or a case that fails [`FuzzCase::validate`].
 pub fn from_ron(text: &str) -> Result<FuzzCase, String> {
     let rec = Record::parse(text, "FuzzCase")?;
+    // A fault class is written as its `FaultClass::index`.
+    let class = |a: &Fields| -> Result<FaultClass, String> {
+        let index: usize = a.get("class")?;
+        FaultClass::all()
+            .get(index)
+            .copied()
+            .ok_or_else(|| format!("invalid case: fault class {index} out of range"))
+    };
     let fault = match variant(rec.fields.raw("fault")?)? {
-        ("None", _) => FaultPlan::None,
-        ("Planted", a) => FaultPlan::Planted {
-            line: a.get("line")?,
-            class: a.get("class")?,
+        ("None", _) => None,
+        ("Planted", a) => Some(Fault::Planted {
+            line: LineAddr::new(a.get("line")?),
+            class: class(&a)?,
             on_read: a.get("on_read")?,
-        },
-        ("Uniform", a) => FaultPlan::Uniform {
-            class: a.get("class")?,
+        }),
+        ("Uniform", a) => Some(Fault::Uniform {
+            class: class(&a)?,
             rate_ppm: a.get("rate_ppm")?,
-        },
+        }),
         (other, _) => return Err(format!("unknown fault plan `{other}`")),
     };
     let op = |t: &Fields| -> Result<FuzzOp, String> {
@@ -150,7 +164,7 @@ macro_rules! scalar_fields {
             vec![$((stringify!($f), case.$f.to_string())),*]
         }
 
-        fn with_scalars(f: &Fields, fault: FaultPlan, trace: Vec<FuzzOp>) -> Result<FuzzCase, String> {
+        fn with_scalars(f: &Fields, fault: Option<Fault>, trace: Vec<FuzzOp>) -> Result<FuzzCase, String> {
             Ok(FuzzCase { $($f: f.get(stringify!($f))?,)* fault, trace })
         }
     };

@@ -29,5 +29,5 @@ pub mod case;
 pub mod corpus;
 pub mod oracle;
 
-pub use case::{FaultPlan, FuzzCase, FuzzOp};
+pub use case::{FuzzCase, FuzzOp};
 pub use oracle::{check_case, OracleReport};

@@ -527,7 +527,6 @@ fn fnv_mix(state: &mut u64, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::FaultPlan;
     use emcc::dram::{FaultClass, FaultConfig};
 
     #[test]
@@ -535,7 +534,7 @@ mod tests {
         let mut case = FuzzCase::generate(11);
         case.trace.truncate(24);
         case.ops_per_core = 24;
-        case.fault = FaultPlan::None;
+        case.fault = None;
         let rep = check_case(&case);
         assert!(rep.ok(), "unexpected failures: {:#?}", rep.failures);
         assert_eq!(rep.combos, 18);
@@ -568,7 +567,7 @@ mod tests {
         let cfg = SystemConfig::table_i(scheme).with_fault(FaultConfig::uniform(
             1,
             FaultClass::BitFlip,
-            0.05,
+            50_000,
         ));
         let r = SimReport {
             mem_ops: cfg.cores as u64 * 100,

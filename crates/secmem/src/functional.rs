@@ -231,9 +231,15 @@ impl FunctionalSecureMemory {
     /// Returns [`ReadError::MacMismatch`] when the stored MAC fails to
     /// verify — tampering or replay.
     pub fn read(&self, line: LineAddr) -> Result<DataBlock, ReadError> {
-        let Some(stored) = self.store.get(&line) else {
-            return Ok(DataBlock::default());
-        };
+        match self.store.get(&line) {
+            None => Ok(DataBlock::default()),
+            Some(stored) => self.open(line, stored),
+        }
+    }
+
+    /// Verifies `stored`, the image of `line`, against its MAC and
+    /// decrypts it.
+    fn open(&self, line: LineAddr, stored: &StoredLine) -> Result<DataBlock, ReadError> {
         let counter = self.tree.data_counter(line);
         let addr = line.base().get();
         if !self
@@ -505,6 +511,22 @@ impl FunctionalSecureMemory {
     pub fn read_checked(&self, line: LineAddr) -> Result<DataBlock, ReadError> {
         self.verify_path(line)?;
         self.read(line)
+    }
+
+    /// [`Self::read_checked`] of a line that has been written; `None` for
+    /// a never-written line, which holds no MAC, once [`Self::check_path`]
+    /// passes over it. One store lookup.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read_checked`] for a written line, as
+    /// [`Self::check_path`] for a never-written one.
+    pub fn read_stored(&self, line: LineAddr) -> Result<Option<DataBlock>, ReadError> {
+        let Some(stored) = self.store.get(&line) else {
+            return self.check_path(line).map(|()| None);
+        };
+        self.verify_path(line)?;
+        self.open(line, stored).map(Some)
     }
 
     /// Every line that has been written, with its stored image, in

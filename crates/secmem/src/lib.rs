@@ -21,6 +21,10 @@
 //!   checkpoints, verified recovery, and one request-level mechanism per
 //!   failure (append retries, backpressure, degraded read-only mode).
 //!
+//! What the timing simulator does after a failed verification (a bounded
+//! re-fetch, and an EMCC L2's fall-back to MC-side verification) is a
+//! fixed policy of `emcc-system`, not configured here.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,7 +44,6 @@ pub mod overflow;
 pub mod placement;
 pub mod scheme;
 pub mod service;
-pub mod verify;
 
 pub use engine::AesPool;
 pub use functional::{FunctionalSecureMemory, ReadError, StoredLine, WriteLog};
@@ -51,4 +54,3 @@ pub use service::{
     recover, MemoryAdt, RecoveryError, RecoveryReport, SecureMemoryService, ServiceConfig,
     ServiceError,
 };
-pub use verify::{RecoveryConfig, RetryPolicy};

@@ -428,13 +428,7 @@ impl<B: StorageBackend> SecureMemoryService<B> {
         core: &mut Core<B>,
         line: LineAddr,
     ) -> Result<Option<DataBlock>, ServiceError> {
-        let read = match core.mem.raw(line) {
-            // A never-written line holds no MAC to check, but the tree path
-            // over it can still be tampered.
-            None => core.mem.check_path(line).map(|()| None),
-            Some(_) => core.mem.read_checked(line).map(Some),
-        };
-        match read {
+        match core.mem.read_stored(line) {
             Ok(v) => {
                 // Only a verified stored line breaks a failure streak.
                 if v.is_some() {

@@ -39,7 +39,7 @@ fn default_budget_is_32kb() {
 fn zero_l2_aes_means_full_offload() {
     // Moving 0% of AES units to L2 degenerates EMCC to MC-side crypto.
     let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
-    cfg.emcc.aes_fraction_to_l2 = 0.0;
+    cfg.emcc.aes_to_l2_pct = 0;
     let r = run_cfg(Benchmark::Canneal, cfg);
     assert_eq!(r.decrypted_at_l2, 0, "no L2 AES bandwidth, no L2 decrypts");
     assert!(r.decrypted_at_mc > 0);
@@ -48,13 +48,13 @@ fn zero_l2_aes_means_full_offload() {
 #[test]
 fn more_l2_aes_fraction_decrypts_more_at_l2() {
     // Fig 19's monotonic trend.
-    let frac_at = |f: f64| {
+    let frac_at = |pct: u32| {
         let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
-        cfg.emcc.aes_fraction_to_l2 = f;
+        cfg.emcc.aes_to_l2_pct = pct;
         run_cfg(Benchmark::Mcf, cfg).l2_decrypt_frac()
     };
-    let lo = frac_at(0.2);
-    let hi = frac_at(0.8);
+    let lo = frac_at(20);
+    let hi = frac_at(80);
     assert!(
         hi >= lo - 0.02,
         "more AES at L2 must not decrease L2 decrypt share ({lo:.2} -> {hi:.2})"
@@ -158,7 +158,6 @@ fn dynamic_disable_turns_emcc_off_for_cache_friendly_phases() {
     // fraction) should trip the intensity sampler and disable EMCC.
     let mut cfg = SystemConfig::table_i(SecurityScheme::Emcc);
     cfg.emcc.dynamic_disable = true;
-    cfg.emcc.intensity_window = 512;
     // A fully L2-resident loop: 4096 hot lines reused forever.
     let hot_ops: Vec<emcc::workloads::MemOp> = (0..4096u64)
         .map(|i| emcc::workloads::MemOp::load(emcc::sim::LineAddr::new(i), 5))
