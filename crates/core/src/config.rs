@@ -141,8 +141,6 @@ pub struct SystemConfig {
     pub data_lines: u64,
     /// Hard wall-clock limit in simulated time (safety net).
     pub max_sim_time: Time,
-    /// RNG seed for tie-breaking decisions.
-    pub seed: u64,
     /// Optional DRAM fault injection (fault campaigns); `None` disables
     /// injection entirely and is behaviorally identical to the seed model.
     pub fault: Option<FaultConfig>,
@@ -177,7 +175,6 @@ impl SystemConfig {
             emcc: EmccConfig::default(),
             data_lines: 1 << 31,
             max_sim_time: Time::from_ms(400),
-            seed: 0xE3CC,
             fault: None,
             shadow_check: false,
         }

@@ -187,9 +187,9 @@ impl CoreModel {
         })
     }
 
-    /// Marks a load complete at `now`; returns true if the core might now
-    /// be able to advance (the caller should re-run [`Self::advance`]).
-    pub fn complete_load(&mut self, token: u64, now: Time) -> bool {
+    /// Marks a load complete at `now`; the core may then be able to
+    /// advance (the caller should re-run [`Self::advance`]).
+    pub fn complete_load(&mut self, token: u64, now: Time) {
         for l in &mut self.in_flight {
             if l.inst_index == token {
                 l.done = true;
@@ -203,7 +203,6 @@ impl CoreModel {
         while matches!(self.in_flight.front(), Some(l) if l.done) {
             self.in_flight.pop_front();
         }
-        true
     }
 }
 

@@ -2,18 +2,20 @@
 //! fetch + integrity verification, write-backs, overflow re-encryption and
 //! DRAM glue.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use emcc_cache::{BlockKind, SetAssocCache};
+use emcc_counters::TreeGeometry;
 use emcc_crypto::DataBlock;
 use emcc_dram::config::DRAM_TCK;
 use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
 use emcc_secmem::{AesPool, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
-use emcc_sim::{FastHashMap, LineAddr, Time};
+use emcc_sim::{EventQueue, FastHashMap, LineAddr, Time};
 
 use crate::config::{COUNTER_DECODE, MC_CACHE_LATENCY, XOR_AND_COMPARE};
-use crate::report::CtrSource;
+use crate::report::{CtrSource, SimReport};
 use crate::system::{Ev, SecureSystem, TxnId};
 
 /// Re-fetches after a failed verification before the line is delivered
@@ -30,6 +32,40 @@ pub const L2_FALLBACK_THRESHOLD: u32 = 4;
 /// [`MAX_RETRIES`] re-fetches are spent.
 fn retry_backoff(attempts: u32) -> Option<Time> {
     (attempts < MAX_RETRIES).then(|| DRAM_TCK * (RETRY_BASE_TICKS << attempts))
+}
+
+// The paper (§IV-D) specifies detection: a MAC mismatch raises an
+// ECC-style machine-check interrupt. What follows is the timing model's
+// fixed policy: a bounded re-fetch with exponential backoff in DRAM clock
+// ticks, and an EMCC L2 that keeps failing its local verify falls back to
+// MC-side verification.
+impl SimReport {
+    /// The one integrity-failure path (L2 verify, MC MAC compare, tree
+    /// walk): accounts `n` failures detected `latency` after the bad read
+    /// arrived and decides recovery. `Some(backoff)` means re-fetch after
+    /// `backoff` (the caller counts the attempt); `None` means `attempts`
+    /// retries spent the budget, so the failures stay unrecovered and the
+    /// access proceeds with the poisoned data (machine-check semantics:
+    /// the OS would contain it; cores never wedge).
+    pub(crate) fn integrity_failure(
+        &mut self,
+        n: u64,
+        latency: Time,
+        attempts: u32,
+    ) -> Option<Time> {
+        self.faulty_reads += n;
+        self.integrity_violations += n;
+        for _ in 0..n {
+            self.detection_latency_ns.add_time(latency);
+        }
+        let backoff = retry_backoff(attempts);
+        if backoff.is_some() {
+            self.integrity_retries += 1;
+        } else {
+            self.integrity_unrecovered += n;
+        }
+        backoff
+    }
 }
 
 /// Who asked for a counter block.
@@ -98,6 +134,79 @@ pub(crate) struct CtrTxn {
     pub retries: u32,
 }
 
+impl CtrTxn {
+    /// Starts this resolution's DRAM walk for level-0 block `block`: the
+    /// block, then each ancestor up to the first one resident (verified)
+    /// in the MC cache `meta`, which the walk touches so hot tree nodes
+    /// stay cached. Returns the nodes to fetch, the block first.
+    fn start_walk(
+        &mut self,
+        block: LineAddr,
+        geometry: &TreeGeometry,
+        meta: &mut SetAssocCache<BlockKind>,
+    ) -> Vec<LineAddr> {
+        let (level0, idx0) = geometry.node_of_addr(block);
+        debug_assert_eq!(level0, 0);
+        let mut nodes = vec![block];
+        let mut cur = (0u32, idx0);
+        while let Some((lvl, idx)) = geometry.parent_of(cur.0, cur.1) {
+            let addr = geometry.node_addr(lvl, idx);
+            if meta.touch(addr) {
+                break;
+            }
+            nodes.push(addr);
+            cur = (lvl, idx);
+        }
+        self.dram_started = true;
+        self.pending_fetches = nodes.len() as u32;
+        self.fetched_ancestors = nodes[1..].to_vec();
+        self.source.get_or_insert(CtrSource::Dram);
+        nodes
+    }
+
+    /// One node of the walk for `block` arrived from DRAM at `now`. Once
+    /// all have, each fetched level is verified (one MAC AES per level,
+    /// pipelined on the MC's read pool `aes`) and the counter decoded.
+    /// Returns the event that follows, and when: `McCtrReady`, or a
+    /// `CtrRefetch` once the backoff has passed if a node failed its
+    /// check and the retry budget lasts.
+    fn node_arrived(
+        &mut self,
+        block: LineAddr,
+        now: Time,
+        aes: &mut AesPool,
+        report: &mut SimReport,
+    ) -> Option<(Time, Ev)> {
+        self.pending_fetches = self.pending_fetches.saturating_sub(1);
+        if self.pending_fetches > 0 {
+            return None;
+        }
+        let levels = self.fetched_ancestors.len() + 1;
+        let corrupt = std::mem::take(&mut self.corrupt);
+        let mut done = now;
+        for _ in 0..levels {
+            let (_, d) = aes.schedule(now);
+            done = done.max(d);
+        }
+        let ready = done + COUNTER_DECODE;
+        if corrupt > 0 {
+            // Counter/tree detection: each corrupted node fails its own
+            // per-level MAC check at verify time. Recovery invalidates the
+            // cached copy and re-walks the tree after a bounded backoff.
+            let detected_after = ready.saturating_sub(now);
+            if let Some(backoff) =
+                report.integrity_failure(u64::from(corrupt), detected_after, self.retries)
+            {
+                self.retries += 1;
+                return Some((ready + backoff, Ev::CtrRefetch { block }));
+            }
+            // Retry budget exhausted: the walk proceeds with the
+            // unverifiable counter.
+        }
+        Some((ready, Ev::McCtrReady { block }))
+    }
+}
+
 /// MC state owned by the system.
 pub(crate) struct McState {
     /// The MC's private metadata cache (Table I: 128 KB, 32-way): level-0
@@ -123,36 +232,40 @@ pub(crate) struct McState {
     /// Optional DRAM fault injector, consulted on every demand/metadata
     /// completion (`None` in fault-free runs — zero behavioral change).
     pub fault: Option<FaultModel>,
+    /// The DRAM schedulers' pending `DramPump` wake, if any.
+    pub dram_pump_at: Option<Time>,
 }
 
-impl SecureSystem {
-    // ----- DRAM plumbing ---------------------------------------------------
-
+impl McState {
+    /// Queues a DRAM request that serves `target` and runs the
+    /// schedulers.
     pub(crate) fn enqueue_dram(
         &mut self,
+        queue: &mut EventQueue<Ev>,
+        now: Time,
         line: LineAddr,
         is_write: bool,
         class: RequestClass,
         target: DramTarget,
     ) {
-        let id = self.mc.next_dram_id;
-        self.mc.next_dram_id += 1;
+        let id = self.next_dram_id;
+        self.next_dram_id += 1;
         let req = if is_write {
             DramRequest::write(id, line, class)
         } else {
             DramRequest::read(id, line, class)
         };
-        self.mc.dram.enqueue(req, self.now);
-        self.mc.dram_targets.insert(id, target);
-        self.pump_dram();
+        self.dram.enqueue(req, now);
+        self.dram_targets.insert(id, target);
+        self.pump_dram(queue, now);
     }
 
-    /// Runs the DRAM schedulers now; true if they issued a request.
-    pub(crate) fn pump_dram(&mut self) -> bool {
-        let next_wake = self.mc.dram.pump(self.now, &mut self.mc.dram_issued);
-        let issued = !self.mc.dram_issued.is_empty();
-        for c in self.mc.dram_issued.drain(..) {
-            self.queue.push(c.done, Ev::DramDone(c));
+    /// Runs the DRAM schedulers at `now`; true if they issued a request.
+    pub(crate) fn pump_dram(&mut self, queue: &mut EventQueue<Ev>, now: Time) -> bool {
+        let next_wake = self.dram.pump(now, &mut self.dram_issued);
+        let issued = !self.dram_issued.is_empty();
+        for c in self.dram_issued.drain(..) {
+            queue.push(c.done, Ev::DramDone(c));
         }
         if let Some(w) = next_wake {
             let need = match self.dram_pump_at {
@@ -161,11 +274,15 @@ impl SecureSystem {
             };
             if need {
                 self.dram_pump_at = Some(w);
-                self.queue.push(w, Ev::DramPump);
+                queue.push(w, Ev::DramPump);
             }
         }
         issued
     }
+}
+
+impl SecureSystem {
+    // ----- DRAM plumbing ---------------------------------------------------
 
     pub(crate) fn dram_done(&mut self, c: Completion) {
         let Some(target) = self.mc.dram_targets.remove(&c.id) else {
@@ -235,12 +352,15 @@ impl SecureSystem {
                 self.try_ship_data(txn_id);
             }
             DramTarget::NodeFetch { ctr_block } => {
-                if fault.is_some() {
-                    if let Some(ctr) = self.mc.ctr_txns.get_mut(&ctr_block) {
-                        ctr.corrupt += 1;
+                if let Some(ctr) = self.mc.ctr_txns.get_mut(&ctr_block) {
+                    ctr.corrupt += u32::from(fault.is_some());
+                    let aes = &mut self.mc.aes;
+                    if let Some((t, ev)) =
+                        ctr.node_arrived(ctr_block, self.now, aes, &mut self.report)
+                    {
+                        self.queue.push(t, ev);
                     }
                 }
-                self.ctr_node_arrived(ctr_block);
             }
             DramTarget::PostedWrite => {}
             DramTarget::Overflow => {
@@ -256,100 +376,68 @@ impl SecureSystem {
                 }
             }
         }
-        self.pump_dram();
+        self.mc.pump_dram(&mut self.queue, self.now);
     }
 
     // ----- Data reads at the MC --------------------------------------------
 
     pub(crate) fn mc_data_req(&mut self, txn_id: TxnId, via_xpt: bool) {
-        // One borrow covers the reads AND the confirmed-miss bookkeeping
-        // (`enqueue_dram` below needs whole-`self`, so the arrival
-        // mutations happen first — nothing in between observes them).
-        let (line, issue_read, confirm, mc_decrypt) = match self.txns.get_mut(&txn_id) {
-            Some(txn) => {
-                let confirm = !(via_xpt || txn.at_mc);
-                if confirm {
-                    txn.at_mc = true;
-                    txn.t_mc_arrival = self.now;
-                    txn.from_dram = true;
-                    // NoC leg: slice (where the miss was classified) to MC.
-                    let from = txn.t_slice_done.unwrap_or(self.now);
-                    txn.spans.push(Span::new(Component::Noc, from, self.now));
-                }
-                let issue_read = !std::mem::replace(&mut txn.dram_issued, true);
-                (txn.line, issue_read, confirm, txn.mc_decrypt)
-            }
-            None => return,
+        let Some(txn) = self.txns.get_mut(&txn_id) else {
+            return;
         };
+        let confirm = !(via_xpt || txn.at_mc);
+        if confirm {
+            txn.at_mc = true;
+            txn.t_mc_arrival = self.now;
+            txn.from_dram = true;
+            // NoC leg: slice (where the miss was classified) to MC.
+            let from = txn.t_slice_done.unwrap_or(self.now);
+            txn.spans.push(Span::new(Component::Noc, from, self.now));
+        }
         // The speculative XPT copy only starts the DRAM read early; the
         // secure pipeline acts on the confirmed miss (Intel XPT semantics:
         // the response still flows through the normal path).
-        if issue_read {
-            self.enqueue_dram(
-                line,
-                false,
-                RequestClass::Data,
-                DramTarget::DataRead {
-                    txn: txn_id,
-                    refetch: false,
-                },
-            );
+        if !std::mem::replace(&mut txn.dram_issued, true) {
+            let target = DramTarget::DataRead {
+                txn: txn_id,
+                refetch: false,
+            };
+            let (queue, now) = (&mut self.queue, self.now);
+            self.mc
+                .enqueue_dram(queue, now, txn.line, false, RequestClass::Data, target);
         }
         if !confirm {
             return;
         }
-        let placement = self.cfg.scheme.placement();
-        if !placement.encrypts {
-            self.try_ship_data(txn_id);
-            return;
-        }
-        if mc_decrypt && placement.uses_counters() {
-            self.mc_resolve_counter_for_read(txn_id);
-        } else {
-            // Direct-cipher placements have no counter stream: the read
-            // waits on data alone and pays its cipher latency at ship.
-            // EMCC non-offload reads: the L2 handles the counter; the MC
-            // ships ciphertext + MAC⊕dot when data arrives — unless a
-            // counter LLC miss later flips this to `mc_decrypt`.
-            self.try_ship_data(txn_id);
-        }
-    }
-
-    /// Baseline / offload path: find the counter for a data read.
-    fn mc_resolve_counter_for_read(&mut self, txn_id: TxnId) {
-        let line = self.txns[&txn_id].line;
-        let block = self.ctr_block_of(line);
-        let lookup_done = self.now + MC_CACHE_LATENCY;
-        if self.mc.meta.touch(block) {
-            let ready = lookup_done + COUNTER_DECODE;
+        if self.cfg.scheme.placement().uses_counters() && txn.mc_decrypt {
+            // Baseline / offload path: find the counter for the read.
+            let block = self.tree.geometry().counter_block_addr(txn.line);
+            if !self.mc.meta.touch(block) {
+                self.mc_fetch_counter(block, CtrJoiner::Read(txn_id));
+                return;
+            }
+            let ready = self.now + MC_CACHE_LATENCY + COUNTER_DECODE;
             // Start the OTP AES as soon as the counter is decoded.
             let aes = self.mc.aes.schedule_span(ready);
-            let txn = self.txns.get_mut(&txn_id).expect("txn exists");
             txn.mc_ctr_ready = Some(aes.end);
             txn.ctr_source = Some(CtrSource::Mc);
             // Metadata-cache lookup + counter decode, then the OTP AES.
             txn.spans
                 .push(Span::new(Component::CtrFetch, self.now, ready));
             txn.spans.push(aes);
-            self.try_ship_data(txn_id);
-        } else {
-            self.mc_fetch_counter(block, CtrJoiner::Read(txn_id));
         }
-    }
-
-    /// The counter block covering a data line, as a metadata line address.
-    pub(crate) fn ctr_block_of(&self, line: LineAddr) -> LineAddr {
-        let idx = self.tree.geometry().counter_block_of(line);
-        self.tree.geometry().node_addr(0, idx)
+        // Counter-free placements wait on data alone; direct ciphers pay
+        // their latency at ship. EMCC non-offload reads: the L2 handles
+        // the counter; the MC ships ciphertext + MAC⊕dot when data
+        // arrives — unless a counter LLC miss later flips this to
+        // `mc_decrypt`.
+        self.try_ship_data(txn_id);
     }
 
     /// Attempts to respond to a data read: requires data from DRAM plus
     /// (for MC-decrypt transactions) the finished OTP.
     pub(crate) fn try_ship_data(&mut self, txn_id: TxnId) {
         let placement = self.cfg.scheme.placement();
-        // Single borrow for the whole decision phase (this runs on every
-        // MC data event, so repeated map walks were real wall-clock);
-        // whole-`self` helpers below force one re-borrow at the end.
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
@@ -390,9 +478,6 @@ impl SecureSystem {
             )
         };
 
-        let core = txn.core;
-        let line = txn.line;
-        let t_arrival = txn.t_mc_arrival;
         // MC-side detection: corrupted data cannot pass the MAC compare
         // that gates a verified ship. Unverified EMCC ships carry the
         // corruption to the requesting L2, whose local verify catches it.
@@ -406,10 +491,11 @@ impl SecureSystem {
                 self.report.silent_corruptions += 1;
             } else {
                 let (comp, cost) = crypt.expect("tamper detection implies crypto cost");
-                let retries = txn.retries;
                 let detected_after = ship_at.saturating_sub(data_at);
-                if let Some(backoff) = self.integrity_failure(1, detected_after, retries) {
-                    let txn = self.txns.get_mut(&txn_id).expect("txn exists");
+                if let Some(backoff) = self
+                    .report
+                    .integrity_failure(1, detected_after, txn.retries)
+                {
                     txn.retries += 1;
                     txn.mc_data_at = None;
                     // The failed MAC compare (or direct-cipher check) is
@@ -429,22 +515,8 @@ impl SecureSystem {
         }
         self.report
             .secure_access_latency_ns
-            .add_time(ship_at.saturating_sub(t_arrival));
-
-        // Response route: MC → owning slice → L2 (both legs carry data).
-        // Inclusive mode mirrors the fill into the slice it passes.
-        self.inclusive_fill(line, verified);
-        let slice = self.slice_of(line);
-        let t = ship_at + self.noc_slice_mc(slice, true) + self.noc_l2_slice(core, slice, true);
-        self.queue.push(
-            t,
-            Ev::L2Fill {
-                txn: txn_id,
-                verified,
-            },
-        );
+            .add_time(ship_at.saturating_sub(txn.t_mc_arrival));
         // Mark shipped so duplicate calls do nothing.
-        let txn = self.txns.get_mut(&txn_id).expect("txn exists");
         txn.mc_data_at = None;
         if let Some((comp, cost)) = crypt {
             // MAC compare (verified), MAC⊕dot generation (EMCC ship), or
@@ -456,6 +528,20 @@ impl SecureSystem {
         if !verified {
             txn.shipped_unverified = true;
         }
+
+        // Response route: MC → owning slice → L2 (both legs carry data).
+        // Inclusive mode mirrors the fill into the slice it passes.
+        let (core, line) = (txn.core, txn.line);
+        self.inclusive_fill(line, verified);
+        let slice = self.slice_map.slice_of(line);
+        let t = ship_at + self.noc.slice_mc(slice, true) + self.noc.l2_slice(core, slice, true);
+        self.queue.push(
+            t,
+            Ev::L2Fill {
+                txn: txn_id,
+                verified,
+            },
+        );
     }
 
     // ----- Counter fetch + verification -------------------------------------
@@ -469,8 +555,10 @@ impl SecureSystem {
     /// resolution whose walk has not started starts it too.
     pub(crate) fn mc_fetch_counter(&mut self, block: LineAddr, joiner: CtrJoiner) {
         let counters_in_llc = self.cfg.scheme.placement().counters_in_llc();
-        let exists = self.mc.ctr_txns.contains_key(&block);
-        let ctr = self.mc.ctr_txns.entry(block).or_default();
+        let (exists, ctr) = match self.mc.ctr_txns.entry(block) {
+            Entry::Occupied(e) => (true, e.into_mut()),
+            Entry::Vacant(e) => (false, e.insert(CtrTxn::default())),
+        };
         let from_l2 = matches!(joiner, CtrJoiner::L2 { .. });
         match joiner {
             CtrJoiner::Read(txn) => ctr.data_waiters.push(txn),
@@ -483,15 +571,13 @@ impl SecureSystem {
                 ctr.llc_reply = true;
             }
         }
-        if exists {
-            if from_l2 && !ctr.dram_started {
-                self.ctr_start_dram_fetch(block);
-            }
+        let walk = if exists {
+            from_l2 && !ctr.dram_started
         } else if counters_in_llc && !from_l2 {
             ctr.llc_reply = true;
             self.report.mc_ctr_reqs_to_llc += 1;
-            let slice = self.slice_of(block);
-            let t = self.now + self.noc_slice_mc(slice, false);
+            let slice = self.slice_map.slice_of(block);
+            let t = self.now + self.noc.slice_mc(slice, false);
             self.queue.push(
                 t,
                 Ev::SliceCtrReq {
@@ -499,129 +585,32 @@ impl SecureSystem {
                     origin: CtrOrigin::Mc,
                 },
             );
+            false
         } else {
-            self.ctr_start_dram_fetch(block);
+            true
+        };
+        if walk {
+            let nodes = ctr.start_walk(block, self.tree.geometry(), &mut self.mc.meta);
+            self.fetch_ctr_nodes(block, nodes);
         }
     }
 
-    /// Fetches the block and its unverified ancestors from DRAM.
-    pub(crate) fn ctr_start_dram_fetch(&mut self, block: LineAddr) {
-        let (level0, idx0) = self.tree.geometry().node_of_addr(block);
-        debug_assert_eq!(level0, 0);
-        // Walk ancestors until one is resident (verified) in the MC cache;
-        // walking *touches* the resident ancestor so hot tree nodes stay
-        // cached.
-        let mut nodes = vec![block];
-        let mut cur = (0u32, idx0);
-        while let Some((lvl, idx)) = self.tree.geometry().parent_of(cur.0, cur.1) {
-            let addr = self.tree.geometry().node_addr(lvl, idx);
-            if self.mc.meta.touch(addr) {
-                break;
-            }
-            nodes.push(addr);
-            cur = (lvl, idx);
-        }
-        let ctr = self.mc.ctr_txns.get_mut(&block).expect("ctr txn exists");
-        ctr.dram_started = true;
-        ctr.pending_fetches = nodes.len() as u32;
-        ctr.fetched_ancestors = nodes[1..].to_vec();
-        if ctr.source.is_none() {
-            ctr.source = Some(CtrSource::Dram);
-        }
+    /// Fetches the nodes of `block`'s counter walk from DRAM, the block
+    /// itself first.
+    fn fetch_ctr_nodes(&mut self, block: LineAddr, nodes: Vec<LineAddr>) {
         for (i, node) in nodes.into_iter().enumerate() {
             let class = if i == 0 {
                 RequestClass::Counter
             } else {
                 RequestClass::TreeNode
             };
-            self.enqueue_dram(
-                node,
-                false,
-                class,
-                DramTarget::NodeFetch { ctr_block: block },
-            );
+            let target = DramTarget::NodeFetch { ctr_block: block };
+            self.mc
+                .enqueue_dram(&mut self.queue, self.now, node, false, class, target);
         }
-    }
-
-    /// One metadata node arrived from DRAM.
-    pub(crate) fn ctr_node_arrived(&mut self, ctr_block: LineAddr) {
-        let Some(ctr) = self.mc.ctr_txns.get_mut(&ctr_block) else {
-            return;
-        };
-        ctr.pending_fetches = ctr.pending_fetches.saturating_sub(1);
-        if ctr.pending_fetches > 0 {
-            return;
-        }
-        // All nodes here: verify each fetched level (one MAC AES per
-        // level, pipelined on the MC pool) then decode the counter.
-        let levels = ctr.fetched_ancestors.len() + 1;
-        let corrupt = std::mem::take(&mut ctr.corrupt);
-        let retries = ctr.retries;
-        let mut done = self.now;
-        for _ in 0..levels {
-            let (_, d) = self.mc.aes.schedule(self.now);
-            done = done.max(d);
-        }
-        let ready = done + COUNTER_DECODE;
-        if corrupt > 0 {
-            // Counter/tree detection: each corrupted node fails its own
-            // per-level MAC check at verify time. Recovery invalidates the
-            // cached copy and re-walks the tree after a bounded backoff.
-            let detected_after = ready.saturating_sub(self.now);
-            if let Some(backoff) =
-                self.integrity_failure(u64::from(corrupt), detected_after, retries)
-            {
-                let ctr = self
-                    .mc
-                    .ctr_txns
-                    .get_mut(&ctr_block)
-                    .expect("ctr txn exists");
-                ctr.retries += 1;
-                self.queue
-                    .push(ready + backoff, Ev::CtrRefetch { block: ctr_block });
-                return;
-            }
-            // Retry budget exhausted: the walk proceeds with the
-            // unverifiable counter.
-        }
-        self.queue.push(ready, Ev::McCtrReady { block: ctr_block });
     }
 
     // ----- Fault recovery ----------------------------------------------------
-    //
-    // The paper (§IV-D) specifies detection: a MAC mismatch raises an
-    // ECC-style machine-check interrupt. What follows is the timing model's
-    // fixed policy: a bounded re-fetch with exponential backoff in DRAM
-    // clock ticks, and an EMCC L2 that keeps failing its local verify
-    // falls back to MC-side verification.
-
-    /// The one integrity-failure path (L2 verify, MC MAC compare, tree
-    /// walk): accounts `n` failures detected `latency` after the bad read
-    /// arrived and decides recovery. `Some(backoff)` means re-fetch after
-    /// `backoff` (the caller counts the attempt); `None` means `attempts`
-    /// retries spent the budget, so the failures stay unrecovered and the
-    /// access proceeds with the poisoned data (machine-check semantics:
-    /// the OS would contain it; cores never wedge).
-    pub(crate) fn integrity_failure(
-        &mut self,
-        n: u64,
-        latency: Time,
-        attempts: u32,
-    ) -> Option<Time> {
-        let r = &mut self.report;
-        r.faulty_reads += n;
-        r.integrity_violations += n;
-        for _ in 0..n {
-            r.detection_latency_ns.add_time(latency);
-        }
-        let backoff = retry_backoff(attempts);
-        if backoff.is_some() {
-            r.integrity_retries += 1;
-        } else {
-            r.integrity_unrecovered += n;
-        }
-        backoff
-    }
 
     /// Drops a counter block's LLC and EMCC L2 copies: stale after a
     /// write-back bumps the counter (Fig 23), suspect after a failed
@@ -634,7 +623,7 @@ impl SecureSystem {
             }
         }
         if placement.counters_in_llc() {
-            let slice = self.slice_of(block);
+            let slice = self.slice_map.slice_of(block);
             self.slices[slice].invalidate(block);
         }
     }
@@ -654,22 +643,21 @@ impl SecureSystem {
         txn.shipped_unverified = false;
         txn.cipher_at = None;
         txn.aes_done = None;
-        let block = self.ctr_block_of(line);
+        let block = self.tree.geometry().counter_block_addr(line);
         self.mc.meta.invalidate(block);
         self.drop_ctr_copies(block);
-        self.enqueue_dram(
-            line,
-            false,
-            RequestClass::Data,
-            DramTarget::DataRead {
-                txn: txn_id,
-                refetch: true,
-            },
-        );
+        let target = DramTarget::DataRead {
+            txn: txn_id,
+            refetch: true,
+        };
+        let (queue, now) = (&mut self.queue, self.now);
+        self.mc
+            .enqueue_dram(queue, now, line, false, RequestClass::Data, target);
         // Direct-cipher placements have no counter to re-resolve; the
-        // refetched data alone re-enters `try_ship_data`.
+        // refetched data alone re-enters `try_ship_data`. Otherwise the
+        // counter, just dropped from the MC cache, joins a resolution.
         if self.cfg.scheme.placement().uses_counters() {
-            self.mc_resolve_counter_for_read(txn_id);
+            self.mc_fetch_counter(block, CtrJoiner::Read(txn_id));
         }
     }
 
@@ -677,12 +665,13 @@ impl SecureSystem {
     /// verification failed (the resolution stays alive; its waiters are
     /// released by the eventual `McCtrReady`).
     pub(crate) fn ctr_refetch(&mut self, block: LineAddr) {
-        if !self.mc.ctr_txns.contains_key(&block) {
+        let Some(ctr) = self.mc.ctr_txns.get_mut(&block) else {
             return;
-        }
+        };
         self.mc.meta.invalidate(block);
+        let nodes = ctr.start_walk(block, self.tree.geometry(), &mut self.mc.meta);
         self.drop_ctr_copies(block);
-        self.ctr_start_dram_fetch(block);
+        self.fetch_ctr_nodes(block, nodes);
     }
 
     /// A counter request (or LLC reply) arrives at the MC.
@@ -701,7 +690,8 @@ impl SecureSystem {
                 // Our own probe missed in LLC: fetch from DRAM.
                 if let Some(ctr) = self.mc.ctr_txns.get_mut(&block) {
                     if !ctr.dram_started {
-                        self.ctr_start_dram_fetch(block);
+                        let nodes = ctr.start_walk(block, self.tree.geometry(), &mut self.mc.meta);
+                        self.fetch_ctr_nodes(block, nodes);
                     }
                 }
             }
@@ -713,27 +703,27 @@ impl SecureSystem {
                 // Borrowing the waiter list while mutating `txns` is fine
                 // (disjoint fields) — no clone of the list per request.
                 let mut reads: Vec<TxnId> = Vec::new();
-                if let Some(waiters) = self.l2_ctr_waiters.get(&(core, block)) {
-                    for txn_id in waiters {
-                        if let Some(txn) = self.txns.get_mut(txn_id) {
-                            // Take over decryption only if the MC has not
-                            // already shipped the ciphertext (fast-DRAM race:
-                            // the L2 then finishes locally once the counter
-                            // arrives).
-                            if !txn.shipped_unverified {
-                                txn.mc_decrypt = true;
-                                txn.ctr_source = Some(CtrSource::Dram);
-                            }
-                        }
+                for &txn_id in self
+                    .l2_ctr_waiters
+                    .get(&(core, block))
+                    .into_iter()
+                    .flatten()
+                {
+                    let Some(txn) = self.txns.get_mut(&txn_id) else {
+                        continue;
+                    };
+                    // Take over decryption only if the MC has not already
+                    // shipped the ciphertext (fast-DRAM race: the L2 then
+                    // finishes locally once the counter arrives).
+                    if !txn.shipped_unverified {
+                        txn.mc_decrypt = true;
+                        txn.ctr_source = Some(CtrSource::Dram);
                     }
-                    // Data transactions already at the MC join as waiters so
-                    // their OTPs start the moment the counter verifies.
-                    reads.extend(
-                        waiters
-                            .iter()
-                            .copied()
-                            .filter(|t| self.txns.get(t).is_some_and(|x| x.at_mc && x.mc_decrypt)),
-                    );
+                    // Data transactions already at the MC join as waiters
+                    // so their OTPs start the moment the counter verifies.
+                    if txn.at_mc && txn.mc_decrypt {
+                        reads.push(txn_id);
+                    }
                 }
                 let exists = self.mc.ctr_txns.contains_key(&block);
                 if self.mc.meta.touch(block) && !exists {
@@ -742,7 +732,7 @@ impl SecureSystem {
                     let ready = self.now + MC_CACHE_LATENCY;
                     self.ctr_reply_to_l2(block, core, ready);
                     for txn_id in reads {
-                        self.mc_ctr_ready_for_txn(txn_id, ready);
+                        self.mc_ctr_ready_for_txn(txn_id, ready, None);
                     }
                     return;
                 }
@@ -764,7 +754,7 @@ impl SecureSystem {
         }
         // Reply to the LLC (the baseline's "second-level counter cache").
         if ctr.llc_reply {
-            let slice = self.slice_of(block);
+            let slice = self.slice_map.slice_of(block);
             let victim = self.slices[slice].insert(
                 block,
                 false,
@@ -779,12 +769,7 @@ impl SecureSystem {
         // Resume MC-side data reads.
         let src = ctr.source.unwrap_or(CtrSource::Dram);
         for txn_id in ctr.data_waiters {
-            if let Some(txn) = self.txns.get_mut(&txn_id) {
-                if txn.ctr_source.is_none() {
-                    txn.ctr_source = Some(src);
-                }
-            }
-            self.mc_ctr_ready_for_txn(txn_id, self.now);
+            self.mc_ctr_ready_for_txn(txn_id, self.now, Some(src));
         }
         // Resume write-backs.
         for line in ctr.wb_waiters {
@@ -792,16 +777,21 @@ impl SecureSystem {
         }
     }
 
-    fn mc_ctr_ready_for_txn(&mut self, txn_id: TxnId, ready: Time) {
+    /// The counter of MC-decrypted read `txn_id` is ready at `ready`,
+    /// found at `src` unless the read already recorded a source: decode
+    /// it, run the OTP AES, and try to ship.
+    fn mc_ctr_ready_for_txn(&mut self, txn_id: TxnId, ready: Time, src: Option<CtrSource>) {
         let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
+        if let Some(src) = src {
+            txn.ctr_source.get_or_insert(src);
+        }
         if !txn.mc_decrypt || txn.mc_ctr_ready.is_some() {
             return;
         }
         let decoded = ready + COUNTER_DECODE;
         let aes = self.mc.aes.schedule_span(decoded);
-        let txn = self.txns.get_mut(&txn_id).expect("txn exists");
         txn.mc_ctr_ready = Some(aes.end);
         // The MC-side counter wait: from this read's arrival at the MC
         // (the walk may predate it) until the counter is decoded.
@@ -813,8 +803,8 @@ impl SecureSystem {
     }
 
     fn ctr_reply_to_l2(&mut self, block: LineAddr, core: usize, ship_at: Time) {
-        let slice = self.slice_of(block);
-        let t = ship_at + self.noc_slice_mc(slice, true) + self.noc_l2_slice(core, slice, true);
+        let slice = self.slice_map.slice_of(block);
+        let t = ship_at + self.noc.slice_mc(slice, true) + self.noc.l2_slice(core, slice, true);
         self.queue.push(t, Ev::L2CtrFill { core, block });
     }
 
@@ -841,7 +831,7 @@ impl SecureSystem {
             }
             return;
         }
-        let block = self.ctr_block_of(line);
+        let block = self.tree.geometry().counter_block_addr(line);
         if self.mc.meta.touch(block) {
             self.mc_do_writeback_with_counter(line);
         } else {
@@ -858,7 +848,7 @@ impl SecureSystem {
             self.mc.deferred_wb.push_back(line);
             return;
         }
-        let block = self.ctr_block_of(line);
+        let block = self.tree.geometry().counter_block_addr(line);
         if let Some(shadow) = self.shadow.as_mut() {
             // Differential oracle: mirror the write-back so both trees see
             // exactly one counter increment per write-back.
@@ -894,7 +884,10 @@ impl SecureSystem {
 
     /// Posts a write-back's DRAM write.
     pub(crate) fn mc_write_issue(&mut self, line: LineAddr) {
-        self.enqueue_dram(line, true, RequestClass::Data, DramTarget::PostedWrite);
+        let (queue, now) = (&mut self.queue, self.now);
+        let target = DramTarget::PostedWrite;
+        self.mc
+            .enqueue_dram(queue, now, line, true, RequestClass::Data, target);
     }
 
     /// Inserts a verified metadata block into the MC cache and writes back
@@ -914,7 +907,9 @@ impl SecureSystem {
             BlockKind::Counter => RequestClass::Counter,
             _ => RequestClass::TreeNode,
         };
-        self.enqueue_dram(addr, true, class, DramTarget::PostedWrite);
+        let target = DramTarget::PostedWrite;
+        self.mc
+            .enqueue_dram(&mut self.queue, self.now, addr, true, class, target);
         let (level, idx) = self.tree.geometry().node_of_addr(addr);
         let r = self.tree.increment_node(level, idx);
         // Mark/insert the parent dirty.
@@ -954,7 +949,10 @@ impl SecureSystem {
             } else {
                 RequestClass::OverflowHigher
             };
-            self.enqueue_dram(req.line, req.is_write, class, DramTarget::Overflow);
+            let (queue, now) = (&mut self.queue, self.now);
+            let target = DramTarget::Overflow;
+            self.mc
+                .enqueue_dram(queue, now, req.line, req.is_write, class, target);
         }
     }
 }

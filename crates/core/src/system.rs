@@ -5,6 +5,8 @@
 //! memory-controller side (secure pipeline, counter fetch/verify,
 //! write-backs, DRAM glue) lives in [`crate::mc`].
 
+use std::collections::hash_map::Entry;
+
 use emcc_cache::{BlockKind, CacheConfig, MshrFile, MshrOutcome, SetAssocCache};
 use emcc_counters::IntegrityTree;
 use emcc_dram::{Completion, FaultClass, FaultModel};
@@ -29,6 +31,10 @@ use crate::xpt::XptPredictor;
 
 /// Transaction identifier for in-flight data reads.
 pub(crate) type TxnId = u64;
+
+/// Key seed of the shadow memory. Keys decide only ciphertexts and MACs,
+/// which the shadow check never compares, so every run uses one seed.
+const SHADOW_KEY_SEED: u64 = 0xE3CC;
 
 /// Simulation events.
 #[derive(Debug)]
@@ -174,6 +180,61 @@ pub(crate) struct L2State {
     pub verify_degraded: bool,
 }
 
+impl L2State {
+    /// Fig 11: marks this L2's copy of counter block `block`, if any,
+    /// used.
+    fn mark_ctr_used(&mut self, block: LineAddr) {
+        if let Some(meta) = self.cache.get_mut(block) {
+            meta.used = true;
+        }
+    }
+}
+
+/// Mesh hop counts of every NoC leg, precomputed: the mesh coordinates
+/// never change, so a message's latency is a table lookup instead of
+/// repeated grid arithmetic.
+pub(crate) struct HopTable {
+    slices: usize,
+    /// Indexed `core * slices + slice`.
+    l2_slice: Vec<u32>,
+    slice_mc: Vec<u32>,
+    l2_mc: Vec<u32>,
+}
+
+impl HopTable {
+    fn new(cfg: &SystemConfig) -> Self {
+        let hops = |tile: usize, to: Node| cfg.mesh.hops(Node::Core(tile), to);
+        HopTable {
+            slices: cfg.llc_slices,
+            l2_slice: (0..cfg.cores)
+                .flat_map(|c| (0..cfg.llc_slices).map(move |s| (c, s)))
+                .map(|(c, s)| hops(cfg.core_position(c), Node::Core(cfg.slice_position(s))))
+                .collect(),
+            slice_mc: (0..cfg.llc_slices)
+                .map(|s| hops(cfg.slice_position(s), Node::Mc(0)))
+                .collect(),
+            l2_mc: (0..cfg.cores)
+                .map(|c| hops(cfg.core_position(c), Node::Mc(0)))
+                .collect(),
+        }
+    }
+
+    /// One way between core `core`'s L2 and LLC slice `slice`.
+    pub(crate) fn l2_slice(&self, core: usize, slice: usize, payload: bool) -> Time {
+        NocLatency::calibrated().one_way(self.l2_slice[core * self.slices + slice], payload)
+    }
+
+    /// One way between LLC slice `slice` and the MC.
+    pub(crate) fn slice_mc(&self, slice: usize, payload: bool) -> Time {
+        NocLatency::calibrated().one_way(self.slice_mc[slice], payload)
+    }
+
+    /// One way between core `core`'s L2 and the MC (the XPT leg).
+    pub(crate) fn l2_mc(&self, core: usize, payload: bool) -> Time {
+        NocLatency::calibrated().one_way(self.l2_mc[core], payload)
+    }
+}
+
 /// An in-flight data read (demand or prefetch).
 #[derive(Debug)]
 pub(crate) struct DataTxn {
@@ -273,16 +334,9 @@ pub struct SecureSystem {
     attributor: Attributor,
     /// Reusable MSHR waiter drain buffer (one per system).
     mshr_scratch: Vec<Waiter>,
-    /// Precomputed mesh hop counts (`core * llc_slices + slice`): the
-    /// mesh coordinates never change, so the per-message hop computation
-    /// is a table lookup instead of repeated grid arithmetic.
-    hops_l2_slice: Vec<u32>,
-    /// Precomputed hop counts from each slice to the MC.
-    hops_slice_mc: Vec<u32>,
-    /// Precomputed hop counts from each core's L2 to the MC.
-    hops_l2_mc: Vec<u32>,
+    /// NoC latency of every leg.
+    pub(crate) noc: HopTable,
     pub(crate) report: SimReport,
-    pub(crate) dram_pump_at: Option<Time>,
     /// Each core's one pending `CoreAdvance` wake, if any. A core waiting
     /// out an instruction gap is woken once at the gap's end, however
     /// many of its loads complete meanwhile (see `core_advance`).
@@ -350,30 +404,8 @@ impl SecureSystem {
             dram_issued: Vec::with_capacity(cfg.dram.channels),
             deferred_wb: std::collections::VecDeque::new(),
             fault: cfg.fault.map(FaultModel::new),
+            dram_pump_at: None,
         };
-        // Mesh coordinates never change after construction, so every
-        // hop count the NoC model can be asked for is precomputed here
-        // once instead of re-derived per message on the hot path.
-        let cfg_ref = &cfg;
-        let hops_l2_slice: Vec<u32> = (0..cfg.cores)
-            .flat_map(|c| {
-                (0..cfg_ref.llc_slices).map(move |s| {
-                    cfg_ref.mesh.hops(
-                        Node::Core(cfg_ref.core_position(c)),
-                        Node::Core(cfg_ref.slice_position(s)),
-                    )
-                })
-            })
-            .collect();
-        let hops_slice_mc: Vec<u32> = (0..cfg.llc_slices)
-            .map(|s| {
-                cfg.mesh
-                    .hops(Node::Core(cfg.slice_position(s)), Node::Mc(0))
-            })
-            .collect();
-        let hops_l2_mc: Vec<u32> = (0..cfg.cores)
-            .map(|c| cfg.mesh.hops(Node::Core(cfg.core_position(c)), Node::Mc(0)))
-            .collect();
         SecureSystem {
             l1: (0..cfg.cores)
                 .map(|_| SetAssocCache::new(CacheConfig::new(cfg.l1_size, cfg.l1_ways)))
@@ -386,7 +418,11 @@ impl SecureSystem {
             slices,
             mc,
             shadow: cfg.shadow_check.then(|| {
-                FunctionalSecureMemory::with_design(cfg.seed, cfg.data_lines, cfg.counter_design)
+                FunctionalSecureMemory::with_design(
+                    SHADOW_KEY_SEED,
+                    cfg.data_lines,
+                    cfg.counter_design,
+                )
             }),
             queue: EventQueue::with_capacity(1 << 16),
             now: Time::ZERO,
@@ -397,11 +433,8 @@ impl SecureSystem {
             waiter_pool: Vec::new(),
             attributor: Attributor::new(),
             mshr_scratch: Vec::new(),
-            hops_l2_slice,
-            hops_slice_mc,
-            hops_l2_mc,
+            noc: HopTable::new(&cfg),
             report: SimReport::default(),
-            dram_pump_at: None,
             advance_at: Vec::new(),
             tracer: TraceRecorder::disabled(),
             warmup_ops: 0,
@@ -410,11 +443,6 @@ impl SecureSystem {
             insts_at_measure_start: 0,
             cfg,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// Runs `ops_per_core` memory operations from each source to
@@ -660,8 +688,8 @@ impl SecureSystem {
             Ev::L2AesStart { txn } => self.l2_aes_start(txn),
             Ev::L2TxnFinish { txn } => self.l2_txn_finish(txn),
             Ev::DramPump => {
-                self.dram_pump_at = None;
-                if !self.pump_dram() {
+                self.mc.dram_pump_at = None;
+                if !self.mc.pump_dram(&mut self.queue, self.now) {
                     self.report.dispatches.idle_dram_pumps += 1;
                 }
             }
@@ -669,25 +697,6 @@ impl SecureSystem {
             Ev::DataRefetch { txn } => self.data_refetch(txn),
             Ev::CtrRefetch { block } => self.ctr_refetch(block),
         }
-    }
-
-    // ----- NoC latency helpers -------------------------------------------
-
-    pub(crate) fn noc_l2_slice(&self, core: usize, slice: usize, payload: bool) -> Time {
-        let hops = self.hops_l2_slice[core * self.cfg.llc_slices + slice];
-        NocLatency::calibrated().one_way(hops, payload)
-    }
-
-    pub(crate) fn noc_slice_mc(&self, slice: usize, payload: bool) -> Time {
-        NocLatency::calibrated().one_way(self.hops_slice_mc[slice], payload)
-    }
-
-    pub(crate) fn noc_l2_mc(&self, core: usize, payload: bool) -> Time {
-        NocLatency::calibrated().one_way(self.hops_l2_mc[core], payload)
-    }
-
-    pub(crate) fn slice_of(&self, line: LineAddr) -> usize {
-        self.slice_map.slice_of(line)
     }
 
     // ----- Core + L1 ------------------------------------------------------
@@ -894,12 +903,12 @@ impl SecureSystem {
             },
         );
 
-        let slice = self.slice_of(line);
-        let t_slice = t_miss + self.noc_l2_slice(core, slice, false);
+        let slice = self.slice_map.slice_of(line);
+        let t_slice = t_miss + self.noc.l2_slice(core, slice, false);
         self.queue.push(t_slice, Ev::SliceDataReq { txn: id });
         if xpt_forwarded {
             self.report.xpt_forwards += 1;
-            let t_mc = t_miss + self.noc_l2_mc(core, false);
+            let t_mc = t_miss + self.noc.l2_mc(core, false);
             self.queue.push(
                 t_mc,
                 Ev::McDataReq {
@@ -917,16 +926,15 @@ impl SecureSystem {
 
     /// EMCC: look the data's counter block up in the local L2.
     fn l2_ctr_lookup(&mut self, txn_id: TxnId) {
-        let Some(txn) = self.txns.get(&txn_id) else {
+        let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
         let core = txn.core;
-        let block = self.ctr_block_of(txn.line);
+        let block = self.tree.geometry().counter_block_addr(txn.line);
 
         if self.l2[core].cache.touch(block) {
             // Counter hit in L2.
             let wait = self.cfg.emcc.aes_start_wait;
-            let txn = self.txns.get_mut(&txn_id).expect("txn exists");
             let start = txn.l2_ctr_usable(CtrSource::L2, self.now, wait);
             self.queue.push(start, Ev::L2AesStart { txn: txn_id });
         } else {
@@ -941,8 +949,8 @@ impl SecureSystem {
             waiters.push(txn_id);
             if waiters.len() == 1 {
                 self.report.l2_ctr_reqs_to_llc += 1;
-                let slice = self.slice_of(block);
-                let t = self.now + self.noc_l2_slice(core, slice, false);
+                let slice = self.slice_map.slice_of(block);
+                let t = self.now + self.noc.l2_slice(core, slice, false);
                 self.queue.push(
                     t,
                     Ev::SliceCtrReq {
@@ -957,14 +965,11 @@ impl SecureSystem {
     // ----- LLC slices -----------------------------------------------------
 
     fn slice_data_req(&mut self, txn_id: TxnId) {
-        let Some(txn) = self.txns.get(&txn_id) else {
+        let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        let line = txn.line;
-        let core = txn.core;
-        let t_miss = txn.t_miss;
-        let xpt_forwarded = txn.xpt_forwarded;
-        let slice = self.slice_of(line);
+        let (line, core) = (txn.line, txn.core);
+        let slice = self.slice_map.slice_of(line);
         let t_lookup = self.now + LLC_SRAM_LATENCY;
         // Inclusive mode: a hit on an *encrypted & unverified* line cannot
         // be served from the LLC; the paper fetches from an owning L2, but
@@ -977,27 +982,21 @@ impl SecureSystem {
         if unverified_hit {
             self.report.llc_unverified_hits += 1;
         }
-        {
-            // Request leg + slice SRAM lookup sit on every miss's path.
-            let txn = self.txns.get_mut(&txn_id).expect("txn exists");
-            txn.spans.push(Span::new(Component::Noc, t_miss, self.now));
-            txn.spans
-                .push(Span::new(Component::LlcLookup, self.now, t_lookup));
-            txn.t_slice_done = Some(t_lookup);
-        }
+        // Request leg + slice SRAM lookup sit on every miss's path.
+        txn.spans
+            .push(Span::new(Component::Noc, txn.t_miss, self.now));
+        txn.spans
+            .push(Span::new(Component::LlcLookup, self.now, t_lookup));
+        txn.t_slice_done = Some(t_lookup);
         if hit {
             self.report.llc_data_hits += 1;
-            if xpt_forwarded {
+            if txn.xpt_forwarded {
                 self.report.xpt_wasted += 1;
             }
             // LLC data is plaintext (it was decrypted on its way into L2
             // originally); respond directly.
-            let t = t_lookup + self.noc_l2_slice(core, slice, true);
-            self.txns
-                .get_mut(&txn_id)
-                .expect("txn exists")
-                .spans
-                .push(Span::new(Component::Noc, t_lookup, t));
+            let t = t_lookup + self.noc.l2_slice(core, slice, true);
+            txn.spans.push(Span::new(Component::Noc, t_lookup, t));
             self.queue.push(
                 t,
                 Ev::L2Fill {
@@ -1007,11 +1006,11 @@ impl SecureSystem {
             );
         } else {
             self.report.llc_data_misses += 1;
-            self.txns.get_mut(&txn_id).expect("txn exists").from_dram = true;
+            txn.from_dram = true;
             // The confirmed miss always travels to the MC: even under XPT
             // (which only started the DRAM read early), the MC's secure
             // pipeline acts on the confirmed request.
-            let t = t_lookup + self.noc_slice_mc(slice, false);
+            let t = t_lookup + self.noc.slice_mc(slice, false);
             self.queue.push(
                 t,
                 Ev::McDataReq {
@@ -1023,7 +1022,7 @@ impl SecureSystem {
     }
 
     fn slice_victim(&mut self, line: LineAddr, dirty: bool, kind: BlockKind) {
-        let slice = self.slice_of(line);
+        let slice = self.slice_map.slice_of(line);
         if kind == BlockKind::Counter {
             // Counter lines in L2 are clean copies; dropping them costs
             // nothing (the LLC may still hold its own copy).
@@ -1058,8 +1057,8 @@ impl SecureSystem {
         // Unverified lines mirror DRAM exactly; nothing to write back.
         let needs_wb = (victim.dirty || newer_dirty_in_l2) && !victim.meta.unverified;
         if needs_wb {
-            let slice = self.slice_of(victim.addr);
-            let t = self.now + self.noc_slice_mc(slice, true);
+            let slice = self.slice_map.slice_of(victim.addr);
+            let t = self.now + self.noc.slice_mc(slice, true);
             self.queue.push(t, Ev::McWriteback { line: victim.addr });
         }
     }
@@ -1070,7 +1069,7 @@ impl SecureSystem {
         if !self.cfg.inclusive_llc {
             return;
         }
-        let slice = self.slice_of(line);
+        let slice = self.slice_map.slice_of(line);
         if !verified {
             self.report.llc_unverified_inserts += 1;
         }
@@ -1083,18 +1082,18 @@ impl SecureSystem {
     }
 
     fn slice_ctr_req(&mut self, block: LineAddr, origin: CtrOrigin) {
-        let slice = self.slice_of(block);
+        let slice = self.slice_map.slice_of(block);
         let t_lookup = self.now + LLC_SRAM_LATENCY;
         if self.slices[slice].touch(block) {
             match origin {
                 CtrOrigin::L2 { core } => {
                     // 'L' + 'M' of Fig 13: data-array read then a payload-
                     // carrying response back to the L2.
-                    let t = t_lookup + self.noc_l2_slice(core, slice, true);
+                    let t = t_lookup + self.noc.l2_slice(core, slice, true);
                     self.queue.push(t, Ev::L2CtrFill { core, block });
                 }
                 CtrOrigin::Mc => {
-                    let t = t_lookup + self.noc_slice_mc(slice, true);
+                    let t = t_lookup + self.noc.slice_mc(slice, true);
                     self.queue.push(
                         t,
                         Ev::McCtrReq {
@@ -1107,7 +1106,7 @@ impl SecureSystem {
             }
         } else {
             // Miss: forward to MC (who will fetch + verify from DRAM).
-            let t = t_lookup + self.noc_slice_mc(slice, false);
+            let t = t_lookup + self.noc.slice_mc(slice, false);
             self.queue.push(t, Ev::McCtrReq { block, origin });
         }
     }
@@ -1115,16 +1114,18 @@ impl SecureSystem {
     // ----- L2 fills and EMCC completion ------------------------------------
 
     fn l2_fill(&mut self, txn_id: TxnId, verified: bool) {
-        let Some(txn) = self.txns.get_mut(&txn_id) else {
+        let Entry::Occupied(mut entry) = self.txns.entry(txn_id) else {
             return;
         };
+        let txn = entry.get_mut();
         // Response NoC legs from the MC ship (LLC-hit responses recorded
         // their leg at the slice).
         if let Some(shipped) = txn.t_shipped.take() {
             txn.spans.push(Span::new(Component::Noc, shipped, self.now));
         }
         if verified {
-            self.complete_txn(txn_id, self.now);
+            let txn = entry.remove();
+            self.complete_txn(txn, self.now);
             return;
         }
         // Unverified ciphertext under EMCC: finish locally once AES done.
@@ -1192,11 +1193,11 @@ impl SecureSystem {
     /// `L2AesStart`: its one counter lookup either hits or parks it in a
     /// waiter list that is drained once.
     fn l2_aes_start(&mut self, txn_id: TxnId) {
-        let Some(txn) = self.txns.get(&txn_id) else {
+        let Some(txn) = self.txns.get_mut(&txn_id) else {
             return;
         };
-        let core = txn.core;
-        let Some(pool) = self.l2[core].aes.as_mut() else {
+        let l2 = &mut self.l2[txn.core];
+        let Some(pool) = l2.aes.as_mut() else {
             return;
         };
         let decoded = self.now + COUNTER_DECODE;
@@ -1204,32 +1205,30 @@ impl SecureSystem {
         let aes = pool.schedule_span(decoded);
         let done = aes.end;
         self.report.l2_aes_queue_ns.add_time(qd);
-        if self.txns[&txn_id].aes_reserved {
-            self.txns.get_mut(&txn_id).expect("txn exists").aes_reserved = false;
-            self.l2[core].aes_reserved = self.l2[core].aes_reserved.saturating_sub(1);
+        if std::mem::take(&mut txn.aes_reserved) {
+            l2.aes_reserved = l2.aes_reserved.saturating_sub(1);
         }
-        let txn = self.txns.get_mut(&txn_id).expect("txn exists");
         txn.aes_done = Some(done);
         // Counter decode, then the (possibly queued) OTP AES.
         txn.spans
             .push(Span::new(Component::CtrFetch, self.now, decoded));
         txn.spans.push(aes);
-        let (line, cipher_at) = (txn.line, txn.cipher_at);
-        if let Some(cipher_at) = cipher_at {
+        if let Some(cipher_at) = txn.cipher_at {
             let t = cipher_at.max(done) + XOR_AND_COMPARE;
             self.queue.push(t, Ev::L2TxnFinish { txn: txn_id });
         }
         // The counter's value is consumed now (AES only starts once an
         // LLC hit has been ruled out).
-        self.mark_l2_ctr_used(core, line);
+        l2.mark_ctr_used(self.tree.geometry().counter_block_addr(txn.line));
     }
 
     fn l2_txn_finish(&mut self, txn_id: TxnId) {
         let now = self.now;
-        let Some(txn) = self.txns.get_mut(&txn_id) else {
+        let Entry::Occupied(mut entry) = self.txns.entry(txn_id) else {
             return;
         };
-        let core = txn.core;
+        let txn = entry.get_mut();
+        let l2 = &mut self.l2[txn.core];
         // Local XOR + MAC compare ends now, whether it passed or
         // detected corruption.
         txn.spans.push(Span::new(
@@ -1237,26 +1236,23 @@ impl SecureSystem {
             now.saturating_sub(XOR_AND_COMPARE),
             now,
         ));
-        let corrupt = txn.corrupt.take().is_some();
-        let cipher_at = txn.cipher_at;
-        let retries = txn.retries;
-        let line = txn.line;
-        if corrupt {
+        if txn.corrupt.take().is_some() {
             // L2-side detection: the locally recomputed MAC half cannot
             // match corrupted ciphertext. Either retry via the MC-verified
             // path or, once the retry budget is spent, deliver the
             // poisoned line.
-            let l2 = &mut self.l2[core];
             l2.verify_fail_streak += 1;
             if !l2.verify_degraded && l2.verify_fail_streak >= L2_FALLBACK_THRESHOLD {
                 l2.verify_degraded = true;
                 self.report.verify_fallbacks += 1;
             }
-            let detected_after = now.saturating_sub(cipher_at.unwrap_or(now));
-            if let Some(backoff) = self.integrity_failure(1, detected_after, retries) {
+            let detected_after = now.saturating_sub(txn.cipher_at.unwrap_or(now));
+            if let Some(backoff) = self
+                .report
+                .integrity_failure(1, detected_after, txn.retries)
+            {
                 // Hand the retry to the MC-verified path so the refetched
                 // line is checked end-to-end before it reaches this L2.
-                let txn = self.txns.get_mut(&txn_id).expect("txn exists");
                 txn.retries += 1;
                 txn.mc_decrypt = true;
                 txn.shipped_unverified = false;
@@ -1267,37 +1263,29 @@ impl SecureSystem {
                 return;
             }
         } else {
-            self.l2[core].verify_fail_streak = 0;
+            l2.verify_fail_streak = 0;
         }
         self.report.decrypted_at_l2 += 1;
-        if let Some(cipher_at) = cipher_at {
+        if let Some(cipher_at) = txn.cipher_at {
             self.report
                 .l2_finish_wait_ns
-                .add_time(self.now.saturating_sub(cipher_at));
+                .add_time(now.saturating_sub(cipher_at));
         }
         // This event follows the AES start, so the counter was used.
-        self.mark_l2_ctr_used(core, line);
-        self.complete_txn(txn_id, self.now);
+        l2.mark_ctr_used(self.tree.geometry().counter_block_addr(txn.line));
+        let txn = entry.remove();
+        self.complete_txn(txn, now);
     }
 
-    /// Final completion: fill caches, wake waiters, record stats.
-    ///
-    /// Removes the transaction up front (completion IS removal — every
-    /// other handler treats an absent transaction as done), so the body
-    /// works on an owned value instead of re-hashing the map per field
-    /// access.
-    pub(crate) fn complete_txn(&mut self, txn_id: TxnId, t: Time) {
-        let txn = self.txns.remove(&txn_id).expect("txn exists");
-        let core = txn.core;
-        let line = txn.line;
-        let is_prefetch = txn.is_prefetch;
-        let t_miss = txn.t_miss;
-        let t_start = txn.t_start;
-        let from_dram = txn.from_dram;
-        let ctr_source = txn.ctr_source;
+    /// Final completion of `txn`, which the caller has removed from the
+    /// in-flight map (completion IS removal — every other handler treats
+    /// an absent transaction as done): fill caches, wake waiters, record
+    /// stats.
+    pub(crate) fn complete_txn(&mut self, txn: DataTxn, t: Time) {
+        let (core, line, t_start) = (txn.core, txn.line, txn.t_start);
         // A speculative XPT read that completed for an access the LLC
         // served: wasted DRAM bandwidth, observed at completion.
-        let xpt_read_wasted = !from_dram && txn.mc_data_at.is_some();
+        let xpt_read_wasted = !txn.from_dram && txn.mc_data_at.is_some();
         let mut spans = txn.spans;
         if txn.aes_reserved {
             self.l2[core].aes_reserved = self.l2[core].aes_reserved.saturating_sub(1);
@@ -1324,9 +1312,9 @@ impl SecureSystem {
             self.report.xpt_wasted_reads += 1;
         }
 
-        if from_dram {
+        if txn.from_dram {
             self.l2[core].window_dram_fills += 1;
-            if let Some(src) = ctr_source {
+            if let Some(src) = txn.ctr_source {
                 self.report.record_ctr_source(src);
             }
             // Completion is the last consumption point: a corruption no
@@ -1336,10 +1324,10 @@ impl SecureSystem {
                 self.report.silent_corruptions += 1;
             }
         }
-        if !is_prefetch {
+        if !txn.is_prefetch {
             self.report
                 .l2_miss_latency_ns
-                .add_time(t.saturating_sub(t_miss));
+                .add_time(t.saturating_sub(txn.t_miss));
         }
 
         // Fill L2; dirty if any waiter was a write (RFO).
@@ -1353,7 +1341,7 @@ impl SecureSystem {
         if let Some(victim) = self.l2[core].cache.insert(line, dirty, meta) {
             self.l2_victim(core, victim);
         }
-        if !is_prefetch {
+        if !txn.is_prefetch {
             self.l1_fill(core, line, false);
         }
         for w in waiters.drain(..) {
@@ -1370,8 +1358,8 @@ impl SecureSystem {
         match victim.meta.kind {
             BlockKind::Counter => self.retire_l2_ctr_line(core, victim.meta.used),
             _ => {
-                let slice = self.slice_of(victim.addr);
-                let t = self.now + self.noc_l2_slice(core, slice, true);
+                let slice = self.slice_map.slice_of(victim.addr);
+                let t = self.now + self.noc.l2_slice(core, slice, true);
                 self.queue.push(
                     t,
                     Ev::SliceVictim {
@@ -1403,14 +1391,6 @@ impl SecureSystem {
             self.report.l2_ctr_useful += 1;
         } else {
             self.report.l2_ctr_useless += 1;
-        }
-    }
-
-    /// Fig 11: marks the L2 copy of `line`'s counter block, if any, used.
-    fn mark_l2_ctr_used(&mut self, core: usize, line: LineAddr) {
-        let block = self.ctr_block_of(line);
-        if let Some(meta) = self.l2[core].cache.get_mut(block) {
-            meta.used = true;
         }
     }
 
@@ -1500,7 +1480,7 @@ mod tests {
             while !sys.tree.would_overflow_data(line) {
                 sys.tree.increment_data(line);
             }
-            let block = sys.ctr_block_of(line);
+            let block = sys.tree.geometry().counter_block_addr(line);
             sys.mc.meta.insert(block, false, BlockKind::Counter);
         }
         for line in lines {
@@ -1521,13 +1501,63 @@ mod tests {
         let mut sys = SecureSystem::new(SystemConfig::table_i(SecurityScheme::Emcc));
         let id = sys.next_txn;
         sys.start_data_txn(0, LineAddr::new(7), false, Time::ZERO);
-        let txn = sys.txns.get_mut(&id).expect("txn started");
+        let mut txn = sys.txns.remove(&id).expect("txn started");
         txn.from_dram = true;
         txn.corrupt = Some(FaultClass::BitFlip);
-        sys.complete_txn(id, Time::from_ns(100));
+        sys.complete_txn(txn, Time::from_ns(100));
         assert_eq!(sys.report.faulty_reads, 1);
         assert_eq!(sys.report.silent_corruptions, 1);
         assert_eq!(sys.report.integrity_violations, 0);
+    }
+
+    /// Every event keyed by a transaction or a counter block is a no-op
+    /// once that read or resolution is gone: completion is removal.
+    #[test]
+    fn events_for_absent_transactions_do_nothing() {
+        let (txn, block, t) = (7, LineAddr::new(7), Time::ZERO);
+        let done = Completion {
+            id: 7,
+            done: t,
+            is_write: false,
+            class: RequestClass::Data,
+            line: block,
+            row_hit: false,
+            enqueued: t,
+            issued: t,
+        };
+        let events = [
+            Ev::L2CtrLookup { txn },
+            Ev::SliceDataReq { txn },
+            Ev::McDataReq {
+                txn,
+                via_xpt: false,
+            },
+            Ev::L2Fill {
+                txn,
+                verified: false,
+            },
+            Ev::L2AesStart { txn },
+            Ev::L2TxnFinish { txn },
+            Ev::DataRefetch { txn },
+            Ev::McCtrReady { block },
+            Ev::CtrRefetch { block },
+            Ev::DramDone(done),
+            Ev::McCtrReq {
+                block,
+                origin: CtrOrigin::LlcHitReply,
+            },
+            Ev::McCtrReq {
+                block,
+                origin: CtrOrigin::Mc,
+            },
+        ];
+        for ev in events {
+            let mut sys = SecureSystem::new(SystemConfig::table_i(SecurityScheme::Emcc));
+            let (name, before) = (format!("{ev:?}"), sys.report.canonical_json());
+            sys.dispatch(ev);
+            assert_eq!(sys.report.canonical_json(), before, "{name}");
+            assert!(sys.queue.is_empty(), "{name} queued an event");
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl TimelineScenario {
 
     fn run(&self) -> (SimReport, AccessTrace) {
         let mut sys = SecureSystem::new(self.config());
-        let block = sys.ctr_block_of(LINE);
+        let block = sys.tree.geometry().counter_block_addr(LINE);
         // Every tree ancestor is verified on chip, so a counter miss
         // costs one DRAM read.
         let geo = sys.tree.geometry();
@@ -123,7 +123,7 @@ impl TimelineScenario {
                 sys.mc.meta.insert(block, false, BlockKind::Counter);
             }
             CtrAt::Llc => {
-                let slice = sys.slice_of(block);
+                let slice = sys.slice_map.slice_of(block);
                 let meta = LlcMeta::verified(BlockKind::Counter);
                 sys.slices[slice].insert(block, false, meta);
             }
@@ -131,7 +131,10 @@ impl TimelineScenario {
         }
         if self.row_open {
             // A read nothing waits on leaves the row open for the load.
-            sys.enqueue_dram(LINE, false, RequestClass::Data, DramTarget::PostedWrite);
+            let queue = &mut sys.queue;
+            let target = DramTarget::PostedWrite;
+            sys.mc
+                .enqueue_dram(queue, sys.now, LINE, false, RequestClass::Data, target);
         }
         let load = Trace::new(self.figure, vec![MemOp::load(LINE, GAP)]).cursor(0);
         let (report, tracer) = sys.run_traced(vec![Box::new(load)], 0, 1, 1);
@@ -147,7 +150,7 @@ pub fn noc_geometry() -> String {
     let cfg = &sys.cfg;
     let (l2, mc) = (Node::Core(cfg.core_position(0)), Node::Mc(0));
     let legs = |line: LineAddr| {
-        let slice = sys.slice_of(line);
+        let slice = sys.slice_map.slice_of(line);
         let at = Node::Core(cfg.slice_position(slice));
         format!(
             "{:#x} in LLC slice {slice} (L2→slice {} hops, slice→MC {} hops)",
@@ -159,7 +162,7 @@ pub fn noc_geometry() -> String {
     format!(
         "Measured line {};\nits counter block {};\nL2→MC (the XPT leg) {} hop(s).",
         legs(LINE),
-        legs(sys.ctr_block_of(LINE)),
+        legs(sys.tree.geometry().counter_block_addr(LINE)),
         cfg.mesh.hops(l2, mc)
     )
 }
@@ -294,10 +297,10 @@ mod tests {
         assert_eq!(mean, 4);
         let map = AddressMapping::new(cfg.dram.channels);
         let fits = |line: LineAddr| {
-            let block = sys.ctr_block_of(line);
+            let block = sys.tree.geometry().counter_block_addr(line);
             let (d, c) = (map.locate(line), map.locate(block));
-            hops(sys.slice_of(line)) == mean
-                && hops(sys.slice_of(block)) == mean
+            hops(sys.slice_map.slice_of(line)) == mean
+                && hops(sys.slice_map.slice_of(block)) == mean
                 && (d.rank, d.bank) != (c.rank, c.bank)
         };
         let first = (0..).map(LineAddr::new).find(|&l| fits(l));

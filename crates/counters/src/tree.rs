@@ -118,6 +118,11 @@ impl TreeGeometry {
         line.get() / self.design.coverage()
     }
 
+    /// Line address of the counter block covering a data line.
+    pub fn counter_block_addr(&self, line: LineAddr) -> LineAddr {
+        self.node_addr(0, self.counter_block_of(line))
+    }
+
     /// The slot within its counter block for a data line.
     pub fn slot_of(&self, line: LineAddr) -> usize {
         (line.get() % self.design.coverage()) as usize

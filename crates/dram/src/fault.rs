@@ -180,8 +180,11 @@ pub struct FaultEvent {
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     cfg: FaultConfig,
-    /// Reads observed per line (indexes planted faults and rate rolls).
+    /// Reads observed per line under a [`Fault::Uniform`] (they index its
+    /// rolls); empty under a planted fault.
     reads: HashMap<LineAddr, u64>,
+    /// Reads of a [`Fault::Planted`]'s target line.
+    target_reads: u64,
     /// Lines currently holding corrupted contents (repaired by writes).
     corrupted: HashMap<LineAddr, FaultClass>,
     /// Hard-stuck lines (never repaired).
@@ -194,20 +197,21 @@ impl FaultModel {
         FaultModel {
             cfg,
             reads: HashMap::new(),
+            target_reads: 0,
             corrupted: HashMap::new(),
             stuck: HashSet::new(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Decides whether a read completion of `line` returns corrupted
     /// contents. Call exactly once per DRAM read completion.
     pub fn on_read(&mut self, line: LineAddr, class: RequestClass) -> Option<FaultEvent> {
-        let n = self.reads.entry(line).or_insert(0);
+        let n = match self.cfg.fault {
+            // A planted fault strikes, and so corrupts, its target alone.
+            Fault::Planted { line: target, .. } if target != line => return None,
+            Fault::Planted { .. } => &mut self.target_reads,
+            Fault::Uniform { .. } => self.reads.entry(line).or_insert(0),
+        };
         let nth = *n;
         *n += 1;
 
@@ -233,11 +237,7 @@ impl FaultModel {
         }
 
         let class = match self.cfg.fault {
-            Fault::Planted {
-                line: target,
-                class,
-                on_read,
-            } => (target == line && on_read == nth).then_some(class),
+            Fault::Planted { class, on_read, .. } => (on_read == nth).then_some(class),
             Fault::Uniform { class, rate_ppm } => self.roll(line, nth, rate_ppm).then_some(class),
         }?;
         self.inject(line, class);
@@ -359,6 +359,22 @@ mod tests {
         assert!(data_read(&mut m, 2).is_none());
         assert!(data_read(&mut m, 2).is_some()); // the scheduled glitch
         assert!(data_read(&mut m, 2).is_none()); // retry succeeds
+    }
+
+    #[test]
+    fn planted_faults_count_only_their_target() {
+        let mut m = FaultModel::new(FaultConfig::planted_at(
+            1,
+            LineAddr::new(3),
+            FaultClass::BitFlip,
+            1,
+        ));
+        for line in [5, 3, 5, 6] {
+            assert!(data_read(&mut m, line).is_none());
+        }
+        assert!(m.reads.is_empty(), "a planted fault keeps no per-line map");
+        assert!(data_read(&mut m, 3).is_some()); // the target's 2nd read
+        assert!(data_read(&mut m, 5).is_none());
     }
 
     #[test]

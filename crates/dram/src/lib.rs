@@ -55,7 +55,6 @@ use channel::DramChannel;
 /// The full DRAM subsystem: one or more channels behind an address map.
 #[derive(Debug)]
 pub struct Dram {
-    config: DramConfig,
     mapping: AddressMapping,
     channels: Vec<DramChannel>,
 }
@@ -67,16 +66,7 @@ impl Dram {
         let channels = (0..config.channels)
             .map(|_| DramChannel::new(config))
             .collect();
-        Dram {
-            config,
-            mapping,
-            channels,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
+        Dram { mapping, channels }
     }
 
     /// The address mapping (exposed so the MC can route invalidations).

@@ -46,7 +46,7 @@ impl Campaign for FuzzCampaign {
     type Outcome = OracleReport;
 
     const NAME: &'static str = "fuzz_sim";
-    const CASES: [usize; 2] = [100, 200];
+    const CASES: [usize; 2] = [200, 100];
     const SEED: u64 = 7;
     const OUT: &'static str = "target/fuzz_verdicts.txt";
     const REPRO_FLAG: &'static str = "--corpus-dir";

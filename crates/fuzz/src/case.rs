@@ -232,7 +232,6 @@ impl FuzzCase {
         cfg.emcc.l2_counter_budget_lines = self.budget_lines;
         cfg.emcc.aes_to_l2_pct = self.aes_to_l2_pct;
         cfg.data_lines = self.data_lines;
-        cfg.seed = self.seed;
         cfg.fault = self.fault.map(|fault| FaultConfig {
             seed: self.seed,
             fault,

@@ -2,7 +2,10 @@
 //!
 //! The smoke campaign's verdict lines (one per case: seed, report digest,
 //! verdict) are deterministic for any `EMCC_JOBS`, so they are diffed byte
-//! for byte against a committed file. Every case also runs the
+//! for byte against a committed file. Case `i` depends only on the seed
+//! and `i`, so the 100 smoke lines are also the first 100 of the default
+//! 200-case campaign, whose file CI compares with this one through
+//! `head -n 100`. Every case also runs the
 //! crash-recovery oracle over the secure-memory service, so a change that
 //! moves a simulated report or a service verdict shows here and must come
 //! with a reviewed snapshot update:
