@@ -3,10 +3,12 @@
 //!
 //! The smoke pass runs every figure at `Test` scale, which is fast and
 //! bit-deterministic, so its stdout can be diffed byte-for-byte against
-//! a committed snapshot, and so can the host work it did: the event
-//! dispatches per kind summed over its runs. Any change to a figure's
-//! numbers or to that work — intended or not — must come with a reviewed
-//! snapshot update:
+//! a committed snapshot, and so can its `--csv` tables and the host work
+//! it did: the event dispatches per kind summed over its runs. The
+//! tables carry 6 decimals where stdout rounds to 0.1%, so they catch
+//! what stdout cannot, such as a float sum taken in another order. Any
+//! change to a figure's numbers or to that work — intended or not — must
+//! come with a reviewed snapshot update:
 //!
 //! ```text
 //! EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored
@@ -85,13 +87,14 @@ fn run_all_smoke_matches_snapshot() {
     let scratch = std::env::temp_dir().join(format!("emcc-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .arg("--smoke")
+        .args(["--smoke", "--csv", "figs"])
         .current_dir(&scratch)
         .env_remove("EMCC_SCALE")
         .env("EMCC_JOBS", "1")
         .output()
         .expect("spawn run_all");
     let telemetry = std::fs::read_to_string(scratch.join("BENCH_run_all.json"));
+    let tables = concat_csvs(&scratch.join("figs"));
     let _ = std::fs::remove_dir_all(&scratch);
     assert!(
         output.status.success(),
@@ -107,6 +110,44 @@ fn run_all_smoke_matches_snapshot() {
         &snapshot_path().with_file_name("run_all_smoke_dispatches.txt"),
         &dispatch_lines(&telemetry),
         bless,
+    );
+    emcc_bench::cli::check_snapshot(
+        &snapshot_path().with_file_name("run_all_smoke_tables.txt"),
+        &tables,
+        bless,
+    );
+}
+
+/// Every CSV file in `dir`, in file-name order, each after a
+/// `# <file name>` line.
+fn concat_csvs(dir: &Path) -> String {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("csv dir written")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|f| {
+            let name = f.file_name().expect("file name").to_string_lossy();
+            let csv = std::fs::read_to_string(f).expect("csv readable");
+            format!("# {name}\n{csv}")
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "tier-2: renders the on-demand extensions entry at Test scale"]
+fn extensions_entry_matches_snapshot() {
+    // No other test or CI step renders this entry: it is outside the
+    // default pass.
+    let scratch = std::env::temp_dir().join(format!("emcc-smoke-ext-{}", std::process::id()));
+    let stdout = smoke_in(&scratch, &["--fig", "extensions"]);
+    let _ = std::fs::remove_dir_all(&scratch);
+    emcc_bench::cli::check_snapshot(
+        &snapshot_path().with_file_name("run_all_smoke_extensions.txt"),
+        &stdout,
+        "EMCC_BLESS=1 cargo test -p emcc-bench --test run_all_smoke -- --ignored",
     );
 }
 
