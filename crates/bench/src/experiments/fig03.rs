@@ -33,16 +33,14 @@ pub fn llc_hit_histogram() -> Histogram {
 /// Runs the figure.
 pub fn run() -> FigureData {
     let h = llc_hit_histogram();
-    let mut fig = FigureData {
-        title: "Figure 3: distribution of LLC hit latency (ns)".into(),
-        cols: vec!["% of hits".into()],
-        percent: true,
-        note: format!(
+    let mut fig = FigureData::new(
+        "Figure 3: distribution of LLC hit latency (ns)",
+        ["% of hits"],
+        &format!(
             "paper mean 23 ns over 16–29 ns; model mean {:.1} ns",
             h.mean()
         ),
-        ..FigureData::default()
-    };
+    );
     for i in 0..h.num_bins() {
         if h.bin_count(i) == 0 {
             continue;

@@ -1,25 +1,20 @@
-//! One module per figure (or per group of figures sharing simulations),
-//! and the [`REGISTRY`] that names each figure once.
+//! The [`REGISTRY`] that names each figure once, and [`FigureData`],
+//! the table every figure renders. The per-benchmark figures are row
+//! functions in [`tables`], each over its suite.
 //!
 //! A figure's run-matrix is declared only by its render code: [`plan`]
 //! runs the render functions on a recording harness, which notes every
 //! run they ask for and simulates nothing. `run_all` then executes that
 //! batch and renders again from the filled run-cache.
 
-pub mod ablations;
-pub mod emcc_ctr;
-pub mod fig02;
 pub mod fig03;
-pub mod fig06_07;
-pub mod fig15;
-pub mod fig18;
-pub mod fig19;
-pub mod fig20;
-pub mod fig21_22;
-pub mod fig24;
-pub mod perf;
 pub mod race;
+pub mod tables;
 pub mod timelines;
+
+use std::fmt::Write as _;
+
+use emcc::prelude::Benchmark;
 
 use crate::json::Json;
 use crate::pool::RunRequest;
@@ -83,40 +78,37 @@ pub const REGISTRY: &[Entry] = &[
         ..Rendered::tables(Vec::new())
     }),
     fig("fig03", |_| Rendered::table(fig03::run())),
-    fig("fig02", |h| Rendered::table(fig02::run(h))),
-    fig("fig06", |h| Rendered::table(fig06_07::run_fig06(h))),
-    fig("fig07", |h| Rendered::table(fig06_07::run_fig07(h))),
-    fig("fig11", |h| Rendered::table(emcc_ctr::run(h).fig11)),
-    fig("fig12", |h| Rendered::table(emcc_ctr::run(h).fig12)),
-    fig("fig23", |h| Rendered::table(emcc_ctr::run(h).fig23)),
-    fig("fig15", |h| Rendered::table(fig15::run(h))),
+    fig("fig02", |h| Rendered::table(tables::fig02(h))),
+    fig("fig06", |h| Rendered::table(tables::fig06(h))),
+    fig("fig07", |h| Rendered::table(tables::fig07(h))),
+    fig("fig11", |h| Rendered::table(tables::fig11(h))),
+    fig("fig12", |h| Rendered::table(tables::fig12(h))),
+    fig("fig23", |h| Rendered::table(tables::fig23(h))),
+    fig("fig15", |h| Rendered::table(tables::fig15(h))),
     fig("fig16", |h| {
-        let rows = perf::run_suite(h);
-        let mut out = Rendered::table(perf::fig16(&rows));
+        let mut out = Rendered::table(tables::fig16(h));
         out.text += &format!(
             "headline: EMCC speeds up Morphable by {:.1}% on average (paper: 7%)\n",
-            perf::mean_emcc_speedup(&rows) * 100.0
+            tables::headline(h) * 100.0
         );
         out
     }),
-    fig("fig17", |h| {
-        Rendered::table(perf::fig17(&perf::run_suite(h)))
-    }),
-    fig("fig18", |h| Rendered::table(fig18::run(h))),
-    fig("fig19", |h| Rendered::table(fig19::run(h))),
-    fig("fig20", |h| Rendered::table(fig20::run(h))),
-    fig("fig21", |h| Rendered::table(fig21_22::run(h).fig21)),
-    fig("fig22", |h| Rendered::table(fig21_22::run(h).fig22)),
-    fig("fig24", |h| Rendered::table(fig24::run(h))),
+    fig("fig17", |h| Rendered::table(tables::fig17(h))),
+    fig("fig18", |h| Rendered::table(tables::fig18(h))),
+    fig("fig19", |h| Rendered::table(tables::fig19(h))),
+    fig("fig20", |h| Rendered::table(tables::fig20(h))),
+    fig("fig21", |h| Rendered::table(tables::fig21(h))),
+    fig("fig22", |h| Rendered::table(tables::fig22(h))),
+    fig("fig24", |h| Rendered::table(tables::fig24(h))),
     fig("ablations", |h| {
         Rendered::tables(vec![
-            ablations::l2_budget(h),
-            ablations::aes_wait(h),
-            ablations::xpt(h),
+            tables::l2_budget(h),
+            tables::aes_wait(h),
+            tables::xpt(h),
         ])
     }),
     fig("race", |h| {
-        let fig = race::figure(h);
+        let fig = tables::race(h);
         let telemetry = Some(("BENCH_race.json", race::telemetry(&fig)));
         Rendered {
             telemetry,
@@ -128,7 +120,7 @@ pub const REGISTRY: &[Entry] = &[
     Entry {
         id: "extensions",
         default: false,
-        render: |h| Rendered::table(ablations::extensions(h)),
+        render: |h| Rendered::table(tables::extensions(h)),
     },
 ];
 
@@ -169,8 +161,38 @@ pub struct FigureData {
 }
 
 impl FigureData {
+    /// An empty percentage table.
+    pub fn new(title: &str, cols: impl IntoIterator<Item = impl Into<String>>, note: &str) -> Self {
+        FigureData {
+            title: title.into(),
+            cols: cols.into_iter().map(Into::into).collect(),
+            percent: true,
+            note: note.into(),
+            ..FigureData::default()
+        }
+    }
+
+    /// The same table with its values rendered as plain numbers.
+    pub fn counts(self) -> Self {
+        FigureData {
+            percent: false,
+            ..self
+        }
+    }
+
+    /// Appends one row per benchmark of `suite`, its values computed by
+    /// `row`, then the mean row.
+    pub fn per_bench(mut self, suite: Vec<Benchmark>, row: impl Fn(Benchmark) -> Vec<f64>) -> Self {
+        for bench in suite {
+            self.rows.push(bench.name());
+            self.values.push(row(bench));
+        }
+        self.push_mean_row();
+        self
+    }
+
     /// Appends an arithmetic-mean row over the current rows.
-    pub fn push_mean_row(&mut self) {
+    fn push_mean_row(&mut self) {
         if self.values.is_empty() {
             return;
         }
@@ -186,16 +208,6 @@ impl FigureData {
         }
         self.rows.push("mean".to_string());
         self.values.push(mean);
-    }
-
-    /// Mean-row value for column `c` (the figure's headline number).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no mean row was pushed or `c` is out of range.
-    pub fn mean(&self, c: usize) -> f64 {
-        assert_eq!(self.rows.last().map(String::as_str), Some("mean"));
-        self.values.last().expect("rows exist")[c]
     }
 
     /// Renders the table as CSV (`benchmark,col1,col2,...`), for plotting.
@@ -216,25 +228,26 @@ impl FigureData {
         out
     }
 
-    /// Renders the table as fixed-width text.
+    /// Renders the table as fixed-width text: a 16-wide name column, then
+    /// 10-wide columns of percentages to 0.1% or numbers to 0.01.
     pub fn render(&self) -> String {
-        let mut out = format!("== {} ==\n", self.title);
-        out.push_str(&crate::runner::header_row(
-            "benchmark",
-            &self.cols.iter().map(String::as_str).collect::<Vec<_>>(),
-        ));
-        out.push('\n');
-        for (name, row) in self.rows.iter().zip(&self.values) {
-            let line = if self.percent {
-                crate::runner::pct_row(name, row)
-            } else {
-                crate::runner::num_row(name, row)
-            };
-            out.push_str(&line);
-            out.push('\n');
+        let mut out = format!("== {} ==\n{:<16}", self.title, "benchmark");
+        for c in &self.cols {
+            let _ = write!(out, " {c:>10}");
         }
+        for (name, row) in self.rows.iter().zip(&self.values) {
+            let _ = write!(out, "\n{name:<16}");
+            for v in row {
+                let _ = if self.percent {
+                    write!(out, " {:>9.1}%", v * 100.0)
+                } else {
+                    write!(out, " {v:>10.2}")
+                };
+            }
+        }
+        out.push('\n');
         if !self.note.is_empty() {
-            out.push_str(&format!("paper: {}\n", self.note));
+            let _ = writeln!(out, "paper: {}", self.note);
         }
         out
     }
@@ -253,8 +266,31 @@ mod tests {
             ..FigureData::default()
         };
         f.push_mean_row();
-        assert_eq!(f.mean(0), 2.0);
+        assert_eq!(f.rows.last().map(String::as_str), Some("mean"));
+        assert_eq!(f.values[2][0], 2.0);
         assert_eq!(f.rows.len(), 3);
+    }
+
+    #[test]
+    fn rows_align() {
+        let f = FigureData {
+            rows: vec!["canneal".into()],
+            values: vec![vec![1.0, 2.0]],
+            ..FigureData::new("t", ["a", "b"], "").counts()
+        };
+        let text = f.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1].len(), lines[2].len());
+    }
+
+    #[test]
+    fn pct_formatting() {
+        let f = FigureData {
+            rows: vec!["x".into()],
+            values: vec![vec![0.125]],
+            ..FigureData::new("t", ["a"], "")
+        };
+        assert!(f.render().contains("12.5%"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! characterization (§III) and evaluation (§VI).
 //!
-//! Each `experiments::figNN` module renders one figure (or a group sharing
-//! simulations) with the same rows/series the paper reports, and
+//! Each per-benchmark figure is a row function in `experiments::tables`
+//! with the same rows/series the paper reports, and
 //! `experiments::REGISTRY` names each figure once. `--bin run_all`
 //! regenerates everything (the data behind EXPERIMENTS.md); `run_all --fig
 //! fig16` renders one figure.

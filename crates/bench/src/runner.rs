@@ -1,4 +1,4 @@
-//! Shared simulation-running and table-rendering helpers.
+//! Shared simulation-running helpers.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -333,33 +333,6 @@ pub fn scale_from_lookup(
     }
 }
 
-/// Renders one row of `name` followed by fixed-width percentage columns.
-pub fn pct_row(name: &str, values: &[f64]) -> String {
-    let mut s = format!("{name:<16}");
-    for v in values {
-        s.push_str(&format!(" {:>9.1}%", v * 100.0));
-    }
-    s
-}
-
-/// Renders one row of `name` followed by fixed-width numeric columns.
-pub fn num_row(name: &str, values: &[f64]) -> String {
-    let mut s = format!("{name:<16}");
-    for v in values {
-        s.push_str(&format!(" {v:>10.2}"));
-    }
-    s
-}
-
-/// Column-header row matching [`pct_row`]/[`num_row`] widths.
-pub fn header_row(name: &str, cols: &[&str]) -> String {
-    let mut s = format!("{name:<16}");
-    for c in cols {
-        s.push_str(&format!(" {c:>10}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,19 +342,6 @@ mod tests {
         let t = ExpParams::for_scale(WorkloadScale::Test);
         let p = ExpParams::for_scale(WorkloadScale::Paper);
         assert!(p.measure_ops > t.measure_ops);
-    }
-
-    #[test]
-    fn rows_align() {
-        let h = header_row("bench", &["a", "b"]);
-        let r = num_row("canneal", &[1.0, 2.0]);
-        assert_eq!(h.len(), r.len());
-    }
-
-    #[test]
-    fn pct_formatting() {
-        let r = pct_row("x", &[0.125]);
-        assert!(r.contains("12.5%"));
     }
 
     #[test]
