@@ -7,16 +7,16 @@ use std::collections::VecDeque;
 
 use emcc_cache::{BlockKind, SetAssocCache};
 use emcc_counters::TreeGeometry;
-use emcc_crypto::DataBlock;
+use emcc_crypto::{CryptoLatencies, DataBlock};
 use emcc_dram::config::DRAM_TCK;
 use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
-use emcc_secmem::{AesPool, OverflowEngine, OverflowTask};
+use emcc_secmem::{AesPool, CryptoPlacement, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
 use emcc_sim::{EventQueue, FastHashMap, LineAddr, Time};
 
 use crate::config::{COUNTER_DECODE, MC_CACHE_LATENCY, XOR_AND_COMPARE};
 use crate::report::{CtrSource, SimReport};
-use crate::system::{Ev, SecureSystem, TxnId};
+use crate::system::{DataTxn, Ev, SecureSystem, TxnId};
 
 /// Re-fetches after a failed verification before the line is delivered
 /// poisoned.
@@ -281,6 +281,101 @@ impl McState {
     }
 }
 
+impl DataTxn {
+    /// Decides whether read `id`, at the MC, ships now: it needs its data
+    /// from DRAM and, when the MC decrypts it, its finished OTP. Returns
+    /// the ship time and whether the MC verified the line, with the ship
+    /// recorded on the read and in `report`; `None` while the read waits,
+    /// or when a failed check queued its `DataRefetch`.
+    pub(crate) fn try_ship(
+        &mut self,
+        id: TxnId,
+        placement: CryptoPlacement,
+        crypto: &CryptoLatencies,
+        now: Time,
+        report: &mut SimReport,
+        queue: &mut EventQueue<Ev>,
+    ) -> Option<(Time, bool)> {
+        if !self.at_mc {
+            return None;
+        }
+        let data_at = self.mc_data_at?;
+        // `crypt` is the serial crypto charged between data arrival and the
+        // ship: the XOR + MAC compare for counter-mode schemes, or the
+        // direct cipher's read latency for counter-free placements.
+        let (ship_at, verified, crypt) = if !placement.encrypts {
+            (data_at.max(now), true, None)
+        } else if let Some(cipher) = placement.direct_cipher() {
+            let lat = crypto.direct_read_latency(cipher);
+            (data_at.max(now) + lat, true, Some((Component::Aes, lat)))
+        } else if self.mc_decrypt {
+            // `None`: the counter fetch is still in flight.
+            let otp_done = self.mc_ctr_ready?;
+            (
+                data_at.max(otp_done).max(now) + XOR_AND_COMPARE,
+                true,
+                Some((Component::Verify, XOR_AND_COMPARE)),
+            )
+        } else {
+            // EMCC: ship ciphertext + MAC⊕dot (the GF dot product is
+            // parallel and fast — charge the same small constant).
+            (
+                data_at.max(now) + XOR_AND_COMPARE,
+                false,
+                Some((Component::Verify, XOR_AND_COMPARE)),
+            )
+        };
+
+        // MC-side detection: corrupted data cannot pass the MAC compare
+        // that gates a verified ship. Unverified EMCC ships carry the
+        // corruption to the requesting L2, whose local verify catches it.
+        if self.corrupt.is_some() && (verified || !placement.detects_tamper) {
+            self.corrupt = None;
+            if !placement.detects_tamper {
+                // No verification exists (non-secure, or an encryption-only
+                // cipher like BipBip that decrypts tampered ciphertext into
+                // garbage); the corrupted line is consumed.
+                report.faulty_reads += 1;
+                report.silent_corruptions += 1;
+            } else {
+                let (comp, cost) = crypt.expect("tamper detection implies crypto cost");
+                let detected_after = ship_at.saturating_sub(data_at);
+                if let Some(backoff) = report.integrity_failure(1, detected_after, self.retries) {
+                    self.retries += 1;
+                    self.mc_data_at = None;
+                    // The failed MAC compare (or direct-cipher check) is
+                    // real work; the backoff gap after it shows up as
+                    // unattributed time.
+                    self.spans
+                        .push(Span::new(comp, ship_at.saturating_sub(cost), ship_at));
+                    queue.push(ship_at + backoff, Ev::DataRefetch { txn: id });
+                    return None;
+                }
+                // Retry budget exhausted: the poisoned line is delivered.
+            }
+        }
+        if verified && placement.encrypts {
+            report.decrypted_at_mc += 1;
+        }
+        report
+            .secure_access_latency_ns
+            .add_time(ship_at.saturating_sub(self.t_mc_arrival));
+        // Mark shipped so duplicate calls do nothing.
+        self.mc_data_at = None;
+        if let Some((comp, cost)) = crypt {
+            // MAC compare (verified), MAC⊕dot generation (EMCC ship), or
+            // the direct cipher's serial decrypt.
+            self.spans
+                .push(Span::new(comp, ship_at.saturating_sub(cost), ship_at));
+        }
+        self.t_shipped = Some(ship_at);
+        if !verified {
+            self.shipped_unverified = true;
+        }
+        Some((ship_at, verified))
+    }
+}
+
 impl SecureSystem {
     // ----- DRAM plumbing ---------------------------------------------------
 
@@ -340,6 +435,15 @@ impl SecureSystem {
                         if let Some(ev) = fault {
                             txn.corrupt = Some(ev.class);
                         }
+                        let placement = self.cfg.scheme.placement();
+                        let (report, queue) = (&mut self.report, &mut self.queue);
+                        let crypto = &self.cfg.crypto;
+                        if let Some(ship) =
+                            txn.try_ship(txn_id, placement, crypto, self.now, report, queue)
+                        {
+                            let (core, line) = (txn.core, txn.line);
+                            self.ship_data(txn_id, core, line, ship);
+                        }
                     }
                     // The transaction already completed (the LLC served it
                     // under an XPT speculative read): wasted bandwidth.
@@ -349,7 +453,6 @@ impl SecureSystem {
                         }
                     }
                 }
-                self.try_ship_data(txn_id);
             }
             DramTarget::NodeFetch { ctr_block } => {
                 if let Some(ctr) = self.mc.ctr_txns.get_mut(&ctr_block) {
@@ -431,117 +534,31 @@ impl SecureSystem {
         // the counter; the MC ships ciphertext + MAC⊕dot when data
         // arrives — unless a counter LLC miss later flips this to
         // `mc_decrypt`.
-        self.try_ship_data(txn_id);
+        let placement = self.cfg.scheme.placement();
+        let (report, queue) = (&mut self.report, &mut self.queue);
+        if let Some(ship) =
+            txn.try_ship(txn_id, placement, &self.cfg.crypto, self.now, report, queue)
+        {
+            let (core, line) = (txn.core, txn.line);
+            self.ship_data(txn_id, core, line, ship);
+        }
     }
 
-    /// Attempts to respond to a data read: requires data from DRAM plus
-    /// (for MC-decrypt transactions) the finished OTP.
-    pub(crate) fn try_ship_data(&mut self, txn_id: TxnId) {
-        let placement = self.cfg.scheme.placement();
-        let Some(txn) = self.txns.get_mut(&txn_id) else {
-            return;
-        };
-        if !txn.at_mc {
-            return;
-        }
-        let Some(data_at) = txn.mc_data_at else {
-            return;
-        };
-        // `crypt` is the serial crypto charged between data arrival and the
-        // ship: the XOR + MAC compare for counter-mode schemes, or the
-        // direct cipher's read latency for counter-free placements.
-        let (ship_at, verified, crypt) = if !placement.encrypts {
-            (data_at.max(self.now), true, None)
-        } else if let Some(cipher) = placement.direct_cipher() {
-            let lat = self.cfg.crypto.direct_read_latency(cipher);
-            (
-                data_at.max(self.now) + lat,
-                true,
-                Some((Component::Aes, lat)),
-            )
-        } else if txn.mc_decrypt {
-            match txn.mc_ctr_ready {
-                Some(otp_done) => (
-                    data_at.max(otp_done).max(self.now) + XOR_AND_COMPARE,
-                    true,
-                    Some((Component::Verify, XOR_AND_COMPARE)),
-                ),
-                None => return, // counter fetch still in flight
-            }
-        } else {
-            // EMCC: ship ciphertext + MAC⊕dot (the GF dot product is
-            // parallel and fast — charge the same small constant).
-            (
-                data_at.max(self.now) + XOR_AND_COMPARE,
-                false,
-                Some((Component::Verify, XOR_AND_COMPARE)),
-            )
-        };
-
-        // MC-side detection: corrupted data cannot pass the MAC compare
-        // that gates a verified ship. Unverified EMCC ships carry the
-        // corruption to the requesting L2, whose local verify catches it.
-        if txn.corrupt.is_some() && (verified || !placement.detects_tamper) {
-            txn.corrupt = None;
-            if !placement.detects_tamper {
-                // No verification exists (non-secure, or an encryption-only
-                // cipher like BipBip that decrypts tampered ciphertext into
-                // garbage); the corrupted line is consumed.
-                self.report.faulty_reads += 1;
-                self.report.silent_corruptions += 1;
-            } else {
-                let (comp, cost) = crypt.expect("tamper detection implies crypto cost");
-                let detected_after = ship_at.saturating_sub(data_at);
-                if let Some(backoff) = self
-                    .report
-                    .integrity_failure(1, detected_after, txn.retries)
-                {
-                    txn.retries += 1;
-                    txn.mc_data_at = None;
-                    // The failed MAC compare (or direct-cipher check) is
-                    // real work; the backoff gap after it shows up as
-                    // unattributed time.
-                    txn.spans
-                        .push(Span::new(comp, ship_at.saturating_sub(cost), ship_at));
-                    self.queue
-                        .push(ship_at + backoff, Ev::DataRefetch { txn: txn_id });
-                    return;
-                }
-                // Retry budget exhausted: the poisoned line is delivered.
-            }
-        }
-        if verified && placement.encrypts {
-            self.report.decrypted_at_mc += 1;
-        }
-        self.report
-            .secure_access_latency_ns
-            .add_time(ship_at.saturating_sub(txn.t_mc_arrival));
-        // Mark shipped so duplicate calls do nothing.
-        txn.mc_data_at = None;
-        if let Some((comp, cost)) = crypt {
-            // MAC compare (verified), MAC⊕dot generation (EMCC ship), or
-            // the direct cipher's serial decrypt.
-            txn.spans
-                .push(Span::new(comp, ship_at.saturating_sub(cost), ship_at));
-        }
-        txn.t_shipped = Some(ship_at);
-        if !verified {
-            txn.shipped_unverified = true;
-        }
-
-        // Response route: MC → owning slice → L2 (both legs carry data).
-        // Inclusive mode mirrors the fill into the slice it passes.
-        let (core, line) = (txn.core, txn.line);
+    /// Sends shipped read `txn`'s data from the MC at `ship_at` to its
+    /// L2, through the line's slice (both legs carry data). Inclusive
+    /// mode mirrors the fill into that slice first, marked unverified
+    /// unless the MC `verified` the line.
+    fn ship_data(
+        &mut self,
+        txn: TxnId,
+        core: usize,
+        line: LineAddr,
+        (ship_at, verified): (Time, bool),
+    ) {
         self.inclusive_fill(line, verified);
         let slice = self.slice_map.slice_of(line);
         let t = ship_at + self.noc.slice_mc(slice, true) + self.noc.l2_slice(core, slice, true);
-        self.queue.push(
-            t,
-            Ev::L2Fill {
-                txn: txn_id,
-                verified,
-            },
-        );
+        self.queue.push(t, Ev::L2Fill { txn, verified });
     }
 
     // ----- Counter fetch + verification -------------------------------------
@@ -654,7 +671,7 @@ impl SecureSystem {
         self.mc
             .enqueue_dram(queue, now, line, false, RequestClass::Data, target);
         // Direct-cipher placements have no counter to re-resolve; the
-        // refetched data alone re-enters `try_ship_data`. Otherwise the
+        // refetched data alone re-enters `DataTxn::try_ship`. Otherwise the
         // counter, just dropped from the MC cache, joins a resolution.
         if self.cfg.scheme.placement().uses_counters() {
             self.mc_fetch_counter(block, CtrJoiner::Read(txn_id));
@@ -725,8 +742,7 @@ impl SecureSystem {
                         reads.push(txn_id);
                     }
                 }
-                let exists = self.mc.ctr_txns.contains_key(&block);
-                if self.mc.meta.touch(block) && !exists {
+                if self.mc.meta.touch(block) && !self.mc.ctr_txns.contains_key(&block) {
                     // Rare: the MC already holds it (inserted after the
                     // L2 looked). Reply directly.
                     let ready = self.now + MC_CACHE_LATENCY;
@@ -799,7 +815,14 @@ impl SecureSystem {
         txn.spans
             .push(Span::new(Component::CtrFetch, from, decoded));
         txn.spans.push(aes);
-        self.try_ship_data(txn_id);
+        let placement = self.cfg.scheme.placement();
+        let (report, queue) = (&mut self.report, &mut self.queue);
+        if let Some(ship) =
+            txn.try_ship(txn_id, placement, &self.cfg.crypto, self.now, report, queue)
+        {
+            let (core, line) = (txn.core, txn.line);
+            self.ship_data(txn_id, core, line, ship);
+        }
     }
 
     fn ctr_reply_to_l2(&mut self, block: LineAddr, core: usize, ship_at: Time) {
