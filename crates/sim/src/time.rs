@@ -233,63 +233,6 @@ impl Frequency {
     pub fn period(self) -> Time {
         self.cycles(1)
     }
-
-    /// An exact accumulator for repeated cycle-to-time conversion.
-    #[inline]
-    pub fn accumulator(self) -> CycleAccumulator {
-        CycleAccumulator {
-            freq: self,
-            rem_x16: 0,
-        }
-    }
-}
-
-/// Exact carrying accumulator for cycle-by-cycle time advancement.
-///
-/// [`Frequency::cycles`] truncates to whole picoseconds on every call, so
-/// repeated-cycle callers drift by up to one picosecond per call: at
-/// 3.2 GHz, `cycles(1) * 2` is 624 ps while `cycles(2)` is 625 ps. The
-/// accumulator carries the sub-picosecond remainder (in the same 1/16-ps
-/// units the period is stored in) across calls, so the summed advances are
-/// always exactly `cycles(total)` no matter how the cycles are split.
-///
-/// # Examples
-///
-/// ```
-/// use emcc_sim::time::Frequency;
-///
-/// let f = Frequency::from_ghz(3.2);
-/// let mut acc = f.accumulator();
-/// let split = acc.advance(1) + acc.advance(1);
-/// assert_eq!(split, f.cycles(2)); // 625 ps, no truncation drift
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct CycleAccumulator {
-    freq: Frequency,
-    rem_x16: u64,
-}
-
-impl CycleAccumulator {
-    /// Duration of the next `n` cycles, carrying the fractional remainder
-    /// into the following call.
-    #[inline]
-    pub fn advance(&mut self, n: u64) -> Time {
-        let x16 = self.rem_x16 + n * self.freq.ps_per_cycle_x16;
-        self.rem_x16 = x16 % 16;
-        Time::from_ps(x16 / 16)
-    }
-
-    /// The frequency this accumulator converts at.
-    #[inline]
-    pub fn frequency(self) -> Frequency {
-        self.freq
-    }
-
-    /// Sub-picosecond remainder currently carried, in 1/16-ps units (< 16).
-    #[inline]
-    pub fn remainder_x16(self) -> u64 {
-        self.rem_x16
-    }
 }
 
 #[cfg(test)]
@@ -351,23 +294,8 @@ mod tests {
         assert_eq!(f.cycles(1).as_ps(), 312);
         assert_eq!(f.cycles(2).as_ps(), 625);
         assert_eq!(f.cycles(16).as_ps(), 5_000);
-    }
-
-    #[test]
-    fn cycle_accumulator_carries_exactly() {
-        let f = Frequency::from_ghz(3.2);
-        // Regression: per-call truncation made cycle-by-cycle advancement
-        // drift (312 + 312 = 624 ps instead of 625 ps for two cycles).
+        // Each call truncates to whole picoseconds, so split calls drift.
         assert_eq!(f.cycles(1) * 2, Time::from_ps(624));
-        let mut acc = f.accumulator();
-        assert_eq!(acc.advance(1), Time::from_ps(312));
-        assert_eq!(acc.advance(1), Time::from_ps(313));
-        assert_eq!(acc.remainder_x16(), 0);
-        // 16 one-cycle advances land exactly on 16 cycles = 5 ns.
-        let mut acc = f.accumulator();
-        let total: Time = (0..16).map(|_| acc.advance(1)).sum();
-        assert_eq!(total, f.cycles(16));
-        assert_eq!(total, Time::from_ns(5));
     }
 
     #[test]

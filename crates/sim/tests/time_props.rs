@@ -2,9 +2,8 @@
 //!
 //! `Frequency::cycles` truncates to whole picoseconds, so splitting a
 //! cycle count across calls can only lose time, never gain it, and loses
-//! strictly less than one picosecond per extra call. `CycleAccumulator`
-//! exists to make repeated-cycle advancement exact; the properties pin
-//! both the truncation bound and the accumulator's exactness.
+//! strictly less than one picosecond per extra call; the property pins
+//! that truncation bound.
 
 use emcc_sim::time::{Frequency, Time};
 use proptest::prelude::*;
@@ -28,20 +27,6 @@ proptest! {
         prop_assert!(combined - split < Time::from_ps(1) + Time::from_ps(1));
     }
 
-    /// The accumulator is exact: advancing by any split of a cycle count
-    /// sums to exactly `cycles(total)`, independent of the split.
-    #[test]
-    fn accumulator_split_invariant(
-        ghz_tenths in 1u64..=80,
-        parts in prop::collection::vec(0u64..5_000, 1..=24),
-    ) {
-        let f = Frequency::from_ghz(ghz_tenths as f64 / 10.0);
-        let mut acc = f.accumulator();
-        let advanced: Time = parts.iter().map(|&n| acc.advance(n)).sum();
-        let total: u64 = parts.iter().sum();
-        prop_assert_eq!(advanced, f.cycles(total));
-        prop_assert!(acc.remainder_x16() < 16);
-    }
 }
 
 /// Edge-case pins for `Histogram::percentile` — empty, single-bucket,
