@@ -24,13 +24,13 @@ const CHANNELS: [usize; 2] = [1, 8];
 const BUDGET_KB: [u64; 3] = [8, 32, 128];
 
 /// How much faster `new` ran than `base`: `base / new − 1`.
-pub fn speedup(base: &SimReport, new: &SimReport) -> f64 {
+fn speedup(base: &SimReport, new: &SimReport) -> f64 {
     base.elapsed.as_ns_f64() / new.elapsed.as_ns_f64() - 1.0
 }
 
 /// EMCC's speedup over Morphable on `bench` at each of `points`, both
 /// configurations built by `at(scheme, point)`.
-pub fn benefit<P: Copy>(
+fn benefit<P: Copy>(
     h: &Harness,
     bench: Benchmark,
     points: &[P],

@@ -118,19 +118,30 @@ fn run_all_smoke_matches_snapshot() {
     );
 }
 
-/// Every CSV file in `dir`, in file-name order, each after a
-/// `# <file name>` line.
-fn concat_csvs(dir: &Path) -> String {
+/// Every file in the CSV directory `dir` with its contents, in
+/// file-name order.
+fn csv_files(dir: &Path) -> Vec<(PathBuf, String)> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("csv dir written")
         .map(|e| e.expect("dir entry").path())
         .collect();
     files.sort();
     files
-        .iter()
+        .into_iter()
         .map(|f| {
+            let csv = std::fs::read_to_string(&f).expect("csv readable");
+            (f, csv)
+        })
+        .collect()
+}
+
+/// Every CSV file in `dir`, in file-name order, each after a
+/// `# <file name>` line.
+fn concat_csvs(dir: &Path) -> String {
+    csv_files(dir)
+        .iter()
+        .map(|(f, csv)| {
             let name = f.file_name().expect("file name").to_string_lossy();
-            let csv = std::fs::read_to_string(f).expect("csv readable");
             format!("# {name}\n{csv}")
         })
         .collect()
@@ -189,18 +200,10 @@ fn csv_dir_gets_one_well_formed_file_per_table() {
         .windows(2)
         .filter(|w| w[0].starts_with("== ") && w[1].starts_with("benchmark"))
         .count();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(scratch.join("figs"))
-        .expect("csv dir written")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    files.sort();
-    let csvs: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(f).expect("csv readable"))
-        .collect();
+    let files = csv_files(&scratch.join("figs"));
     let _ = std::fs::remove_dir_all(&scratch);
     assert_eq!(files.len(), tables, "one file per table: {files:?}");
-    for (file, csv) in files.iter().zip(&csvs) {
+    for (file, csv) in &files {
         let mut rows = csv.lines();
         let header = rows.next().unwrap_or_default();
         assert!(header.starts_with("benchmark,"), "{file:?}: {header}");
