@@ -436,8 +436,8 @@ impl SecureSystem {
                             txn.corrupt = Some(ev.class);
                         }
                         let placement = self.cfg.scheme.placement();
-                        let (report, queue) = (&mut self.report, &mut self.queue);
                         let crypto = &self.cfg.crypto;
+                        let (report, queue) = (&mut self.report, &mut self.queue);
                         if let Some(ship) =
                             txn.try_ship(txn_id, placement, crypto, self.now, report, queue)
                         {
@@ -535,10 +535,8 @@ impl SecureSystem {
         // arrives — unless a counter LLC miss later flips this to
         // `mc_decrypt`.
         let placement = self.cfg.scheme.placement();
-        let (report, queue) = (&mut self.report, &mut self.queue);
-        if let Some(ship) =
-            txn.try_ship(txn_id, placement, &self.cfg.crypto, self.now, report, queue)
-        {
+        let (crypto, report, queue) = (&self.cfg.crypto, &mut self.report, &mut self.queue);
+        if let Some(ship) = txn.try_ship(txn_id, placement, crypto, self.now, report, queue) {
             let (core, line) = (txn.core, txn.line);
             self.ship_data(txn_id, core, line, ship);
         }
@@ -816,10 +814,8 @@ impl SecureSystem {
             .push(Span::new(Component::CtrFetch, from, decoded));
         txn.spans.push(aes);
         let placement = self.cfg.scheme.placement();
-        let (report, queue) = (&mut self.report, &mut self.queue);
-        if let Some(ship) =
-            txn.try_ship(txn_id, placement, &self.cfg.crypto, self.now, report, queue)
-        {
+        let (crypto, report, queue) = (&self.cfg.crypto, &mut self.report, &mut self.queue);
+        if let Some(ship) = txn.try_ship(txn_id, placement, crypto, self.now, report, queue) {
             let (core, line) = (txn.core, txn.line);
             self.ship_data(txn_id, core, line, ship);
         }
