@@ -15,7 +15,7 @@ const L2_TAG: Time = Time::from_ns(4);
 /// LLC slice SRAM (paper appendix: ≤ 4 ns per Cacti).
 const SLICE_SRAM: Time = Time::from_ns(4);
 
-/// The latency histogram itself (also used by the `noc_latency` example).
+/// The latency histogram itself.
 pub fn llc_hit_histogram() -> Histogram {
     let mesh = Mesh::xeon_w3175x();
     let noc = NocLatency::calibrated();
