@@ -627,14 +627,14 @@ impl SecureSystem {
 
     // ----- Fault recovery ----------------------------------------------------
 
-    /// Drops a counter block's LLC and EMCC L2 copies: stale after a
-    /// write-back bumps the counter (Fig 23), suspect after a failed
-    /// verification.
-    fn drop_ctr_copies(&mut self, block: LineAddr) {
+    /// Drops a counter block's LLC and EMCC L2 copies: `stale` after a
+    /// write-back bumps the counter (the L2 drops Fig 23 counts), suspect
+    /// after a failed verification.
+    fn drop_ctr_copies(&mut self, block: LineAddr, stale: bool) {
         let placement = self.cfg.scheme.placement();
         if placement.l2_decrypts() {
             for core in 0..self.cfg.cores {
-                self.evict_l2_ctr_line(core, block, true);
+                self.evict_l2_ctr_line(core, block, stale);
             }
         }
         if placement.counters_in_llc() {
@@ -660,7 +660,7 @@ impl SecureSystem {
         txn.aes_done = None;
         let block = self.tree.geometry().counter_block_addr(line);
         self.mc.meta.invalidate(block);
-        self.drop_ctr_copies(block);
+        self.drop_ctr_copies(block, false);
         let target = DramTarget::DataRead {
             txn: txn_id,
             refetch: true,
@@ -685,7 +685,7 @@ impl SecureSystem {
         };
         self.mc.meta.invalidate(block);
         let nodes = ctr.start_walk(block, self.tree.geometry(), &mut self.mc.meta);
-        self.drop_ctr_copies(block);
+        self.drop_ctr_copies(block, false);
         self.fetch_ctr_nodes(block, nodes);
     }
 
@@ -878,7 +878,7 @@ impl SecureSystem {
         let r = self.tree.increment_data(line);
         self.mc.meta.mark_dirty(block);
         // Coherence: the LLC and L2 copies are stale now (Fig 23).
-        self.drop_ctr_copies(block);
+        self.drop_ctr_copies(block, true);
 
         if r.overflow.is_some() {
             let coverage = self.cfg.counter_design.coverage();

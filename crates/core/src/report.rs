@@ -194,7 +194,8 @@ pub struct SimReport {
     pub mc_ctr_reqs_to_llc: u64,
     /// Counter lines inserted into L2s (Fig 23 denominator).
     pub l2_ctr_insertions: u64,
-    /// Counter lines invalidated in L2s by MC updates (Fig 23 numerator).
+    /// Counter lines invalidated in L2s by MC counter updates (Fig 23
+    /// numerator); integrity recovery's drops are not counted.
     pub l2_ctr_invalidations: u64,
     /// Counter lines evicted/invalidated from L2 having never been used
     /// for a DRAM-served data miss (Fig 11 numerator).

@@ -1372,11 +1372,12 @@ impl SecureSystem {
         }
     }
 
-    /// Invalidate-path eviction of an L2 counter line, if resident (MC
-    /// update or budget replacement).
-    pub(crate) fn evict_l2_ctr_line(&mut self, core: usize, block: LineAddr, by_mc: bool) {
+    /// Invalidate-path eviction of an L2 counter line, if resident:
+    /// `stale` when an MC counter update outdated it (Fig 23 counts
+    /// those), otherwise a recovery drop or a budget replacement.
+    pub(crate) fn evict_l2_ctr_line(&mut self, core: usize, block: LineAddr, stale: bool) {
         if let Some(ev) = self.l2[core].cache.invalidate(block) {
-            if by_mc {
+            if stale {
                 self.report.l2_ctr_invalidations += 1;
             }
             self.retire_l2_ctr_line(core, ev.meta.used);
@@ -1508,6 +1509,28 @@ mod tests {
         assert_eq!(sys.report.faulty_reads, 1);
         assert_eq!(sys.report.silent_corruptions, 1);
         assert_eq!(sys.report.integrity_violations, 0);
+    }
+
+    /// Fig 23 counts the L2 counter copies an MC counter update made
+    /// stale, not the copies integrity recovery drops as suspect.
+    #[test]
+    fn recovery_drops_are_not_fig23_invalidations() {
+        let mut sys = SecureSystem::new(SystemConfig::table_i(SecurityScheme::Emcc));
+        let line = LineAddr::new(7);
+        let block = sys.tree.geometry().counter_block_addr(line);
+        let id = sys.next_txn;
+        sys.start_data_txn(0, line, false, Time::ZERO);
+        sys.mc.ctr_txns.insert(block, crate::mc::CtrTxn::default());
+        for recovery in [Ev::CtrRefetch { block }, Ev::DataRefetch { txn: id }] {
+            sys.l2_ctr_fill(0, block);
+            sys.dispatch(recovery);
+            assert!(!sys.l2[0].cache.contains(block), "recovery drops the copy");
+        }
+        assert_eq!(sys.report.l2_ctr_invalidations, 0);
+        sys.l2_ctr_fill(0, block);
+        sys.mc_do_writeback_with_counter(line);
+        assert!(!sys.l2[0].cache.contains(block), "the write-back's bump");
+        assert_eq!(sys.report.l2_ctr_invalidations, 1);
     }
 
     /// Every event keyed by a transaction or a counter block is a no-op
