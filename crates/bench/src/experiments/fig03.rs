@@ -5,30 +5,9 @@
 //! with lines spread uniformly over the 28 slices. Mean ≈ 23 ns over a
 //! 16–29 ns support.
 
-use emcc::noc::{Mesh, NocLatency};
-use emcc::sim::{Histogram, Time};
+use emcc::noc::latency::llc_hit_histogram;
 
 use crate::experiments::FigureData;
-
-/// L2 lookup before the miss enters the NoC (6 ns hit − 2 ns data read).
-const L2_TAG: Time = Time::from_ns(4);
-/// LLC slice SRAM (paper appendix: ≤ 4 ns per Cacti).
-const SLICE_SRAM: Time = Time::from_ns(4);
-
-/// The latency histogram itself.
-pub fn llc_hit_histogram() -> Histogram {
-    let mesh = Mesh::xeon_w3175x();
-    let noc = NocLatency::calibrated();
-    let mut h = Histogram::new(14.0, 1.0, 26);
-    for core in 0..mesh.num_cores() {
-        for slice in 0..mesh.num_cores() {
-            let hops = mesh.hops_core_to_core(core, slice);
-            let total = L2_TAG + noc.one_way(hops, false) + SLICE_SRAM + noc.one_way(hops, true);
-            h.add_time(total);
-        }
-    }
-    h
-}
 
 /// Runs the figure.
 pub fn run() -> FigureData {

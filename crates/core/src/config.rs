@@ -144,10 +144,6 @@ pub struct SystemConfig {
     /// Optional DRAM fault injection (fault campaigns); `None` disables
     /// injection entirely and is behaviorally identical to the seed model.
     pub fault: Option<FaultConfig>,
-    /// Mirror architectural writes into a `FunctionalSecureMemory` shadow
-    /// and diff per-line counter state at the end of the run (differential
-    /// checking for fault campaigns; costs memory, default off).
-    pub shadow_check: bool,
 }
 
 impl SystemConfig {
@@ -176,7 +172,6 @@ impl SystemConfig {
             data_lines: 1 << 31,
             max_sim_time: Time::from_ms(400),
             fault: None,
-            shadow_check: false,
         }
     }
 
@@ -219,12 +214,6 @@ impl SystemConfig {
     /// Builder-style fault-injection override (fault campaigns).
     pub fn with_fault(mut self, fault: FaultConfig) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Builder-style shadow differential checking toggle.
-    pub fn with_shadow_check(mut self, on: bool) -> Self {
-        self.shadow_check = on;
         self
     }
 

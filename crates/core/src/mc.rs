@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 use emcc_cache::{BlockKind, SetAssocCache};
 use emcc_counters::TreeGeometry;
-use emcc_crypto::{CryptoLatencies, DataBlock};
+use emcc_crypto::CryptoLatencies;
 use emcc_dram::config::DRAM_TCK;
 use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
 use emcc_secmem::{AesPool, CryptoPlacement, OverflowEngine, OverflowTask};
@@ -237,6 +237,13 @@ pub(crate) struct McState {
 }
 
 impl McState {
+    /// Write-backs received but not yet counted by a counter bump: those
+    /// waiting for their counter block or for overflow admission.
+    pub(crate) fn writebacks_pending(&self) -> u64 {
+        let waiting: usize = self.ctr_txns.values().map(|c| c.wb_waiters.len()).sum();
+        (waiting + self.deferred_wb.len()) as u64
+    }
+
     /// Queues a DRAM request that serves `target` and runs the
     /// schedulers.
     pub(crate) fn enqueue_dram(
@@ -868,13 +875,6 @@ impl SecureSystem {
             return;
         }
         let block = self.tree.geometry().counter_block_addr(line);
-        if let Some(shadow) = self.shadow.as_mut() {
-            // Differential oracle: mirror the write-back so both trees see
-            // exactly one counter increment per write-back.
-            shadow
-                .write(line, DataBlock::from_words([line.get(); 8]))
-                .expect("nothing tampers with the shadow memory");
-        }
         let r = self.tree.increment_data(line);
         self.mc.meta.mark_dirty(block);
         // Coherence: the LLC and L2 copies are stale now (Fig 23).

@@ -5,6 +5,8 @@ use emcc_sim::stats::{ratio, Histogram, RunningMean};
 use emcc_sim::trace::Component;
 use emcc_sim::Time;
 
+use crate::config::CORE_GHZ;
+
 /// Per-component critical-path histograms over completed data reads.
 ///
 /// Each completed access contributes one sample per component: the
@@ -293,12 +295,12 @@ pub struct SimReport {
     /// Exact cutoff accounting: LLC data misses whose DRAM read had not
     /// yet been enqueued at run end.
     pub unissued_misses_at_cutoff: u64,
-    /// Shadow differential checker: written lines compared at the end of
-    /// the run (0 when `shadow_check` is off).
-    pub shadow_lines: u64,
-    /// Shadow differential checker: lines whose timing-model counter state
-    /// diverged from the functional model (must be 0).
-    pub shadow_mismatches: u64,
+    /// Write-back ledger: data-counter increments the integrity tree
+    /// made (one per write-back that reached its counter).
+    pub ctr_increments: u64,
+    /// Write-back ledger: write-backs still waiting at run end for their
+    /// counter block or for overflow admission.
+    pub writebacks_pending_at_cutoff: u64,
     /// Host work: dispatches per event kind over the whole run, warm-up
     /// included (not rendered by [`Self::canonical_json`]).
     pub dispatches: DispatchLedger,
@@ -309,14 +311,12 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Instructions per nanosecond across all cores.
+    /// Instructions per core cycle, summed over cores.
     pub fn ipc(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
-        // Report IPC per core-cycle at 3.2 GHz equivalents: instructions
-        // per ns divided by 3.2 gives IPC per core aggregate.
-        self.instructions as f64 / self.elapsed.as_ns_f64()
+        self.instructions as f64 / (self.elapsed.as_ns_f64() * CORE_GHZ)
     }
 
     /// Figs 6/7: fraction of DRAM data reads whose counter hit in the MC
@@ -559,8 +559,12 @@ impl SimReport {
             &["unissued_misses_at_cutoff"],
             self.unissued_misses_at_cutoff,
         );
-        field(o, &["shadow_lines"], self.shadow_lines);
-        field(o, &["shadow_mismatches"], self.shadow_mismatches);
+        field(o, &["ctr_increments"], self.ctr_increments);
+        field(
+            o,
+            &["writebacks_pending_at_cutoff"],
+            self.writebacks_pending_at_cutoff,
+        );
         // Replace the trailing ",\n" with a clean close.
         out.truncate(out.len() - 2);
         out.push_str("\n}\n");
@@ -603,7 +607,7 @@ mod tests {
             elapsed: Time::from_ns(1000),
             ..SimReport::default()
         };
-        assert!((r.ipc() - 3.2).abs() < 1e-9);
+        assert!((r.ipc() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -623,7 +627,7 @@ mod tests {
         assert!(a.contains("\"elapsed_ps\": 12000"));
         assert!(a.contains("\"mem_ops\": 7"));
         assert!(a.contains("\"sum\": 3.5"));
-        assert!(a.contains("\"shadow_mismatches\": 0"));
+        assert!(a.contains("\"writebacks_pending_at_cutoff\": 0"));
         assert!(a.ends_with("}\n") && a.starts_with("{\n"));
         // Differing reports must differ textually.
         let mut r2 = r.clone();

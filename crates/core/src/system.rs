@@ -13,7 +13,7 @@ use emcc_dram::{Completion, FaultClass, FaultModel};
 use emcc_noc::mesh::Node;
 use emcc_noc::{NocLatency, SliceMap};
 use emcc_secmem::engine::split_aes_bandwidth;
-use emcc_secmem::{AesPool, FunctionalSecureMemory, OverflowEngine};
+use emcc_secmem::{AesPool, OverflowEngine};
 use emcc_sim::time::Frequency;
 use emcc_sim::trace::{Attributor, Component, Span, TraceRecorder};
 use emcc_sim::{EventQueue, FastHashMap, LineAddr, Time};
@@ -31,10 +31,6 @@ use crate::xpt::XptPredictor;
 
 /// Transaction identifier for in-flight data reads.
 pub(crate) type TxnId = u64;
-
-/// Key seed of the shadow memory. Keys decide only ciphertexts and MACs,
-/// which the shadow check never compares, so every run uses one seed.
-const SHADOW_KEY_SEED: u64 = 0xE3CC;
 
 /// Simulation events.
 #[derive(Debug)]
@@ -314,10 +310,6 @@ pub struct SecureSystem {
     pub(crate) slice_map: SliceMap,
     pub(crate) mc: McState,
     pub(crate) tree: IntegrityTree,
-    /// Differential oracle: a functional secure memory that mirrors every
-    /// write-back, letting `finalize` diff per-line counter state against
-    /// the timing model (enabled by `SystemConfig::shadow_check`).
-    pub(crate) shadow: Option<FunctionalSecureMemory>,
     pub(crate) xpt: Vec<XptPredictor>,
     pub(crate) txns: FastHashMap<TxnId, DataTxn>,
     pub(crate) next_txn: TxnId,
@@ -348,6 +340,7 @@ pub struct SecureSystem {
     warmup_done: bool,
     measure_start: Time,
     insts_at_measure_start: u64,
+    ctr_increments_at_measure_start: u64,
 }
 
 impl std::fmt::Debug for SecureSystem {
@@ -417,13 +410,6 @@ impl SecureSystem {
             l2,
             slices,
             mc,
-            shadow: cfg.shadow_check.then(|| {
-                FunctionalSecureMemory::with_design(
-                    SHADOW_KEY_SEED,
-                    cfg.data_lines,
-                    cfg.counter_design,
-                )
-            }),
             queue: EventQueue::with_capacity(1 << 16),
             now: Time::ZERO,
             txns: FastHashMap::default(),
@@ -441,6 +427,7 @@ impl SecureSystem {
             warmup_done: true,
             measure_start: Time::ZERO,
             insts_at_measure_start: 0,
+            ctr_increments_at_measure_start: 0,
             cfg,
         }
     }
@@ -569,6 +556,7 @@ impl SecureSystem {
         self.warmup_done = true;
         self.measure_start = self.now;
         self.insts_at_measure_start = self.cores.iter().map(|c| c.retired_insts()).sum();
+        self.ctr_increments_at_measure_start = self.tree.data_increments();
         let benchmark = std::mem::take(&mut self.report.benchmark);
         let scheme = std::mem::take(&mut self.report.scheme);
         // Warm-up is host work too: the dispatch ledger spans the run.
@@ -599,17 +587,13 @@ impl SecureSystem {
         let of = self.tree.overflows_by_level();
         self.report.overflows_l0 = of.first().copied().unwrap_or(0);
         self.report.overflows_higher = of.iter().skip(1).sum();
-        // Differential check: every written line's counter in the timing
-        // model's tree must equal the functional oracle's (both saw the
-        // same write-back sequence, one increment per write-back).
-        if let Some(shadow) = &self.shadow {
-            for (line, _) in shadow.stored_lines() {
-                self.report.shadow_lines += 1;
-                if shadow.tree().data_counter(line) != self.tree.data_counter(line) {
-                    self.report.shadow_mismatches += 1;
-                }
-            }
-        }
+        // Write-back ledger: each write-back bumps its line's counter
+        // exactly once, so for warmup-free counter-placement runs
+        //   ctr_increments + writebacks_pending_at_cutoff == writebacks
+        // (warmup resets `writebacks` with write-backs still pending).
+        self.report.ctr_increments =
+            self.tree.data_increments() - self.ctr_increments_at_measure_start;
+        self.report.writebacks_pending_at_cutoff = self.mc.writebacks_pending();
         // Exact cutoff accounting: classify the LLC data misses whose DRAM
         // read had not completed when the run ended, and completed reads
         // that served no counted miss. With these, the fuzz oracle holds
@@ -1467,32 +1451,75 @@ mod tests {
     use emcc_dram::RequestClass;
     use emcc_secmem::SecurityScheme;
 
-    /// A write-back that overflow admission defers counts once, when it
-    /// arrives at the MC, and not again when it replays.
-    #[test]
-    fn deferred_writeback_counts_once() {
-        let mut cfg = SystemConfig::table_i(SecurityScheme::McOnly);
-        cfg.counter_design = CounterDesign::Sc64;
-        let mut sys = SecureSystem::new(cfg);
-        // Three lines under three counter blocks, each one write-back
-        // short of a level-0 overflow: the third overflow must wait.
-        let lines = [0, 64, 128].map(LineAddr::new);
-        for line in lines {
-            while !sys.tree.would_overflow_data(line) {
-                sys.tree.increment_data(line);
-            }
-            let block = sys.tree.geometry().counter_block_addr(line);
-            sys.mc.meta.insert(block, false, BlockKind::Counter);
-        }
-        for line in lines {
-            sys.queue.push(Time::ZERO, Ev::McWriteback { line });
-        }
+    /// Dispatches every queued event.
+    fn drain(sys: &mut SecureSystem) {
         while let Some((t, ev)) = sys.queue.pop() {
             sys.now = t;
             sys.dispatch(ev);
         }
+    }
+
+    /// The write-back ledger `finalize` reports: (write-backs, counter
+    /// increments, write-backs pending at cutoff).
+    fn ledger(sys: SecureSystem) -> (u64, u64, u64) {
+        let r = sys.finalize();
+        (
+            r.writebacks,
+            r.ctr_increments,
+            r.writebacks_pending_at_cutoff,
+        )
+    }
+
+    /// A write-back whose counter misses the MC cache is pending while the
+    /// tree walk is in flight, and bumps its own line's counter once the
+    /// walk returns.
+    #[test]
+    fn writeback_pends_until_its_counter_arrives() {
+        let line = LineAddr::new(7);
+        let arrived = || {
+            let mut sys = SecureSystem::new(SystemConfig::table_i(SecurityScheme::McOnly));
+            sys.dispatch(Ev::McWriteback { line });
+            sys
+        };
+        assert_eq!(ledger(arrived()), (1, 0, 1));
+        let mut sys = arrived();
+        drain(&mut sys);
+        assert_eq!(sys.tree.data_counter(line), 1);
+        assert_eq!(ledger(sys), (1, 1, 0));
+    }
+
+    /// A write-back that overflow admission defers counts once, when it
+    /// arrives at the MC, and not again when it replays; while deferred it
+    /// is pending.
+    #[test]
+    fn deferred_writeback_counts_once() {
+        let lines = [0, 64, 128].map(LineAddr::new);
+        let arrived = || {
+            let mut cfg = SystemConfig::table_i(SecurityScheme::McOnly);
+            cfg.counter_design = CounterDesign::Sc64;
+            let mut sys = SecureSystem::new(cfg);
+            // Three lines under three counter blocks, each one write-back
+            // short of a level-0 overflow: the third overflow must wait.
+            for line in lines {
+                while !sys.tree.would_overflow_data(line) {
+                    sys.tree.increment_data(line);
+                }
+                let block = sys.tree.geometry().counter_block_addr(line);
+                sys.mc.meta.insert(block, false, BlockKind::Counter);
+            }
+            // The ageing precedes the measured window, like a warm-up.
+            sys.ctr_increments_at_measure_start = sys.tree.data_increments();
+            for line in lines {
+                sys.dispatch(Ev::McWriteback { line });
+            }
+            sys
+        };
+        assert_eq!(ledger(arrived()), (3, 2, 1));
+        let mut sys = arrived();
+        assert_eq!(sys.mc.deferred_wb.len(), 1);
+        drain(&mut sys);
         assert_eq!(sys.report.overflow_stalls, 1);
-        assert_eq!(sys.report.writebacks, 3);
+        assert_eq!(ledger(sys), (3, 3, 0));
     }
 
     /// A DRAM fill that completes with its corruption still attached was

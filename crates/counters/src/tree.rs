@@ -226,6 +226,7 @@ pub struct IntegrityTree {
     blocks: FastHashMap<(u32, u64), CounterBlock>,
     overflows_by_level: Vec<u64>,
     morphs: u64,
+    data_increments: u64,
 }
 
 impl IntegrityTree {
@@ -238,6 +239,7 @@ impl IntegrityTree {
             blocks: FastHashMap::default(),
             overflows_by_level: vec![0; n],
             morphs: 0,
+            data_increments: 0,
         }
     }
 
@@ -258,6 +260,7 @@ impl IntegrityTree {
     /// On overflow the whole counter block's covered region must be
     /// re-encrypted; the caller turns that into DRAM traffic.
     pub fn increment_data(&mut self, line: LineAddr) -> IncrementResult {
+        self.data_increments += 1;
         let cb = self.geometry.counter_block_of(line);
         let slot = self.geometry.slot_of(line);
         self.bump((0, cb), slot)
@@ -374,6 +377,12 @@ impl IntegrityTree {
     pub fn morphs(&self) -> u64 {
         self.morphs
     }
+
+    /// Data-counter bumps since construction: calls to
+    /// [`Self::increment_data`], whoever made them (a restore is not one).
+    pub fn data_increments(&self) -> u64 {
+        self.data_increments
+    }
 }
 
 #[cfg(test)]
@@ -456,6 +465,7 @@ mod tests {
         assert_eq!(t.data_counter(LineAddr::new(0)), 2);
         assert_eq!(t.data_counter(LineAddr::new(1)), 1);
         assert_eq!(t.data_counter(LineAddr::new(2)), 0);
+        assert_eq!(t.data_increments(), 3);
     }
 
     #[test]
@@ -505,6 +515,7 @@ mod tests {
         for (idx, b) in &snap {
             fresh.restore_level0_block(*idx, Some(b.clone()));
         }
+        assert_eq!(fresh.data_increments(), 0, "a restore is not an increment");
         for i in 0..300u64 {
             let l = LineAddr::new(i * 3);
             assert_eq!(fresh.data_counter(l), t.data_counter(l));

@@ -2,9 +2,8 @@
 //!
 //! Real AES runs only in the functional secure memory
 //! (`emcc_secmem::FunctionalSecureMemory`) and what is built on it: the
-//! secure-memory service, the fuzz battery's functional and
-//! crash-recovery oracles and the simulator's optional shadow check. The
-//! timing simulator never encrypts: it charges AES *latency* through the
+//! secure-memory service and the fuzz battery's functional and
+//! crash-recovery oracles. The timing simulator never encrypts: it charges AES *latency* through the
 //! memory controller's AES-unit pool, parameterised by
 //! [`crate::latency::CryptoLatencies`].
 //!

@@ -102,11 +102,8 @@ impl Campaign for FaultCampaign {
 
     fn run(&self, cell: &Cell) -> (SimReport, Vec<String>) {
         let (scheme, class, rate_ppm) = cell.point();
-        let mut cfg = SystemConfig::table_i(scheme)
+        let cfg = SystemConfig::table_i(scheme)
             .with_fault(FaultConfig::uniform(cell.seed, class, rate_ppm));
-        // The shadow checker diffs the timing tree against a counter-based
-        // functional model; only counter placements have tree state to diff.
-        cfg.shadow_check = scheme.placement().uses_counters();
         let sources = Benchmark::Canneal.build_scaled(cell.seed, cfg.cores, WorkloadScale::Test);
         let report = SecureSystem::new(cfg.clone()).run(sources, OPS);
         let mut failures = Vec::new();

@@ -236,9 +236,6 @@ impl FuzzCase {
             seed: self.seed,
             fault,
         });
-        // The shadow checker diffs the timing tree against a counter-based
-        // functional model; only counter placements have tree state to diff.
-        cfg.shadow_check = scheme.placement().uses_counters() && self.fault.is_none();
         cfg
     }
 

@@ -9,8 +9,8 @@
 //!   against a naive store (including the EMCC split-MAC path and
 //!   tamper-detection spot checks),
 //! * `SimReport` conservation laws (hits + misses never exceed lookups,
-//!   DRAM traffic at least covers misses, detection exactness under
-//!   faults),
+//!   DRAM traffic at least covers misses, one counter bump per
+//!   write-back, detection exactness under faults),
 //! * cross-scheme metamorphic relations (non-secure runs are never
 //!   slower than secure ones; zero-fault runs report zero violations),
 //! * bit-for-bit determinism (re-running a combo reproduces its

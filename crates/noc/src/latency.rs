@@ -10,9 +10,14 @@
 //!   response) ≈ 23 ns with a 16–29 ns spread (Figure 3),
 //! * slice↔MC round trip ≈ 17 ns and L2↔MC round trip ≈ 34 ns (Table I).
 
-use emcc_sim::Time;
+use emcc_sim::{Histogram, Time};
 
 use crate::mesh::{Mesh, Node};
+
+/// L2 lookup before a miss enters the NoC (6 ns hit − 2 ns data read).
+const L2_TAG: Time = Time::from_ns(4);
+/// LLC slice SRAM access (paper's appendix: ≤ 4 ns via Cacti).
+const SLICE_SRAM: Time = Time::from_ns(4);
 
 /// Latency parameters for mesh traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +60,29 @@ impl NocLatency {
             self.base.as_ns_f64() + self.per_hop.as_ns_f64() * mesh.mean_core_to_core_hops(),
         )
     }
+
+    /// Figure 3's LLC hit latency for every ordered (core, slice) pair of
+    /// `mesh`, each core tile hosting one slice: the L2 tag lookup, the
+    /// request, the slice SRAM and the response carrying the line.
+    pub fn llc_hit_latencies<'a>(&'a self, mesh: &'a Mesh) -> impl Iterator<Item = Time> + 'a {
+        let n = mesh.num_cores();
+        (0..n).flat_map(move |core| {
+            (0..n).map(move |slice| {
+                let hops = mesh.hops_core_to_core(core, slice);
+                L2_TAG + self.one_way(hops, false) + SLICE_SRAM + self.one_way(hops, true)
+            })
+        })
+    }
+}
+
+/// Figure 3: the calibrated LLC hit latencies on the Xeon W-3175X mesh,
+/// in 1 ns bins from 14 ns.
+pub fn llc_hit_histogram() -> Histogram {
+    let mut h = Histogram::new(14.0, 1.0, 26);
+    for t in NocLatency::calibrated().llc_hit_latencies(&Mesh::xeon_w3175x()) {
+        h.add_time(t);
+    }
+    h
 }
 
 impl Default for NocLatency {
@@ -67,11 +95,6 @@ impl Default for NocLatency {
 mod tests {
     use super::*;
 
-    /// SRAM access in an LLC slice (paper's appendix: ≤ 4 ns via Cacti).
-    const SLICE_SRAM_NS: f64 = 4.0;
-    /// L2 lookup before the miss goes to the NoC (6 ns hit − 2 ns data read).
-    const L2_TAG_NS: f64 = 4.0;
-
     #[test]
     fn mean_one_way_near_7_5ns() {
         let mesh = Mesh::xeon_w3175x();
@@ -82,20 +105,10 @@ mod tests {
 
     #[test]
     fn mean_llc_hit_latency_near_23ns() {
-        // Reconstruct the Fig 3 quantity: L2 tag + request + SRAM + response.
         let mesh = Mesh::xeon_w3175x();
         let lat = NocLatency::calibrated();
-        let mut total = 0.0;
         let n = mesh.num_cores();
-        for a in 0..n {
-            for b in 0..n {
-                let h = mesh.hops_core_to_core(a, b);
-                total += L2_TAG_NS
-                    + lat.one_way(h, false).as_ns_f64()
-                    + SLICE_SRAM_NS
-                    + lat.one_way(h, true).as_ns_f64();
-            }
-        }
+        let total: f64 = lat.llc_hit_latencies(&mesh).map(Time::as_ns_f64).sum();
         let mean = total / (n * n) as f64;
         assert!((21.5..24.5).contains(&mean), "mean LLC hit {mean} ns");
     }
@@ -106,16 +119,9 @@ mod tests {
         let lat = NocLatency::calibrated();
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
-        for a in 0..mesh.num_cores() {
-            for b in 0..mesh.num_cores() {
-                let h = mesh.hops_core_to_core(a, b);
-                let t = L2_TAG_NS
-                    + lat.one_way(h, false).as_ns_f64()
-                    + SLICE_SRAM_NS
-                    + lat.one_way(h, true).as_ns_f64();
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
+        for t in lat.llc_hit_latencies(&mesh).map(Time::as_ns_f64) {
+            lo = lo.min(t);
+            hi = hi.max(t);
         }
         // Paper Fig 3 support is 16..29 ns; allow modest excess at the
         // corner-to-corner tail.

@@ -68,7 +68,7 @@ pub struct CryptoPlacement {
 
 impl CryptoPlacement {
     /// Whether the placement maintains a counter stream (and therefore an
-    /// integrity tree, counter DRAM traffic, and shadow-tree semantics).
+    /// integrity tree, counter DRAM traffic and a bump per write-back).
     pub const fn uses_counters(self) -> bool {
         !matches!(self.counter_flow, CounterFlow::None)
     }

@@ -5,22 +5,10 @@
 //! cargo run --example noc_latency
 //! ```
 
-use emcc::noc::{Mesh, NocLatency};
-use emcc::sim::{Histogram, Time};
+use emcc::noc::latency::llc_hit_histogram;
 
 fn main() {
-    let mesh = Mesh::xeon_w3175x();
-    let noc = NocLatency::calibrated();
-    let l2_tag = Time::from_ns(4);
-    let sram = Time::from_ns(4);
-
-    let mut h = Histogram::new(14.0, 1.0, 26);
-    for core in 0..mesh.num_cores() {
-        for slice in 0..mesh.num_cores() {
-            let hops = mesh.hops_core_to_core(core, slice);
-            h.add_time(l2_tag + noc.one_way(hops, false) + sram + noc.one_way(hops, true));
-        }
-    }
+    let h = llc_hit_histogram();
 
     println!("LLC hit latency distribution (Fig 3), 6x5 mesh, 28 cores\n");
     for i in 0..h.num_bins() {
