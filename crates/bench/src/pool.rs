@@ -2,15 +2,24 @@
 //! memoizing run-cache.
 //!
 //! Simulations stay strictly single-threaded and deterministic (DESIGN.md
-//! §4); parallelism exists only *across* independent `(benchmark, config)`
-//! runs. Because every run is a pure function of its key, reports can be
-//! cached and shared freely between figures — `run_all`'s default pass
-//! is 277 unique simulations.
+//! §4); parallelism exists only *across* independent jobs: `(benchmark,
+//! config)` runs, campaign cases, or one fuzz case's checks. Because
+//! every run is a pure function of its key, reports can be cached and
+//! shared freely between figures — `run_all`'s default pass is 277
+//! unique simulations.
+//!
+//! The outermost [`run_indexed`] call owns the `EMCC_JOBS` workers. A
+//! call made from inside a running one — from a job on a worker thread,
+//! or on the calling thread — runs its jobs inline in index order and
+//! spawns nothing, so a campaign's case pool never oversubscribes the
+//! cores, while one case run on its own (a shrink, a replay, a test)
+//! spreads its checks over every worker.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use emcc::prelude::*;
 use emcc::system::SystemConfig;
@@ -168,7 +177,37 @@ pub fn jobs_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<usize
                 expected: "a positive integer worker count",
             }),
         },
-        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        None => Ok(available_cores()),
+    }
+}
+
+/// The host's available parallelism, asked once per process: the query
+/// reads cgroup files (about 18 µs), and the fuzz oracle asks for its
+/// worker count once per case.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+thread_local! {
+    /// Whether this thread is running a [`run_indexed`] call's jobs, as
+    /// one of its workers or as the thread that made the call.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a pool until dropped; dropping —
+/// on return or on unwind — restores the mark it found.
+struct PoolMark(bool);
+
+impl PoolMark {
+    fn enter() -> Self {
+        PoolMark(IN_POOL.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for PoolMark {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.0));
     }
 }
 
@@ -177,51 +216,69 @@ pub fn jobs_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<usize
 ///
 /// Jobs are dealt round-robin into per-worker deques; a worker drains its
 /// own deque from the front and, when empty, steals from the back of the
-/// busiest sibling. With `workers == 1` this degenerates to an in-order
-/// serial loop on the calling thread (no spawn), which keeps single-job
-/// debugging and `EMCC_JOBS=1` baselines trivial.
+/// busiest sibling. The calling thread works as worker 0 and spawns the
+/// other `workers - 1`.
+///
+/// The outermost call owns the workers: a call made while another runs
+/// on this thread (inside one of its jobs) runs its jobs inline, in
+/// index order, on the calling thread. So does a call with one worker or
+/// one job, which keeps single-job debugging and `EMCC_JOBS=1` baselines
+/// trivial.
+///
+/// # Panics
+///
+/// If jobs panic, every other job still runs, and then the panic of the
+/// lowest-indexed one resumes with its own payload — the panic a serial
+/// loop would have raised.
 pub fn run_indexed<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || jobs <= 1 {
+    let nested = IN_POOL.with(Cell::get);
+    let _mark = PoolMark::enter();
+    let workers = workers.min(jobs);
+    if nested || workers <= 1 {
         return (0..jobs).map(f).collect();
     }
-    let workers = workers.min(jobs);
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..jobs).step_by(workers).collect()))
         .collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+        (0..jobs).map(|_| Mutex::new(None)).collect();
+    let work = |w: usize| {
+        while let Some(j) = next_job(&queues, w) {
+            let result = catch_unwind(AssertUnwindSafe(|| f(j)));
+            let prev = slots[j]
+                .lock()
+                .expect("result slot poisoned")
+                .replace(result);
+            debug_assert!(prev.is_none(), "job {j} scheduled twice");
+        }
+    };
 
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || loop {
-                let job = next_job(queues, w);
-                match job {
-                    Some(j) => {
-                        let result = f(j);
-                        let prev = slots[j]
-                            .lock()
-                            .expect("result slot poisoned")
-                            .replace(result);
-                        debug_assert!(prev.is_none(), "job {j} scheduled twice");
-                    }
-                    None => break,
-                }
+        for w in 1..workers {
+            let work = &work;
+            s.spawn(move || {
+                IN_POOL.with(|c| c.set(true));
+                work(w);
             });
         }
+        work(0);
     });
 
     slots
         .into_iter()
         .map(|s| {
-            s.into_inner()
+            match s
+                .into_inner()
                 .expect("result slot poisoned")
                 .expect("every job claimed exactly once")
+            {
+                Ok(result) => result,
+                Err(payload) => resume_unwind(payload),
+            }
         })
         .collect()
 }
@@ -273,6 +330,8 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn run_indexed_preserves_order() {
@@ -288,14 +347,68 @@ mod tests {
         assert_eq!(run_indexed(1, 4, |i| i + 10), vec![10]);
     }
 
+    /// The threads that ran 16 short jobs on 4 workers.
+    fn job_threads() -> Vec<ThreadId> {
+        run_indexed(16, 4, |_| {
+            std::thread::sleep(Duration::from_millis(2));
+            std::thread::current().id()
+        })
+    }
+
     #[test]
     fn run_indexed_actually_uses_worker_threads() {
         let main_id = std::thread::current().id();
-        let ids = run_indexed(16, 4, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            std::thread::current().id()
-        });
+        let ids = job_threads();
         assert!(ids.iter().any(|&id| id != main_id), "no worker ran a job");
+        assert!(ids.contains(&main_id), "the calling thread ran no job");
+    }
+
+    #[test]
+    fn a_nested_call_runs_inline_on_its_callers_thread() {
+        for outer_workers in [1, 4] {
+            run_indexed(6, outer_workers, |_| {
+                let caller = std::thread::current().id();
+                let order = Mutex::new(Vec::new());
+                let ids = run_indexed(8, 4, |j| {
+                    order.lock().unwrap().push(j);
+                    std::thread::current().id()
+                });
+                assert!(ids.iter().all(|&id| id == caller), "a nested call spawned");
+                assert_eq!(order.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
+            });
+        }
+    }
+
+    #[test]
+    fn the_pool_mark_is_restored_after_a_panicking_call() {
+        let main_id = std::thread::current().id();
+        for workers in [1, 4] {
+            let panicked = catch(|| {
+                run_indexed(4, workers, |i| assert_ne!(i, 2, "job 2 exploded"));
+            });
+            assert!(panicked.is_err());
+            let spread = job_threads().iter().any(|&id| id != main_id);
+            assert!(spread, "the thread is still marked as inside a pool");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_reraises_its_own_payload_lowest_index_first() {
+        for workers in [1, 2, 4] {
+            let out = catch(|| {
+                run_indexed(8, workers, |i| {
+                    if i == 2 {
+                        // Panic after job 5 has, so completion order
+                        // would pick job 5.
+                        std::thread::sleep(Duration::from_millis(20));
+                        panic!("job {i} exploded");
+                    }
+                    assert_ne!(i, 5, "job 5 exploded");
+                    i
+                })
+            });
+            assert_eq!(out, Err("job 2 exploded".to_string()), "{workers} workers");
+        }
     }
 
     #[test]

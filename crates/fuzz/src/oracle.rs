@@ -5,9 +5,7 @@
 //! shrunk reproducer's verdict explains *which* law broke, not just that
 //! one did.
 
-use std::collections::HashMap;
-
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use emcc::counters::CounterDesign;
 use emcc::crypto::DataBlock;
@@ -18,6 +16,7 @@ use emcc::secmem::{
 };
 use emcc::sim::LineAddr;
 use emcc::system::{SecureSystem, SimReport, SystemConfig};
+use emcc_bench::pool::{jobs_from_env, run_indexed};
 
 use crate::case::FuzzCase;
 
@@ -42,7 +41,7 @@ pub const DESIGNS: [CounterDesign; 3] = [
 ];
 
 /// Verdict of the battery over one case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleReport {
     /// Oracle-law violations, empty when the case passes.
     pub failures: Vec<String>,
@@ -68,12 +67,33 @@ struct Combo {
     json: String,
 }
 
+/// What one independent check of the battery produced.
+enum Check {
+    /// A functional or crash-recovery oracle's failures.
+    Oracle(Vec<String>),
+    /// A scheme × design run.
+    Run(Box<Combo>),
+}
+
 /// Runs the full battery on one case.
+///
+/// The battery's 25 checks are independent pure functions of the case —
+/// per design the functional and crash-recovery oracles, every scheme ×
+/// design run, and a second EMCC/Morphable run for the determinism law —
+/// so they go to the worker pool (`EMCC_JOBS`; inline when the case
+/// itself runs inside a pool, as in a campaign). Their results are then
+/// folded serially in index order, so the report is the same for any
+/// worker count.
 ///
 /// Honors `EMCC_FORCE_ORACLE_FAIL` (value `*` or a specific case seed):
 /// an always-failing oracle for exercising the shrink → corpus → replay
 /// path end-to-end, mirroring `EMCC_FORCE_PANIC` in the bench harness.
 pub fn check_case(case: &FuzzCase) -> OracleReport {
+    battery(case, jobs_from_env())
+}
+
+/// [`check_case`] on `workers` workers.
+fn battery(case: &FuzzCase, workers: usize) -> OracleReport {
     let mut failures = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
 
@@ -85,40 +105,57 @@ pub fn check_case(case: &FuzzCase) -> OracleReport {
         };
     }
 
-    for design in DESIGNS {
-        functional_oracle(case, design, &mut failures);
-        crash_recovery_oracle(case, design, &mut failures);
-    }
+    let oracles = 2 * DESIGNS.len();
+    let runs: Vec<(SecurityScheme, CounterDesign)> = SCHEMES
+        .iter()
+        .flat_map(|&scheme| DESIGNS.map(|design| (scheme, design)))
+        .chain([(SecurityScheme::Emcc, CounterDesign::Morphable)])
+        .collect();
+    let checks = run_indexed(oracles + runs.len(), workers, |i| {
+        if i < oracles {
+            let (design, mut failures) = (DESIGNS[i / 2], Vec::new());
+            if i % 2 == 0 {
+                functional_oracle(case, design, &mut failures);
+            } else {
+                crash_recovery_oracle(case, design, &mut failures);
+            }
+            return Check::Oracle(failures);
+        }
+        let (scheme, design) = runs[i - oracles];
+        let cfg = case.system_config(scheme, design);
+        let report = SecureSystem::new(cfg).run(case.sources(), case.ops_per_core);
+        Check::Run(Box::new(Combo {
+            scheme,
+            design,
+            json: report.canonical_json(),
+            report,
+        }))
+    });
 
     // One SimReport per scheme×design, in fixed order, each rendered
     // once: the digest, the design-invariance law and the determinism
     // check all compare the same text.
     let mut combos: Vec<Combo> = Vec::new();
-    for scheme in SCHEMES {
-        for design in DESIGNS {
-            let cfg = case.system_config(scheme, design);
-            let report = SecureSystem::new(cfg.clone()).run(case.sources(), case.ops_per_core);
-            let json = report.canonical_json();
-            fnv_mix(&mut digest, json.as_bytes());
-            report_laws(&cfg, case.ops_per_core, &report, &mut failures);
-            combos.push(Combo {
-                scheme,
-                design,
-                report,
-                json,
-            });
+    for check in checks {
+        match check {
+            Check::Oracle(found) => failures.extend(found),
+            Check::Run(combo) => combos.push(*combo),
         }
+    }
+    let again = combos.pop().expect("the determinism replay runs last");
+    for c in &combos {
+        fnv_mix(&mut digest, c.json.as_bytes());
+        let cfg = case.system_config(c.scheme, c.design);
+        report_laws(&cfg, case.ops_per_core, &c.report, &mut failures);
     }
     metamorphic_laws(&combos, &mut failures);
 
     // Determinism: re-running a combo must reproduce its report verbatim.
-    let cfg = case.system_config(SecurityScheme::Emcc, CounterDesign::Morphable);
-    let again = SecureSystem::new(cfg).run(case.sources(), case.ops_per_core);
     let first = combos
         .iter()
-        .find(|c| c.scheme == SecurityScheme::Emcc && c.design == CounterDesign::Morphable)
+        .find(|c| (c.scheme, c.design) == (again.scheme, again.design))
         .expect("combo was run");
-    if again.canonical_json() != first.json {
+    if again.json != first.json {
         failures.push("determinism: emcc/morphable replay diverged from first run".to_string());
     }
 
@@ -129,7 +166,7 @@ pub fn check_case(case: &FuzzCase) -> OracleReport {
     OracleReport {
         failures,
         digest,
-        combos: SCHEMES.len() * DESIGNS.len(),
+        combos: combos.len(),
     }
 }
 
@@ -538,7 +575,7 @@ fn fnv_mix(state: &mut u64, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcc::dram::{FaultClass, FaultConfig};
+    use emcc::dram::{Fault, FaultClass, FaultConfig};
 
     #[test]
     fn small_case_passes_battery() {
@@ -560,6 +597,32 @@ mod tests {
         let b = check_case(&case);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.failures, b.failures);
+    }
+
+    #[test]
+    fn report_is_the_same_inline_and_on_workers() {
+        // Generated cases (planted and uniform faults among them) plus
+        // case 230 of the seed-7 campaign, which fails the ordering law.
+        let mut cases: Vec<FuzzCase> = (0..24).map(FuzzCase::generate).collect();
+        cases.push(FuzzCase::generate(0xbbe4_857c_cc9e_380a));
+        let has = |planted: bool| {
+            cases.iter().any(|c| match c.fault {
+                Some(Fault::Planted { .. }) => planted,
+                Some(Fault::Uniform { .. }) => !planted,
+                None => false,
+            })
+        };
+        assert!(has(true) && has(false), "no planted or no uniform fault");
+        // Inside a one-worker pool each case's checks run inline, in
+        // index order.
+        let inline = run_indexed(cases.len(), 1, |i| check_case(&cases[i]));
+        assert!(!inline.last().is_some_and(OracleReport::ok));
+        for (case, expect) in cases.iter().zip(&inline) {
+            for workers in [jobs_from_env(), 4] {
+                let got = battery(case, workers);
+                assert_eq!(&got, expect, "case {:#x}, {workers} workers", case.seed);
+            }
+        }
     }
 
     #[test]
