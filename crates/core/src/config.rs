@@ -21,10 +21,11 @@ pub const WIDTH: u64 = 4;
 pub const MAX_OUTSTANDING_LOADS: usize = 16;
 /// L1D latency (Table I: 2 ns).
 pub const L1_LATENCY: Time = Time::from_ns(2);
-/// L2 additive latency (Table I: 4 ns).
-pub const L2_LATENCY: Time = Time::from_ns(4);
-/// LLC slice SRAM latency (tag + data array).
-pub const LLC_SRAM_LATENCY: Time = Time::from_ns(4);
+/// L2 additive latency (Table I: 4 ns), shared with Fig 3's calibration.
+pub const L2_LATENCY: Time = emcc_noc::latency::L2_LOOKUP;
+/// LLC slice SRAM latency (tag + data array), shared with Fig 3's
+/// calibration.
+pub const LLC_SRAM_LATENCY: Time = emcc_noc::latency::SLICE_SRAM;
 /// MC metadata cache latency (Table I: 3 ns).
 pub const MC_CACHE_LATENCY: Time = Time::from_ns(3);
 /// Decoding a split-counter block (extracting the minor counter and adding

@@ -6,7 +6,7 @@
 //! a request). The constants are calibrated so that
 //!
 //! * mean one-way L2→slice latency ≈ 7.5 ns (paper's Appendix),
-//! * mean LLC hit latency (4 ns L2 tag + request + 4 ns slice SRAM +
+//! * mean LLC hit latency (4 ns L2 lookup + request + 4 ns slice SRAM +
 //!   response) ≈ 23 ns with a 16–29 ns spread (Figure 3),
 //! * slice↔MC round trip ≈ 17 ns and L2↔MC round trip ≈ 34 ns (Table I).
 
@@ -14,10 +14,12 @@ use emcc_sim::{Histogram, Time};
 
 use crate::mesh::{Mesh, Node};
 
-/// L2 lookup before a miss enters the NoC (6 ns hit − 2 ns data read).
-const L2_TAG: Time = Time::from_ns(4);
-/// LLC slice SRAM access (paper's appendix: ≤ 4 ns via Cacti).
-const SLICE_SRAM: Time = Time::from_ns(4);
+/// L2 lookup (Table I: 4 ns additive), paid before a miss enters the NoC
+/// (6 ns hit − 2 ns data read).
+pub const L2_LOOKUP: Time = Time::from_ns(4);
+/// LLC slice SRAM access, tag + data array (paper's appendix: ≤ 4 ns via
+/// Cacti).
+pub const SLICE_SRAM: Time = Time::from_ns(4);
 
 /// Latency parameters for mesh traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,7 +71,7 @@ impl NocLatency {
         (0..n).flat_map(move |core| {
             (0..n).map(move |slice| {
                 let hops = mesh.hops_core_to_core(core, slice);
-                L2_TAG + self.one_way(hops, false) + SLICE_SRAM + self.one_way(hops, true)
+                L2_LOOKUP + self.one_way(hops, false) + SLICE_SRAM + self.one_way(hops, true)
             })
         })
     }
