@@ -209,8 +209,7 @@ impl FuzzCase {
     }
 
     /// Expands to a full simulator configuration for one scheme × design
-    /// combination. Shadow differential checking is enabled on secure
-    /// fault-free combos (it asserts nothing useful elsewhere).
+    /// combination.
     pub fn system_config(&self, scheme: SecurityScheme, design: CounterDesign) -> SystemConfig {
         let mut cfg = SystemConfig::table_i(scheme);
         cfg.cores = self.cores;
