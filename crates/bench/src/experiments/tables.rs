@@ -470,7 +470,7 @@ pub fn extensions(h: &Harness) -> FigureData {
     FigureData::new(
         "Extension: inclusive LLC and dynamic disable (vs plain EMCC)",
         ["inclusive Δ", "dyn-off Δ", "unverif/fill"],
-        "§IV-F: both extensions should be near-neutral on irregular workloads",
+        "§IV-F: optional, outside the paper's evaluation; Δ < 0 is slower than plain EMCC",
     )
     .per_bench(ablation_suite(), |bench| {
         let plain = h.run_scheme(bench, SecurityScheme::Emcc);
