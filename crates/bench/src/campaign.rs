@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use proptest::shrink::{minimize, Shrink};
 
@@ -141,9 +141,23 @@ pub fn main<C: Campaign>(campaign: &C, args: &CampaignArgs) -> ExitCode {
     let run = run_cases(campaign, seed, cases, jobs);
     let elapsed = t0.elapsed();
     eprintln!("{name}: campaign took {elapsed:.1?}");
+    write_or_exit(&args.out, &run.text);
+    let (passed, out) = (cases - run.failed, args.out.display());
+    eprintln!("{name}: {passed}/{cases} cases passed, verdicts in {out}");
+    let shrunk = run.first_failure.map(|(index, case, failures)| {
+        eprintln!(
+            "{name}: shrinking case {index} ({} candidates at most)...",
+            C::SHRINK_BUDGET
+        );
+        shrink_and_persist(campaign, case, &failures, &args.repro_dir)
+            .unwrap_or_else(|e| exit_error(&e))
+    });
     if let Some(file) = C::TELEMETRY {
         // Best effort: an unwritable path never fails a green campaign.
         let secs = elapsed.as_secs_f64();
+        let (shrink_ns, tested, steps) = shrunk
+            .as_ref()
+            .map_or((0, 0, 0), |s| (s.elapsed.as_nanos(), s.tested, s.steps));
         let json = Json::obj([
             ("cases", Json::num(cases)),
             ("seed", Json::num(seed)),
@@ -153,25 +167,19 @@ pub fn main<C: Campaign>(campaign: &C, args: &CampaignArgs) -> ExitCode {
                 Json::fixed(if secs > 0.0 { cases as f64 / secs } else { 0.0 }, 3),
             ),
             ("campaign_ns", Json::num(elapsed.as_nanos())),
+            ("shrink_ns", Json::num(shrink_ns)),
+            ("shrink_candidates", Json::num(tested)),
+            ("shrink_steps", Json::num(steps)),
         ]);
         let path = args.out.parent().unwrap_or(Path::new(".")).join(file);
         if let Err(e) = std::fs::write(&path, json.render()) {
             eprintln!("{name}: telemetry {}: {e}", path.display());
         }
     }
-    write_or_exit(&args.out, &run.text);
-    let (passed, out) = (cases - run.failed, args.out.display());
-    eprintln!("{name}: {passed}/{cases} cases passed, verdicts in {out}");
-    let Some((index, case, failures)) = run.first_failure else {
+    let Some(shrunk) = shrunk else {
         return ExitCode::SUCCESS;
     };
-    eprintln!(
-        "{name}: shrinking case {index} ({} candidates at most)...",
-        C::SHRINK_BUDGET
-    );
-    let path = shrink_and_persist(campaign, case, &failures, &args.repro_dir)
-        .unwrap_or_else(|e| exit_error(&e));
-    let path = path.display();
+    let path = shrunk.path.display();
     eprintln!("{name}: reproducer persisted to {path}; replay with `{name} --replay {path}`");
     ExitCode::from(1)
 }
@@ -226,6 +234,18 @@ fn judge<C: Campaign>(campaign: &C, case: &C::Case) -> (Result<C::Outcome, Strin
     (outcome, failures)
 }
 
+/// A persisted reproducer and what shrinking it took.
+pub(crate) struct Shrunk {
+    /// Where the reproducer was written.
+    pub(crate) path: PathBuf,
+    /// Accepted shrink steps.
+    pub(crate) steps: usize,
+    /// Candidates tested.
+    pub(crate) tested: usize,
+    /// Wall-clock of the shrink.
+    pub(crate) elapsed: Duration,
+}
+
 /// Shrinks a failing `case` while it still fails, then persists the
 /// minimum under `dir` annotated with the original `failures`; the error
 /// names an unwritable path.
@@ -234,14 +254,12 @@ pub(crate) fn shrink_and_persist<C: Campaign>(
     case: C::Case,
     failures: &[String],
     dir: &Path,
-) -> Result<PathBuf, String> {
+) -> Result<Shrunk, String> {
     let t0 = Instant::now();
     let m = minimize(case, C::SHRINK_BUDGET, |c| !judge(campaign, c).1.is_empty());
+    let elapsed = t0.elapsed();
     let (name, steps, tested) = (C::NAME, m.steps, m.tested);
-    eprintln!(
-        "{name}: shrunk in {steps} steps ({tested} candidates, {:.1?})",
-        t0.elapsed()
-    );
+    eprintln!("{name}: shrunk in {steps} steps ({tested} candidates, {elapsed:.1?})");
     let mut text = C::encode(&m.value);
     for f in failures {
         text += &format!("// failed oracle: {f}\n");
@@ -250,7 +268,12 @@ pub(crate) fn shrink_and_persist<C: Campaign>(
     std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(&path, text))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(path)
+    Ok(Shrunk {
+        path,
+        steps,
+        tested,
+        elapsed,
+    })
 }
 
 /// Re-runs the reproducer at `path`: 0 when the contract holds, 1 when it
@@ -396,8 +419,10 @@ mod tests {
         let (index, case, failures) = run.first_failure.expect("case 4 fails");
         assert_eq!((index, case.seed), (4, 5));
         let dir = scratch("shrink");
-        let path = shrink_and_persist(&ToyCampaign, case, &failures, &dir).unwrap();
+        let shrunk = shrink_and_persist(&ToyCampaign, case, &failures, &dir).unwrap();
+        let path = shrunk.path;
         assert_eq!(path, dir.join("toy-5.txt"));
+        assert_eq!((shrunk.steps, shrunk.tested), (2, 2));
         let minimal = Toy {
             seed: 5,
             items: vec![7],
@@ -419,7 +444,9 @@ mod tests {
             (3, &["panicked: unlucky 13".to_string()][..])
         );
         let dir = scratch("panic");
-        let path = shrink_and_persist(&ToyCampaign, case, &failures, &dir).unwrap();
+        let path = shrink_and_persist(&ToyCampaign, case, &failures, &dir)
+            .unwrap()
+            .path;
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(ToyCampaign::decode(&text).unwrap().items, vec![13]);
         assert!(text.ends_with("// failed oracle: panicked: unlucky 13\n"));
