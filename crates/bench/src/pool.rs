@@ -155,7 +155,8 @@ impl std::fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
-/// Number of worker threads: `EMCC_JOBS` override, else available
+/// Number of worker threads of the outermost parallel loop (a nested
+/// [`run_indexed`] runs inline): `EMCC_JOBS` override, else available
 /// parallelism. Exits with status 2 on a malformed override.
 pub fn jobs_from_env() -> usize {
     jobs_from_lookup(|k| std::env::var(k).ok()).unwrap_or_else(|e| exit_error(&e.to_string()))
